@@ -282,7 +282,7 @@ mod tests {
         // whole lease.
         net.delay_ms = fleet.deadline_ms();
         let plan = base_plan()
-            .with_fleet(Some(fleet.clone()))
+            .with_fleet(Some(fleet))
             .with_net_faults(Some(net));
         assert_eq!(ids(&analyze(&plan)), vec!["R1404"]);
 

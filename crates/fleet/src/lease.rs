@@ -27,6 +27,14 @@
 //! requeues the cell with backoff. A storm that SIGKILLs half the fleet
 //! therefore can never quarantine an innocent cell, which is what lets
 //! the merged CSV stay byte-identical to an undisturbed run.
+//!
+//! The table is generic over the completion payload `P` (`String` by
+//! default, which is what the model checker drives), ordered for the
+//! merge tiebreak; the harness instantiates it once with its typed cell
+//! outcome, for every isolation mode. Executors that enforce the cell
+//! deadline themselves never call [`LeaseTable::expire`] and stop asking
+//! once [`LeaseTable::has_pending`] turns false, so they never see a
+//! stolen lease either.
 
 use std::collections::BTreeMap;
 
@@ -90,15 +98,15 @@ pub enum FailOutcome {
 
 /// How one cell ended up once the table is drained.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellResolution {
+pub enum CellResolution<P = String> {
     /// Completed; the merged winner's provenance and payload.
     Completed {
         /// Winning attempt number.
         attempt: u32,
         /// Winning worker id.
         worker: u64,
-        /// The winner's rendered response payload.
-        payload: String,
+        /// The winner's response payload.
+        payload: P,
     },
     /// Retry budget exhausted by cell-level failures.
     Quarantined {
@@ -118,19 +126,40 @@ enum Phase {
 }
 
 #[derive(Debug, Clone)]
-struct CellState {
+struct CellState<P> {
     phase: Phase,
     attempts: u32,
     failures: u32,
     requeues: u32,
     outstanding: u32,
-    merge: CellMerge<String>,
+    merge: CellMerge<P>,
     last_failure: Option<String>,
 }
 
-impl CellState {
+impl<P> CellState<P> {
     fn resolved(&self) -> bool {
         matches!(self.phase, Phase::Completed | Phase::Quarantined)
+    }
+
+    /// The cell's resolution, given its merge winner.
+    fn resolution(&self, winner: Option<(u32, u64, P)>) -> CellResolution<P> {
+        match self.phase {
+            Phase::Completed => match winner {
+                Some((attempt, worker, payload)) => CellResolution::Completed {
+                    attempt,
+                    worker,
+                    payload,
+                },
+                None => CellResolution::Unresolved,
+            },
+            Phase::Quarantined => CellResolution::Quarantined {
+                reason: self
+                    .last_failure
+                    .clone()
+                    .unwrap_or_else(|| "errored:unknown".to_string()),
+            },
+            Phase::Pending { .. } | Phase::Leased => CellResolution::Unresolved,
+        }
     }
 }
 
@@ -150,7 +179,7 @@ struct LeaseRecord {
 /// a thin dispatcher over them, so the model checks the shipped code
 /// paths, not a parallel copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseEvent {
+pub enum LeaseEvent<P = String> {
     /// `@next`: a worker asks for work.
     Ask {
         /// The requesting worker.
@@ -160,14 +189,15 @@ pub enum LeaseEvent {
     Done {
         /// The completed lease.
         lease: u64,
-        /// Rendered cell response.
-        payload: String,
+        /// The cell response.
+        payload: P,
     },
     /// `@fail`: a worker reports a cell-level failure.
     Fail {
         /// The failed lease.
         lease: u64,
-        /// `panicked:<msg>` or `errored:<msg>`.
+        /// The encoded failure reason, reported back verbatim if the
+        /// cell ends quarantined.
         reason: String,
     },
     /// EOF / SIGKILL / reaped child: the transport saw a worker die.
@@ -194,19 +224,20 @@ pub enum LeaseEffect {
     Expired(u64),
 }
 
-/// The lease state machine. See the module docs for the lifecycle.
+/// The lease state machine over completion payloads `P`. See the module
+/// docs for the lifecycle.
 #[derive(Debug, Clone)]
-pub struct LeaseTable {
+pub struct LeaseTable<P = String> {
     policy: SupervisorPolicy,
     deadline_ms: u64,
     seeds: Vec<u64>,
-    cells: Vec<CellState>,
+    cells: Vec<CellState<P>>,
     leases: BTreeMap<u64, LeaseRecord>,
     next_lease: u64,
     metrics: LeaseMetrics,
 }
 
-impl LeaseTable {
+impl<P: Ord + Clone + std::fmt::Debug> LeaseTable<P> {
     /// A table over one cell per entry of `seeds` (the per-cell backoff
     /// seeds, i.e. `cell_seed` of the schedule), retrying under
     /// `policy` with the given lease deadline.
@@ -250,7 +281,7 @@ impl LeaseTable {
     /// Pre-resolve a cell from a recovered journal entry (resume after a
     /// coordinator crash). Duplicates across worker journals go through
     /// the same `(attempt, worker)` merge as live completions.
-    pub fn absorb(&mut self, cell: usize, attempt: u32, worker: u64, payload: String) {
+    pub fn absorb(&mut self, cell: usize, attempt: u32, worker: u64, payload: P) {
         let Some(state) = self.cells.get_mut(cell) else {
             return;
         };
@@ -378,7 +409,7 @@ impl LeaseTable {
     /// the named mutators — the model checker drives the table through
     /// this single entry point so every transition it explores is the
     /// shipped transition.
-    pub fn step(&mut self, event: LeaseEvent, now: u64) -> LeaseEffect {
+    pub fn step(&mut self, event: LeaseEvent<P>, now: u64) -> LeaseEffect {
         match event {
             LeaseEvent::Ask { worker } => LeaseEffect::Granted(self.grant(worker, now)),
             LeaseEvent::Done { lease, payload } => {
@@ -400,7 +431,7 @@ impl LeaseTable {
     /// how far past the lease deadline the clock has moved — acceptance
     /// is keyed on the lease id being known, never on `now`. Returns
     /// `false` for an unknown lease id.
-    pub fn complete(&mut self, lease: u64, payload: String) -> bool {
+    pub fn complete(&mut self, lease: u64, payload: P) -> bool {
         let Some(record) = self.leases.get_mut(&lease) else {
             return false;
         };
@@ -531,6 +562,18 @@ impl LeaseTable {
         self.cells.iter().all(CellState::resolved)
     }
 
+    /// Whether any cell waits to be granted, backoff included. Once this
+    /// is false every unresolved cell is held by a lease, so an executor
+    /// that never loses a lease (it enforces the cell deadline itself and
+    /// reports a blown one as a failure) can stop asking: whoever holds a
+    /// cell completes it, or fails it and asks again.
+    #[must_use]
+    pub fn has_pending(&self) -> bool {
+        self.cells
+            .iter()
+            .any(|cell| matches!(cell.phase, Phase::Pending { .. }))
+    }
+
     /// Number of resolved cells so far.
     #[must_use]
     pub fn resolved_count(&self) -> usize {
@@ -546,46 +589,32 @@ impl LeaseTable {
     /// The merged winner of one cell, if any completion has been
     /// offered: `(attempt, worker, payload)`.
     #[must_use]
-    pub fn cell_winner(&self, cell: usize) -> Option<(u32, u64, &str)> {
-        self.cells
-            .get(cell)?
-            .merge
-            .winner()
-            .map(|(a, w, p)| (a, w, p.as_str()))
+    pub fn cell_winner(&self, cell: usize) -> Option<(u32, u64, &P)> {
+        self.cells.get(cell)?.merge.winner()
     }
 
     /// One resolution per cell in schedule order, without consuming the
     /// table — how the model checker reads the would-be CSV out of an
     /// intermediate state.
     #[must_use]
-    pub fn resolutions(&self) -> Vec<CellResolution> {
+    pub fn resolutions(&self) -> Vec<CellResolution<P>> {
         self.cells
             .iter()
-            .map(|cell| match cell.phase {
-                Phase::Completed => match cell.merge.winner() {
-                    Some((attempt, worker, payload)) => CellResolution::Completed {
-                        attempt,
-                        worker,
-                        payload: payload.clone(),
-                    },
-                    None => CellResolution::Unresolved,
-                },
-                Phase::Quarantined => CellResolution::Quarantined {
-                    reason: cell
-                        .last_failure
-                        .clone()
-                        .unwrap_or_else(|| "errored:unknown".to_string()),
-                },
-                Phase::Pending { .. } | Phase::Leased => CellResolution::Unresolved,
-            })
+            .map(|cell| cell.resolution(cell.merge.winner().map(|(a, w, p)| (a, w, p.clone()))))
             .collect()
     }
 
     /// Consume the table, yielding one resolution per cell in schedule
-    /// order.
+    /// order; payloads move out rather than being cloned.
     #[must_use]
-    pub fn into_resolutions(self) -> Vec<CellResolution> {
-        self.resolutions()
+    pub fn into_resolutions(self) -> Vec<CellResolution<P>> {
+        self.cells
+            .into_iter()
+            .map(|mut cell| {
+                let winner = std::mem::replace(&mut cell.merge, CellMerge::new()).into_winner();
+                cell.resolution(winner)
+            })
+            .collect()
     }
 
     /// Canonical rendering of the table at virtual time `now`, with

@@ -15,12 +15,13 @@
 //!   extending the sandbox heartbeat pipe's escaping discipline with
 //!   field-level space folding so a torn line from a dying worker
 //!   corrupts at most itself and any payload survives any field.
-//! * [`lease`] — the coordinator's brain: a [`lease::LeaseTable`]
-//!   state machine handing out *leases* (cell + deadline + attempt)
-//!   driven entirely by a caller-supplied clock, with expiry →
-//!   reassignment, seeded full-jitter backoff on re-lease (the same
-//!   [`SupervisorPolicy`] jitter as sequential retries), per-slot
-//!   crash quarantine and work-stealing for stragglers. The
+//! * [`lease`] — the scheduler of every isolation mode, not just the
+//!   fleet: a [`lease::LeaseTable`] state machine over a generic
+//!   completion payload, handing out *leases* (cell + deadline +
+//!   attempt) driven entirely by a caller-supplied clock, with expiry →
+//!   reassignment, seeded full-jitter [`SupervisorPolicy`] backoff on
+//!   re-lease, retry-budget quarantine and work-stealing for
+//!   stragglers. The
 //!   [`lease::LeaseEvent`] pure-step surface plus the canonical
 //!   [`lease::LeaseTable::snapshot`] rendering are what let the
 //!   `chopin-model` checker exhaustively explore this exact state

@@ -491,8 +491,9 @@ fn run_chaos_net(args: &Args) -> i32 {
 }
 
 /// Run the real-binary hand-off scenario for [`run_chaos_net`]: spawn a
-/// standby, spawn a primary doomed to SIGKILL itself mid-sweep, and
-/// check the standby's takeover reproduces a sequential baseline.
+/// primary doomed to SIGKILL itself mid-sweep, then a standby pointed at
+/// the address the primary bound, and check the standby's takeover
+/// reproduces a sequential baseline.
 /// Returns a one-line success note, or the failure description.
 fn handoff_leg(
     runbms: &std::path::Path,
@@ -500,6 +501,7 @@ fn handoff_leg(
     net_flag: &str,
     journal: &std::path::Path,
 ) -> Result<String, String> {
+    use std::io::{BufRead, BufReader, Read};
     use std::process::{Command, Stdio};
     let journal_flag = journal.to_str().ok_or("non-utf8 temp path")?;
 
@@ -515,54 +517,50 @@ fn handoff_leg(
         ));
     }
 
-    // Probe a free port so the standby can be pointed at the primary
-    // before the primary exists: the standby retries its registration,
-    // so starting it first closes the race where a fast primary dies
-    // before the standby ever adopts.
-    let port = std::net::TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .map_err(|e| format!("cannot probe for a free port: {e}"))?
-        .port();
-    let primary_addr = format!("127.0.0.1:{port}");
-
-    let standby = Command::new(runbms)
+    // The primary: same matrix, the net storm on its worker links, and
+    // the die-after hook set to SIGKILL it after two completions. It
+    // binds port 0 and names the address on stderr; `--fleet-await-standby`
+    // holds every lease until the standby below adopts, so the primary
+    // cannot die before a successor exists.
+    let mut primary = Command::new(runbms)
         .args([
             "-b",
             bench_flag,
             "--quick",
             "--fleet",
             "4",
-            "--fleet-standby",
-            &primary_addr,
-            "--journal",
-            journal_flag,
+            "--fleet-await-standby",
         ])
+        .args(["--net-faults", net_flag, "--journal", journal_flag])
+        .env("CHOPIN_FLEET_DIE_AFTER", "2")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("primary runbms spawn: {e}"))?;
+    let mut primary_err = BufReader::new(primary.stderr.take().ok_or("primary stderr")?);
+    let mut seen = String::new();
+    let primary_addr = loop {
+        let mut line = String::new();
+        match primary_err.read_line(&mut line) {
+            Ok(0) | Err(_) => return Err(format!("the primary exited before binding:\n{seen}")),
+            Ok(_) => seen.push_str(&line),
+        }
+        if let Some(rest) = line.split("--fleet-connect ").nth(1) {
+            break rest.trim_end().trim_end_matches(')').to_string();
+        }
+    };
+
+    let standby = Command::new(runbms)
+        .args(["-b", bench_flag, "--quick", "--fleet", "4"])
+        .args(["--fleet-standby", &primary_addr, "--journal", journal_flag])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .map_err(|e| format!("standby runbms spawn: {e}"))?;
-
-    // The primary: same matrix, the net storm on its worker links, and
-    // the die-after hook set to SIGKILL it after two completions.
-    let primary = Command::new(runbms)
-        .args([
-            "-b",
-            bench_flag,
-            "--quick",
-            "--fleet",
-            "4",
-            "--fleet-bind",
-            &primary_addr,
-            "--fleet-await-standby",
-            "--net-faults",
-            net_flag,
-            "--journal",
-            journal_flag,
-        ])
-        .env("CHOPIN_FLEET_DIE_AFTER", "2")
-        .output()
-        .map_err(|e| format!("primary runbms spawn: {e}"))?;
-    if primary.status.success() {
+    let primary = primary
+        .wait()
+        .map_err(|e| format!("primary runbms wait: {e}"))?;
+    if primary.success() {
         let _ = standby.wait_with_output();
         return Err(
             "the die-after hook never fired; the primary finished without a hand-off".to_string(),
@@ -577,7 +575,10 @@ fn handoff_leg(
         return Err(format!(
             "the standby failed to take over ({}):\n{standby_err}\nprimary stderr:\n{}",
             standby.status,
-            String::from_utf8_lossy(&primary.stderr)
+            {
+                let _ = primary_err.read_to_string(&mut seen);
+                seen
+            }
         ));
     }
     if standby.stdout != seq.stdout {

@@ -3,27 +3,37 @@
 //! reassignment and a deterministic journal merge.
 //!
 //! `--fleet N` shards the supervised sweep across `N` worker
-//! *processes*. The coordinator owns the schedule: it compiles the same
-//! deterministic cell list as the sequential supervisor, wraps it in a
-//! [`LeaseTable`] and hands out leases (cell + deadline + attempt) to
-//! whichever worker asks next. Workers are crash domains, not trust
-//! domains: a worker that is SIGKILLed, aborts, or stops heartbeating
-//! merely returns its leases to the pool — the cells are re-leased to
-//! surviving workers with the same seeded full-jitter backoff the
-//! sequential supervisor uses. Worker *slots* carry a crash budget
+//! *processes*. The fleet is one executor of the supervisor's single
+//! scheduler: the supervisor compiles the cell list, builds the
+//! [`LeaseTable`](chopin_fleet::LeaseTable) over typed cell outcomes,
+//! absorbs any resumed cells and assembles the report; this module only
+//! carries leases (cell + deadline + attempt) over the wire to whichever
+//! worker asks next and feeds the replies back into the table. Retry,
+//! backoff and quarantine are therefore the table's, identical in every
+//! mode. Workers are crash domains, not trust domains: a worker that is
+//! SIGKILLed, aborts, or stops heartbeating merely returns its leases to
+//! the pool — the cells are re-leased to surviving workers with the same
+//! seeded full-jitter backoff. Worker *slots* carry a crash budget
 //! ([`FleetConfig::max_worker_crashes`]): a slot is respawned under a
 //! fresh worker id until the budget runs out, then quarantined.
 //!
-//! Every worker appends completed cells to its own fingerprinted
-//! journal (`<base>.w<id>`), so no two processes ever contend on one
-//! file. On `--resume` the coordinator absorbs the base journal *and*
-//! every sibling worker journal, resolving duplicate completions (a
-//! stolen lease finishing twice, a re-lease racing its original) by the
-//! fixed `(attempt, worker)` tiebreak in [`chopin_fleet::CellMerge`].
-//! Because cells are deterministic and results are assembled in
-//! schedule order, the merged output is byte-identical to a sequential
-//! `--isolation process` run — the property `artifact chaos --check
-//! --workers` and the `fleet` integration test pin.
+//! Every worker runs its cells on the in-process
+//! [`SweepCellRunner`](crate::supervisor::SweepCellRunner) and appends
+//! completed cells to its own fingerprinted journal (`<base>.w<id>`), so
+//! no two processes ever contend on one file. On `--resume` (in any
+//! isolation mode) the supervisor absorbs the base journal *and* every
+//! sibling worker journal, resolving duplicate completions (a stolen
+//! lease finishing twice, a re-lease racing its original) by the fixed
+//! `(attempt, worker)` tiebreak in [`chopin_fleet::CellMerge`]. Because
+//! cells are deterministic and results are assembled in schedule order,
+//! the merged output is byte-identical to a sequential `--isolation
+//! process` run — the property `artifact chaos --check --workers` and the
+//! `fleet` integration test pin.
+//!
+//! A `Done` payload is decoded when it arrives; one that does not decode
+//! is a cell failure (`worker payload: …`). Failure reasons cross the
+//! wire in the journal's quarantine-reason encoding, so the whole crash
+//! taxonomy survives.
 //!
 //! The wire protocol ([`chopin_fleet::protocol`]) uses the same
 //! `@field:value` line framing as the sandbox heartbeat pipe, over a
@@ -33,33 +43,30 @@
 
 use crate::cli::Args;
 use crate::journal::{
-    CellKey, CellProvenance, CellRecord, Journal, JournalEntry, QuarantineRecord,
+    render_reason, worker_journal_path, CellKey, CellProvenance, Journal, JournalEntry,
 };
 use crate::sandbox::{
-    parse_request, parse_response, render_request, render_response, run_cell_inline, status_signal,
-    write_crash_reports, CellRequest, CrashReport,
+    parse_request, parse_response, render_request, render_response, status_signal, CellRequest,
+    CrashReport,
 };
 use crate::supervisor::{
-    cell_seed, panic_message, Cell, CellOutcome, QuarantineEntry, QuarantineReason, SuiteReport,
-    SuperviseError,
+    absorb_recovered, cell_seed, open_journal, settle, Cell, CellOutcome, CellTable, Drained,
+    QuarantineReason, SuperviseError,
 };
-use chopin_core::sweep::{SweepConfig, SweepFailure, SweepResult};
+use chopin_core::sweep::SweepConfig;
 use chopin_faults::hard::splitmix64;
 use chopin_faults::net::NetFaultPlan;
 use chopin_faults::{
     parse_net_flag, FaultPlan, FrameFate, HardFaultKind, SupervisorPolicy, NET_PRESET_NAMES,
 };
-use chopin_fleet::lease::CellResolution;
 use chopin_fleet::protocol;
 use chopin_fleet::{
-    admission, parse_storm_flag, CellMerge, FleetConfig, FleetFrame, Grant, LeaseTable, Liveness,
-    WorkerStormPlan,
+    admission, parse_storm_flag, FleetConfig, FleetFrame, Grant, Liveness, WorkerStormPlan,
 };
 use chopin_obs::metrics::fleet_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::{die_by_signal, SIGKILL};
-use chopin_workloads::WorkloadProfile;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -283,189 +290,33 @@ fn fleet_worker_env() -> i32 {
 }
 
 // ---------------------------------------------------------------------
-// Worker journals.
-// ---------------------------------------------------------------------
-
-/// The per-worker journal path: `<base>.w<id>` next to the base
-/// journal, so no two processes ever contend on one file.
-pub(crate) fn worker_journal_path(base: &Path, worker: u64) -> PathBuf {
-    match base.file_name() {
-        Some(name) => base.with_file_name(format!("{}.w{worker}", name.to_string_lossy())),
-        None => base.with_extension(format!("w{worker}")),
-    }
-}
-
-/// Discover every sibling worker journal of `base` (`<base>.w<digits>`
-/// in the same directory), sorted by worker id so absorption order is
-/// deterministic regardless of directory iteration order.
-fn sibling_worker_journals(base: &Path) -> Vec<PathBuf> {
-    let Some(name) = base.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-        return Vec::new();
-    };
-    let dir = base
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."));
-    let Ok(entries) = std::fs::read_dir(&dir) else {
-        return Vec::new();
-    };
-    let prefix = format!("{name}.w");
-    let mut found: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in entries.flatten() {
-        let file_name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(rest) = file_name.strip_prefix(&prefix) {
-            if let Ok(id) = rest.parse::<u64>() {
-                found.push((id, entry.path()));
-            }
-        }
-    }
-    found.sort_unstable();
-    found.into_iter().map(|(_, path)| path).collect()
-}
-
-fn key_of(cell: &Cell) -> CellKey {
-    CellKey {
-        benchmark: cell.benchmark.clone(),
-        collector: cell.collector,
-        heap_factor: cell.heap_factor,
-    }
-}
-
-/// What [`absorb_recovered`] found on disk.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct AbsorbStats {
-    /// Cells pre-resolved from recovered journal entries.
-    recovered: usize,
-    /// Duplicate completions folded away by the merge tiebreak.
-    conflicts: u64,
-    /// Sibling shards rejected for carrying a foreign fingerprint.
-    foreign_shards: u64,
-}
-
-/// Absorb every recovered completion — from the base journal and every
-/// fingerprint-matching sibling worker journal — into the lease table,
-/// resolving duplicates with the deterministic `(attempt, worker)`
-/// tiebreak over the *rendered response bytes* (the same currency the
-/// live merge uses, so equal-provenance duplicates tiebreak on payload
-/// identically in both paths). Winners missing from the base journal
-/// are persisted into it *now*, before any worker spawns: workers
-/// truncate their own `.w<id>` files on startup, so a second
-/// coordinator crash must not be able to lose cells recovered from the
-/// first.
-///
-/// Sibling shards whose fingerprint does not match the sweep are
-/// **rejected, loudly**: they are counted, named on stderr and surfaced
-/// as `fleet.shards.rejected` — a stale shard silently vanishing would
-/// be indistinguishable from data loss.
-fn absorb_recovered(
-    table: &mut LeaseTable,
-    cells: &[(usize, Cell)],
-    journal: &mut Option<Journal>,
-    journal_path: Option<&Path>,
-    fingerprint: u64,
-) -> AbsorbStats {
-    let mut stats = AbsorbStats::default();
-    let mut candidates: Vec<(usize, u32, u64, CellRecord)> = Vec::new();
-    let collect = |candidates: &mut Vec<(usize, u32, u64, CellRecord)>,
-                   entries: &[JournalEntry]| {
-        for entry in entries {
-            if let Some(idx) = cells
-                .iter()
-                .position(|(_, cell)| entry.key.matches(&key_of(cell)))
-            {
-                let (attempt, worker) = entry.provenance.map_or((1, 0), |p| (p.attempt, p.worker));
-                candidates.push((idx, attempt, worker, entry.record.clone()));
-            }
-        }
-    };
-    if let Some(j) = journal.as_ref() {
-        collect(&mut candidates, j.entries());
-    }
-    if let Some(base) = journal_path {
-        for worker_path in sibling_worker_journals(base) {
-            let Ok(worker_journal) = Journal::load(&worker_path) else {
-                continue;
-            };
-            if worker_journal.fingerprint() != fingerprint {
-                stats.foreign_shards += 1;
-                eprintln!(
-                    "fleet: rejecting worker journal {} (fingerprint {:016x}, sweep is {:016x})",
-                    worker_path.display(),
-                    worker_journal.fingerprint(),
-                    fingerprint,
-                );
-                continue;
-            }
-            collect(&mut candidates, worker_journal.entries());
-        }
-    }
-
-    let mut merges: BTreeMap<usize, (CellMerge<String>, u64)> = BTreeMap::new();
-    for (idx, attempt, worker, record) in candidates {
-        let rendered = render_response(&CellOutcome {
-            samples: record.samples,
-            infeasible: record.infeasible,
-        });
-        let slot = merges.entry(idx).or_insert_with(|| (CellMerge::new(), 0));
-        slot.0.offer(attempt, worker, rendered);
-        slot.1 += 1;
-    }
-
-    for (idx, (merge, seen)) in merges {
-        stats.conflicts += seen.saturating_sub(1);
-        let Some((attempt, worker, rendered)) = merge.into_winner() else {
-            continue;
-        };
-        let record = match parse_response(&rendered) {
-            Ok(outcome) => CellRecord {
-                samples: outcome.samples,
-                infeasible: outcome.infeasible,
-            },
-            Err(_) => continue,
-        };
-        table.absorb(idx, attempt, worker, rendered);
-        stats.recovered += 1;
-        if let Some(j) = journal.as_mut() {
-            let key = key_of(&cells[idx].1);
-            if j.lookup(&key).is_none() {
-                let _ = j.record(JournalEntry {
-                    key,
-                    record,
-                    provenance: Some(CellProvenance { attempt, worker }),
-                });
-            }
-        }
-    }
-    stats
-}
-
-// ---------------------------------------------------------------------
 // The coordinator.
 // ---------------------------------------------------------------------
 
-/// Everything the supervisor hands the coordinator for one fleet run.
+/// Everything the supervisor hands the coordinator for one fleet run:
+/// the schedule, its lease table with any resumed cells already
+/// absorbed, the base journal and the opening counters.
 pub(crate) struct FleetRun<'a> {
     pub(crate) config: FleetConfig,
     pub(crate) policy: SupervisorPolicy,
     pub(crate) faults: Option<FaultPlan>,
-    pub(crate) profiles: &'a [WorkloadProfile],
     pub(crate) sweep: &'a SweepConfig,
-    pub(crate) cells: Vec<(usize, Cell)>,
+    pub(crate) cells: &'a [(usize, Cell)],
+    pub(crate) table: CellTable,
     pub(crate) journal: Option<Journal>,
     pub(crate) journal_path: Option<PathBuf>,
     pub(crate) fingerprint: u64,
-    pub(crate) crash_reports_path: Option<PathBuf>,
+    pub(crate) metrics: MetricsRegistry,
 }
 
-/// Run the sweep as a fleet: absorb recovered journals, drive the
-/// worker pool until the lease table drains, then assemble the report
-/// in schedule order — byte-identical to the sequential supervisor.
+/// Run the sweep as a fleet: drive the worker pool until the lease table
+/// drains, then hand the drained table back for the supervisor's shared
+/// assembly.
 ///
 /// With `--fleet-standby ADDR` this process is not the primary at all:
 /// it routes into [`run_standby`], registering with the primary and
 /// taking over its lease table if the primary goes silent.
-pub(crate) fn coordinate(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
+pub(crate) fn coordinate(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
     run.config
         .validate()
         .map_err(|e| SuperviseError::Isolation(format!("fleet configuration: {e}")))?;
@@ -475,54 +326,25 @@ pub(crate) fn coordinate(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseErro
 
     let FleetRun {
         config,
-        policy,
         faults,
-        profiles,
         sweep,
         cells,
-        mut journal,
+        mut table,
+        journal,
         journal_path,
         fingerprint,
-        crash_reports_path,
+        mut metrics,
+        ..
     } = run;
-
-    let seeds: Vec<u64> = cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
-    let mut table = LeaseTable::new(seeds, policy, config.plan.deadline_ms());
-    let absorbed = absorb_recovered(
-        &mut table,
-        &cells,
-        &mut journal,
-        journal_path.as_deref(),
-        fingerprint,
-    );
-
-    let mut metrics = MetricsRegistry::new();
-    metrics.inc("supervisor.cells", cells.len() as u64);
-    metrics.inc("supervisor.cells.resumed", absorbed.recovered as u64);
-    metrics.inc(fleet_metrics::CELLS_RECOVERED, absorbed.recovered as u64);
-    metrics.inc(fleet_metrics::MERGE_CONFLICTS, absorbed.conflicts);
-    metrics.inc(fleet_metrics::SHARDS_REJECTED, absorbed.foreign_shards);
 
     let mut crash_reports = Vec::new();
     if !table.is_done() {
-        let bind = config
-            .bind
-            .clone()
-            .unwrap_or_else(|| DEFAULT_FLEET_BIND.to_string());
-        let listener = TcpListener::bind(&bind).map_err(|e| {
-            SuperviseError::Isolation(format!("fleet cannot bind its socket at {bind}: {e}"))
-        })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| {
-                SuperviseError::Isolation(format!("fleet cannot resolve its socket: {e}"))
-            })?
-            .to_string();
+        let (listener, addr) = bind(&config, "fleet")?;
         crash_reports = run_transport(
             &config,
             &faults,
             sweep,
-            &cells,
+            cells,
             &mut table,
             journal_path.as_deref(),
             fingerprint,
@@ -536,17 +358,25 @@ pub(crate) fn coordinate(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseErro
             },
         )?;
     }
-
-    Ok(assemble_report(
-        profiles,
-        &cells,
-        policy,
+    Ok(Drained {
         table,
-        &mut journal,
+        journal,
         metrics,
         crash_reports,
-        crash_reports_path.as_deref(),
-    ))
+    })
+}
+
+/// Bind the coordinator's listener (`--fleet-bind`, else an ephemeral
+/// loopback port), returning it with the address it actually bound.
+fn bind(config: &FleetConfig, role: &str) -> Result<(TcpListener, String), SuperviseError> {
+    let bind = config.bind.as_deref().unwrap_or(DEFAULT_FLEET_BIND);
+    let listener = TcpListener::bind(bind).map_err(|e| {
+        SuperviseError::Isolation(format!("{role} cannot bind its socket at {bind}: {e}"))
+    })?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| SuperviseError::Isolation(format!("{role} cannot resolve its socket: {e}")))?;
+    Ok((listener, addr.to_string()))
 }
 
 /// The successor's takeover log: `<base>.takeover` beside the base
@@ -564,18 +394,16 @@ pub(crate) fn takeover_log_path(base: &Path) -> PathBuf {
 /// table reloaded from the merged journals, serving the next epoch
 /// without restarting workers (they reconnect to the address the
 /// primary advertised on their behalf).
-fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
+fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
     let FleetRun {
         config,
         policy,
         faults,
-        profiles,
         sweep,
         cells,
-        journal: _,
         journal_path,
         fingerprint,
-        crash_reports_path,
+        ..
     } = run;
     let primary = config.standby_of.clone().unwrap_or_default();
     let Some(journal_path) = journal_path else {
@@ -585,21 +413,10 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
                 .to_string(),
         ));
     };
-
     // Bind the successor's listener *before* registering: reconnecting
     // workers land in the OS accept backlog while the takeover absorbs
     // the journals, so no reconnect attempt is lost to a closed port.
-    let bind = config
-        .bind
-        .clone()
-        .unwrap_or_else(|| DEFAULT_FLEET_BIND.to_string());
-    let listener = TcpListener::bind(&bind).map_err(|e| {
-        SuperviseError::Isolation(format!("standby cannot bind its socket at {bind}: {e}"))
-    })?;
-    let my_addr = listener
-        .local_addr()
-        .map_err(|e| SuperviseError::Isolation(format!("standby cannot resolve its socket: {e}")))?
-        .to_string();
+    let (listener, my_addr) = bind(&config, "standby")?;
 
     // Register with retries — the standby is usually started alongside
     // the primary, possibly before it listens.
@@ -721,6 +538,7 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
     let _ = stream.shutdown(Shutdown::Both);
 
     let seeds: Vec<u64> = cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
+    let deadline_ms = config.plan.deadline_ms();
 
     if drained {
         // The primary finished the sweep itself. Reconstruct the same
@@ -728,33 +546,23 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
         // the base journal's last append is still landing.
         let grace = WallSpan::begin();
         loop {
-            let mut table = LeaseTable::new(seeds.clone(), policy, config.plan.deadline_ms());
+            let mut table = CellTable::new(seeds.clone(), policy, deadline_ms);
             let mut journal = Journal::load(&journal_path).ok();
             let absorbed = absorb_recovered(
                 &mut table,
-                &cells,
+                cells,
                 &mut journal,
                 Some(journal_path.as_path()),
                 fingerprint,
             );
             if table.is_done() {
-                let mut metrics = MetricsRegistry::new();
-                metrics.inc("supervisor.cells", cells.len() as u64);
-                metrics.inc("supervisor.cells.resumed", absorbed.recovered as u64);
-                metrics.inc(fleet_metrics::CELLS_RECOVERED, absorbed.recovered as u64);
-                metrics.inc(fleet_metrics::MERGE_CONFLICTS, absorbed.conflicts);
-                metrics.inc(fleet_metrics::SHARDS_REJECTED, absorbed.foreign_shards);
                 eprintln!("fleet: primary drained cleanly; standby reconstructed the report");
-                return Ok(assemble_report(
-                    profiles,
-                    &cells,
-                    policy,
+                return Ok(Drained {
                     table,
-                    &mut journal,
-                    metrics,
-                    Vec::new(),
-                    crash_reports_path.as_deref(),
-                ));
+                    journal,
+                    metrics: absorbed.metrics(cells.len()),
+                    crash_reports: Vec::new(),
+                });
             }
             if grace.elapsed_ms() as u64 > STANDBY_DRAIN_GRACE_MS {
                 return Err(SuperviseError::Isolation(
@@ -773,35 +581,17 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
         "fleet: primary at {primary} went silent; taking over at epoch {}",
         epoch + 1
     );
-    let mut metrics = MetricsRegistry::new();
-    metrics.inc(fleet_metrics::TAKEOVERS, 1);
-    let mut table = LeaseTable::new(seeds, policy, config.plan.deadline_ms());
-    let mut journal = match Journal::load(&journal_path) {
-        Ok(j) => {
-            if j.fingerprint() != fingerprint {
-                return Err(SuperviseError::JournalMismatch {
-                    expected: fingerprint,
-                    found: j.fingerprint(),
-                });
-            }
-            Some(j)
-        }
-        Err(_) => {
-            Some(Journal::create(&journal_path, fingerprint).map_err(SuperviseError::Journal)?)
-        }
-    };
+    let mut table = CellTable::new(seeds, policy, deadline_ms);
+    let mut journal = Some(open_journal(&journal_path, fingerprint, true)?);
     let absorbed = absorb_recovered(
         &mut table,
-        &cells,
+        cells,
         &mut journal,
         Some(journal_path.as_path()),
         fingerprint,
     );
-    metrics.inc("supervisor.cells", cells.len() as u64);
-    metrics.inc("supervisor.cells.resumed", absorbed.recovered as u64);
-    metrics.inc(fleet_metrics::CELLS_RECOVERED, absorbed.recovered as u64);
-    metrics.inc(fleet_metrics::MERGE_CONFLICTS, absorbed.conflicts);
-    metrics.inc(fleet_metrics::SHARDS_REJECTED, absorbed.foreign_shards);
+    let mut metrics = absorbed.metrics(cells.len());
+    metrics.inc(fleet_metrics::TAKEOVERS, 1);
     let _ = std::fs::write(
         takeover_log_path(&journal_path),
         format!(
@@ -820,7 +610,7 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
             &config,
             &faults,
             sweep,
-            &cells,
+            cells,
             &mut table,
             Some(journal_path.as_path()),
             fingerprint,
@@ -834,149 +624,12 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
             },
         )?;
     }
-    Ok(assemble_report(
-        profiles,
-        &cells,
-        policy,
+    Ok(Drained {
         table,
-        &mut journal,
+        journal,
         metrics,
         crash_reports,
-        crash_reports_path.as_deref(),
-    ))
-}
-
-/// Assemble the final report from a drained lease table, in schedule
-/// order — byte-identical to the sequential supervisor. Shared by the
-/// primary coordinator and the standby's takeover/reconstruction paths.
-#[allow(clippy::too_many_arguments)]
-fn assemble_report(
-    profiles: &[WorkloadProfile],
-    cells: &[(usize, Cell)],
-    policy: SupervisorPolicy,
-    table: LeaseTable,
-    journal: &mut Option<Journal>,
-    mut metrics: MetricsRegistry,
-    crash_reports: Vec<CrashReport>,
-    crash_reports_path: Option<&Path>,
-) -> SuiteReport {
-    // Assembly: schedule order, exactly like the sequential supervisor.
-    let mut results: Vec<SweepResult> = profiles
-        .iter()
-        .map(|p| SweepResult {
-            benchmark: p.name.to_string(),
-            samples: Vec::new(),
-            failures: Vec::new(),
-        })
-        .collect();
-    let mut quarantined = Vec::new();
-    for (resolution, (pi, cell)) in table.into_resolutions().into_iter().zip(cells) {
-        match resolution {
-            CellResolution::Completed {
-                attempt,
-                worker,
-                payload,
-            } => {
-                let outcome = match parse_response(&payload) {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        // Self-rendered payloads always parse; only a
-                        // corrupted recovered journal line lands here.
-                        metrics.inc("supervisor.cells.quarantined", 1);
-                        quarantined.push(QuarantineEntry {
-                            cell: cell.clone(),
-                            attempts: attempt,
-                            reason: QuarantineReason::Errored(format!(
-                                "merged payload unreadable: {e}"
-                            )),
-                        });
-                        continue;
-                    }
-                };
-                metrics.inc("supervisor.cells.completed", 1);
-                if outcome.infeasible.is_some() {
-                    metrics.inc("supervisor.cells.infeasible", 1);
-                }
-                if let Some(j) = journal.as_mut() {
-                    let key = key_of(cell);
-                    if j.lookup(&key).is_none() {
-                        let _ = j.record(JournalEntry {
-                            key,
-                            record: CellRecord {
-                                samples: outcome.samples.clone(),
-                                infeasible: outcome.infeasible.clone(),
-                            },
-                            provenance: Some(CellProvenance { attempt, worker }),
-                        });
-                    }
-                }
-                results[*pi].samples.extend(outcome.samples);
-                if let Some(reason) = outcome.infeasible {
-                    results[*pi].failures.push(SweepFailure {
-                        collector: cell.collector,
-                        heap_factor: cell.heap_factor,
-                        reason,
-                    });
-                }
-            }
-            CellResolution::Quarantined { reason } => {
-                metrics.inc("supervisor.cells.quarantined", 1);
-                let entry = QuarantineEntry {
-                    cell: cell.clone(),
-                    attempts: 1 + policy.max_retries,
-                    reason: parse_reason(&reason),
-                };
-                if let Some(j) = journal.as_mut() {
-                    let _ = j.record_quarantine(QuarantineRecord {
-                        key: key_of(cell),
-                        attempts: entry.attempts,
-                        reason: entry.reason.clone(),
-                    });
-                }
-                quarantined.push(entry);
-            }
-            CellResolution::Unresolved => {
-                // Unreachable in practice: the transport only returns
-                // once the table drains, and errors propagate above.
-                metrics.inc("supervisor.cells.quarantined", 1);
-                quarantined.push(QuarantineEntry {
-                    cell: cell.clone(),
-                    attempts: 0,
-                    reason: QuarantineReason::Errored(
-                        "unresolved: the coordinator stopped before this cell".to_string(),
-                    ),
-                });
-            }
-        }
-    }
-
-    if let Some(path) = crash_reports_path {
-        if let Err(e) = write_crash_reports(path, &crash_reports) {
-            eprintln!(
-                "warning: could not write crash reports to {}: {e}",
-                path.display()
-            );
-        }
-    }
-
-    SuiteReport {
-        results,
-        quarantined,
-        crash_reports,
-        metrics,
-    }
-}
-
-/// Map a worker-reported cell failure reason back into the quarantine
-/// taxonomy: workers render `panicked: <msg>` / `errored: <msg>`.
-fn parse_reason(reason: &str) -> QuarantineReason {
-    if let Some(msg) = reason.strip_prefix("panicked: ") {
-        QuarantineReason::Panicked(msg.to_string())
-    } else if let Some(msg) = reason.strip_prefix("errored: ") {
-        QuarantineReason::Errored(msg.to_string())
-    } else {
-        QuarantineReason::Errored(reason.to_string())
-    }
+    })
 }
 
 /// An event delivered to the coordinator loop by its reader, acceptor
@@ -1022,7 +675,7 @@ struct SlotState {
 /// Coordinator state shared by the event handlers.
 struct FleetState<'a> {
     cells: &'a [(usize, Cell)],
-    table: &'a mut LeaseTable,
+    table: &'a mut CellTable,
     /// Joined connections by connection id.
     peers: BTreeMap<u64, Peer>,
     /// Worker id → connection id, for targeted shutdown.
@@ -1490,8 +1143,18 @@ fn handle_frame(
                 st.stale_fenced += 1;
                 return Ok(());
             }
+            // An unreadable payload is a cell failure, exactly as the
+            // process backend treats one.
+            let outcome = match parse_response(&payload) {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    let reason = QuarantineReason::Errored(format!("worker payload: {e}"));
+                    st.table.fail(lease, &render_reason(&reason), now);
+                    return Ok(());
+                }
+            };
             // A late Done from a stolen lease is rejected by the table.
-            if !st.table.complete(lease, payload) {
+            if !st.table.complete(lease, outcome) {
                 return Ok(());
             }
             st.completions += 1;
@@ -1597,7 +1260,7 @@ fn run_transport(
     faults: &Option<FaultPlan>,
     sweep: &SweepConfig,
     cells: &[(usize, Cell)],
-    table: &mut LeaseTable,
+    table: &mut CellTable,
     journal_base: Option<&Path>,
     fingerprint: u64,
     metrics: &mut MetricsRegistry,
@@ -1858,7 +1521,6 @@ fn run_transport(
     metrics.inc(fleet_metrics::LEASES_STOLEN, lease_metrics.stolen);
     metrics.inc(fleet_metrics::CELLS_REQUEUED, lease_metrics.requeued);
     metrics.inc(fleet_metrics::MERGE_CONFLICTS, lease_metrics.conflicts);
-    metrics.inc("supervisor.retries", lease_metrics.requeued);
     metrics.inc(fleet_metrics::NET_DROPPED, st.net_dropped);
     metrics.inc(fleet_metrics::NET_DELAYED, st.net_delayed);
     metrics.inc(fleet_metrics::NET_DUPLICATED, st.net_duplicated);
@@ -1892,24 +1554,12 @@ fn spawn_heartbeat(writer: Arc<Mutex<TcpStream>>, me: u64) {
     });
 }
 
-/// Run one lease: decode the request, execute the cell inline (exactly
-/// the sandbox child's execution path), and classify any failure with
-/// the same `panicked:`/`errored:` prefixes the supervisor maps back
-/// into the quarantine taxonomy.
-fn execute_lease(payload: &str) -> Result<(CellKey, CellOutcome), String> {
-    let request = parse_request(payload).map_err(|e| format!("errored: {e}"))?;
-    let key = CellKey {
-        benchmark: request.benchmark.clone(),
-        collector: request.collector,
-        heap_factor: request.heap_factor,
-    };
-    let profile = chopin_workloads::suite::by_name(&request.benchmark)
-        .ok_or_else(|| format!("errored: unknown benchmark `{}`", request.benchmark))?;
-    match catch_unwind(AssertUnwindSafe(|| run_cell_inline(&profile, &request))) {
-        Ok(Ok(outcome)) => Ok((key, outcome)),
-        Ok(Err(e)) => Err(format!("errored: {e}")),
-        Err(payload) => Err(format!("panicked: {}", panic_message(payload))),
-    }
+/// Run one lease: decode the request and run the cell on the
+/// in-process runner, classifying any failure into the crash taxonomy.
+fn execute_lease(payload: &str) -> Result<(CellKey, CellOutcome), QuarantineReason> {
+    let request = parse_request(payload).map_err(QuarantineReason::Errored)?;
+    let outcome = settle(catch_unwind(AssertUnwindSafe(|| request.run())))?;
+    Ok((request.cell().key(), outcome))
 }
 
 /// One event from the worker's manual line reader.
@@ -2143,13 +1793,11 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                         }
                         let reply = match execute_lease(&payload) {
                             Ok((key, outcome)) => {
+                                let payload = render_response(&outcome);
                                 if let Some(j) = s.journal.as_mut() {
                                     let _ = j.record(JournalEntry {
                                         key,
-                                        record: CellRecord {
-                                            samples: outcome.samples.clone(),
-                                            infeasible: outcome.infeasible.clone(),
-                                        },
+                                        record: outcome,
                                         provenance: Some(CellProvenance {
                                             attempt,
                                             worker: me,
@@ -2160,14 +1808,14 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                                     worker: me,
                                     lease,
                                     coord,
-                                    payload: render_response(&outcome),
+                                    payload,
                                 }
                             }
                             Err(reason) => FleetFrame::Fail {
                                 worker: me,
                                 lease,
                                 coord,
-                                reason,
+                                reason: render_reason(&reason),
                             },
                         };
                         let sent = send_frame(&writer, &reply);
@@ -2253,48 +1901,6 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chopin_core::lbo::RunSample;
-    use chopin_runtime::collector::CollectorKind;
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("chopin-fleet-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
-    fn sample(wall: f64) -> RunSample {
-        RunSample {
-            collector: CollectorKind::Shenandoah,
-            heap_factor: 2.0,
-            wall_s: wall,
-            task_s: wall * 7.0,
-            wall_distillable_s: wall * 0.9,
-            task_distillable_s: wall * 6.3,
-        }
-    }
-
-    fn cell(benchmark: &str) -> Cell {
-        Cell {
-            benchmark: benchmark.to_string(),
-            collector: CollectorKind::Shenandoah,
-            heap_factor: 2.0,
-        }
-    }
-
-    fn entry(benchmark: &str, wall: f64, provenance: Option<CellProvenance>) -> JournalEntry {
-        JournalEntry {
-            key: CellKey {
-                benchmark: benchmark.to_string(),
-                collector: CollectorKind::Shenandoah,
-                heap_factor: 2.0,
-            },
-            record: CellRecord {
-                samples: vec![sample(wall)],
-                infeasible: None,
-            },
-            provenance,
-        }
-    }
 
     #[test]
     fn incarnation_nonces_survive_xor_cancelling_pid_epoch_pairs() {
@@ -2305,7 +1911,7 @@ mod tests {
         // (epoch 1). The fence against stale cross-epoch completions
         // was then vacuous and resent epoch-1 Dones corrupted the
         // epoch-2 merge on colliding lease ids.
-        let fp = 0x00c0_ffee_0dd_f00d_u64;
+        let fp = 0x000c_0ffe_e0dd_f00d_u64;
         for standby_pid in [1u64, 5, 1021, 40_961, 65_537] {
             let primary_pid = standby_pid ^ 3;
             assert_ne!(
@@ -2324,182 +1930,6 @@ mod tests {
             incarnation_nonce(1234, fp, 1),
             incarnation_nonce(1235, fp, 1)
         );
-    }
-
-    #[test]
-    fn worker_journal_paths_sit_next_to_the_base() {
-        let base = Path::new("/tmp/run/suite.journal");
-        assert_eq!(
-            worker_journal_path(base, 3),
-            Path::new("/tmp/run/suite.journal.w3")
-        );
-        assert_eq!(
-            worker_journal_path(base, 17),
-            Path::new("/tmp/run/suite.journal.w17")
-        );
-    }
-
-    #[test]
-    fn sibling_discovery_finds_worker_journals_in_id_order() {
-        let base = scratch("discover.journal");
-        std::fs::write(&base, "").unwrap();
-        for id in [10u64, 2, 0] {
-            std::fs::write(worker_journal_path(&base, id), "").unwrap();
-        }
-        // Near-misses that must not match.
-        std::fs::write(base.with_file_name("discover.journal.wx"), "").unwrap();
-        std::fs::write(base.with_file_name("other.journal.w1"), "").unwrap();
-        let found = sibling_worker_journals(&base);
-        assert_eq!(
-            found,
-            vec![
-                worker_journal_path(&base, 0),
-                worker_journal_path(&base, 2),
-                worker_journal_path(&base, 10),
-            ]
-        );
-    }
-
-    /// The steal-race edge case, hand-crafted: the same cell completed
-    /// twice — once by the original leaseholder on attempt 2, once by a
-    /// thief on attempt 1 (the steal reuses the outstanding attempt
-    /// number; a *re-lease after expiry* bumps it). The merge must pick
-    /// the lower attempt, and between equal attempts the lower worker
-    /// id, regardless of which journal is read first.
-    #[test]
-    fn steal_race_merge_is_deterministic_and_persists_the_winner() {
-        let fingerprint = 0xdead_beef;
-        let base_path = scratch("steal.journal");
-        let _ = std::fs::remove_file(&base_path);
-        // Worker 3 (the thief, attempt 1) and worker 1 (the straggler,
-        // re-leased attempt 2) both journalled the cell; worker 5 also
-        // duplicates attempt 1 to exercise the worker-id tiebreak.
-        for (worker, attempt, wall) in [(3u64, 1u32, 0.25), (1, 2, 0.5), (5, 1, 0.75)] {
-            let mut j =
-                Journal::create(&worker_journal_path(&base_path, worker), fingerprint).unwrap();
-            j.record(entry("fop", wall, Some(CellProvenance { attempt, worker })))
-                .unwrap();
-        }
-        // A sibling journal from a *different* configuration must not
-        // contribute candidates — but it must be *counted* as rejected,
-        // never silently dropped.
-        let mut stale = Journal::create(&worker_journal_path(&base_path, 9), 0x0bad).unwrap();
-        stale
-            .record(entry(
-                "fop",
-                9.0,
-                Some(CellProvenance {
-                    attempt: 1,
-                    worker: 9,
-                }),
-            ))
-            .unwrap();
-
-        let cells = vec![(0usize, cell("fop"))];
-        let seeds: Vec<u64> = cells.iter().map(|(_, c)| cell_seed(c)).collect();
-        let mut table = LeaseTable::new(seeds, SupervisorPolicy::default(), 1_000);
-        let mut journal = Some(Journal::create(&base_path, fingerprint).unwrap());
-        let absorbed = absorb_recovered(
-            &mut table,
-            &cells,
-            &mut journal,
-            Some(&base_path),
-            fingerprint,
-        );
-        assert_eq!(absorbed.recovered, 1);
-        assert_eq!(absorbed.conflicts, 2);
-        assert_eq!(
-            absorbed.foreign_shards, 1,
-            "the stale shard is rejected, visibly"
-        );
-        assert!(table.is_done());
-
-        // Winner: attempt 1, worker 3 (lower attempt beats lower
-        // worker; then worker 3 beats worker 5).
-        match table.into_resolutions().pop().unwrap() {
-            CellResolution::Completed {
-                attempt,
-                worker,
-                payload,
-            } => {
-                assert_eq!((attempt, worker), (1, 3));
-                let outcome = parse_response(&payload).unwrap();
-                assert_eq!(outcome.samples[0].wall_s, 0.25);
-            }
-            other => panic!("expected a completion, got {other:?}"),
-        }
-
-        // And the winner was persisted into the base journal at absorb
-        // time, so a second coordinator crash cannot lose it.
-        let reloaded = Journal::load(&base_path).unwrap();
-        let record = reloaded.lookup(&key_of(&cell("fop"))).unwrap();
-        assert_eq!(record.samples[0].wall_s, 0.25);
-        assert_eq!(
-            reloaded.entries()[0].provenance,
-            Some(CellProvenance {
-                attempt: 1,
-                worker: 3
-            })
-        );
-    }
-
-    /// Equal `(attempt, worker)` candidates from *different* journals:
-    /// the base journal already holds a winner persisted by an earlier
-    /// resume while the worker's own shard (not yet truncated) carries
-    /// the same completion — possibly with a different byte rendering
-    /// if the shard tail was torn. The payload tiebreak must pick one
-    /// deterministically instead of trusting arrival order.
-    #[test]
-    fn equal_provenance_shard_conflicts_tiebreak_on_payload_bytes() {
-        let fingerprint = 0xfeed_f00d;
-        let base_path = scratch("equalprov.journal");
-        let _ = std::fs::remove_file(&base_path);
-        let prov = CellProvenance {
-            attempt: 1,
-            worker: 3,
-        };
-        let mut base = Journal::create(&base_path, fingerprint).unwrap();
-        base.record(entry("fop", 0.5, Some(prov))).unwrap();
-        drop(base);
-        let mut shard = Journal::create(&worker_journal_path(&base_path, 3), fingerprint).unwrap();
-        shard.record(entry("fop", 0.25, Some(prov))).unwrap();
-        drop(shard);
-
-        let cells = vec![(0usize, cell("fop"))];
-        let seeds: Vec<u64> = cells.iter().map(|(_, c)| cell_seed(c)).collect();
-        let mut table = LeaseTable::new(seeds, SupervisorPolicy::default(), 1_000);
-        let mut journal = Some(Journal::load(&base_path).unwrap());
-        let absorbed = absorb_recovered(
-            &mut table,
-            &cells,
-            &mut journal,
-            Some(&base_path),
-            fingerprint,
-        );
-        assert_eq!(absorbed.recovered, 1);
-        assert_eq!(absorbed.conflicts, 1);
-        assert_eq!(absorbed.foreign_shards, 0);
-        match table.into_resolutions().pop().unwrap() {
-            CellResolution::Completed {
-                attempt,
-                worker,
-                payload,
-            } => {
-                assert_eq!((attempt, worker), (1, 3));
-                // The winner is the byte-wise minimum of the two
-                // renderings — a pure function of the candidate set.
-                let rendered = |wall: f64| {
-                    let e = entry("fop", wall, Some(prov));
-                    render_response(&CellOutcome {
-                        samples: e.record.samples,
-                        infeasible: e.record.infeasible,
-                    })
-                };
-                let expected = rendered(0.5).min(rendered(0.25));
-                assert_eq!(payload, expected);
-            }
-            other => panic!("expected a completion, got {other:?}"),
-        }
     }
 
     #[test]
@@ -2571,22 +2001,6 @@ mod tests {
 
         let bad_net = Args::parse(["--fleet", "2", "--net-faults", "tsunami"]);
         assert!(fleet_config_from_args(&bad_net).is_err());
-    }
-
-    #[test]
-    fn worker_failure_reasons_map_back_into_the_taxonomy() {
-        assert_eq!(
-            parse_reason("panicked: index out of bounds"),
-            QuarantineReason::Panicked("index out of bounds".to_string())
-        );
-        assert_eq!(
-            parse_reason("errored: unknown benchmark `nope`"),
-            QuarantineReason::Errored("unknown benchmark `nope`".to_string())
-        );
-        assert_eq!(
-            parse_reason("mystery"),
-            QuarantineReason::Errored("mystery".to_string())
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! satisfy a resume lookup: a resumed run re-attempts those cells and
 //! re-records its own verdicts.
 
-use crate::supervisor::QuarantineReason;
+use crate::supervisor::{CellOutcome, QuarantineReason};
 use chopin_core::lbo::RunSample;
 use chopin_obs::json::{self, json_string, JsonValue};
 use chopin_runtime::collector::CollectorKind;
@@ -58,17 +58,10 @@ impl CellKey {
     }
 }
 
-/// What a completed cell produced. Quarantined cells are deliberately
-/// *not* representable: only real outcomes are journalled, so a resumed
-/// suite retries everything that never finished.
-#[derive(Debug, Clone)]
-pub struct CellRecord {
-    /// One sample per completed invocation of the cell.
-    pub samples: Vec<RunSample>,
-    /// The infeasibility reason (OOM/thrash), if the cell could not run to
-    /// completion at this heap size — the paper's missing data points.
-    pub infeasible: Option<String>,
-}
+/// What a completed cell produced: its [`CellOutcome`]. Quarantined
+/// cells are deliberately *not* representable: only real outcomes are
+/// journalled, so a resumed suite retries everything that never finished.
+pub type CellRecord = CellOutcome;
 
 /// Where a journalled completion came from, when a fleet worker wrote
 /// it: the completing attempt number and worker id — the key the
@@ -317,6 +310,44 @@ impl Journal {
     }
 }
 
+/// The per-worker journal path: `<base>.w<id>` next to the base
+/// journal, so no two processes ever contend on one file.
+pub(crate) fn worker_journal_path(base: &Path, worker: u64) -> PathBuf {
+    match base.file_name() {
+        Some(name) => base.with_file_name(format!("{}.w{worker}", name.to_string_lossy())),
+        None => base.with_extension(format!("w{worker}")),
+    }
+}
+
+/// Discover every sibling worker journal of `base` (`<base>.w<digits>`
+/// in the same directory), sorted by worker id so absorption order is
+/// deterministic regardless of directory iteration order.
+pub(crate) fn sibling_worker_journals(base: &Path) -> Vec<PathBuf> {
+    let Some(name) = base.file_name().map(|n| n.to_string_lossy().into_owned()) else {
+        return Vec::new();
+    };
+    let dir = base
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .map(Path::to_path_buf)
+        .unwrap_or_else(|| PathBuf::from("."));
+    let Ok(entries) = fs::read_dir(&dir) else {
+        return Vec::new();
+    };
+    let prefix = format!("{name}.w");
+    let mut found: Vec<(u64, PathBuf)> = Vec::new();
+    for entry in entries.flatten() {
+        let file_name = entry.file_name().to_string_lossy().into_owned();
+        if let Some(rest) = file_name.strip_prefix(&prefix) {
+            if let Ok(id) = rest.parse::<u64>() {
+                found.push((id, entry.path()));
+            }
+        }
+    }
+    found.sort_unstable();
+    found.into_iter().map(|(_, path)| path).collect()
+}
+
 pub(crate) fn render_sample(s: &RunSample) -> String {
     format!(
         "{{\"collector\":{},\"heap_factor\":{:?},\"wall_s\":{:?},\"task_s\":{:?},\
@@ -330,7 +361,11 @@ pub(crate) fn render_sample(s: &RunSample) -> String {
     )
 }
 
-fn render_reason(reason: &QuarantineReason) -> String {
+/// Encode a quarantine reason as a JSON object — the one failure-reason
+/// codec, shared by journal records, [`chopin_fleet::LeaseTable::fail`]
+/// and the fleet `Fail` frame, so the whole crash taxonomy survives every
+/// isolation mode.
+pub(crate) fn render_reason(reason: &QuarantineReason) -> String {
     match reason {
         QuarantineReason::Panicked(message) => {
             format!(
@@ -435,6 +470,15 @@ pub(crate) fn parse_sample(value: &JsonValue) -> Result<RunSample, String> {
         wall_distillable_s: num_field(value, "wall_distillable_s")?,
         task_distillable_s: num_field(value, "task_distillable_s")?,
     })
+}
+
+/// Decode a [`render_reason`] encoding. Text that does not decode is kept
+/// whole as a [`QuarantineReason::Errored`] message.
+pub(crate) fn decode_reason(text: &str) -> QuarantineReason {
+    json::parse(text)
+        .map_err(|e| e.to_string())
+        .and_then(|value| parse_reason(&value))
+        .unwrap_or_else(|_| QuarantineReason::Errored(text.to_string()))
 }
 
 fn parse_reason(value: &JsonValue) -> Result<QuarantineReason, String> {
@@ -699,6 +743,52 @@ mod tests {
             assert_eq!(record.key.benchmark, "fop");
         }
         std::fs::remove_file(&path).ok();
+
+        // The same encoding is the reason currency of the lease table and
+        // the fleet `Fail` frame; text that is not an encoding stays whole.
+        for reason in &reasons {
+            assert_eq!(&decode_reason(&render_reason(reason)), reason);
+        }
+        assert_eq!(
+            decode_reason("mystery"),
+            QuarantineReason::Errored("mystery".to_string())
+        );
+    }
+
+    #[test]
+    fn worker_journal_paths_sit_next_to_the_base() {
+        let base = Path::new("/tmp/run/suite.journal");
+        assert_eq!(
+            worker_journal_path(base, 3),
+            Path::new("/tmp/run/suite.journal.w3")
+        );
+        assert_eq!(
+            worker_journal_path(base, 17),
+            Path::new("/tmp/run/suite.journal.w17")
+        );
+    }
+
+    #[test]
+    fn sibling_discovery_finds_worker_journals_in_id_order() {
+        let dir = std::env::temp_dir().join(format!("chopin-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("discover.journal");
+        std::fs::write(&base, "").unwrap();
+        for id in [10u64, 2, 0] {
+            std::fs::write(worker_journal_path(&base, id), "").unwrap();
+        }
+        // Near-misses that must not match.
+        std::fs::write(base.with_file_name("discover.journal.wx"), "").unwrap();
+        std::fs::write(base.with_file_name("other.journal.w1"), "").unwrap();
+        let found = sibling_worker_journals(&base);
+        assert_eq!(
+            found,
+            vec![
+                worker_journal_path(&base, 0),
+                worker_journal_path(&base, 2),
+                worker_journal_path(&base, 10),
+            ]
+        );
     }
 
     #[test]

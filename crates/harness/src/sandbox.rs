@@ -5,15 +5,14 @@
 //!
 //! * [`worker_entry`] — the child half. Every binary calls it first thing
 //!   in `main`; when the process was spawned as a sandbox worker it
-//!   decodes the cell request from stdin, runs the cell exactly like the
-//!   in-process [`SweepCellRunner`](crate::supervisor::SweepCellRunner)
-//!   would, and reports the outcome over the framed stdout protocol.
-//! * [`ProcessCellRunner`] — the parent half: a
-//!   [`CellRunner`](crate::supervisor::CellRunner) that marshals each
-//!   cell into a sandboxed child, derives per-cell resource limits
-//!   (RLIMIT_AS from the cell's heap, RLIMIT_CPU from the analyzer's
-//!   R808 cost bound), and classifies every child ending into the crash
-//!   taxonomy the supervisor quarantines by.
+//!   decodes the cell request from stdin, runs the cell on the in-process
+//!   [`SweepCellRunner`] itself, and reports the outcome over the framed
+//!   stdout protocol.
+//! * [`ProcessCellRunner`] — the parent half: a [`CellRunner`] that
+//!   marshals each cell into a sandboxed child, derives per-cell
+//!   resource limits (RLIMIT_AS from the cell's heap, RLIMIT_CPU from the
+//!   analyzer's R808 cost bound), and classifies every child ending into
+//!   the crash taxonomy the supervisor quarantines by.
 //! * Hard-fault injection (`--hard-faults kill|abort|oom`): the parent
 //!   decides victim cells deterministically
 //!   ([`HardFaultPlan::is_victim`]) and ships only the death directive to
@@ -34,18 +33,17 @@
 
 use crate::cli::Args;
 use crate::journal;
-use crate::supervisor::{Cell, CellFailure, CellOutcome, CellRunner, QuarantineReason};
+use crate::supervisor::{
+    Cell, CellFailure, CellOutcome, CellRunner, QuarantineReason, SweepCellRunner,
+};
 use chopin_analyzer::analyses::cost::SIM_RATE_CEILING;
-use chopin_core::benchmark::{BenchmarkError, BenchmarkRunner};
 use chopin_core::iteration::warmup_scale;
-use chopin_core::lbo::RunSample;
 use chopin_core::sweep::SweepConfig;
 use chopin_faults::{parse_hard_flag, FaultKind, FaultPlan, HardFaultKind, HardFaultPlan};
 use chopin_obs::json::{self, json_string, JsonValue};
 use chopin_obs::metrics::sandbox_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_runtime::collector::CollectorKind;
-use chopin_runtime::result::RunError;
 use chopin_sandbox::parent::RequestLimits;
 use chopin_sandbox::policy::{derived_rlimit_cpu_s, required_rlimit_as};
 use chopin_sandbox::{ChildOutcome, ChildReport, SandboxPolicy, SandboxPool};
@@ -177,14 +175,45 @@ pub(crate) struct CellRequest {
     pub(crate) hard: Option<(HardFaultKind, u64)>,
 }
 
+impl CellRequest {
+    /// The requested cell.
+    pub(crate) fn cell(&self) -> Cell {
+        Cell {
+            benchmark: self.benchmark.clone(),
+            collector: self.collector,
+            heap_factor: self.heap_factor,
+        }
+    }
+
+    /// Run the requested cell on the thread backend's runner, so every
+    /// executor produces the samples an in-process cell would.
+    pub(crate) fn run(&self) -> Result<CellOutcome, CellFailure> {
+        let profile = chopin_workloads::suite::by_name(&self.benchmark)
+            .ok_or_else(|| format!("unknown benchmark `{}`", self.benchmark))?;
+        let runner = self
+            .faults
+            .clone()
+            .map_or_else(SweepCellRunner::new, SweepCellRunner::with_faults);
+        let config = SweepConfig {
+            collectors: vec![self.collector],
+            heap_factors: vec![self.heap_factor],
+            invocations: self.invocations,
+            iterations: self.iterations,
+            size: self.size,
+        };
+        runner.run_cell(&profile, &self.cell(), &config)
+    }
+}
+
 fn handle_request(request: &str) -> Result<String, String> {
     let req = parse_request(request)?;
     if let Some((kind, delay_ms)) = req.hard {
         schedule_death(kind, delay_ms);
     }
-    let profile = chopin_workloads::suite::by_name(&req.benchmark)
-        .ok_or_else(|| format!("unknown benchmark `{}`", req.benchmark))?;
-    let outcome = run_cell_inline(&profile, &req)?;
+    let outcome = req.run().map_err(|failure| match failure {
+        CellFailure::Transient(message) => message,
+        CellFailure::Crash(reason) => reason.to_string(),
+    })?;
     if req.hard.is_some() {
         // A victim never answers: if the cell outran the scheduled death,
         // park until it fires so the victim set stays exactly the set the
@@ -194,40 +223,6 @@ fn handle_request(request: &str) -> Result<String, String> {
         }
     }
     Ok(render_response(&outcome))
-}
-
-/// The same execution loop as `SweepCellRunner::run_cell`, inlined here
-/// so a clean process-isolated run is sample-for-sample identical to the
-/// thread backend.
-pub(crate) fn run_cell_inline(
-    profile: &WorkloadProfile,
-    req: &CellRequest,
-) -> Result<CellOutcome, String> {
-    let mut outcome = CellOutcome::default();
-    for invocation in 0..req.invocations {
-        let mut runner = BenchmarkRunner::for_profile(profile.clone())
-            .collector(req.collector)
-            .size(req.size)
-            .heap_factor(req.heap_factor)
-            .iterations(req.iterations)
-            .seed(1 + u64::from(invocation));
-        if let Some(plan) = &req.faults {
-            runner = runner.faults(plan.clone());
-        }
-        match runner.run() {
-            Ok(set) => outcome
-                .samples
-                .push(RunSample::from_result(set.timed(), req.heap_factor)),
-            Err(BenchmarkError::Run(
-                e @ (RunError::OutOfMemory { .. } | RunError::GcThrash { .. }),
-            )) => {
-                outcome.infeasible = Some(e.to_string());
-                return Ok(outcome);
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    Ok(outcome)
 }
 
 /// Inject the scheduled death: after `delay_ms` the process dies the way
@@ -786,6 +781,7 @@ pub(crate) fn status_signal(_status: &std::process::ExitStatus) -> Option<i32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chopin_core::lbo::RunSample;
     use chopin_faults::DEFAULT_HARD_SEED;
 
     fn request() -> CellRequest {

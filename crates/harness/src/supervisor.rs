@@ -7,40 +7,61 @@
 //! wraps each cell (benchmark × collector × heap factor) in an isolation
 //! boundary: a panicking cell is caught, a hung cell is abandoned at its
 //! deadline, and both are retried with exponential backoff before being
-//! quarantined with a structured reason. Completed cells are journalled
-//! atomically ([`crate::journal`]), so an interrupted suite resumes
-//! exactly where it stopped — and because cells are assembled in schedule
-//! order rather than completion order, a resumed suite reproduces the
-//! uninterrupted run byte for byte. The supervisor never aborts on a bad
-//! cell: it always returns every completed [`SweepResult`] plus the
+//! quarantined with a structured reason. The supervisor never aborts on a
+//! bad cell: it always returns every completed [`SweepResult`] plus the
 //! quarantine list.
 //!
-//! Under `--isolation process` the isolation boundary is an OS process
-//! instead of a thread ([`crate::sandbox`]): cells that SIGSEGV, get
-//! SIGKILLed, blow their address-space limit or stop heartbeating are
-//! classified into the same quarantine machinery
-//! ([`QuarantineReason::Signalled`], [`QuarantineReason::OomKilled`],
-//! [`QuarantineReason::HeartbeatLost`]) instead of taking the whole
-//! sweep down. Hard-fault injection (`--hard-faults`) requires the
-//! process backend and is rejected up front under threads (rule R903).
+//! Every isolation mode runs on one scheduler: a [`LeaseTable`] over
+//! typed cell outcomes, which owns retry, seeded full-jitter backoff and
+//! quarantine (the one retry policy `artifact model` checks). Resume is
+//! one absorption of the base journal and any fleet worker shards, and
+//! one assembly turns the drained table into the report in schedule
+//! order, so a resumed or differently-isolated suite reproduces the
+//! uninterrupted run byte for byte. Only the executor differs by mode:
+//!
+//! * `--isolation thread` — `min(nproc, cells)` threads loop grant →
+//!   attempt → complete or fail, each attempt on a watchdog thread.
+//!   Completed cells are journalled atomically ([`crate::journal`]) as
+//!   they finish.
+//! * `--isolation process` — the same loop, each attempt in a sandboxed
+//!   child ([`crate::sandbox`]): cells that SIGSEGV, get SIGKILLed, blow
+//!   their address-space limit or stop heartbeating are quarantined as
+//!   [`QuarantineReason::Signalled`], [`QuarantineReason::OomKilled`] or
+//!   [`QuarantineReason::HeartbeatLost`] instead of taking the sweep
+//!   down. Hard-fault injection (`--hard-faults`) requires this backend
+//!   and is rejected up front under threads (rule R903).
+//! * `--fleet N` — leases cross a TCP socket to worker processes
+//!   ([`crate::fleet`]), which journal into per-worker shards.
+//!
+//! Both in-process executors enforce the cell deadline and report a
+//! blown one as a cell failure, so they never expire or steal a lease: a
+//! thread simply stops once no cell is pending.
 
-use crate::journal::{CellKey, CellRecord, Journal, JournalEntry, JournalError, QuarantineRecord};
-use crate::sandbox::{write_crash_reports, CrashReport, ProcessCellRunner};
+use crate::journal::{
+    decode_reason, render_reason, sibling_worker_journals, CellKey, CellProvenance, Journal,
+    JournalEntry, JournalError, QuarantineRecord,
+};
+use crate::sandbox::{render_response, write_crash_reports, CrashReport, ProcessCellRunner};
 use chopin_core::benchmark::{BenchmarkError, BenchmarkRunner};
 use chopin_core::lbo::RunSample;
 use chopin_core::sweep::{SweepConfig, SweepFailure, SweepResult};
 use chopin_faults::{FaultPlan, HardFaultPlan, PolicyError, SupervisorPolicy};
-use chopin_fleet::FleetConfig;
+use chopin_fleet::config::DEFAULT_LEASE_DEADLINE_MS;
+use chopin_fleet::lease::CellResolution;
+use chopin_fleet::{CellMerge, FleetConfig, Grant, LeaseTable};
+use chopin_obs::metrics::fleet_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::result::RunError;
+use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::signal_name;
 use chopin_sandbox::{IsolationMode, SandboxPolicy};
 use chopin_workloads::WorkloadProfile;
 use parking_lot::Mutex;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -57,7 +78,8 @@ pub struct Cell {
 }
 
 impl Cell {
-    fn key(&self) -> CellKey {
+    /// The cell's journal key.
+    pub(crate) fn key(&self) -> CellKey {
         CellKey {
             benchmark: self.benchmark.clone(),
             collector: self.collector,
@@ -78,6 +100,10 @@ pub fn cell_seed(cell: &Cell) -> u64 {
 }
 
 /// What a cell produced when it ran to completion.
+///
+/// Outcomes compare by their rendered response bytes: the order the
+/// `(attempt, worker)` merge falls back to when two candidates for one
+/// cell share their provenance, so it agrees with the journalled bytes.
 #[derive(Debug, Clone, Default)]
 pub struct CellOutcome {
     /// One sample per completed invocation.
@@ -87,6 +113,30 @@ pub struct CellOutcome {
     /// rather than retried.
     pub infeasible: Option<String>,
 }
+
+impl Ord for CellOutcome {
+    fn cmp(&self, other: &Self) -> Ordering {
+        render_response(self).cmp(&render_response(other))
+    }
+}
+
+impl PartialOrd for CellOutcome {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for CellOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for CellOutcome {}
+
+/// The sweep's one scheduler: a lease table over typed cell outcomes,
+/// shared by every isolation mode.
+pub(crate) type CellTable = LeaseTable<CellOutcome>;
 
 /// How a cell attempt failed, as reported by a [`CellRunner`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -424,10 +474,14 @@ pub fn plan_from_args(args: &crate::cli::Args) -> Result<Option<FaultPlan>, Stri
 /// `catch_unwind`-wrapped runner result.
 pub type AttemptPayload = std::thread::Result<Result<CellOutcome, CellFailure>>;
 
-/// The supervisor's clock: backoff sleeps and attempt waits go through
-/// this trait so tests can substitute a virtual clock and assert exact
-/// backoff schedules without real sleeping.
+/// The supervisor's clock: the scheduler's notion of now, backoff sleeps
+/// and attempt waits go through this trait so tests can substitute a
+/// virtual clock and assert exact backoff schedules without real
+/// sleeping.
 pub trait SupervisorClock: Send + Sync {
+    /// Milliseconds since the clock's origin — the lease table's time.
+    fn now_ms(&self) -> u64;
+
     /// Sleep between retries.
     fn sleep(&self, duration: Duration);
 
@@ -444,11 +498,26 @@ pub trait SupervisorClock: Send + Sync {
     ) -> Result<AttemptPayload, mpsc::RecvTimeoutError>;
 }
 
-/// The production clock: real sleeps, real waits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RealClock;
+/// The production clock: wall time since the clock was made, real
+/// sleeps, real waits.
+#[derive(Debug, Clone, Copy)]
+pub struct RealClock {
+    origin: WallSpan,
+}
+
+impl Default for RealClock {
+    fn default() -> Self {
+        RealClock {
+            origin: WallSpan::begin(),
+        }
+    }
+}
 
 impl SupervisorClock for RealClock {
+    fn now_ms(&self) -> u64 {
+        self.origin.elapsed_ms() as u64
+    }
+
     fn sleep(&self, duration: Duration) {
         std::thread::sleep(duration);
     }
@@ -465,12 +534,6 @@ impl SupervisorClock for RealClock {
     }
 }
 
-/// What one supervised attempt of a cell produced.
-enum Attempt {
-    Completed(CellOutcome),
-    Failed(QuarantineReason),
-}
-
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -478,6 +541,17 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// Classify one attempt's `catch_unwind`-wrapped runner result: the
+/// outcome, or the reason the attempt failed.
+pub(crate) fn settle(payload: AttemptPayload) -> Result<CellOutcome, QuarantineReason> {
+    match payload {
+        Ok(Ok(outcome)) => Ok(outcome),
+        Ok(Err(CellFailure::Transient(message))) => Err(QuarantineReason::Errored(message)),
+        Ok(Err(CellFailure::Crash(reason))) => Err(reason),
+        Err(payload) => Err(QuarantineReason::Panicked(panic_message(payload))),
     }
 }
 
@@ -493,7 +567,7 @@ fn run_attempt(
     config: SweepConfig,
     deadline_ms: Option<u64>,
     clock: &dyn SupervisorClock,
-) -> Attempt {
+) -> Result<CellOutcome, QuarantineReason> {
     let budget = if runner.handles_deadline() {
         None
     } else {
@@ -507,20 +581,13 @@ fn run_attempt(
         let _ = tx.send(result);
     });
     match clock.recv(&rx, budget) {
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            Attempt::Failed(QuarantineReason::DeadlineExceeded {
-                budget_ms: deadline_ms.unwrap_or(0),
-            })
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => Attempt::Failed(QuarantineReason::Panicked(
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(QuarantineReason::DeadlineExceeded {
+            budget_ms: deadline_ms.unwrap_or(0),
+        }),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(QuarantineReason::Panicked(
             "cell worker vanished".to_string(),
         )),
-        Ok(Ok(Ok(outcome))) => Attempt::Completed(outcome),
-        Ok(Ok(Err(CellFailure::Transient(message)))) => {
-            Attempt::Failed(QuarantineReason::Errored(message))
-        }
-        Ok(Ok(Err(CellFailure::Crash(reason)))) => Attempt::Failed(reason),
-        Ok(Err(payload)) => Attempt::Failed(QuarantineReason::Panicked(panic_message(payload))),
+        Ok(payload) => settle(payload),
     }
 }
 
@@ -573,7 +640,7 @@ impl SuiteSupervisor {
             crash_reports_path: None,
             journal_path: None,
             resume: false,
-            clock: Arc::new(RealClock),
+            clock: Arc::new(RealClock::default()),
         }
     }
 
@@ -742,29 +809,11 @@ impl SuiteSupervisor {
         let fingerprint = self.fingerprint(profiles, config, runner.as_ref());
 
         let standby = self.fleet.as_ref().is_some_and(|f| f.standby_of.is_some());
-        let journal = match &self.journal_path {
-            None => None,
+        let mut journal = match &self.journal_path {
             // A standby coordinator must not open (and truncate) the base
             // journal the primary is writing; it reloads it at takeover.
-            Some(_) if standby => None,
-            Some(path) => {
-                if self.resume && path.exists() {
-                    let mut loaded = Journal::load(path)?;
-                    if loaded.fingerprint() != fingerprint {
-                        return Err(SuperviseError::JournalMismatch {
-                            expected: fingerprint,
-                            found: loaded.fingerprint(),
-                        });
-                    }
-                    // Stale quarantine records describe the interrupted
-                    // run; this run re-attempts those cells and records
-                    // its own verdicts.
-                    loaded.clear_quarantines();
-                    Some(loaded)
-                } else {
-                    Some(Journal::create(path, fingerprint)?)
-                }
-            }
+            Some(path) if !standby => Some(open_journal(path, fingerprint, self.resume)?),
+            _ => None,
         };
 
         // The schedule: cells in deterministic (profile, collector,
@@ -786,203 +835,592 @@ impl SuiteSupervisor {
             }
         }
 
-        if let Some(fleet) = &self.fleet {
-            return crate::fleet::coordinate(crate::fleet::FleetRun {
+        let seeds = cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
+        // In-process modes never expire or steal a lease, so only the
+        // fleet's deadline is ever consulted.
+        let deadline_ms = self
+            .fleet
+            .as_ref()
+            .map_or(DEFAULT_LEASE_DEADLINE_MS, |f| f.plan.deadline_ms());
+        let mut table = CellTable::new(seeds, self.policy, deadline_ms);
+        // Worker shards are read only when resuming; a standby reloads the
+        // primary's journals itself, at takeover.
+        let shard_base = self
+            .journal_path
+            .as_deref()
+            .filter(|_| self.resume && !standby);
+        let absorbed = absorb_recovered(&mut table, &cells, &mut journal, shard_base, fingerprint);
+        let metrics = absorbed.metrics(cells.len());
+
+        let drained = match &self.fleet {
+            Some(fleet) => crate::fleet::coordinate(crate::fleet::FleetRun {
                 config: fleet.clone(),
                 policy: self.policy,
                 faults: self.faults.clone(),
-                profiles,
                 sweep: config,
-                cells,
+                cells: &cells,
+                table,
                 journal,
                 journal_path: self.journal_path.clone(),
                 fingerprint,
-                crash_reports_path: self.crash_reports_path.clone(),
-            });
-        }
-
-        enum Slot {
-            Completed(CellOutcome),
-            Quarantined(QuarantineEntry),
-        }
-
-        let mut metrics = MetricsRegistry::new();
-        metrics.inc("supervisor.cells", cells.len() as u64);
-        let metrics = Mutex::new(metrics);
-        let journal = Mutex::new(journal);
-        let slots: Mutex<Vec<Option<Slot>>> = Mutex::new((0..cells.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(cells.len().max(1));
-
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let (pi, cell) = &cells[i];
-                    let profile = &profiles[*pi];
-
-                    if let Some(record) = journal
-                        .lock()
-                        .as_ref()
-                        .and_then(|j| j.lookup(&cell.key()).cloned())
-                    {
-                        let mut m = metrics.lock();
-                        m.inc("supervisor.cells.resumed", 1);
-                        m.inc("supervisor.cells.completed", 1);
-                        if record.infeasible.is_some() {
-                            m.inc("supervisor.cells.infeasible", 1);
-                        }
-                        drop(m);
-                        slots.lock()[i] = Some(Slot::Completed(CellOutcome {
-                            samples: record.samples,
-                            infeasible: record.infeasible,
-                        }));
-                        continue;
-                    }
-
-                    let slot = match self.supervise_cell(&runner, profile, cell, config, &metrics) {
-                        Ok(outcome) => {
-                            let mut m = metrics.lock();
-                            m.inc("supervisor.cells.completed", 1);
-                            if outcome.infeasible.is_some() {
-                                m.inc("supervisor.cells.infeasible", 1);
-                            }
-                            drop(m);
-                            if let Some(j) = journal.lock().as_mut() {
-                                // A journal write failure must not lose the
-                                // computed outcome; the suite continues and
-                                // only resume fidelity degrades.
-                                let _ = j.record(JournalEntry {
-                                    key: cell.key(),
-                                    record: CellRecord {
-                                        samples: outcome.samples.clone(),
-                                        infeasible: outcome.infeasible.clone(),
-                                    },
-                                    provenance: None,
-                                });
-                            }
-                            Slot::Completed(outcome)
-                        }
-                        Err(entry) => {
-                            metrics.lock().inc("supervisor.cells.quarantined", 1);
-                            if let Some(j) = journal.lock().as_mut() {
-                                let _ = j.record_quarantine(QuarantineRecord {
-                                    key: cell.key(),
-                                    attempts: entry.attempts,
-                                    reason: entry.reason.clone(),
-                                });
-                            }
-                            Slot::Quarantined(entry)
-                        }
-                    };
-                    slots.lock()[i] = Some(slot);
-                });
-            }
-        })
-        .expect("supervisor workers do not panic");
-
-        let mut results: Vec<SweepResult> = profiles
-            .iter()
-            .map(|p| SweepResult {
-                benchmark: p.name.to_string(),
-                samples: Vec::new(),
-                failures: Vec::new(),
-            })
-            .collect();
-        let mut quarantined = Vec::new();
-        for (slot, (pi, cell)) in slots.into_inner().into_iter().zip(cells) {
-            match slot.expect("every cell visited") {
-                Slot::Completed(outcome) => {
-                    results[pi].samples.extend(outcome.samples);
-                    if let Some(reason) = outcome.infeasible {
-                        results[pi].failures.push(SweepFailure {
-                            collector: cell.collector,
-                            heap_factor: cell.heap_factor,
-                            reason,
-                        });
-                    }
+                metrics,
+            })?,
+            None => {
+                let (table, journal) =
+                    self.drain_locally(&runner, profiles, config, &cells, table, journal);
+                let mut drained = Drained {
+                    table,
+                    journal,
+                    metrics,
+                    crash_reports: Vec::new(),
+                };
+                if let Some(process) = process_runner {
+                    process.merge_metrics(&mut drained.metrics);
+                    drained.crash_reports = process.take_reports();
                 }
-                Slot::Quarantined(entry) => quarantined.push(entry),
+                drained
             }
-        }
-
-        let mut metrics = metrics.into_inner();
-        let mut crash_reports = Vec::new();
-        if let Some(process) = process_runner {
-            process.merge_metrics(&mut metrics);
-            crash_reports = process.take_reports();
-            if let Some(path) = &self.crash_reports_path {
-                if let Err(e) = write_crash_reports(path, &crash_reports) {
-                    eprintln!(
-                        "warning: could not write crash reports to {}: {e}",
-                        path.display()
-                    );
-                }
-            }
-        }
-
-        Ok(SuiteReport {
-            results,
-            quarantined,
-            crash_reports,
-            metrics,
-        })
+        };
+        Ok(assemble_report(
+            profiles,
+            &cells,
+            self.policy,
+            drained,
+            self.crash_reports_path.as_deref(),
+        ))
     }
 
-    /// Attempt one cell up to `1 + max_retries` times, with full-jitter
-    /// exponential backoff seeded from the cell identity so concurrent
-    /// retries de-correlate deterministically; the last failure becomes
-    /// the quarantine reason.
-    fn supervise_cell(
+    /// Drain the table in this process: `min(nproc, cells)` threads each
+    /// loop grant → [`run_attempt`] → complete or fail, journalling every
+    /// completion as it lands. Retries wait out the table's backoff on
+    /// the supervisor clock. Each thread stops once no cell is pending:
+    /// a failed cell is requeued by the thread that failed it, which
+    /// keeps asking.
+    fn drain_locally(
         &self,
         runner: &Arc<dyn CellRunner>,
-        profile: &WorkloadProfile,
-        cell: &Cell,
+        profiles: &[WorkloadProfile],
         config: &SweepConfig,
-        metrics: &Mutex<MetricsRegistry>,
-    ) -> Result<CellOutcome, QuarantineEntry> {
-        let attempts = 1 + self.policy.max_retries;
-        let seed = cell_seed(cell);
-        let mut last = QuarantineReason::Errored("cell never attempted".to_string());
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                metrics.lock().inc("supervisor.retries", 1);
-                self.clock.sleep(Duration::from_millis(
-                    self.policy.backoff_jitter_ms(attempt - 1, seed),
-                ));
-            }
+        cells: &[(usize, Cell)],
+        table: CellTable,
+        journal: Option<Journal>,
+    ) -> (CellTable, Option<Journal>) {
+        let table = Mutex::new(table);
+        let journal = Mutex::new(journal);
+        let serve = |worker: u64| loop {
+            let grant = {
+                let mut table = table.lock();
+                if !table.has_pending() {
+                    break;
+                }
+                table.grant(worker, self.clock.now_ms())
+            };
+            let lease = match grant {
+                Grant::Lease(lease) => lease,
+                Grant::Wait(ms) => {
+                    self.clock.sleep(Duration::from_millis(ms));
+                    continue;
+                }
+                Grant::Drain => break,
+            };
+            let (pi, cell) = &cells[lease.cell];
             match run_attempt(
                 Arc::clone(runner),
-                profile.clone(),
+                profiles[*pi].clone(),
                 cell.clone(),
                 config.clone(),
                 self.policy.cell_deadline_ms,
                 self.clock.as_ref(),
             ) {
-                Attempt::Completed(outcome) => return Ok(outcome),
-                Attempt::Failed(reason) => last = reason,
+                Ok(outcome) => {
+                    if let Some(j) = journal.lock().as_mut() {
+                        // A journal write failure must not lose the
+                        // computed outcome; the suite continues and only
+                        // resume fidelity degrades.
+                        let _ = j.record(JournalEntry {
+                            key: cell.key(),
+                            record: outcome.clone(),
+                            provenance: None,
+                        });
+                    }
+                    table.lock().complete(lease.lease, outcome);
+                }
+                Err(reason) => {
+                    let now = self.clock.now_ms();
+                    table.lock().fail(lease.lease, &render_reason(&reason), now);
+                }
+            }
+        };
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(cells.len().max(1));
+        crossbeam::thread::scope(|scope| {
+            let serve = &serve;
+            for worker in 0..workers as u64 {
+                scope.spawn(move |_| serve(worker));
+            }
+        })
+        .expect("supervisor workers do not panic");
+        (table.into_inner(), journal.into_inner())
+    }
+}
+
+/// Open the base journal at `path`: with `resume`, reload an existing one
+/// (refusing a different configuration's fingerprint, and dropping stale
+/// quarantine records — this run re-attempts those cells and records its
+/// own verdicts); otherwise, or when there is none yet, start it fresh.
+pub(crate) fn open_journal(
+    path: &Path,
+    fingerprint: u64,
+    resume: bool,
+) -> Result<Journal, SuperviseError> {
+    if !(resume && path.exists()) {
+        return Ok(Journal::create(path, fingerprint)?);
+    }
+    let mut loaded = Journal::load(path)?;
+    if loaded.fingerprint() != fingerprint {
+        return Err(SuperviseError::JournalMismatch {
+            expected: fingerprint,
+            found: loaded.fingerprint(),
+        });
+    }
+    loaded.clear_quarantines();
+    Ok(loaded)
+}
+
+/// What an executor hands back once the table has drained: the
+/// resolved table, the base journal, and the run's counters and crash
+/// reports so far.
+pub(crate) struct Drained {
+    pub(crate) table: CellTable,
+    pub(crate) journal: Option<Journal>,
+    pub(crate) metrics: MetricsRegistry,
+    pub(crate) crash_reports: Vec<CrashReport>,
+}
+
+/// A cell's identity as an ordered map key (heap factor bitwise, as
+/// [`CellKey::matches`] compares it).
+type CellIdent<'a> = (&'a str, CollectorKind, u64);
+
+fn ident(key: &CellKey) -> CellIdent<'_> {
+    (&key.benchmark, key.collector, key.heap_factor.to_bits())
+}
+
+/// Schedule index of every cell by identity.
+fn schedule_index(cells: &[(usize, Cell)]) -> BTreeMap<CellIdent<'_>, usize> {
+    let mut index = BTreeMap::new();
+    for (idx, (_, cell)) in cells.iter().enumerate() {
+        index.insert(
+            (
+                cell.benchmark.as_str(),
+                cell.collector,
+                cell.heap_factor.to_bits(),
+            ),
+            idx,
+        );
+    }
+    index
+}
+
+/// What [`absorb_recovered`] found on disk.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct AbsorbStats {
+    /// Cells pre-resolved from recovered journal entries.
+    pub(crate) recovered: usize,
+    /// Duplicate completions folded away by the merge tiebreak.
+    pub(crate) conflicts: u64,
+    /// Sibling shards rejected for carrying a foreign fingerprint.
+    pub(crate) foreign_shards: u64,
+}
+
+impl AbsorbStats {
+    /// A run's opening counters: its cell count and what resume recovered.
+    pub(crate) fn metrics(&self, cells: usize) -> MetricsRegistry {
+        let mut metrics = MetricsRegistry::new();
+        metrics.inc("supervisor.cells", cells as u64);
+        metrics.inc("supervisor.cells.resumed", self.recovered as u64);
+        metrics.inc(fleet_metrics::CELLS_RECOVERED, self.recovered as u64);
+        metrics.inc(fleet_metrics::MERGE_CONFLICTS, self.conflicts);
+        metrics.inc(fleet_metrics::SHARDS_REJECTED, self.foreign_shards);
+        metrics
+    }
+}
+
+/// Absorb every recovered completion — from the base journal and, given
+/// `shard_base`, every fingerprint-matching sibling worker journal — into
+/// the lease table, resolving duplicates with the deterministic
+/// `(attempt, worker)` tiebreak (equal provenance falls through to the
+/// outcomes' rendered bytes, exactly as in the live merge). Winners
+/// missing from the base journal are persisted into it *now*, before any
+/// worker spawns: fleet workers truncate their own `.w<id>` files on
+/// startup, so a second coordinator crash must not be able to lose cells
+/// recovered from the first.
+///
+/// Sibling shards whose fingerprint does not match the sweep are
+/// **rejected, loudly**: they are counted, named on stderr and surfaced
+/// as `fleet.shards.rejected` — a stale shard silently vanishing would
+/// be indistinguishable from data loss.
+pub(crate) fn absorb_recovered(
+    table: &mut CellTable,
+    cells: &[(usize, Cell)],
+    journal: &mut Option<Journal>,
+    shard_base: Option<&Path>,
+    fingerprint: u64,
+) -> AbsorbStats {
+    let index = schedule_index(cells);
+    let mut stats = AbsorbStats::default();
+    // Per recovered cell: its merge, how many candidates it saw, and
+    // whether the base journal already holds one of them.
+    let mut merges: BTreeMap<usize, (CellMerge<CellOutcome>, u64, bool)> = BTreeMap::new();
+    let mut offer = |entries: &[JournalEntry], in_base: bool| {
+        for entry in entries {
+            let Some(&idx) = index.get(&ident(&entry.key)) else {
+                continue;
+            };
+            let (attempt, worker) = entry.provenance.map_or((1, 0), |p| (p.attempt, p.worker));
+            let slot = merges
+                .entry(idx)
+                .or_insert_with(|| (CellMerge::new(), 0, false));
+            slot.0.offer(attempt, worker, entry.record.clone());
+            slot.1 += 1;
+            slot.2 |= in_base;
+        }
+    };
+    if let Some(j) = journal.as_ref() {
+        offer(j.entries(), true);
+    }
+    for worker_path in shard_base.map(sibling_worker_journals).unwrap_or_default() {
+        let Ok(worker_journal) = Journal::load(&worker_path) else {
+            continue;
+        };
+        if worker_journal.fingerprint() != fingerprint {
+            stats.foreign_shards += 1;
+            eprintln!(
+                "fleet: rejecting worker journal {} (fingerprint {:016x}, sweep is {:016x})",
+                worker_path.display(),
+                worker_journal.fingerprint(),
+                fingerprint,
+            );
+            continue;
+        }
+        offer(worker_journal.entries(), false);
+    }
+
+    for (idx, (merge, seen, in_base)) in merges {
+        stats.conflicts += seen.saturating_sub(1);
+        let Some((attempt, worker, outcome)) = merge.into_winner() else {
+            continue;
+        };
+        if !in_base {
+            if let Some(j) = journal.as_mut() {
+                let _ = j.record(JournalEntry {
+                    key: cells[idx].1.key(),
+                    record: outcome.clone(),
+                    provenance: Some(CellProvenance { attempt, worker }),
+                });
             }
         }
-        Err(QuarantineEntry {
-            cell: cell.clone(),
-            attempts,
-            reason: last,
+        table.absorb(idx, attempt, worker, outcome);
+        stats.recovered += 1;
+    }
+    stats
+}
+
+/// Assemble the report from a drained table, in schedule order — the
+/// one assembly every isolation mode (and the fleet standby) shares.
+/// Completed winners the base journal lacks are appended to it, and
+/// quarantine verdicts are recorded with their decoded taxonomy.
+pub(crate) fn assemble_report(
+    profiles: &[WorkloadProfile],
+    cells: &[(usize, Cell)],
+    policy: SupervisorPolicy,
+    drained: Drained,
+    crash_reports_path: Option<&Path>,
+) -> SuiteReport {
+    let Drained {
+        table,
+        mut journal,
+        mut metrics,
+        crash_reports,
+    } = drained;
+    metrics.inc("supervisor.retries", table.metrics().requeued);
+    let mut journalled = vec![false; cells.len()];
+    if let Some(j) = &journal {
+        let index = schedule_index(cells);
+        for entry in j.entries() {
+            if let Some(&idx) = index.get(&ident(&entry.key)) {
+                journalled[idx] = true;
+            }
+        }
+    }
+    let mut results: Vec<SweepResult> = profiles
+        .iter()
+        .map(|p| SweepResult {
+            benchmark: p.name.to_string(),
+            samples: Vec::new(),
+            failures: Vec::new(),
         })
+        .collect();
+    let mut quarantined = Vec::new();
+    let resolutions = table.into_resolutions().into_iter().zip(cells);
+    for (idx, (resolution, (pi, cell))) in resolutions.enumerate() {
+        match resolution {
+            CellResolution::Completed {
+                attempt,
+                worker,
+                payload: outcome,
+            } => {
+                metrics.inc("supervisor.cells.completed", 1);
+                if outcome.infeasible.is_some() {
+                    metrics.inc("supervisor.cells.infeasible", 1);
+                }
+                if let Some(j) = journal.as_mut().filter(|_| !journalled[idx]) {
+                    let _ = j.record(JournalEntry {
+                        key: cell.key(),
+                        record: outcome.clone(),
+                        provenance: Some(CellProvenance { attempt, worker }),
+                    });
+                }
+                results[*pi].samples.extend(outcome.samples);
+                if let Some(reason) = outcome.infeasible {
+                    results[*pi].failures.push(SweepFailure {
+                        collector: cell.collector,
+                        heap_factor: cell.heap_factor,
+                        reason,
+                    });
+                }
+            }
+            CellResolution::Quarantined { reason } => {
+                metrics.inc("supervisor.cells.quarantined", 1);
+                let entry = QuarantineEntry {
+                    cell: cell.clone(),
+                    attempts: 1 + policy.max_retries,
+                    reason: decode_reason(&reason),
+                };
+                if let Some(j) = journal.as_mut() {
+                    let _ = j.record_quarantine(QuarantineRecord {
+                        key: cell.key(),
+                        attempts: entry.attempts,
+                        reason: entry.reason.clone(),
+                    });
+                }
+                quarantined.push(entry);
+            }
+            CellResolution::Unresolved => {
+                // Unreachable in practice: executors only return once the
+                // table drains, and errors propagate above.
+                metrics.inc("supervisor.cells.quarantined", 1);
+                quarantined.push(QuarantineEntry {
+                    cell: cell.clone(),
+                    attempts: 0,
+                    reason: QuarantineReason::Errored(
+                        "unresolved: the scheduler stopped before this cell".to_string(),
+                    ),
+                });
+            }
+        }
+    }
+
+    if let Some(path) = crash_reports_path {
+        if let Err(e) = write_crash_reports(path, &crash_reports) {
+            eprintln!(
+                "warning: could not write crash reports to {}: {e}",
+                path.display()
+            );
+        }
+    }
+
+    SuiteReport {
+        results,
+        quarantined,
+        crash_reports,
+        metrics,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::worker_journal_path;
     use chopin_faults::{HardFaultKind, DEFAULT_HARD_SEED};
     use chopin_workloads::suite;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("chopin-supervisor-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    fn sample(wall: f64) -> RunSample {
+        RunSample {
+            collector: CollectorKind::Shenandoah,
+            heap_factor: 2.0,
+            wall_s: wall,
+            task_s: wall * 7.0,
+            wall_distillable_s: wall * 0.9,
+            task_distillable_s: wall * 6.3,
+        }
+    }
+
+    fn cell(benchmark: &str) -> Cell {
+        Cell {
+            benchmark: benchmark.to_string(),
+            collector: CollectorKind::Shenandoah,
+            heap_factor: 2.0,
+        }
+    }
+
+    fn entry(benchmark: &str, wall: f64, provenance: Option<CellProvenance>) -> JournalEntry {
+        JournalEntry {
+            key: CellKey {
+                benchmark: benchmark.to_string(),
+                collector: CollectorKind::Shenandoah,
+                heap_factor: 2.0,
+            },
+            record: CellOutcome {
+                samples: vec![sample(wall)],
+                infeasible: None,
+            },
+            provenance,
+        }
+    }
+
+    /// The steal-race edge case, hand-crafted: the same cell completed
+    /// twice — once by the original leaseholder on attempt 2, once by a
+    /// thief on attempt 1 (the steal reuses the outstanding attempt
+    /// number; a *re-lease after expiry* bumps it). The merge must pick
+    /// the lower attempt, and between equal attempts the lower worker
+    /// id, regardless of which journal is read first.
+    #[test]
+    fn steal_race_merge_is_deterministic_and_persists_the_winner() {
+        let fingerprint = 0xdead_beef;
+        let base_path = scratch("steal.journal");
+        let _ = std::fs::remove_file(&base_path);
+        // Worker 3 (the thief, attempt 1) and worker 1 (the straggler,
+        // re-leased attempt 2) both journalled the cell; worker 5 also
+        // duplicates attempt 1 to exercise the worker-id tiebreak.
+        for (worker, attempt, wall) in [(3u64, 1u32, 0.25), (1, 2, 0.5), (5, 1, 0.75)] {
+            let mut j =
+                Journal::create(&worker_journal_path(&base_path, worker), fingerprint).unwrap();
+            j.record(entry("fop", wall, Some(CellProvenance { attempt, worker })))
+                .unwrap();
+        }
+        // A sibling journal from a *different* configuration must not
+        // contribute candidates — but it must be *counted* as rejected,
+        // never silently dropped.
+        let mut stale = Journal::create(&worker_journal_path(&base_path, 9), 0x0bad).unwrap();
+        stale
+            .record(entry(
+                "fop",
+                9.0,
+                Some(CellProvenance {
+                    attempt: 1,
+                    worker: 9,
+                }),
+            ))
+            .unwrap();
+
+        let cells = vec![(0usize, cell("fop"))];
+        let seeds: Vec<u64> = cells.iter().map(|(_, c)| cell_seed(c)).collect();
+        let mut table = CellTable::new(seeds, SupervisorPolicy::default(), 1_000);
+        let mut journal = Some(Journal::create(&base_path, fingerprint).unwrap());
+        let absorbed = absorb_recovered(
+            &mut table,
+            &cells,
+            &mut journal,
+            Some(&base_path),
+            fingerprint,
+        );
+        assert_eq!(absorbed.recovered, 1);
+        assert_eq!(absorbed.conflicts, 2);
+        assert_eq!(
+            absorbed.foreign_shards, 1,
+            "the stale shard is rejected, visibly"
+        );
+        assert!(table.is_done());
+
+        // Winner: attempt 1, worker 3 (lower attempt beats lower
+        // worker; then worker 3 beats worker 5).
+        match table.into_resolutions().pop().unwrap() {
+            CellResolution::Completed {
+                attempt,
+                worker,
+                payload,
+            } => {
+                assert_eq!((attempt, worker), (1, 3));
+                assert_eq!(payload.samples[0].wall_s, 0.25);
+            }
+            other => panic!("expected a completion, got {other:?}"),
+        }
+
+        // And the winner was persisted into the base journal at absorb
+        // time, so a second coordinator crash cannot lose it.
+        let reloaded = Journal::load(&base_path).unwrap();
+        let record = reloaded.lookup(&cell("fop").key()).unwrap();
+        assert_eq!(record.samples[0].wall_s, 0.25);
+        assert_eq!(
+            reloaded.entries()[0].provenance,
+            Some(CellProvenance {
+                attempt: 1,
+                worker: 3
+            })
+        );
+    }
+
+    /// Equal `(attempt, worker)` candidates from *different* journals:
+    /// the base journal already holds a winner persisted by an earlier
+    /// resume while the worker's own shard (not yet truncated) carries
+    /// the same completion — possibly with a different byte rendering
+    /// if the shard tail was torn. The payload tiebreak must pick one
+    /// deterministically instead of trusting arrival order.
+    #[test]
+    fn equal_provenance_shard_conflicts_tiebreak_on_payload_bytes() {
+        let fingerprint = 0xfeed_f00d;
+        let base_path = scratch("equalprov.journal");
+        let _ = std::fs::remove_file(&base_path);
+        let prov = CellProvenance {
+            attempt: 1,
+            worker: 3,
+        };
+        let mut base = Journal::create(&base_path, fingerprint).unwrap();
+        base.record(entry("fop", 0.5, Some(prov))).unwrap();
+        drop(base);
+        let mut shard = Journal::create(&worker_journal_path(&base_path, 3), fingerprint).unwrap();
+        shard.record(entry("fop", 0.25, Some(prov))).unwrap();
+        drop(shard);
+
+        let cells = vec![(0usize, cell("fop"))];
+        let seeds: Vec<u64> = cells.iter().map(|(_, c)| cell_seed(c)).collect();
+        let mut table = CellTable::new(seeds, SupervisorPolicy::default(), 1_000);
+        let mut journal = Some(Journal::load(&base_path).unwrap());
+        let absorbed = absorb_recovered(
+            &mut table,
+            &cells,
+            &mut journal,
+            Some(&base_path),
+            fingerprint,
+        );
+        assert_eq!(absorbed.recovered, 1);
+        assert_eq!(absorbed.conflicts, 1);
+        assert_eq!(absorbed.foreign_shards, 0);
+        match table.into_resolutions().pop().unwrap() {
+            CellResolution::Completed {
+                attempt,
+                worker,
+                payload,
+            } => {
+                assert_eq!((attempt, worker), (1, 3));
+                // The winner is the byte-wise minimum of the two
+                // renderings — a pure function of the candidate set.
+                let rendered = |wall: f64| render_response(&entry("fop", wall, Some(prov)).record);
+                let expected = rendered(0.5).min(rendered(0.25));
+                assert_eq!(render_response(&payload), expected);
+            }
+            other => panic!("expected a completion, got {other:?}"),
+        }
+    }
 
     fn one_cell_config() -> SweepConfig {
         SweepConfig {
@@ -1004,9 +1442,9 @@ mod tests {
     }
 
     /// The virtual clock (no real sleeping): backoff durations are
-    /// recorded for exact assertions, and `expire_deadlines` makes every
-    /// bounded wait time out immediately so deadline tests take no wall
-    /// time.
+    /// recorded for exact assertions, time advances only by them, and
+    /// `expire_deadlines` makes every bounded wait time out immediately
+    /// so deadline tests take no wall time.
     struct VirtualClock {
         sleeps: Mutex<Vec<u64>>,
         expire_deadlines: bool,
@@ -1022,6 +1460,10 @@ mod tests {
     }
 
     impl SupervisorClock for VirtualClock {
+        fn now_ms(&self) -> u64 {
+            self.sleeps.lock().iter().sum()
+        }
+
         fn sleep(&self, duration: Duration) {
             self.sleeps.lock().push(duration.as_millis() as u64);
         }
@@ -1056,7 +1498,7 @@ mod tests {
             cell: &Cell,
             _config: &SweepConfig,
         ) -> Result<CellOutcome, CellFailure> {
-            let n = self.calls.fetch_add(1, Ordering::Relaxed);
+            let n = self.calls.fetch_add(1, AtomicOrdering::Relaxed);
             if n < self.failures_before_success {
                 if self.panic_instead {
                     panic!("injected chaos panic #{n}");
@@ -1127,14 +1569,18 @@ mod tests {
         assert_eq!(report.metrics.counter("supervisor.cells.completed"), 1);
 
         // The backoff schedule is the deterministic full-jitter sequence
-        // for this cell's seed — asserted exactly, no timing involved.
+        // for this cell's seed — asserted exactly, no timing involved. A
+        // zero backoff is no wait at all, so it records no sleep.
         let cell = Cell {
             benchmark: "fop".to_string(),
             collector: CollectorKind::G1,
             heap_factor: 2.0,
         };
         let seed = cell_seed(&cell);
-        let expected: Vec<u64> = (0..2).map(|a| policy.backoff_jitter_ms(a, seed)).collect();
+        let expected: Vec<u64> = (0..2)
+            .map(|a| policy.backoff_jitter_ms(a, seed))
+            .filter(|&ms| ms > 0)
+            .collect();
         assert_eq!(*clock.sleeps.lock(), expected);
         for (attempt, &slept) in clock.sleeps.lock().iter().enumerate() {
             assert!(
@@ -1210,23 +1656,32 @@ mod tests {
 
     #[test]
     fn crash_failures_carry_their_taxonomy_into_quarantine() {
+        // The reason crosses the lease table as an encoded string; every
+        // variant of the taxonomy must come back out of it intact.
         let profiles = vec![suite::by_name("fop").unwrap()];
-        let report = SuiteSupervisor::new(fast_policy())
-            .with_runner(Arc::new(CrashingRunner(QuarantineReason::Signalled {
-                signal: 9,
-            })))
-            .with_clock(VirtualClock::new(false))
-            .run(&profiles, &one_cell_config())
-            .unwrap();
-        assert_eq!(report.quarantined.len(), 1);
-        let q = &report.quarantined[0];
-        assert_eq!(q.attempts, 3, "hard deaths are retried like any failure");
-        assert_eq!(q.reason, QuarantineReason::Signalled { signal: 9 });
-        assert!(
-            report.quarantine_summary().contains("SIGKILL"),
-            "{}",
-            report.quarantine_summary()
-        );
+        for reason in [
+            QuarantineReason::Panicked("boom \"quoted\"\nline".to_string()),
+            QuarantineReason::DeadlineExceeded { budget_ms: 30 },
+            QuarantineReason::Errored("flaky disk".to_string()),
+            QuarantineReason::Signalled { signal: 9 },
+            QuarantineReason::OomKilled,
+            QuarantineReason::HeartbeatLost { silent_ms: 1_500 },
+        ] {
+            let report = SuiteSupervisor::new(fast_policy())
+                .with_runner(Arc::new(CrashingRunner(reason.clone())))
+                .with_clock(VirtualClock::new(false))
+                .run(&profiles, &one_cell_config())
+                .unwrap();
+            assert_eq!(report.quarantined.len(), 1);
+            let q = &report.quarantined[0];
+            assert_eq!(q.attempts, 3, "hard deaths are retried like any failure");
+            assert_eq!(q.reason, reason);
+            assert!(
+                report.quarantine_summary().contains(&reason.to_string()),
+                "{}",
+                report.quarantine_summary()
+            );
+        }
     }
 
     #[test]

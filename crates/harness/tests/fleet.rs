@@ -4,7 +4,9 @@
 //! mid-sweep, and after a `--resume` restart the merged CSV on stdout is
 //! byte-identical to a sequential process-isolated run of the same
 //! matrix. This is the acceptance scenario: sharding, worker death,
-//! coordinator death, journal merge — and not one bit of drift.
+//! coordinator death, journal merge — and not one bit of drift. Resume
+//! is shared by every isolation mode, so a fleet run's shards also
+//! resume under `--isolation thread`.
 
 #![cfg(unix)]
 
@@ -18,8 +20,8 @@ fn runbms() -> Command {
     Command::new(env!("CARGO_BIN_EXE_runbms"))
 }
 
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("chopin-fleet-test-{}", std::process::id()));
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("chopin-fleet-test-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -84,7 +86,7 @@ fn stormed_fleet_with_coordinator_restart_matches_sequential_run() {
         eprintln!("skipping: process isolation is unsupported on this platform");
         return;
     }
-    let dir = scratch_dir();
+    let dir = scratch_dir("storm");
     let journal = dir.join("fleet.journal");
     let seed = storm_seed();
     let storm = format!("kill:{seed}");
@@ -132,6 +134,79 @@ fn stormed_fleet_with_coordinator_restart_matches_sequential_run() {
         String::from_utf8_lossy(&resumed.stdout),
         String::from_utf8_lossy(&baseline.stdout),
         "merged fleet CSV must be byte-identical to the sequential run"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `N` in the supervisor summary's `(N resumed, …)`.
+fn resumed_count(stderr: &str) -> u64 {
+    stderr
+        .lines()
+        .find_map(|l| l.split(" resumed").next()?.rsplit('(').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no resumed count in stderr:\n{stderr}"))
+}
+
+#[test]
+fn fleet_shards_resume_under_thread_isolation() {
+    if !chopin_sandbox::supported() {
+        eprintln!("skipping: process isolation is unsupported on this platform");
+        return;
+    }
+    let dir = scratch_dir("thread-resume");
+    let journal = dir.join("fleet.journal");
+    let journal_flag = journal.to_str().expect("utf-8 temp path");
+
+    let baseline = run(runbms().args(["-b", "fop", "--quick", "--isolation", "thread"]));
+    assert!(
+        baseline.status.success(),
+        "baseline run fails:\n{}",
+        String::from_utf8_lossy(&baseline.stderr)
+    );
+
+    // A journalled two-worker fleet whose coordinator SIGKILLs itself
+    // after two completions: only the worker shards hold those cells.
+    use std::os::unix::process::ExitStatusExt;
+    let interrupted = run(runbms()
+        .args([
+            "-b",
+            "fop",
+            "--quick",
+            "--fleet",
+            "2",
+            "--journal",
+            journal_flag,
+        ])
+        .env("CHOPIN_FLEET_DIE_AFTER", "2"));
+    assert_eq!(
+        interrupted.status.signal(),
+        Some(chopin_sandbox::limits::SIGKILL),
+        "the coordinator must die by SIGKILL, got {:?}\n{}",
+        interrupted.status,
+        String::from_utf8_lossy(&interrupted.stderr)
+    );
+
+    // Resume in thread mode: the one absorb path reads the fleet shards.
+    let resumed = run(runbms().args([
+        "-b",
+        "fop",
+        "--quick",
+        "--isolation",
+        "thread",
+        "--journal",
+        journal_flag,
+        "--resume",
+    ]));
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "resume run fails:\n{stderr}");
+    assert!(
+        resumed_count(&stderr) >= 2,
+        "the thread-mode resume must recover the fleet's completions:\n{stderr}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&resumed.stdout),
+        String::from_utf8_lossy(&baseline.stdout),
+        "the thread-mode resume must print the sequential CSV byte for byte"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

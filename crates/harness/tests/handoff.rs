@@ -7,9 +7,10 @@
 
 #![cfg(unix)]
 
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
+use std::thread::JoinHandle;
 
 fn runbms() -> Command {
     Command::new(env!("CARGO_BIN_EXE_runbms"))
@@ -22,12 +23,35 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// A loopback address with a port the OS just proved free. The listener
-/// is dropped before use; nothing else binds in the gap because every
-/// test picks its own port this way.
-fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("probe port");
-    format!("127.0.0.1:{}", listener.local_addr().expect("addr").port())
+/// Spawn a coordinator and read its stderr up to the `fleet:
+/// coordinating … (attach with --fleet-connect ADDR)` line, so the test
+/// learns the address the coordinator actually bound (it binds port 0;
+/// nothing probes a port and hopes it stays free). Returns the child,
+/// that address, and a thread collecting the whole of stderr.
+fn spawn_coordinator(cmd: &mut Command) -> (Child, String, JoinHandle<String>) {
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("coordinator spawns");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr is piped"));
+    let mut seen = String::new();
+    let addr = loop {
+        let mut line = String::new();
+        let read = stderr
+            .read_line(&mut line)
+            .expect("coordinator stderr reads");
+        assert!(read > 0, "coordinator exited before binding:\n{seen}");
+        seen.push_str(&line);
+        if let Some(rest) = line.split("--fleet-connect ").nth(1) {
+            break rest.trim_end().trim_end_matches(')').to_string();
+        }
+    };
+    let drain = std::thread::spawn(move || {
+        let _ = stderr.read_to_string(&mut seen);
+        seen
+    });
+    (child, addr, drain)
 }
 
 fn run(cmd: &mut Command) -> Output {
@@ -40,36 +64,33 @@ fn wrong_token_attacher_is_rejected_and_the_sweep_completes() {
         eprintln!("skipping: process isolation is unsupported on this platform");
         return;
     }
-    let addr = free_addr();
-
-    let coordinator = runbms()
-        .args([
+    let dir = scratch_dir("token");
+    let journal = dir.join("token.journal");
+    let journal_flag = journal.to_str().expect("utf-8 temp path").to_string();
+    let sweep = |extra: &[&str]| {
+        let mut cmd = runbms();
+        cmd.args([
             "-b",
             "fop",
             "--quick",
             "--fleet",
             "1",
-            "--fleet-bind",
-            &addr,
             "--fleet-token",
             "secret",
         ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("coordinator spawns");
+        .args(["--journal", &journal_flag])
+        .args(extra);
+        cmd
+    };
+    // `--fleet-await-standby` holds every lease until a standby adopts,
+    // so the sweep cannot finish before the wrong-token attach is tried.
+    let (coordinator, addr, coord_err) = spawn_coordinator(&mut sweep(&[
+        "--fleet-bind",
+        "127.0.0.1:0",
+        "--fleet-await-standby",
+    ]));
 
-    // Wait for the listener, then attach with the wrong token. The
-    // probe connection sends nothing and is dropped; the coordinator
-    // just reaps it.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    while std::net::TcpStream::connect(&addr).is_err() {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "coordinator never bound {addr}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
+    // The coordinator is listening; attach with the wrong token.
     let attacher = run(runbms().args(["--fleet-connect", &addr, "--fleet-token", "wrong"]));
     let attach_err = String::from_utf8_lossy(&attacher.stderr);
     assert_eq!(
@@ -82,8 +103,16 @@ fn wrong_token_attacher_is_rejected_and_the_sweep_completes() {
         "the attacher must report the rejection, not retry forever:\n{attach_err}"
     );
 
+    // An authenticated standby adopts, which releases the leases.
+    let standby = run(&mut sweep(&["--fleet-standby", &addr]));
+    assert!(
+        standby.status.success(),
+        "the authenticated standby must be admitted:\n{}",
+        String::from_utf8_lossy(&standby.stderr)
+    );
+
     let coordinator = coordinator.wait_with_output().expect("coordinator exits");
-    let coord_err = String::from_utf8_lossy(&coordinator.stderr);
+    let coord_err = coord_err.join().expect("stderr reader");
     assert!(
         coordinator.status.success(),
         "the authenticated sweep must complete:\n{coord_err}"
@@ -92,6 +121,7 @@ fn wrong_token_attacher_is_rejected_and_the_sweep_completes() {
         coord_err.contains("auth token mismatch"),
         "the coordinator must log the refused handshake:\n{coord_err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -103,7 +133,6 @@ fn storm_with_coordinator_handoff_matches_sequential_run() {
     let dir = scratch_dir("takeover");
     let journal = dir.join("handoff.journal");
     let journal_flag = journal.to_str().expect("utf-8 temp path").to_string();
-    let addr = free_addr();
 
     // The sequential reference: one process-isolated cell at a time.
     let baseline = run(runbms().args(["-b", "fop", "--quick", "--isolation", "process"]));
@@ -113,9 +142,28 @@ fn storm_with_coordinator_handoff_matches_sequential_run() {
         String::from_utf8_lossy(&baseline.stderr)
     );
 
-    // The standby registers first; `--fleet-await-standby` below makes
-    // the primary hold every lease until this adoption lands, so the
-    // die-after hook cannot fire before a successor exists.
+    // The primary: four workers under a full net storm, SIGKILLing
+    // itself after two recorded completions. `--fleet-await-standby`
+    // makes it hold every lease until a standby adopts, so the die-after
+    // hook cannot fire before a successor exists.
+    let (primary, addr, primary_err) = spawn_coordinator(
+        runbms()
+            .args([
+                "-b",
+                "fop",
+                "--quick",
+                "--fleet",
+                "4",
+                "--fleet-await-standby",
+                "--net-faults",
+                "storm:7",
+                "--journal",
+                &journal_flag,
+            ])
+            .env("CHOPIN_FLEET_DIE_AFTER", "2"),
+    );
+
+    // The standby registers with the address the primary bound.
     let standby = runbms()
         .args([
             "-b",
@@ -133,31 +181,14 @@ fn storm_with_coordinator_handoff_matches_sequential_run() {
         .spawn()
         .expect("standby spawns");
 
-    // The primary: four workers under a full net storm, SIGKILLing
-    // itself after two recorded completions.
     use std::os::unix::process::ExitStatusExt;
-    let primary = run(runbms()
-        .args([
-            "-b",
-            "fop",
-            "--quick",
-            "--fleet",
-            "4",
-            "--fleet-bind",
-            &addr,
-            "--fleet-await-standby",
-            "--net-faults",
-            "storm:7",
-            "--journal",
-            &journal_flag,
-        ])
-        .env("CHOPIN_FLEET_DIE_AFTER", "2"));
+    let primary = primary.wait_with_output().expect("primary exits");
     assert_eq!(
         primary.status.signal(),
         Some(chopin_sandbox::limits::SIGKILL),
         "the primary must die by SIGKILL, got {:?}\n{}",
         primary.status,
-        String::from_utf8_lossy(&primary.stderr)
+        primary_err.join().expect("stderr reader")
     );
 
     let standby = standby.wait_with_output().expect("standby exits");

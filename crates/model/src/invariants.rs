@@ -3,7 +3,7 @@
 //! Seven per-state safety rules (R1301–R1304 for the lease/merge core,
 //! R1401–R1403 for the partition-tolerance layer) live here; the
 //! bounded liveness rule R1305 needs the whole reachability graph and
-//! is checked by [`crate::explore`] after the sweep. Rule ids are
+//! is checked by [`crate::explore()`] after the sweep. Rule ids are
 //! registered in the shared chopin-lint catalogue so `artifact lint
 //! --explain R1303` documents them alongside the plan and source rules.
 //!

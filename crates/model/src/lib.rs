@@ -54,7 +54,7 @@
 //!   shard on startup, and a resuming coordinator absorbs base + shards
 //!   and persists merged winners into the base *before* spawning.
 //!
-//! [`explore`] runs a breadth-first search over canonically-hashed
+//! [`explore()`] runs a breadth-first search over canonically-hashed
 //! states ([`state::ModelState::canonical`] rebases every embedded
 //! instant against the clock so time-shifted duplicates collapse),
 //! checks the safety rules on every state, and reconstructs a minimal

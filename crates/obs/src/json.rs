@@ -128,6 +128,7 @@ pub fn json_string(s: &str) -> String {
 /// ```
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -141,6 +142,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -284,14 +286,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    if let Some(c) = s.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
+                    // Consume one UTF-8 scalar. `pos` only ever advances by
+                    // whole scalars, so it always sits on a char boundary.
+                    let c = self
+                        .input
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -439,18 +442,27 @@ mod tests {
 
     #[test]
     fn json_string_round_trips_through_the_parser() {
-        let nasty = "line\nbreak\ttab \"quote\" back\\slash \u{1} end";
-        let literal = json_string(nasty);
-        let parsed = parse(&literal).unwrap();
-        assert_eq!(parsed.as_str(), Some(nasty));
+        for nasty in [
+            "line\nbreak\ttab \"quote\" back\\slash \u{1} end",
+            // Multi-byte scalars, alone and right next to escapes.
+            "caf\u{e9}\n\"\u{1f600}\"\u{1f600}\\\u{e9}",
+            "\u{e9}",
+            "\u{1f600}\t",
+        ] {
+            let literal = json_string(nasty);
+            let parsed = parse(&literal).unwrap();
+            assert_eq!(parsed.as_str(), Some(nasty));
+        }
     }
 
     #[test]
     fn parses_nested_documents() {
-        let v = parse(r#"{"a":{"b":[true,false,null,-1.5e2]},"c":"A\n"}"#).unwrap();
+        let v = parse(r#"{"a":{"b":[true,false,null,-1.5e2]},"c":"A\n","é😀":"x\"é\u00e9😀"}"#)
+            .unwrap();
         let arr = v.get("a").unwrap().get("b").unwrap().as_arr().unwrap();
         assert_eq!(arr[3], JsonValue::Num(-150.0));
         assert_eq!(v.get("c").unwrap().as_str(), Some("A\n"));
+        assert_eq!(v.get("é😀").unwrap().as_str(), Some("x\"éé😀"));
     }
 
     #[test]

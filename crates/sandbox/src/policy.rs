@@ -217,21 +217,39 @@ mod tests {
 
     #[test]
     fn zero_fields_are_rejected() {
-        let mut p = SandboxPolicy::default();
-        p.heartbeat_interval_ms = 0;
-        assert_eq!(p.validate().unwrap_err().field, "heartbeat_interval_ms");
-
-        let mut p = SandboxPolicy::default();
-        p.heartbeat_grace = 0;
-        assert_eq!(p.validate().unwrap_err().field, "heartbeat_grace");
-
-        let mut p = SandboxPolicy::default();
-        p.rlimit_as_bytes = Some(0);
-        assert_eq!(p.validate().unwrap_err().field, "rlimit_as_bytes");
-
-        let mut p = SandboxPolicy::default();
-        p.rlimit_cpu_s = Some(0);
-        assert_eq!(p.validate().unwrap_err().field, "rlimit_cpu_s");
+        let cases = [
+            (
+                SandboxPolicy {
+                    heartbeat_interval_ms: 0,
+                    ..SandboxPolicy::default()
+                },
+                "heartbeat_interval_ms",
+            ),
+            (
+                SandboxPolicy {
+                    heartbeat_grace: 0,
+                    ..SandboxPolicy::default()
+                },
+                "heartbeat_grace",
+            ),
+            (
+                SandboxPolicy {
+                    rlimit_as_bytes: Some(0),
+                    ..SandboxPolicy::default()
+                },
+                "rlimit_as_bytes",
+            ),
+            (
+                SandboxPolicy {
+                    rlimit_cpu_s: Some(0),
+                    ..SandboxPolicy::default()
+                },
+                "rlimit_cpu_s",
+            ),
+        ];
+        for (p, field) in cases {
+            assert_eq!(p.validate().unwrap_err().field, field);
+        }
     }
 
     #[test]
