@@ -28,7 +28,7 @@ use chopin_obs::json::{self, json_string, JsonValue};
 use chopin_runtime::collector::CollectorKind;
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
 /// The header tag identifying a chopin sweep journal.
@@ -172,21 +172,23 @@ impl Journal {
     /// [`JournalError::Io`] if the file cannot be read,
     /// [`JournalError::Parse`] if any line is not valid journal content.
     pub fn load(path: &Path) -> Result<Journal, JournalError> {
-        let text = fs::read_to_string(path)?;
-        let mut lines = text.lines().enumerate();
+        // Line by line: holding the whole file at once would only add its
+        // size to the resuming process's peak memory.
+        let mut lines = BufReader::new(fs::File::open(path)?).lines().enumerate();
         let (_, header) = lines.next().ok_or(JournalError::Parse {
             line: 1,
             message: "empty file".to_string(),
         })?;
         let fingerprint =
-            parse_header(header).map_err(|message| JournalError::Parse { line: 1, message })?;
+            parse_header(&header?).map_err(|message| JournalError::Parse { line: 1, message })?;
         let mut entries = Vec::new();
         let mut quarantines = Vec::new();
         for (i, line) in lines {
+            let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            let obj = json::parse(line).map_err(|e| JournalError::Parse {
+            let obj = json::parse(&line).map_err(|e| JournalError::Parse {
                 line: i + 1,
                 message: e.to_string(),
             })?;

@@ -951,10 +951,15 @@ impl SuiteSupervisor {
                 }
             }
         };
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(cells.len().max(1));
+        // A complete resume leaves nothing pending: start no threads.
+        let workers = if table.lock().has_pending() {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .min(cells.len().max(1))
+        } else {
+            0
+        };
         crossbeam::thread::scope(|scope| {
             let serve = &serve;
             for worker in 0..workers as u64 {

@@ -128,7 +128,6 @@ pub fn json_string(s: &str) -> String {
 /// ```
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
-        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -142,7 +141,6 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
-    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -286,15 +284,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar. `pos` only ever advances by
-                    // whole scalars, so it always sits on a char boundary.
-                    let c = self
-                        .input
-                        .get(self.pos..)
-                        .and_then(|rest| rest.chars().next())
-                        .ok_or_else(|| self.err("invalid utf-8"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume one UTF-8 scalar (input is a &str, so the
+                    // bytes are valid UTF-8).
+                    let rest = &self.bytes[self.pos..];
+                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
+                    if let Some(c) = s.chars().next() {
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
                 }
             }
         }
