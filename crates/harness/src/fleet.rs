@@ -1586,6 +1586,19 @@ impl LineReader {
         }
     }
 
+    /// The next line, waiting at most `timeout` for it rather than the
+    /// socket's standing read timeout.
+    fn next_line_within(&mut self, timeout: Duration) -> LineEvent {
+        if timeout.is_zero() || self.stream.set_read_timeout(Some(timeout)).is_err() {
+            return LineEvent::TimedOut;
+        }
+        let event = self.next_line();
+        let _ = self
+            .stream
+            .set_read_timeout(Some(Duration::from_millis(WORKER_RESEND_MS)));
+        event
+    }
+
     fn next_line(&mut self) -> LineEvent {
         loop {
             if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
@@ -1645,10 +1658,33 @@ enum ServeEnd {
     Lost,
 }
 
+/// A write to the coordinator failed. A coordinator that drained the
+/// matrix sends `Drain` and closes, so that frame may already sit in the
+/// receive buffer: read what is buffered before calling the connection
+/// lost.
+fn lost_unless_drained(reader: &mut LineReader, s: &mut WorkerSession) -> ServeEnd {
+    if reader.stream.set_nonblocking(true).is_err() {
+        return ServeEnd::Lost;
+    }
+    loop {
+        match reader.next_line() {
+            LineEvent::Line(line) => match protocol::parse(&line) {
+                Some(FleetFrame::Drain) => return ServeEnd::Drained,
+                Some(FleetFrame::Standby { addr }) => s.successor = Some(addr),
+                _ => {}
+            },
+            LineEvent::TimedOut | LineEvent::Eof => return ServeEnd::Lost,
+        }
+    }
+}
+
 /// Serve one coordinator connection: join, run leases, ride out
 /// dropped and duplicated frames. Timeouts re-send the pending reply
 /// and re-ask for work (the wire may have eaten either direction);
-/// sustained silence abandons the connection for a reconnect.
+/// sustained silence abandons the connection for a reconnect. A `Wait`
+/// is spent reading the socket, so a `Drain`, `Standby` or `Lease` that
+/// arrives meanwhile is handled at once; `Next` goes out when the wait
+/// runs out.
 fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> ServeEnd {
     let stream = match TcpStream::connect(addr) {
         Ok(stream) => stream,
@@ -1675,9 +1711,22 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
     let mut coord = 0u64;
     let mut joined = false;
     let mut silent_ms = 0u64;
+    // The coordinator's `Wait` being served: when it began, how long.
+    let mut waiting: Option<(WallSpan, Duration)> = None;
     loop {
-        match reader.next_line() {
+        let event = match waiting {
+            Some((since, wait)) => reader.next_line_within(wait.saturating_sub(since.elapsed())),
+            None => reader.next_line(),
+        };
+        match event {
             LineEvent::Eof => return ServeEnd::Lost,
+            LineEvent::TimedOut if waiting.is_some() => {
+                // The wait ran out: ask for work again.
+                waiting = None;
+                if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
+                    break;
+                }
+            }
             LineEvent::TimedOut => {
                 silent_ms += WORKER_RESEND_MS;
                 if silent_ms >= WORKER_SILENCE_MS {
@@ -1689,11 +1738,11 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                     // table keys completions on the lease id).
                     if let Some(pending) = &s.pending {
                         if !send_frame(&writer, pending) {
-                            return ServeEnd::Lost;
+                            break;
                         }
                     }
                     if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
-                        return ServeEnd::Lost;
+                        break;
                     }
                 }
             }
@@ -1710,6 +1759,7 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                         journal: base,
                         ..
                     } => {
+                        waiting = None;
                         me = worker;
                         s.me = Some(worker);
                         coord = c;
@@ -1744,36 +1794,35 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                         spawn_heartbeat(Arc::clone(&writer), me);
                         if let Some(pending) = &s.pending {
                             if !send_frame(&writer, pending) {
-                                return ServeEnd::Lost;
+                                break;
                             }
                         }
                         if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
-                            return ServeEnd::Lost;
+                            break;
                         }
                     }
                     FleetFrame::Reject { reason } => return ServeEnd::Rejected(reason),
                     FleetFrame::Standby { addr } => s.successor = Some(addr),
                     FleetFrame::Wait { ms } => {
-                        std::thread::sleep(Duration::from_millis(ms.clamp(1, MAX_WORKER_WAIT_MS)));
-                        if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
-                            return ServeEnd::Lost;
-                        }
+                        let wait = Duration::from_millis(ms.clamp(1, MAX_WORKER_WAIT_MS));
+                        waiting = Some((WallSpan::begin(), wait));
                     }
                     FleetFrame::Lease {
                         lease,
                         attempt,
                         payload,
                     } => {
+                        waiting = None;
                         if s.last_lease == Some(lease) {
                             // A duplicated Lease frame: the work already
                             // ran (or is our current grant); just re-ack.
                             if let Some(pending) = &s.pending {
                                 if !send_frame(&writer, pending) {
-                                    return ServeEnd::Lost;
+                                    break;
                                 }
                             }
                             if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
-                                return ServeEnd::Lost;
+                                break;
                             }
                             continue;
                         }
@@ -1821,10 +1870,10 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                         let sent = send_frame(&writer, &reply);
                         s.pending = Some(reply);
                         if !sent {
-                            return ServeEnd::Lost;
+                            break;
                         }
                         if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
-                            return ServeEnd::Lost;
+                            break;
                         }
                     }
                     FleetFrame::Drain => return ServeEnd::Drained,
@@ -1833,6 +1882,8 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
             }
         }
     }
+    // Only a failed write leaves the loop.
+    lost_unless_drained(&mut reader, s)
 }
 
 /// The fleet worker loop: serve the coordinator until drained,

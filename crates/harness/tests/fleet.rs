@@ -211,3 +211,73 @@ fn fleet_shards_resume_under_thread_isolation() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The pids of live (non-zombie) processes in process group `pgid`.
+#[cfg(target_os = "linux")]
+fn live_group_members(pgid: u32) -> Vec<u32> {
+    let Ok(entries) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    entries
+        .filter_map(|entry| entry.ok()?.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|pid| {
+            let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
+                return false;
+            };
+            // `pid (comm) state ppid pgrp ...`; comm may hold spaces.
+            let Some((_, fields)) = stat.rsplit_once(')') else {
+                return false;
+            };
+            let fields: Vec<&str> = fields.split_whitespace().collect();
+            fields.len() > 2 && fields[0] != "Z" && fields[2] == pgid.to_string()
+        })
+        .collect()
+}
+
+/// A clean sweep leaves no fleet worker behind, including one that the
+/// coordinator told to `Wait` just before the last cell completed: the
+/// `Drain` must end it, not a reconnect schedule that outlasts the
+/// coordinator. Whether a worker is waiting at the end is a race, so the
+/// sweep runs a few times.
+#[cfg(target_os = "linux")]
+#[test]
+fn fleet_workers_exit_soon_after_a_clean_sweep() {
+    use std::os::unix::process::CommandExt;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let dir = scratch_dir("linger");
+    // Workers inherit stderr; a file, unlike a pipe, lets `wait` return
+    // when runbms itself exits.
+    let stderr_path = dir.join("stderr");
+    for run in 0..3 {
+        let stderr = std::fs::File::create(&stderr_path).expect("stderr file");
+        let mut child = runbms()
+            .args(["-b", "fop", "--quick", "--fleet", "2"])
+            .process_group(0)
+            .stdout(Stdio::null())
+            .stderr(stderr)
+            .spawn()
+            .expect("runbms spawns");
+        let pgid = child.id();
+        let status = child.wait().expect("runbms exits");
+        assert!(
+            status.success(),
+            "fleet run {run} fails:\n{}",
+            std::fs::read_to_string(&stderr_path).unwrap_or_default()
+        );
+
+        let exited = Instant::now();
+        let mut lingering = live_group_members(pgid);
+        while !lingering.is_empty() && exited.elapsed() < Duration::from_secs(3) {
+            std::thread::sleep(Duration::from_millis(50));
+            lingering = live_group_members(pgid);
+        }
+        assert!(
+            lingering.is_empty(),
+            "fleet run {run}: workers {lingering:?} outlived runbms by 3 s:\n{}",
+            std::fs::read_to_string(&stderr_path).unwrap_or_default()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

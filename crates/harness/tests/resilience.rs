@@ -1,9 +1,10 @@
 //! End-to-end resilience guarantees: a suite killed mid-run by an
-//! injected panic and then resumed from its journal produces a results
-//! CSV byte-identical to an uninterrupted run, and every collector
-//! survives the chaos fault preset with the measurement invariants
-//! (time conservation, LBO ≥ 1) intact or lands in quarantine with a
-//! structured reason — never a harness abort.
+//! injected panic, or a `runbms` process SIGKILLed mid-sweep, and then
+//! resumed from its journal produces a results CSV byte-identical to an
+//! uninterrupted run, and every collector survives the chaos fault
+//! preset with the measurement invariants (time conservation, LBO ≥ 1)
+//! intact or lands in quarantine with a structured reason — never a
+//! harness abort.
 
 use chopin_core::lbo::{Clock, LboAnalysis};
 use chopin_core::sweep::{SweepConfig, SweepResult};
@@ -135,6 +136,93 @@ fn killed_then_resumed_suite_reproduces_the_uninterrupted_csv() {
         "resumed suite must be byte-identical to the uninterrupted run"
     );
     let _ = std::fs::remove_file(&journal_path);
+}
+
+/// The `N` in the supervisor summary's `(N resumed, …)`.
+fn resumed_count(stderr: &str) -> u64 {
+    stderr
+        .lines()
+        .find_map(|l| l.split(" resumed").next()?.rsplit('(').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no resumed count in stderr:\n{stderr}"))
+}
+
+/// The journal's crash contract, as a user meets it: SIGKILL `runbms`
+/// mid-sweep, at any point of a journal write, and `--resume` prints
+/// the uninterrupted run's CSV byte for byte. A kill may leave the
+/// journal's `.tmp` sibling behind; resume must not care.
+#[cfg(unix)]
+#[test]
+fn sigkilled_journalled_sweep_resumes_to_the_uninterrupted_csv() {
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::{Command, Stdio};
+    use std::time::Duration;
+
+    const KILL_AT_CELLS: usize = 10;
+    // 4 benchmarks × 5 collectors × 11 heap factors: long enough that
+    // the kill lands well before the last cell.
+    let matrix = ["-b", "fop,lusearch,h2,xalan", "--isolation", "thread"];
+    let runbms = || Command::new(env!("CARGO_BIN_EXE_runbms"));
+    let journal_path = temp_journal("sigkill");
+    let _ = std::fs::remove_file(&journal_path);
+    let journal = journal_path.to_str().expect("utf-8 temp path");
+
+    let reference = runbms().args(matrix).output().expect("runbms spawns");
+    assert!(
+        reference.status.success(),
+        "uninterrupted run fails:\n{}",
+        String::from_utf8_lossy(&reference.stderr)
+    );
+
+    let mut victim = runbms()
+        .args(matrix)
+        .args(["--journal", journal])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("runbms spawns");
+    // Each line after the header is one journalled cell; the file is
+    // replaced by rename, so every read sees a whole journal.
+    let journalled = || {
+        std::fs::read_to_string(&journal_path)
+            .map(|text| text.lines().count().saturating_sub(1))
+            .unwrap_or(0)
+    };
+    while journalled() < KILL_AT_CELLS {
+        if let Some(status) = victim.try_wait().expect("poll runbms") {
+            panic!("runbms exited ({status}) before journalling {KILL_AT_CELLS} cells");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        victim.try_wait().expect("poll runbms").is_none(),
+        "the sweep finished before the kill; enlarge the matrix"
+    );
+    victim.kill().expect("SIGKILL runbms");
+    let status = victim.wait().expect("reap runbms");
+    assert_eq!(
+        status.signal(),
+        Some(chopin_sandbox::limits::SIGKILL),
+        "runbms must die by SIGKILL"
+    );
+
+    let resumed = runbms()
+        .args(matrix)
+        .args(["--journal", journal, "--resume"])
+        .output()
+        .expect("runbms spawns");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "resume fails:\n{stderr}");
+    assert!(
+        resumed_count(&stderr) >= KILL_AT_CELLS as u64,
+        "resume must replay the journalled cells:\n{stderr}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&resumed.stdout),
+        String::from_utf8_lossy(&reference.stdout),
+        "the resumed CSV must be byte-identical to the uninterrupted run"
+    );
+    let _ = std::fs::remove_file(&journal_path);
+    let _ = std::fs::remove_file(format!("{journal}.tmp"));
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Resource limits and self-inflicted signals.
+//! Resource limits, peak-RSS accounting and self-inflicted signals.
 //!
 //! The workspace forbids `unsafe` everywhere else; this module is the one
 //! sanctioned exception, kept to two minimal libc calls (`setrlimit`,
@@ -119,6 +119,28 @@ pub fn apply_rlimit_cpu(seconds: u64) -> Result<(), String> {
     }
 }
 
+/// Peak resident set size (VmHWM) of a process, in bytes, read from
+/// `/proc/<process>/status`; `process` is a pid or `"self"`. `None` where
+/// procfs is unavailable or the process has no memory left to account
+/// (it exited).
+#[cfg(target_os = "linux")]
+#[must_use]
+pub fn peak_rss_bytes(process: &str) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{process}/status")).ok()?;
+    let rest = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// Peak resident set size of a process; procfs is Linux-only.
+#[cfg(not(target_os = "linux"))]
+#[must_use]
+pub fn peak_rss_bytes(_process: &str) -> Option<u64> {
+    None
+}
+
 /// Deliver `signal` to the current process. Used by hard-fault injection
 /// to die exactly the way a real crash would (`raise(SIGKILL)` cannot be
 /// caught, blocked or unwound). Falls back to `process::abort` when the
@@ -149,6 +171,16 @@ mod tests {
         assert_eq!(signal_name(SIGSEGV), "SIGSEGV");
         assert_eq!(signal_name(SIGXCPU), "SIGXCPU");
         assert_eq!(signal_name(2), "signal");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn peak_rss_reads_this_process() {
+        let peak = peak_rss_bytes("self").expect("procfs reports VmHWM");
+        assert!(
+            peak >= 1 << 20,
+            "a test binary peaks above 1 MiB, read {peak}"
+        );
     }
 
     #[cfg(unix)]

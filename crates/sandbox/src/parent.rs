@@ -1,22 +1,47 @@
 //! The parent side of the sandbox: spawning workers, monitoring
 //! heartbeats and deadlines, and classifying every child ending into the
 //! crash taxonomy.
+//!
+//! While a child runs, the monitor loop sleeps on a channel from the
+//! thread that reads the child's stdout. Three things wake it:
+//!
+//! - the child's final frame (`@ok`, `@err` or `@panic`): the child is
+//!   about to exit;
+//! - the child's stdout closing: it exited, or was killed;
+//! - the 5 ms `POLL` tick, at the latest: the deadline and heartbeat
+//!   watchdogs run and peak RSS is sampled.
+//!
+//! After either of the first two, the parent polls the exit status with
+//! `try_wait` at doubling intervals from 20 µs up to `POLL`. It never
+//! blocks in `wait`, and it never waits for stdout to close before
+//! reaping, so a child that answers and then hangs, or one whose stdout
+//! a grandchild holds open, stays under both watchdogs.
+//! The child reports its own peak RSS in an `@rss` frame (see
+//! [`crate::protocol`]); the report keeps the larger of that and the
+//! parent's samples.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::clock::WallSpan;
 
-use crate::limits::{OOM_STDERR_MARKER, SIGABRT};
+use crate::limits::{self, OOM_STDERR_MARKER, SIGABRT};
 use crate::policy::SandboxPolicy;
 use crate::protocol::{self, Frame};
 
-/// How often the monitor loop samples the child (exit, heartbeat age,
-/// deadline, peak RSS).
+/// Longest gap between two watchdog checks (deadline, heartbeat age)
+/// and two peak-RSS samples while a child runs. The parent wakes sooner
+/// when the child answers or its stdout closes.
 const POLL: Duration = Duration::from_millis(5);
+
+/// First step of the reap backoff. A child that answered or closed its
+/// stdout is exiting, which takes tens to hundreds of microseconds; the
+/// step doubles up to [`POLL`].
+const REAP_FIRST_STEP: Duration = Duration::from_micros(20);
 
 /// Largest stderr tail retained per child, in bytes. Enough for a panic
 /// backtrace header or the allocator's OOM message; bounded so a child
@@ -88,8 +113,9 @@ pub struct ChildReport {
     pub last_heartbeat_ms: Option<u64>,
     /// Total heartbeats received from this child.
     pub heartbeats: u64,
-    /// Peak resident set size sampled from `/proc/<pid>/status` (VmHWM);
-    /// `None` where procfs is unavailable.
+    /// Peak resident set size (VmHWM) in bytes: the larger of the
+    /// child's own `@rss` report and the parent's samples of
+    /// `/proc/<pid>/status`; `None` where procfs is unavailable.
     pub peak_rss_bytes: Option<u64>,
     /// Child lifetime in wall milliseconds.
     pub wall_ms: u64,
@@ -200,7 +226,7 @@ impl SandboxPool {
                 }
             }
         };
-        let pid = child.id();
+        let proc_entry = child.id().to_string();
 
         // Deliver the request and close stdin so the worker sees EOF.
         // A child that dies instantly (self-SIGKILL hard faults) breaks
@@ -212,8 +238,12 @@ impl SandboxPool {
         let inbox = Arc::new(Mutex::new(Inbox {
             last_beat: None,
             beats: 0,
+            reported_rss: None,
             final_frame: None,
         }));
+        // The reader sends on `wake` when the final frame arrives, and
+        // drops it when stdout closes.
+        let (wake_tx, wake) = mpsc::channel::<()>();
         let stdout_thread = child.stdout.take().map(|stdout| {
             let inbox = Arc::clone(&inbox);
             std::thread::spawn(move || {
@@ -225,10 +255,15 @@ impl SandboxPool {
                             inbox.last_beat = Some(WallSpan::begin());
                             inbox.beats += 1;
                         }
+                        Some(Frame::Rss(bytes)) => {
+                            let mut inbox = lock(&inbox);
+                            inbox.reported_rss = inbox.reported_rss.max(Some(bytes));
+                        }
                         Some(frame) => {
                             let mut inbox = lock(&inbox);
                             if inbox.final_frame.is_none() {
                                 inbox.final_frame = Some(frame);
+                                let _ = wake_tx.send(());
                             }
                         }
                         None => {}
@@ -258,14 +293,16 @@ impl SandboxPool {
         let timeout = self.policy.heartbeat_timeout();
         let mut kill_reason: Option<KillReason> = None;
         let mut peak_rss = None;
+        // `Some` once the child answered or its stdout closed.
+        let mut reap_step: Option<Duration> = None;
         let status = loop {
-            if let Some(rss) = read_peak_rss(pid) {
-                peak_rss = Some(rss);
-            }
             match child.try_wait() {
                 Ok(Some(status)) => break Some(status),
                 Ok(None) => {}
                 Err(_) => break None,
+            }
+            if let Some(rss) = limits::peak_rss_bytes(&proc_entry) {
+                peak_rss = Some(rss);
             }
             if kill_reason.is_none() {
                 let since_spawn = spawned_at.elapsed();
@@ -287,7 +324,18 @@ impl SandboxPool {
                     let _ = child.kill();
                 }
             }
-            std::thread::sleep(POLL);
+            match reap_step {
+                None => match wake.recv_timeout(POLL) {
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                        reap_step = Some(REAP_FIRST_STEP);
+                    }
+                },
+                Some(step) => {
+                    std::thread::sleep(step);
+                    reap_step = Some((step * 2).min(POLL));
+                }
+            }
         };
         let wall_ms = spawned_at.elapsed().as_millis() as u64;
 
@@ -307,6 +355,7 @@ impl SandboxPool {
             let beat_ms = inbox
                 .last_beat
                 .map(|beat| beat.since(&spawned_at).as_millis() as u64);
+            peak_rss = peak_rss.max(inbox.reported_rss);
             (inbox.final_frame.clone(), beat_ms, inbox.beats)
         };
         let stderr_tail = String::from_utf8_lossy(&lock(&stderr_tail)).into_owned();
@@ -335,6 +384,7 @@ enum KillReason {
 struct Inbox {
     last_beat: Option<WallSpan>,
     beats: u64,
+    reported_rss: Option<u64>,
     final_frame: Option<Frame>,
 }
 
@@ -369,7 +419,7 @@ fn classify(
         Some(Frame::Ok(payload)) => return ChildOutcome::Completed(payload),
         Some(Frame::Err(message)) => return ChildOutcome::Failed(message),
         Some(Frame::Panic(message)) => return ChildOutcome::Panicked(message),
-        Some(Frame::Heartbeat) | None => {}
+        Some(Frame::Heartbeat | Frame::Rss(_)) | None => {}
     }
     if let Some(signal) = signal {
         if signal == SIGABRT && stderr_tail.contains(OOM_STDERR_MARKER) {
@@ -393,24 +443,6 @@ fn status_signal(status: &std::process::ExitStatus) -> Option<i32> {
 
 #[cfg(not(unix))]
 fn status_signal(_status: &std::process::ExitStatus) -> Option<i32> {
-    None
-}
-
-/// Sample the child's peak resident set (VmHWM) from procfs, in bytes.
-#[cfg(target_os = "linux")]
-fn read_peak_rss(pid: u32) -> Option<u64> {
-    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
-#[cfg(not(target_os = "linux"))]
-fn read_peak_rss(_pid: u32) -> Option<u64> {
     None
 }
 

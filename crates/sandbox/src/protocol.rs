@@ -11,12 +11,20 @@
 //! | frame        | meaning                                             |
 //! |--------------|-----------------------------------------------------|
 //! | `@hb`        | heartbeat: the worker is alive and scheduled        |
+//! | `@rss <n>`   | the worker's own peak resident set (VmHWM), bytes   |
 //! | `@ok <p>`    | handler finished, escaped payload `<p>`             |
 //! | `@err <p>`   | handler returned an error (transient, retryable)    |
 //! | `@panic <p>` | handler panicked; `<p>` is the panic message        |
 //!
 //! Payloads are escaped (`\` → `\\`, newline → `\n`, CR → `\r`) so any
 //! string survives the line framing.
+//!
+//! `@ok`, `@err` and `@panic` are *final*: the worker prints exactly one
+//! of them and exits. Just before it, the worker reads its own VmHWM
+//! and prints `@rss`, because a child that lives a few milliseconds is
+//! gone before the parent can sample `/proc/<pid>/status`. The parent
+//! ignores lines it does not know, so a parent without `@rss` support
+//! and a worker that never sends it interoperate with either side.
 
 /// Environment variable that marks a process as a sandbox worker.
 pub const ENV_WORKER: &str = "CHOPIN_SANDBOX_WORKER";
@@ -35,6 +43,9 @@ pub const ENV_NO_HEARTBEAT: &str = "CHOPIN_SANDBOX_NO_HEARTBEAT";
 pub enum Frame {
     /// The worker is alive.
     Heartbeat,
+    /// The worker's peak resident set size (VmHWM) in bytes, read by the
+    /// worker just before its final frame.
+    Rss(u64),
     /// The handler completed with the given payload.
     Ok(String),
     /// The handler failed with a transient error.
@@ -87,6 +98,7 @@ pub fn unescape(line: &str) -> String {
 pub fn render(frame: &Frame) -> String {
     match frame {
         Frame::Heartbeat => "@hb".to_string(),
+        Frame::Rss(bytes) => format!("@rss {bytes}"),
         Frame::Ok(p) => format!("@ok {}", escape(p)),
         Frame::Err(p) => format!("@err {}", escape(p)),
         Frame::Panic(p) => format!("@panic {}", escape(p)),
@@ -100,6 +112,9 @@ pub fn parse(line: &str) -> Option<Frame> {
     let line = line.strip_suffix('\r').unwrap_or(line);
     if line == "@hb" {
         return Some(Frame::Heartbeat);
+    }
+    if let Some(rest) = line.strip_prefix("@rss ") {
+        return rest.parse().ok().map(Frame::Rss);
     }
     if let Some(rest) = line.strip_prefix("@ok ") {
         return Some(Frame::Ok(unescape(rest)));
@@ -124,6 +139,7 @@ mod tests {
     fn frames_round_trip_through_the_wire_format() {
         let frames = [
             Frame::Heartbeat,
+            Frame::Rss(64 << 20),
             Frame::Ok("{\"samples\":[]}".to_string()),
             Frame::Ok(String::new()),
             Frame::Err("boom\nwith newline".to_string()),
@@ -143,6 +159,9 @@ mod tests {
         assert_eq!(parse("@unknown x"), None);
         // A torn final line (crash mid-write) must not parse as a result.
         assert_eq!(parse("@o"), None);
+        // A torn or malformed `@rss` carries no reading.
+        assert_eq!(parse("@rss "), None);
+        assert_eq!(parse("@rss 12ab"), None);
     }
 
     #[test]

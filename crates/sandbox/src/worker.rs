@@ -22,7 +22,8 @@ use crate::protocol::{self, Frame};
 /// 3. starts a heartbeat thread printing [`Frame::Heartbeat`] lines at
 ///    the configured interval,
 /// 4. runs `handler` under `catch_unwind`,
-/// 5. prints the final `@ok` / `@err` / `@panic` frame and exits.
+/// 5. prints its own peak RSS as an `@rss` frame, then the final
+///    `@ok` / `@err` / `@panic` frame, and exits.
 ///
 /// The handler's stdout discipline: it must not print to stdout (the
 /// protocol channel). Stray lines are ignored by the parent, but a line
@@ -69,6 +70,9 @@ where
         Ok(Err(message)) => Frame::Err(message),
         Err(payload) => Frame::Panic(panic_message(payload)),
     };
+    if let Some(bytes) = limits::peak_rss_bytes("self") {
+        emit(&Frame::Rss(bytes));
+    }
     emit(&frame);
     // srclint:allow(R1006, reason = "ends the child after its final frame; returning would re-run the caller's main and double-report")
     std::process::exit(0);

@@ -5,16 +5,23 @@
 //!
 //! `harness = false`: the worker protocol needs to own `main`.
 
+use std::io::Write;
 use std::time::Duration;
 
 use chopin_sandbox::limits::{SIGABRT, SIGKILL};
 use chopin_sandbox::parent::RequestLimits;
-use chopin_sandbox::protocol::ENV_NO_HEARTBEAT;
+use chopin_sandbox::protocol::{self, Frame, ENV_NO_HEARTBEAT, ENV_WORKER};
 use chopin_sandbox::{ChildOutcome, SandboxPolicy, SandboxPool};
 
 /// RLIMIT_AS handed to the self-OOM worker: far below the hoard it
 /// allocates, comfortably above what the test binary needs to start.
 const OOM_RLIMIT_AS: u64 = 256 << 20;
+
+/// Memory the `touch64` worker writes before it answers.
+const TOUCHED_BYTES: usize = 64 << 20;
+
+/// A peak RSS no test child reaches: only an `@rss` frame can carry it.
+const REPORTED_RSS: u64 = 1 << 40;
 
 fn main() {
     chopin_sandbox::worker::maybe_worker(|request| match request.trim() {
@@ -26,6 +33,31 @@ fn main() {
         "hang" => loop {
             std::thread::sleep(Duration::from_millis(20));
         },
+        "early-ok-hang" => {
+            // A frame-shaped stray line, then no exit: the parent must
+            // not take the early `@ok` as the child's end.
+            println!("@ok early");
+            loop {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        "grandchild" => {
+            // The grandchild inherits stdout and stderr and outlives the
+            // worker, so both pipes stay open for a second after it exits.
+            std::process::Command::new("sleep")
+                .arg("1")
+                .spawn()
+                .map_err(|e| format!("cannot start sleep: {e}"))?;
+            Ok("answered".to_string())
+        }
+        "touch64" => {
+            let touched = std::hint::black_box(vec![0x5A_u8; TOUCHED_BYTES]);
+            Ok(touched.len().to_string())
+        }
+        "report-rss" => {
+            println!("@rss {REPORTED_RSS}");
+            Ok(String::new())
+        }
         "kill" => chopin_sandbox::limits::die_by_signal(SIGKILL),
         "abort" => std::process::abort(),
         "oom" => {
@@ -50,6 +82,10 @@ fn main() {
     rlimit_as_breach_classifies_as_oom_killed();
     silent_workers_lose_their_heartbeat();
     deadline_overruns_are_killed_and_classified();
+    early_final_frame_waits_for_the_exit_status();
+    reaping_does_not_wait_for_stdout_to_close();
+    #[cfg(target_os = "linux")]
+    short_lived_children_report_their_peak_rss();
     println!("sandbox worker round-trip: all checks passed");
 }
 
@@ -173,4 +209,90 @@ fn deadline_overruns_are_killed_and_classified() {
         "the worker was beating before the deadline killed it"
     );
     println!("ok deadline_overruns_are_killed_and_classified");
+}
+
+fn early_final_frame_waits_for_the_exit_status() {
+    // The early `@ok` wakes the parent, but completion needs the exit
+    // status: the child keeps running until the deadline kills it, and
+    // the kill reason outranks the frame.
+    let pool = pool(SandboxPolicy::default()).with_deadline_ms(Some(150));
+    let report = pool.run("early-ok-hang", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::DeadlineExceeded { budget_ms: 150 },
+        "stderr: {}",
+        report.stderr_tail
+    );
+    assert_eq!(report.signal, Some(SIGKILL));
+    println!("ok early_final_frame_waits_for_the_exit_status");
+}
+
+fn reaping_does_not_wait_for_stdout_to_close() {
+    // A `sleep 1` grandchild holds the worker's stdout open after the
+    // worker exits; the parent reaps the worker without waiting for EOF.
+    let pool = pool(SandboxPolicy::default());
+    let report = pool.run("grandchild", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Completed("answered".to_string()),
+        "stderr: {}",
+        report.stderr_tail
+    );
+    assert!(
+        report.wall_ms < 1000,
+        "reaped after {} ms: the parent waited for the grandchild's EOF",
+        report.wall_ms
+    );
+    println!("ok reaping_does_not_wait_for_stdout_to_close");
+}
+
+#[cfg(target_os = "linux")]
+fn short_lived_children_report_their_peak_rss() {
+    // The worker's side: `@rss` with its own VmHWM, just before the
+    // final frame.
+    let mut worker = std::process::Command::new(std::env::current_exe().expect("current_exe"))
+        .env(ENV_WORKER, "1")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("worker spawns");
+    worker
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(b"touch64")
+        .expect("request written");
+    let output = worker.wait_with_output().expect("worker exits");
+    let frames: Vec<Frame> = String::from_utf8_lossy(&output.stdout)
+        .lines()
+        .filter_map(protocol::parse)
+        .filter(|frame| *frame != Frame::Heartbeat)
+        .collect();
+    match frames.as_slice() {
+        [Frame::Rss(bytes), Frame::Ok(_)] => assert!(
+            *bytes >= TOUCHED_BYTES as u64,
+            "the worker reported {bytes} B after touching {TOUCHED_BYTES} B"
+        ),
+        other => panic!("expected `@rss` then `@ok`, got {other:?}"),
+    }
+
+    // The parent's side: the report keeps the largest `@rss`, whatever
+    // its own samples saw.
+    let pool = pool(SandboxPolicy::default());
+    let report = pool.run("report-rss", RequestLimits::default());
+    assert_eq!(report.peak_rss_bytes, Some(REPORTED_RSS));
+
+    let report = pool.run("touch64", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Completed(TOUCHED_BYTES.to_string()),
+        "stderr: {}",
+        report.stderr_tail
+    );
+    let peak = report.peak_rss_bytes.unwrap_or(0);
+    assert!(
+        peak >= TOUCHED_BYTES as u64,
+        "peak RSS {peak} B is below the {TOUCHED_BYTES} B the child touched"
+    );
+    println!("ok short_lived_children_report_their_peak_rss");
 }
