@@ -18,9 +18,9 @@
 //! * [`rank`] — fractional ranking and Spearman rank correlation, used to
 //!   validate simulated workload characterisation against the paper's
 //!   published rankings.
-//! * [`histogram`] — a log-bucketed HDR histogram for constant-cost latency
-//!   recording and cross-invocation merging (§4.4's low-cost measurement
-//!   engineering).
+//!
+//! Latency histograms live in `chopin_obs::LogHistogram`, the workspace's
+//! one histogram (metrics and pause reports).
 //!
 //! # Examples
 //!
@@ -41,7 +41,6 @@
 pub mod ci;
 pub mod descriptive;
 pub mod eigen;
-pub mod histogram;
 pub mod matrix;
 pub mod pca;
 pub mod rank;
@@ -49,7 +48,6 @@ pub mod scaling;
 
 pub use ci::ConfidenceInterval;
 pub use descriptive::{geometric_mean, mean, percentile, stddev};
-pub use histogram::HdrHistogram;
 pub use matrix::Matrix;
 pub use pca::Pca;
 pub use rank::spearman;

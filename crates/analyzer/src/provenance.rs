@@ -56,35 +56,24 @@ pub struct Artifact {
 pub const CSV_HEADER: &str =
     "benchmark,collector,heap_factor,wall_s,task_s,wall_distillable_s,task_distillable_s";
 
-fn str_field(obj: &JsonValue, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn num_field(obj: &JsonValue, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_num)
-        .ok_or_else(|| format!("missing number field `{key}`"))
-}
-
 fn collector_field(obj: &JsonValue, key: &str) -> Result<CollectorKind, String> {
-    str_field(obj, key)?
-        .parse::<CollectorKind>()
-        .map_err(|e| e.to_string())
+    obj.label_field(key, |label| label.parse().ok())
 }
 
 fn parse_journal(text: &str) -> Result<Artifact, String> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty journal")?;
     let obj = json::parse(header).map_err(|e| format!("line 1: {e}"))?;
-    let tag = str_field(&obj, "journal").map_err(|e| format!("line 1: {e}"))?;
+    let tag = obj
+        .str_field("journal")
+        .map_err(|e| format!("line 1: {e}"))?;
     if tag != "chopin-sweep" {
         return Err(format!("line 1: not a sweep journal (tag `{tag}`)"));
     }
-    let hex = str_field(&obj, "fingerprint").map_err(|e| format!("line 1: {e}"))?;
-    let fingerprint = u64::from_str_radix(&hex, 16)
+    let hex = obj
+        .str_field("fingerprint")
+        .map_err(|e| format!("line 1: {e}"))?;
+    let fingerprint = u64::from_str_radix(hex, 16)
         .map_err(|e| format!("line 1: bad fingerprint `{hex}`: {e}"))?;
 
     let mut rows = Vec::new();
@@ -95,23 +84,19 @@ fn parse_journal(text: &str) -> Result<Artifact, String> {
         }
         let entry = (|| -> Result<(), String> {
             let obj = json::parse(line).map_err(|e| e.to_string())?;
-            let benchmark = str_field(&obj, "benchmark")?;
+            let benchmark = obj.str_field("benchmark")?.to_string();
             let collector = collector_field(&obj, "collector")?;
-            let heap_factor = num_field(&obj, "heap_factor")?;
-            let samples = obj
-                .get("samples")
-                .and_then(JsonValue::as_arr)
-                .ok_or("missing array field `samples`")?;
-            for s in samples {
+            let heap_factor = obj.f64_field("heap_factor")?;
+            for s in obj.arr_field("samples")? {
                 rows.push(ArtifactRow {
                     benchmark: benchmark.clone(),
                     sample: RunSample {
                         collector: collector_field(s, "collector")?,
-                        heap_factor: num_field(s, "heap_factor")?,
-                        wall_s: num_field(s, "wall_s")?,
-                        task_s: num_field(s, "task_s")?,
-                        wall_distillable_s: num_field(s, "wall_distillable_s")?,
-                        task_distillable_s: num_field(s, "task_distillable_s")?,
+                        heap_factor: s.f64_field("heap_factor")?,
+                        wall_s: s.f64_field("wall_s")?,
+                        task_s: s.f64_field("task_s")?,
+                        wall_distillable_s: s.f64_field("wall_distillable_s")?,
+                        task_distillable_s: s.f64_field("task_distillable_s")?,
                     },
                 });
             }

@@ -6,7 +6,6 @@
 //! log-scaled percentile axis: 0, 90, 99, 99.9, 99.99, 99.999, 99.9999.
 
 use chopin_analysis::descriptive::percentile_sorted;
-use chopin_analysis::histogram::HdrHistogram;
 use chopin_runtime::time::SimDuration;
 
 /// The percentile axis used by the paper's latency figures.
@@ -125,31 +124,6 @@ impl LatencyDistribution {
             .map(|&p| (p, self.percentile(p)))
             .collect()
     }
-
-    /// Compress the distribution into an HDR histogram over nanoseconds,
-    /// with `precision_bits` of relative precision — the constant-memory
-    /// form used to merge latency across invocations.
-    pub fn to_histogram(&self, precision_bits: u32) -> HdrHistogram {
-        let mut h = HdrHistogram::new(precision_bits);
-        for &ms in &self.sorted_ms {
-            h.record((ms * 1e6).round().max(0.0) as u64);
-        }
-        h
-    }
-
-    /// Rebuild an approximate distribution from a (possibly merged) HDR
-    /// histogram by expanding each percentile of interest. Returns `None`
-    /// for an empty histogram.
-    pub fn from_histogram(h: &HdrHistogram) -> Option<LatencyDistribution> {
-        if h.is_empty() {
-            return None;
-        }
-        // Reconstruct a representative sample: one point per permille.
-        let sorted_ms: Vec<f64> = (0..=1000)
-            .map(|k| h.value_at_percentile(k as f64 / 10.0) as f64 / 1e6)
-            .collect();
-        Some(LatencyDistribution { sorted_ms })
-    }
 }
 
 #[cfg(test)]
@@ -201,34 +175,6 @@ mod tests {
         assert_eq!(report.len(), 5);
         assert_eq!(report[0].0, 50.0);
         assert_eq!(report[4].0, 99.99);
-    }
-
-    #[test]
-    fn histogram_round_trip_preserves_percentiles() {
-        let d = dist(&(1..=1000).collect::<Vec<_>>());
-        let h = d.to_histogram(7);
-        assert_eq!(h.len(), 1000);
-        let r = LatencyDistribution::from_histogram(&h).expect("non-empty");
-        for p in [50.0, 90.0, 99.0] {
-            let a = d.percentile(p);
-            let b = r.percentile(p);
-            assert!((a - b).abs() / a < 0.02, "p{p}: exact {a} vs histogram {b}");
-        }
-        assert!(LatencyDistribution::from_histogram(
-            &chopin_analysis::histogram::HdrHistogram::new(5)
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn histograms_merge_across_invocations() {
-        let a = dist(&[1, 2, 3]).to_histogram(6);
-        let mut b = dist(&[100, 200, 300]).to_histogram(6);
-        b.merge(&a).unwrap();
-        assert_eq!(b.len(), 6);
-        let merged = LatencyDistribution::from_histogram(&b).unwrap();
-        assert!(merged.percentile(0.0) < 4.0);
-        assert!(merged.percentile(100.0) > 250.0);
     }
 
     #[test]

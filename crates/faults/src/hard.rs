@@ -18,8 +18,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::plan::FaultPlanError;
 
 /// Default seed for hard-fault presets (the 64-bit golden-ratio constant,
@@ -40,7 +38,7 @@ pub const DEFAULT_HARD_DELAY_MS: u64 = 5;
 pub const MAX_HARD_DELAY_MS: u64 = 60_000;
 
 /// The ways a hard fault kills a worker process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HardFaultKind {
     /// `raise(SIGKILL)`: the unblockable kill — no unwinding, no exit
     /// status, no last words.
@@ -86,7 +84,7 @@ impl fmt::Display for HardFaultKind {
 pub const HARD_PRESET_NAMES: [&str; 3] = ["kill", "abort", "oom"];
 
 /// A deterministic schedule of process deaths over a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardFaultPlan {
     /// Seed for victim selection.
     pub seed: u64,

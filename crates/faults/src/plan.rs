@@ -9,7 +9,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Widest credible magnitude for multiplicative fault factors; beyond this
 /// a plan is more likely a units mistake than an experiment.
@@ -21,7 +20,7 @@ pub const MAX_FAULT_FACTOR: f64 = 1000.0;
 pub const MAX_WINDOWS: usize = 4096;
 
 /// One kind of injected fault, with its magnitude.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Multiply the workload's allocation rate by `factor` (> 1 spikes it)
     /// while the window is open — a promotion burst or a logging storm.
@@ -152,7 +151,7 @@ impl FaultKind {
 
 /// One scheduled fault: a kind active over `[start_ns, end_ns)` of
 /// simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// Simulated nanosecond at which the fault engages (inclusive).
     pub start_ns: u64,
@@ -204,7 +203,7 @@ impl std::error::Error for FaultPlanError {}
 ///     .with_storm(FaultKind::StallStorm { throttle: 0.0 }, 100_000_000, 8, 0.2);
 /// assert_eq!(plan, again);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for deterministic storm generation. Must be non-zero for a
     /// non-empty plan (rule R701): a zero seed is almost always an

@@ -6,8 +6,6 @@
 //! plan shape lives here so the pre-flight analyzer can validate fleet
 //! plans (rules R1201–R1203) without depending on the harness transport.
 
-use serde::{Deserialize, Serialize};
-
 use chopin_faults::hard::{parse_hard_flag, HardFaultKind, HardFaultPlan};
 use chopin_faults::net::NetFaultPlan;
 use chopin_faults::FaultPlanError;
@@ -30,7 +28,7 @@ pub const DEFAULT_MAX_WORKER_CRASHES: u32 = 3;
 pub const DEFAULT_STORM_KILL_AFTER_LEASES: u32 = 2;
 
 /// The statically-analyzable fleet shape carried inside a `PlanIR`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetPlan {
     /// Number of worker processes the coordinator spawns.
     pub workers: u32,
@@ -97,7 +95,7 @@ impl FleetPlan {
 /// A deterministic schedule of *worker* deaths: the fleet analog of the
 /// per-cell [`HardFaultPlan`], selecting victims by worker id instead of
 /// cell identity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerStormPlan {
     /// Victim selection and death kind (kill/abort; the oom blow-up needs
     /// the sandbox RLIMIT_AS backstop, which fleet workers do not carry).

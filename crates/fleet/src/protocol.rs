@@ -5,11 +5,12 @@
 //! ([`chopin_sandbox::protocol`]): a worker SIGKILLed mid-write leaves at
 //! worst one torn line, which the coordinator ignores, never a corrupt
 //! stream. Escaped fields (fingerprints, journal paths, rendered cell
-//! requests and responses) use a superset of the sandbox escaping that
-//! also folds spaces into `\s` — fleet frames split fields on spaces, so
-//! a space left raw in a *non-final* field (the welcome fingerprint when
-//! a journal base follows it) would shift every later field over by one
-//! on parse. The proptest round-trip below pins the codec over arbitrary
+//! requests and responses) use the sandbox pipe's line escape
+//! ([`escape`]), the one escape of both frame families. It also folds
+//! spaces into `\s`: fleet frames split fields on spaces, so a space left
+//! raw in a *non-final* field (the welcome fingerprint when a journal
+//! base follows it) would shift every later field over by one on parse.
+//! The proptest round-trip below pins the escape over arbitrary
 //! payloads.
 //!
 //! Frames (one per line, newline-terminated):
@@ -43,50 +44,7 @@
 //! hand-offs. The `-` placeholder in optional trailing fields is
 //! reserved: journal bases and listener addresses never equal `-`.
 
-/// Escape one frame field so it survives both the line framing (`\n`,
-/// `\r`) and the space-separated field framing (`\s`). Superset of
-/// `chopin_sandbox::protocol::escape`, which only guards the line
-/// framing and therefore cannot carry a non-final field.
-#[must_use]
-pub fn escape_field(field: &str) -> String {
-    let mut out = String::with_capacity(field.len());
-    for ch in field.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            ' ' => out.push_str("\\s"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// Invert [`escape_field`]. Unknown escapes pass through verbatim, same
-/// as the sandbox codec, so a torn escape never corrupts the field.
-#[must_use]
-pub fn unescape_field(field: &str) -> String {
-    let mut out = String::with_capacity(field.len());
-    let mut chars = field.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('s') => out.push(' '),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
+use chopin_sandbox::protocol::{escape, unescape};
 
 /// Environment variable that marks a process as a fleet worker.
 pub const ENV_FLEET_WORKER: &str = "CHOPIN_FLEET_WORKER";
@@ -195,7 +153,8 @@ pub enum FleetFrame {
         lease: u64,
         /// The coordinator nonce the lease was granted under.
         coord: u64,
-        /// `panicked:<msg>` or `errored:<msg>`.
+        /// The failure in the journal's quarantine-reason encoding
+        /// (a JSON object such as `{"kind":"panicked","message":…}`).
         reason: String,
     },
     /// Worker → coordinator: heartbeat.
@@ -238,7 +197,7 @@ pub fn render(frame: &FleetFrame) -> String {
             let id = worker.map_or("-".to_string(), |w| w.to_string());
             match token {
                 None => format!("@hello {id}"),
-                Some(t) => format!("@hello {id} {}", escape_field(t)),
+                Some(t) => format!("@hello {id} {}", escape(t)),
             }
         }
         FleetFrame::Welcome {
@@ -248,23 +207,20 @@ pub fn render(frame: &FleetFrame) -> String {
             epoch,
             journal,
         } => match journal {
-            None => format!(
-                "@welcome {worker} {} {coord} {epoch}",
-                escape_field(fingerprint)
-            ),
+            None => format!("@welcome {worker} {} {coord} {epoch}", escape(fingerprint)),
             Some(j) => format!(
                 "@welcome {worker} {} {coord} {epoch} {}",
-                escape_field(fingerprint),
-                escape_field(j)
+                escape(fingerprint),
+                escape(j)
             ),
         },
-        FleetFrame::Reject { reason } => format!("@reject {}", escape_field(reason)),
+        FleetFrame::Reject { reason } => format!("@reject {}", escape(reason)),
         FleetFrame::Next { worker } => format!("@next {worker}"),
         FleetFrame::Lease {
             lease,
             attempt,
             payload,
-        } => format!("@lease {lease} {attempt} {}", escape_field(payload)),
+        } => format!("@lease {lease} {attempt} {}", escape(payload)),
         FleetFrame::Wait { ms } => format!("@wait {ms}"),
         FleetFrame::Drain => "@drain".to_string(),
         FleetFrame::Done {
@@ -272,20 +228,18 @@ pub fn render(frame: &FleetFrame) -> String {
             lease,
             coord,
             payload,
-        } => format!("@done {worker} {lease} {coord} {}", escape_field(payload)),
+        } => format!("@done {worker} {lease} {coord} {}", escape(payload)),
         FleetFrame::Fail {
             worker,
             lease,
             coord,
             reason,
-        } => format!("@fail {worker} {lease} {coord} {}", escape_field(reason)),
+        } => format!("@fail {worker} {lease} {coord} {}", escape(reason)),
         FleetFrame::Beat { worker } => format!("@beat {worker}"),
-        FleetFrame::Adopt { addr, fingerprint } => format!(
-            "@adopt {} {}",
-            escape_field(addr),
-            escape_field(fingerprint)
-        ),
-        FleetFrame::Standby { addr } => format!("@standby {}", escape_field(addr)),
+        FleetFrame::Adopt { addr, fingerprint } => {
+            format!("@adopt {} {}", escape(addr), escape(fingerprint))
+        }
+        FleetFrame::Standby { addr } => format!("@standby {}", escape(addr)),
     }
 }
 
@@ -315,7 +269,7 @@ pub fn parse(line: &str) -> Option<FleetFrame> {
         };
         return Some(FleetFrame::Hello {
             worker,
-            token: parts.get(1).map(|t| unescape_field(t)),
+            token: parts.get(1).map(|t| unescape(t)),
         });
     }
     if let Some(rest) = line.strip_prefix("@welcome ") {
@@ -325,15 +279,15 @@ pub fn parse(line: &str) -> Option<FleetFrame> {
         }
         return Some(FleetFrame::Welcome {
             worker: parts[0].parse().ok()?,
-            fingerprint: unescape_field(parts[1]),
+            fingerprint: unescape(parts[1]),
             coord: parts[2].parse().ok()?,
             epoch: parts[3].parse().ok()?,
-            journal: parts.get(4).map(|j| unescape_field(j)),
+            journal: parts.get(4).map(|j| unescape(j)),
         });
     }
     if let Some(rest) = line.strip_prefix("@reject ") {
         return Some(FleetFrame::Reject {
-            reason: unescape_field(rest),
+            reason: unescape(rest),
         });
     }
     if let Some(rest) = line.strip_prefix("@next ") {
@@ -347,7 +301,7 @@ pub fn parse(line: &str) -> Option<FleetFrame> {
         return Some(FleetFrame::Lease {
             lease: parts[0].parse().ok()?,
             attempt: parts[1].parse().ok()?,
-            payload: unescape_field(parts[2]),
+            payload: unescape(parts[2]),
         });
     }
     if let Some(rest) = line.strip_prefix("@wait ") {
@@ -365,7 +319,7 @@ pub fn parse(line: &str) -> Option<FleetFrame> {
             worker: parts[0].parse().ok()?,
             lease: parts[1].parse().ok()?,
             coord: parts[2].parse().ok()?,
-            payload: unescape_field(parts[3]),
+            payload: unescape(parts[3]),
         });
     }
     if let Some(rest) = line.strip_prefix("@fail ") {
@@ -377,7 +331,7 @@ pub fn parse(line: &str) -> Option<FleetFrame> {
             worker: parts[0].parse().ok()?,
             lease: parts[1].parse().ok()?,
             coord: parts[2].parse().ok()?,
-            reason: unescape_field(parts[3]),
+            reason: unescape(parts[3]),
         });
     }
     if let Some(rest) = line.strip_prefix("@beat ") {
@@ -389,13 +343,13 @@ pub fn parse(line: &str) -> Option<FleetFrame> {
             return None;
         }
         return Some(FleetFrame::Adopt {
-            addr: unescape_field(parts[0]),
-            fingerprint: unescape_field(parts[1]),
+            addr: unescape(parts[0]),
+            fingerprint: unescape(parts[1]),
         });
     }
     if let Some(rest) = line.strip_prefix("@standby ") {
         return Some(FleetFrame::Standby {
-            addr: unescape_field(rest),
+            addr: unescape(rest),
         });
     }
     None
@@ -585,7 +539,7 @@ mod tests {
         let line = render(&frame);
         assert_eq!(line, "@welcome 3 finger\\sprint 9 1 results/run.journal");
         assert_eq!(parse(&line), Some(frame));
-        assert_eq!(unescape_field(&escape_field("\\s \\n\r\n")), "\\s \\n\r\n");
+        assert_eq!(unescape(&escape("\\s \\n\r\n")), "\\s \\n\r\n");
     }
 
     #[test]

@@ -36,19 +36,17 @@
 //! taxonomy survives.
 //!
 //! The wire protocol ([`chopin_fleet::protocol`]) uses the same
-//! `@field:value` line framing as the sandbox heartbeat pipe, over a
-//! loopback TCP socket so external workers can attach with
+//! `@name field …` line framing and the same line escape as the sandbox
+//! heartbeat pipe; payloads are the cell-record codec's requests and
+//! responses (`codec.rs`). It runs over a TCP socket
+//! (loopback by default) so external workers can attach with
 //! `--fleet-connect ADDR` (satisfying rule R1202's appetite for more
 //! workers without more local spawns).
 
 use crate::cli::Args;
-use crate::journal::{
-    render_reason, worker_journal_path, CellKey, CellProvenance, Journal, JournalEntry,
-};
-use crate::sandbox::{
-    parse_request, parse_response, render_request, render_response, status_signal, CellRequest,
-    CrashReport,
-};
+use crate::codec;
+use crate::journal::{worker_journal_path, CellKey, CellProvenance, Journal, JournalEntry};
+use crate::sandbox::{status_signal, CellRequest, CrashReport};
 use crate::supervisor::{
     absorb_recovered, cell_seed, open_journal, settle, Cell, CellOutcome, CellTable, Drained,
     QuarantineReason, SuperviseError,
@@ -1110,9 +1108,7 @@ fn handle_frame(
                 Grant::Lease(grant) => {
                     let (_, cell) = &st.cells[grant.cell];
                     let request = CellRequest {
-                        benchmark: cell.benchmark.clone(),
-                        collector: cell.collector,
-                        heap_factor: cell.heap_factor,
+                        cell: cell.clone(),
                         invocations: sweep.invocations,
                         iterations: sweep.iterations,
                         size: sweep.size,
@@ -1122,7 +1118,7 @@ fn handle_frame(
                     let lease = FleetFrame::Lease {
                         lease: grant.lease,
                         attempt: grant.attempt,
-                        payload: render_request(&request),
+                        payload: codec::encode(&request),
                     };
                     st.send(conn, &lease, now);
                 }
@@ -1145,11 +1141,11 @@ fn handle_frame(
             }
             // An unreadable payload is a cell failure, exactly as the
             // process backend treats one.
-            let outcome = match parse_response(&payload) {
+            let outcome = match codec::decode(&payload) {
                 Ok(outcome) => outcome,
                 Err(e) => {
                     let reason = QuarantineReason::Errored(format!("worker payload: {e}"));
-                    st.table.fail(lease, &render_reason(&reason), now);
+                    st.table.fail(lease, &codec::encode(&reason), now);
                     return Ok(());
                 }
             };
@@ -1557,9 +1553,10 @@ fn spawn_heartbeat(writer: Arc<Mutex<TcpStream>>, me: u64) {
 /// Run one lease: decode the request and run the cell on the
 /// in-process runner, classifying any failure into the crash taxonomy.
 fn execute_lease(payload: &str) -> Result<(CellKey, CellOutcome), QuarantineReason> {
-    let request = parse_request(payload).map_err(QuarantineReason::Errored)?;
+    let request: CellRequest = codec::decode(payload)
+        .map_err(|e| QuarantineReason::Errored(format!("unreadable cell request: {e}")))?;
     let outcome = settle(catch_unwind(AssertUnwindSafe(|| request.run())))?;
-    Ok((request.cell().key(), outcome))
+    Ok((request.cell.key(), outcome))
 }
 
 /// One event from the worker's manual line reader.
@@ -1842,7 +1839,7 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                         }
                         let reply = match execute_lease(&payload) {
                             Ok((key, outcome)) => {
-                                let payload = render_response(&outcome);
+                                let payload = codec::encode(&outcome);
                                 if let Some(j) = s.journal.as_mut() {
                                     let _ = j.record(JournalEntry {
                                         key,
@@ -1864,7 +1861,7 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                                 worker: me,
                                 lease,
                                 coord,
-                                reason: render_reason(&reason),
+                                reason: codec::encode(&reason),
                             },
                         };
                         let sent = send_frame(&writer, &reply);

@@ -10,10 +10,10 @@
 //! match, because replaying cells from a different configuration would
 //! silently mix incompatible results.
 //!
-//! Serialisation is hand-rolled (the vendored `serde` is a marker stub)
-//! and parsing reuses [`chopin_obs::json`]. Floats are written with
-//! `{:?}`, whose shortest-round-trip output restores the exact bits on
-//! parse — the property the byte-identical resume guarantee rests on.
+//! Every line is rendered and parsed by the one cell-record codec
+//! (`codec.rs`), which writes floats with `{:?}` so a parse restores
+//! their exact bits — the property the byte-identical resume guarantee
+//! rests on.
 //!
 //! Besides completed cells, the journal also records quarantine verdicts
 //! ([`QuarantineRecord`]) so a post-mortem can read *why* a cell never
@@ -22,20 +22,13 @@
 //! satisfy a resume lookup: a resumed run re-attempts those cells and
 //! re-records its own verdicts.
 
+use crate::codec::{self, JournalHeader, Record};
 use crate::supervisor::{CellOutcome, QuarantineReason};
-use chopin_core::lbo::RunSample;
-use chopin_obs::json::{self, json_string, JsonValue};
+use chopin_obs::json;
 use chopin_runtime::collector::CollectorKind;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
-
-/// The header tag identifying a chopin sweep journal.
-const JOURNAL_TAG: &str = "chopin-sweep";
-
-/// The journal format version.
-const JOURNAL_VERSION: f64 = 1.0;
 
 /// Identity of one sweep cell: benchmark × collector × heap factor.
 #[derive(Debug, Clone)]
@@ -179,8 +172,8 @@ impl Journal {
             line: 1,
             message: "empty file".to_string(),
         })?;
-        let fingerprint =
-            parse_header(&header?).map_err(|message| JournalError::Parse { line: 1, message })?;
+        let JournalHeader { fingerprint } =
+            codec::decode(&header?).map_err(|message| JournalError::Parse { line: 1, message })?;
         let mut entries = Vec::new();
         let mut quarantines = Vec::new();
         for (i, line) in lines {
@@ -188,18 +181,15 @@ impl Journal {
             if line.trim().is_empty() {
                 continue;
             }
-            let obj = json::parse(&line).map_err(|e| JournalError::Parse {
-                line: i + 1,
-                message: e.to_string(),
-            })?;
             let parse_err = |message| JournalError::Parse {
                 line: i + 1,
                 message,
             };
-            if obj.get("quarantined").is_some() {
-                quarantines.push(parse_quarantine(&obj).map_err(parse_err)?);
+            let value = json::parse(&line).map_err(|e| parse_err(e.to_string()))?;
+            if value.get("quarantined").is_some() {
+                quarantines.push(QuarantineRecord::read(&value).map_err(parse_err)?);
             } else {
-                entries.push(parse_entry(&obj).map_err(parse_err)?);
+                entries.push(JournalEntry::read(&value).map_err(parse_err)?);
             }
         }
         Ok(Journal {
@@ -279,18 +269,17 @@ impl Journal {
     /// replaced atomically.
     fn persist(&self) -> Result<(), JournalError> {
         let mut text = String::new();
-        let _ = writeln!(
-            text,
-            "{{\"journal\":{},\"version\":{JOURNAL_VERSION:?},\"fingerprint\":\"{:016x}\"}}",
-            json_string(JOURNAL_TAG),
-            self.fingerprint
-        );
+        let header = JournalHeader {
+            fingerprint: self.fingerprint,
+        };
+        header.write(&mut text);
+        text.push('\n');
         for entry in &self.entries {
-            text.push_str(&render_entry(entry));
+            entry.write(&mut text);
             text.push('\n');
         }
         for record in &self.quarantines {
-            text.push_str(&render_quarantine(record));
+            record.write(&mut text);
             text.push('\n');
         }
         // The tmp name appends to the full file name (rather than
@@ -350,216 +339,10 @@ pub(crate) fn sibling_worker_journals(base: &Path) -> Vec<PathBuf> {
     found.into_iter().map(|(_, path)| path).collect()
 }
 
-pub(crate) fn render_sample(s: &RunSample) -> String {
-    format!(
-        "{{\"collector\":{},\"heap_factor\":{:?},\"wall_s\":{:?},\"task_s\":{:?},\
-         \"wall_distillable_s\":{:?},\"task_distillable_s\":{:?}}}",
-        json_string(&s.collector.to_string()),
-        s.heap_factor,
-        s.wall_s,
-        s.task_s,
-        s.wall_distillable_s,
-        s.task_distillable_s,
-    )
-}
-
-/// Encode a quarantine reason as a JSON object — the one failure-reason
-/// codec, shared by journal records, [`chopin_fleet::LeaseTable::fail`]
-/// and the fleet `Fail` frame, so the whole crash taxonomy survives every
-/// isolation mode.
-pub(crate) fn render_reason(reason: &QuarantineReason) -> String {
-    match reason {
-        QuarantineReason::Panicked(message) => {
-            format!(
-                "{{\"kind\":\"panicked\",\"message\":{}}}",
-                json_string(message)
-            )
-        }
-        QuarantineReason::DeadlineExceeded { budget_ms } => {
-            format!("{{\"kind\":\"deadline_exceeded\",\"budget_ms\":{budget_ms}}}")
-        }
-        QuarantineReason::Errored(message) => {
-            format!(
-                "{{\"kind\":\"errored\",\"message\":{}}}",
-                json_string(message)
-            )
-        }
-        QuarantineReason::Signalled { signal } => {
-            format!("{{\"kind\":\"signalled\",\"signal\":{signal}}}")
-        }
-        QuarantineReason::OomKilled => "{\"kind\":\"oom_killed\"}".to_string(),
-        QuarantineReason::HeartbeatLost { silent_ms } => {
-            format!("{{\"kind\":\"heartbeat_lost\",\"silent_ms\":{silent_ms}}}")
-        }
-    }
-}
-
-fn render_quarantine(record: &QuarantineRecord) -> String {
-    format!(
-        "{{\"quarantined\":{{\"benchmark\":{},\"collector\":{},\"heap_factor\":{:?}}},\
-         \"attempts\":{},\"reason\":{}}}",
-        json_string(&record.key.benchmark),
-        json_string(&record.key.collector.to_string()),
-        record.key.heap_factor,
-        record.attempts,
-        render_reason(&record.reason),
-    )
-}
-
-fn render_entry(entry: &JournalEntry) -> String {
-    let samples: Vec<String> = entry.record.samples.iter().map(render_sample).collect();
-    let infeasible = match &entry.record.infeasible {
-        Some(reason) => json_string(reason),
-        None => "null".to_string(),
-    };
-    // The worker id is a u64 and crosses as a decimal string, same
-    // discipline as the sandbox marshalling; provenance is rendered only
-    // when present so sequential journals keep their exact bytes.
-    let provenance = match &entry.provenance {
-        None => String::new(),
-        Some(p) => format!(",\"attempt\":{},\"worker\":\"{}\"", p.attempt, p.worker),
-    };
-    format!(
-        "{{\"benchmark\":{},\"collector\":{},\"heap_factor\":{:?},\"samples\":[{}],\"infeasible\":{}{}}}",
-        json_string(&entry.key.benchmark),
-        json_string(&entry.key.collector.to_string()),
-        entry.key.heap_factor,
-        samples.join(","),
-        infeasible,
-        provenance,
-    )
-}
-
-fn str_field(obj: &JsonValue, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn num_field(obj: &JsonValue, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_num)
-        .ok_or_else(|| format!("missing number field `{key}`"))
-}
-
-fn collector_field(obj: &JsonValue, key: &str) -> Result<CollectorKind, String> {
-    str_field(obj, key)?
-        .parse::<CollectorKind>()
-        .map_err(|e| e.to_string())
-}
-
-fn parse_header(line: &str) -> Result<u64, String> {
-    let obj = json::parse(line).map_err(|e| e.to_string())?;
-    let tag = str_field(&obj, "journal")?;
-    if tag != JOURNAL_TAG {
-        return Err(format!("not a sweep journal (tag `{tag}`)"));
-    }
-    let version = num_field(&obj, "version")?;
-    if version != JOURNAL_VERSION {
-        return Err(format!("unsupported journal version {version}"));
-    }
-    let hex = str_field(&obj, "fingerprint")?;
-    u64::from_str_radix(&hex, 16).map_err(|e| format!("bad fingerprint `{hex}`: {e}"))
-}
-
-pub(crate) fn parse_sample(value: &JsonValue) -> Result<RunSample, String> {
-    Ok(RunSample {
-        collector: collector_field(value, "collector")?,
-        heap_factor: num_field(value, "heap_factor")?,
-        wall_s: num_field(value, "wall_s")?,
-        task_s: num_field(value, "task_s")?,
-        wall_distillable_s: num_field(value, "wall_distillable_s")?,
-        task_distillable_s: num_field(value, "task_distillable_s")?,
-    })
-}
-
-/// Decode a [`render_reason`] encoding. Text that does not decode is kept
-/// whole as a [`QuarantineReason::Errored`] message.
-pub(crate) fn decode_reason(text: &str) -> QuarantineReason {
-    json::parse(text)
-        .map_err(|e| e.to_string())
-        .and_then(|value| parse_reason(&value))
-        .unwrap_or_else(|_| QuarantineReason::Errored(text.to_string()))
-}
-
-fn parse_reason(value: &JsonValue) -> Result<QuarantineReason, String> {
-    let kind = str_field(value, "kind")?;
-    match kind.as_str() {
-        "panicked" => Ok(QuarantineReason::Panicked(str_field(value, "message")?)),
-        "deadline_exceeded" => Ok(QuarantineReason::DeadlineExceeded {
-            budget_ms: num_field(value, "budget_ms")? as u64,
-        }),
-        "errored" => Ok(QuarantineReason::Errored(str_field(value, "message")?)),
-        "signalled" => Ok(QuarantineReason::Signalled {
-            signal: num_field(value, "signal")? as i32,
-        }),
-        "oom_killed" => Ok(QuarantineReason::OomKilled),
-        "heartbeat_lost" => Ok(QuarantineReason::HeartbeatLost {
-            silent_ms: num_field(value, "silent_ms")? as u64,
-        }),
-        other => Err(format!("unknown quarantine reason kind `{other}`")),
-    }
-}
-
-fn parse_quarantine(obj: &JsonValue) -> Result<QuarantineRecord, String> {
-    let cell = obj
-        .get("quarantined")
-        .ok_or("missing field `quarantined`")?;
-    let reason = obj.get("reason").ok_or("missing field `reason`")?;
-    Ok(QuarantineRecord {
-        key: CellKey {
-            benchmark: str_field(cell, "benchmark")?,
-            collector: collector_field(cell, "collector")?,
-            heap_factor: num_field(cell, "heap_factor")?,
-        },
-        attempts: num_field(obj, "attempts")? as u32,
-        reason: parse_reason(reason)?,
-    })
-}
-
-fn parse_entry(obj: &JsonValue) -> Result<JournalEntry, String> {
-    let key = CellKey {
-        benchmark: str_field(obj, "benchmark")?,
-        collector: collector_field(obj, "collector")?,
-        heap_factor: num_field(obj, "heap_factor")?,
-    };
-    let samples = obj
-        .get("samples")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing array field `samples`")?
-        .iter()
-        .map(parse_sample)
-        .collect::<Result<Vec<_>, _>>()?;
-    let infeasible = match obj.get("infeasible") {
-        None | Some(JsonValue::Null) => None,
-        Some(JsonValue::Str(s)) => Some(s.clone()),
-        Some(_) => return Err("field `infeasible` must be a string or null".to_string()),
-    };
-    let provenance = match (obj.get("attempt"), obj.get("worker")) {
-        (Some(attempt), Some(worker)) => Some(CellProvenance {
-            attempt: attempt.as_num().ok_or("field `attempt` must be a number")? as u32,
-            worker: worker
-                .as_str()
-                .ok_or("field `worker` must be a string")?
-                .parse()
-                .map_err(|e| format!("field `worker` is not a u64: {e}"))?,
-        }),
-        _ => None,
-    };
-    Ok(JournalEntry {
-        key,
-        record: CellRecord {
-            samples,
-            infeasible,
-        },
-        provenance,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chopin_core::lbo::RunSample;
 
     fn sample(wall: f64) -> RunSample {
         RunSample {
@@ -592,7 +375,7 @@ mod tests {
         // Sequential entries render no provenance fields at all, so a
         // fleet-aware harness and an old one produce identical journals
         // for sequential runs.
-        let plain = render_entry(&entry("fop", 2.0));
+        let plain = codec::encode(&entry("fop", 2.0));
         assert!(!plain.contains("attempt") && !plain.contains("worker"));
 
         let mut fleet_entry = entry("fop", 2.0);
@@ -600,8 +383,8 @@ mod tests {
             attempt: 2,
             worker: 9_007_199_254_740_993, // above 2^53: must survive as a string
         });
-        let line = render_entry(&fleet_entry);
-        let parsed = parse_entry(&json::parse(&line).unwrap()).unwrap();
+        let line = codec::encode(&fleet_entry);
+        let parsed: JournalEntry = codec::decode(&line).unwrap();
         assert_eq!(parsed.provenance, fleet_entry.provenance);
         assert!(parsed.key.matches(&fleet_entry.key));
     }
@@ -749,10 +532,10 @@ mod tests {
         // The same encoding is the reason currency of the lease table and
         // the fleet `Fail` frame; text that is not an encoding stays whole.
         for reason in &reasons {
-            assert_eq!(&decode_reason(&render_reason(reason)), reason);
+            assert_eq!(&codec::decode_reason(&codec::encode(reason)), reason);
         }
         assert_eq!(
-            decode_reason("mystery"),
+            codec::decode_reason("mystery"),
             QuarantineReason::Errored("mystery".to_string())
         );
     }

@@ -32,6 +32,9 @@
 //!   injection (`--hard-faults kill|abort|oom`) and crash-report JSONL.
 //! * [`journal`] — the supervisor's crash-safe completed-cell journal
 //!   backing `--resume`, plus quarantine verdict records.
+//! * `codec` — the one cell-record codec: requests, responses,
+//!   quarantine reasons, journal lines and crash reports, as they cross
+//!   the sandbox pipe, the fleet wire and the journal.
 //! * [`model`] — the `artifact model` driver: the [`chopin_model`]
 //!   bounded exhaustive checker over the fleet lease protocol (rules
 //!   R1301–R1305), with minimal counterexample traces and the seeded
@@ -50,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+mod codec;
 pub mod experiments;
 pub mod fleet;
 pub mod journal;

@@ -18,7 +18,6 @@ use crate::obs::SpanSink;
 use chopin_core::sweep::{run_sweep, SweepConfig, SweepResult};
 use chopin_core::BenchmarkError;
 use chopin_workloads::WorkloadProfile;
-use crossbeam::thread;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -108,9 +107,9 @@ pub fn run_suite_sweeps_spanned(
     let slots: Mutex<Vec<Option<Result<SweepResult, BenchmarkError>>>> =
         Mutex::new((0..profiles.len()).map(|_| None).collect());
 
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= profiles.len() {
                     break;
@@ -120,8 +119,7 @@ pub fn run_suite_sweeps_spanned(
                 slots.lock()[i] = Some(outcome);
             });
         }
-    })
-    .expect("sweep workers do not panic");
+    });
 
     let mut outcome = SuiteSweepOutcome::default();
     for (profile, slot) in profiles.iter().zip(slots.into_inner()) {

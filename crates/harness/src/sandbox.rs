@@ -25,25 +25,22 @@
 //!   current invocation under thread isolation inside a monitored child
 //!   and classify a hard death instead of inheriting it.
 //!
-//! Marshalling is hand-rolled JSON over [`chopin_obs::json`], floats
-//! rendered with `{:?}` for exact bit round-trips and `u64` fields as
-//! decimal strings (a JSON number is an `f64`, which cannot carry a full
-//! 64-bit seed) — so a process-isolated clean run reproduces the
+//! Requests, responses and crash reports are rendered and parsed by the
+//! one cell-record codec (`codec.rs`), whose exact float and `u64`
+//! round trips let a process-isolated clean run reproduce the
 //! thread-mode results CSV byte for byte.
 
 use crate::cli::Args;
-use crate::journal;
+use crate::codec::{self, Record};
 use crate::supervisor::{
     Cell, CellFailure, CellOutcome, CellRunner, QuarantineReason, SweepCellRunner,
 };
 use chopin_analyzer::analyses::cost::SIM_RATE_CEILING;
 use chopin_core::iteration::warmup_scale;
 use chopin_core::sweep::SweepConfig;
-use chopin_faults::{parse_hard_flag, FaultKind, FaultPlan, HardFaultKind, HardFaultPlan};
-use chopin_obs::json::{self, json_string, JsonValue};
+use chopin_faults::{parse_hard_flag, FaultPlan, HardFaultKind, HardFaultPlan};
 use chopin_obs::metrics::sandbox_metrics;
 use chopin_obs::MetricsRegistry;
-use chopin_runtime::collector::CollectorKind;
 use chopin_sandbox::parent::RequestLimits;
 use chopin_sandbox::policy::{derived_rlimit_cpu_s, required_rlimit_as};
 use chopin_sandbox::{ChildOutcome, ChildReport, SandboxPolicy, SandboxPool};
@@ -165,9 +162,7 @@ pub fn worker_entry() {
 /// sandboxed children.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CellRequest {
-    pub(crate) benchmark: String,
-    pub(crate) collector: CollectorKind,
-    pub(crate) heap_factor: f64,
+    pub(crate) cell: Cell,
     pub(crate) invocations: u32,
     pub(crate) iterations: u32,
     pub(crate) size: SizeClass,
@@ -176,37 +171,29 @@ pub(crate) struct CellRequest {
 }
 
 impl CellRequest {
-    /// The requested cell.
-    pub(crate) fn cell(&self) -> Cell {
-        Cell {
-            benchmark: self.benchmark.clone(),
-            collector: self.collector,
-            heap_factor: self.heap_factor,
-        }
-    }
-
     /// Run the requested cell on the thread backend's runner, so every
     /// executor produces the samples an in-process cell would.
     pub(crate) fn run(&self) -> Result<CellOutcome, CellFailure> {
-        let profile = chopin_workloads::suite::by_name(&self.benchmark)
-            .ok_or_else(|| format!("unknown benchmark `{}`", self.benchmark))?;
+        let profile = chopin_workloads::suite::by_name(&self.cell.benchmark)
+            .ok_or_else(|| format!("unknown benchmark `{}`", self.cell.benchmark))?;
         let runner = self
             .faults
             .clone()
             .map_or_else(SweepCellRunner::new, SweepCellRunner::with_faults);
         let config = SweepConfig {
-            collectors: vec![self.collector],
-            heap_factors: vec![self.heap_factor],
+            collectors: vec![self.cell.collector],
+            heap_factors: vec![self.cell.heap_factor],
             invocations: self.invocations,
             iterations: self.iterations,
             size: self.size,
         };
-        runner.run_cell(&profile, &self.cell(), &config)
+        runner.run_cell(&profile, &self.cell, &config)
     }
 }
 
 fn handle_request(request: &str) -> Result<String, String> {
-    let req = parse_request(request)?;
+    let req: CellRequest =
+        codec::decode(request).map_err(|e| format!("unreadable cell request: {e}"))?;
     if let Some((kind, delay_ms)) = req.hard {
         schedule_death(kind, delay_ms);
     }
@@ -222,7 +209,7 @@ fn handle_request(request: &str) -> Result<String, String> {
             std::thread::sleep(Duration::from_millis(10));
         }
     }
-    Ok(render_response(&outcome))
+    Ok(codec::encode(&outcome))
 }
 
 /// Inject the scheduled death: after `delay_ms` the process dies the way
@@ -254,172 +241,6 @@ fn schedule_death(kind: HardFaultKind, delay_ms: u64) {
 }
 
 // ---------------------------------------------------------------------
-// Request/response marshalling.
-// ---------------------------------------------------------------------
-
-fn size_label(size: SizeClass) -> &'static str {
-    match size {
-        SizeClass::Small => "small",
-        SizeClass::Default => "default",
-        SizeClass::Large => "large",
-        SizeClass::VLarge => "vlarge",
-    }
-}
-
-fn parse_size(label: &str) -> Option<SizeClass> {
-    match label {
-        "small" => Some(SizeClass::Small),
-        "default" => Some(SizeClass::Default),
-        "large" => Some(SizeClass::Large),
-        "vlarge" => Some(SizeClass::VLarge),
-        _ => None,
-    }
-}
-
-fn render_faults(plan: &FaultPlan) -> String {
-    let windows: Vec<String> = plan
-        .windows
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"start_ns\":\"{}\",\"end_ns\":\"{}\",\"kind\":{},\"magnitude\":{:?}}}",
-                w.start_ns,
-                w.end_ns,
-                json_string(w.kind.label()),
-                w.kind.magnitude(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"seed\":\"{}\",\"windows\":[{}]}}",
-        plan.seed,
-        windows.join(",")
-    )
-}
-
-pub(crate) fn render_request(req: &CellRequest) -> String {
-    let faults = match &req.faults {
-        None => "null".to_string(),
-        Some(plan) => render_faults(plan),
-    };
-    let hard = match &req.hard {
-        None => "null".to_string(),
-        Some((kind, delay_ms)) => format!(
-            "{{\"kind\":{},\"delay_ms\":\"{delay_ms}\"}}",
-            json_string(kind.label())
-        ),
-    };
-    format!(
-        "{{\"benchmark\":{},\"collector\":{},\"heap_factor\":{:?},\"invocations\":{},\
-         \"iterations\":{},\"size\":{},\"faults\":{faults},\"hard\":{hard}}}",
-        json_string(&req.benchmark),
-        json_string(&req.collector.to_string()),
-        req.heap_factor,
-        req.invocations,
-        req.iterations,
-        json_string(size_label(req.size)),
-    )
-}
-
-fn str_field(obj: &JsonValue, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn num_field(obj: &JsonValue, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_num)
-        .ok_or_else(|| format!("missing number field `{key}`"))
-}
-
-/// 64-bit integers cross the boundary as decimal strings: a JSON number
-/// is an `f64` and silently mangles anything above 2^53 (seeds, horizon
-/// nanoseconds).
-fn u64_field(obj: &JsonValue, key: &str) -> Result<u64, String> {
-    str_field(obj, key)?
-        .parse()
-        .map_err(|e| format!("field `{key}` is not a u64: {e}"))
-}
-
-pub(crate) fn parse_request(text: &str) -> Result<CellRequest, String> {
-    let obj = json::parse(text).map_err(|e| format!("unreadable cell request: {e}"))?;
-    let faults = match obj.get("faults") {
-        None | Some(JsonValue::Null) => None,
-        Some(value) => {
-            let seed = u64_field(value, "seed")?;
-            let windows = value
-                .get("windows")
-                .and_then(JsonValue::as_arr)
-                .ok_or("missing array field `windows`")?;
-            let mut plan = FaultPlan::new(seed);
-            for w in windows {
-                let label = str_field(w, "kind")?;
-                let kind = FaultKind::from_parts(&label, num_field(w, "magnitude")?)
-                    .ok_or_else(|| format!("unknown fault kind `{label}`"))?;
-                plan = plan.with_window(u64_field(w, "start_ns")?, u64_field(w, "end_ns")?, kind);
-            }
-            Some(plan)
-        }
-    };
-    let hard = match obj.get("hard") {
-        None | Some(JsonValue::Null) => None,
-        Some(value) => {
-            let label = str_field(value, "kind")?;
-            let kind = HardFaultKind::from_label(&label)
-                .ok_or_else(|| format!("unknown hard-fault kind `{label}`"))?;
-            Some((kind, u64_field(value, "delay_ms")?))
-        }
-    };
-    let size_label = str_field(&obj, "size")?;
-    Ok(CellRequest {
-        benchmark: str_field(&obj, "benchmark")?,
-        collector: str_field(&obj, "collector")?
-            .parse()
-            .map_err(|e: chopin_runtime::collector::ParseCollectorError| e.to_string())?,
-        heap_factor: num_field(&obj, "heap_factor")?,
-        invocations: num_field(&obj, "invocations")? as u32,
-        iterations: num_field(&obj, "iterations")? as u32,
-        size: parse_size(&size_label).ok_or_else(|| format!("unknown size `{size_label}`"))?,
-        faults,
-        hard,
-    })
-}
-
-pub(crate) fn render_response(outcome: &CellOutcome) -> String {
-    let samples: Vec<String> = outcome.samples.iter().map(journal::render_sample).collect();
-    let infeasible = match &outcome.infeasible {
-        Some(reason) => json_string(reason),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"samples\":[{}],\"infeasible\":{infeasible}}}",
-        samples.join(",")
-    )
-}
-
-pub(crate) fn parse_response(text: &str) -> Result<CellOutcome, String> {
-    let obj = json::parse(text).map_err(|e| format!("unreadable cell response: {e}"))?;
-    let samples = obj
-        .get("samples")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing array field `samples`")?
-        .iter()
-        .map(journal::parse_sample)
-        .collect::<Result<Vec<_>, _>>()?;
-    let infeasible = match obj.get("infeasible") {
-        None | Some(JsonValue::Null) => None,
-        Some(JsonValue::Str(s)) => Some(s.clone()),
-        Some(_) => return Err("field `infeasible` must be a string or null".to_string()),
-    };
-    Ok(CellOutcome {
-        samples,
-        infeasible,
-    })
-}
-
-// ---------------------------------------------------------------------
 // The parent side: the process-isolation CellRunner.
 // ---------------------------------------------------------------------
 
@@ -447,30 +268,6 @@ pub struct CrashReport {
     pub wall_ms: u64,
 }
 
-fn opt_u64(value: Option<u64>) -> String {
-    value.map_or("null".to_string(), |v| v.to_string())
-}
-
-impl CrashReport {
-    /// Render the report as one JSON line.
-    pub fn render_jsonl(&self) -> String {
-        format!(
-            "{{\"benchmark\":{},\"collector\":{},\"heap_factor\":{:?},\"outcome\":{},\
-             \"exit_code\":{},\"signal\":{},\"last_heartbeat_ms\":{},\"peak_rss_bytes\":{},\
-             \"wall_ms\":{}}}",
-            json_string(&self.benchmark),
-            json_string(&self.collector),
-            self.heap_factor,
-            json_string(&self.outcome),
-            self.exit_code.map_or("null".to_string(), |c| c.to_string()),
-            self.signal.map_or("null".to_string(), |s| s.to_string()),
-            opt_u64(self.last_heartbeat_ms),
-            opt_u64(self.peak_rss_bytes),
-            self.wall_ms,
-        )
-    }
-}
-
 /// Write crash reports as JSONL (one report per line, empty file for a
 /// clean run).
 ///
@@ -480,7 +277,7 @@ impl CrashReport {
 pub fn write_crash_reports(path: &Path, reports: &[CrashReport]) -> std::io::Result<()> {
     let mut text = String::new();
     for report in reports {
-        text.push_str(&report.render_jsonl());
+        report.write(&mut text);
         text.push('\n');
     }
     std::fs::write(path, text)
@@ -653,10 +450,8 @@ impl CellRunner for ProcessCellRunner {
                 cell.heap_factor,
             )
         });
-        let request = render_request(&CellRequest {
-            benchmark: cell.benchmark.clone(),
-            collector: cell.collector,
-            heap_factor: cell.heap_factor,
+        let request = codec::encode(&CellRequest {
+            cell: cell.clone(),
             invocations: config.invocations,
             iterations: config.iterations,
             size: config.size,
@@ -669,7 +464,7 @@ impl CellRunner for ProcessCellRunner {
         let report = pool.run(&request, limits);
         self.absorb(cell, &report);
         match report.outcome {
-            ChildOutcome::Completed(payload) => parse_response(&payload)
+            ChildOutcome::Completed(payload) => codec::decode(&payload)
                 .map_err(|e| CellFailure::Transient(format!("worker payload: {e}"))),
             ChildOutcome::Failed(message) => Err(CellFailure::Transient(message)),
             ChildOutcome::SpawnFailed(message) => Err(CellFailure::Transient(message)),
@@ -782,13 +577,17 @@ pub(crate) fn status_signal(_status: &std::process::ExitStatus) -> Option<i32> {
 mod tests {
     use super::*;
     use chopin_core::lbo::RunSample;
-    use chopin_faults::DEFAULT_HARD_SEED;
+    use chopin_faults::{FaultKind, DEFAULT_HARD_SEED};
+    use chopin_obs::json::{self, JsonValue};
+    use chopin_runtime::collector::CollectorKind;
 
     fn request() -> CellRequest {
         CellRequest {
-            benchmark: "fop".to_string(),
-            collector: CollectorKind::Shenandoah,
-            heap_factor: 2.5,
+            cell: Cell {
+                benchmark: "fop".to_string(),
+                collector: CollectorKind::Shenandoah,
+                heap_factor: 2.5,
+            },
             invocations: 3,
             iterations: 2,
             size: SizeClass::Default,
@@ -804,14 +603,20 @@ mod tests {
     #[test]
     fn cell_requests_round_trip_bit_exactly() {
         let req = request();
-        assert_eq!(parse_request(&render_request(&req)).unwrap(), req);
+        assert_eq!(
+            codec::decode::<CellRequest>(&codec::encode(&req)).unwrap(),
+            req
+        );
 
         let bare = CellRequest {
             faults: None,
             hard: None,
             ..request()
         };
-        assert_eq!(parse_request(&render_request(&bare)).unwrap(), bare);
+        assert_eq!(
+            codec::decode::<CellRequest>(&codec::encode(&bare)).unwrap(),
+            bare
+        );
     }
 
     #[test]
@@ -827,7 +632,7 @@ mod tests {
             }],
             infeasible: Some("out of memory \"quoted\"\n".to_string()),
         };
-        let parsed = parse_response(&render_response(&outcome)).unwrap();
+        let parsed: CellOutcome = codec::decode(&codec::encode(&outcome)).unwrap();
         assert_eq!(parsed.infeasible, outcome.infeasible);
         assert_eq!(
             parsed.samples[0].wall_s.to_bits(),
@@ -983,7 +788,7 @@ mod tests {
             peak_rss_bytes: None,
             wall_ms: 40,
         };
-        let line = report.render_jsonl();
+        let line = codec::encode(&report);
         let obj = json::parse(&line).expect("valid JSON");
         assert_eq!(
             obj.get("outcome").and_then(JsonValue::as_str),

@@ -37,11 +37,12 @@
 //! blown one as a cell failure, so they never expire or steal a lease: a
 //! thread simply stops once no cell is pending.
 
+use crate::codec::{self, decode_reason};
 use crate::journal::{
-    decode_reason, render_reason, sibling_worker_journals, CellKey, CellProvenance, Journal,
-    JournalEntry, JournalError, QuarantineRecord,
+    sibling_worker_journals, CellKey, CellProvenance, Journal, JournalEntry, JournalError,
+    QuarantineRecord,
 };
-use crate::sandbox::{render_response, write_crash_reports, CrashReport, ProcessCellRunner};
+use crate::sandbox::{write_crash_reports, CrashReport, ProcessCellRunner};
 use chopin_core::benchmark::{BenchmarkError, BenchmarkRunner};
 use chopin_core::lbo::RunSample;
 use chopin_core::sweep::{SweepConfig, SweepFailure, SweepResult};
@@ -67,7 +68,7 @@ use std::time::Duration;
 
 /// One unit of supervised work: a benchmark × collector × heap-factor
 /// cell, covering all of the cell's invocations.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Benchmark name.
     pub benchmark: String,
@@ -116,7 +117,7 @@ pub struct CellOutcome {
 
 impl Ord for CellOutcome {
     fn cmp(&self, other: &Self) -> Ordering {
-        render_response(self).cmp(&render_response(other))
+        codec::encode(self).cmp(&codec::encode(other))
     }
 }
 
@@ -947,7 +948,7 @@ impl SuiteSupervisor {
                 }
                 Err(reason) => {
                     let now = self.clock.now_ms();
-                    table.lock().fail(lease.lease, &render_reason(&reason), now);
+                    table.lock().fail(lease.lease, &codec::encode(&reason), now);
                 }
             }
         };
@@ -960,13 +961,12 @@ impl SuiteSupervisor {
         } else {
             0
         };
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let serve = &serve;
             for worker in 0..workers as u64 {
-                scope.spawn(move |_| serve(worker));
+                scope.spawn(move || serve(worker));
             }
-        })
-        .expect("supervisor workers do not panic");
+        });
         (table.into_inner(), journal.into_inner())
     }
 }
@@ -1374,6 +1374,48 @@ mod tests {
         );
     }
 
+    /// A shard line claiming attempt -1 must not win the merge: the
+    /// checked decoder rejects that shard, so the real attempt does.
+    #[test]
+    fn a_negative_attempt_shard_cannot_win_the_merge() {
+        let fingerprint = 0xfeed_0001;
+        let base_path = scratch("negattempt.journal");
+        let _ = std::fs::remove_file(&base_path);
+        for (worker, wall) in [(3u64, 0.5), (5, 0.25)] {
+            let mut shard =
+                Journal::create(&worker_journal_path(&base_path, worker), fingerprint).unwrap();
+            let prov = CellProvenance { attempt: 1, worker };
+            shard.record(entry("fop", wall, Some(prov))).unwrap();
+        }
+        let forged = worker_journal_path(&base_path, 5);
+        let text = std::fs::read_to_string(&forged).unwrap();
+        std::fs::write(&forged, text.replace("\"attempt\":1,", "\"attempt\":-1,")).unwrap();
+
+        let cells = vec![(0usize, cell("fop"))];
+        let seeds: Vec<u64> = cells.iter().map(|(_, c)| cell_seed(c)).collect();
+        let mut table = CellTable::new(seeds, SupervisorPolicy::default(), 1_000);
+        let mut journal = Some(Journal::create(&base_path, fingerprint).unwrap());
+        let absorbed = absorb_recovered(
+            &mut table,
+            &cells,
+            &mut journal,
+            Some(&base_path),
+            fingerprint,
+        );
+        assert_eq!(absorbed.recovered, 1);
+        match table.into_resolutions().pop().unwrap() {
+            CellResolution::Completed {
+                attempt,
+                worker,
+                payload,
+            } => {
+                assert_eq!((attempt, worker), (1, 3));
+                assert_eq!(payload.samples[0].wall_s, 0.5);
+            }
+            other => panic!("expected a completion, got {other:?}"),
+        }
+    }
+
     /// Equal `(attempt, worker)` candidates from *different* journals:
     /// the base journal already holds a winner persisted by an earlier
     /// resume while the worker's own shard (not yet truncated) carries
@@ -1419,9 +1461,9 @@ mod tests {
                 assert_eq!((attempt, worker), (1, 3));
                 // The winner is the byte-wise minimum of the two
                 // renderings — a pure function of the candidate set.
-                let rendered = |wall: f64| render_response(&entry("fop", wall, Some(prov)).record);
+                let rendered = |wall: f64| codec::encode(&entry("fop", wall, Some(prov)).record);
                 let expected = rendered(0.5).min(rendered(0.25));
-                assert_eq!(render_response(&payload), expected);
+                assert_eq!(codec::encode(&payload), expected);
             }
             other => panic!("expected a completion, got {other:?}"),
         }

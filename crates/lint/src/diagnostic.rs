@@ -193,8 +193,7 @@ impl LintReport {
 
     /// Render as machine-readable JSON.
     ///
-    /// Emitted by hand (the workspace's `serde` is an offline stub without
-    /// a serializer); the shape is
+    /// Emitted by hand; the shape is
     /// `{"errors": N, "warnings": N, "diagnostics": [{...}]}`.
     pub fn render_json(&self) -> String {
         let mut out = String::new();

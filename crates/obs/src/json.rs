@@ -1,11 +1,14 @@
 //! A minimal JSON reader and the Chrome-trace validator.
 //!
-//! The workspace's `serde` is an offline marker stub, so the exporters
-//! emit JSON by hand — and anything emitted by hand needs an independent
-//! reader to prove it well-formed. This module implements the small
-//! recursive-descent parser that the trace-validation tests, the `artifact
-//! trace --check` gate and CI all share. It parses the full JSON grammar
-//! (this crate's exports only exercise a simple subset).
+//! The workspace's exporters emit JSON by hand — and anything emitted by
+//! hand needs an independent reader to prove it well-formed. This module
+//! implements the small recursive-descent parser that the
+//! trace-validation tests, the `artifact trace --check` gate and CI all
+//! share, and the typed field readers (`str_field`, `int_field`, …)
+//! every decoder reads objects with: each checks the member's type,
+//! integers also for being integral and in range, and names the field in
+//! its error. It parses the full JSON grammar (this crate's exports only
+//! exercise a simple subset).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -59,7 +62,97 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// Object member `key`; the error names it when missing.
+    pub fn field(&self, key: &str) -> Result<&JsonValue, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    /// Object member `key`, or `None` when it is absent or `null`.
+    pub fn opt_field(&self, key: &str) -> Option<&JsonValue> {
+        self.get(key).filter(|v| !matches!(v, JsonValue::Null))
+    }
+
+    /// String member `key`.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| must(key, "a string"))
+    }
+
+    /// String member `key`, or `None` when it is absent or `null`.
+    pub fn opt_str_field(&self, key: &str) -> Result<Option<&str>, String> {
+        self.opt_field(key)
+            .map(|v| v.as_str().ok_or_else(|| must(key, "a string or null")))
+            .transpose()
+    }
+
+    /// Finite number member `key`. Numbers parse with
+    /// `str::parse::<f64>`, so a float written with `{:?}` (shortest
+    /// round-trip) reads back with its exact bits.
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        let n = self.field(key)?.as_num();
+        n.filter(|n| n.is_finite())
+            .ok_or_else(|| must(key, "a finite number"))
+    }
+
+    /// Integer member `key`, range-checked into `T`. A JSON number is an
+    /// `f64`, exact only up to 2^53 − 1 in magnitude, so larger ones are
+    /// rejected rather than rounded; wider values travel as decimal
+    /// strings ([`JsonValue::u64_str_field`]).
+    pub fn int_field<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
+        let n = self
+            .field(key)?
+            .as_num()
+            .ok_or_else(|| must(key, "an integer"))?;
+        if n.fract() != 0.0 || n.abs() > MAX_EXACT_INT {
+            return Err(format!("field `{key}` is not an integer in range: {n:?}"));
+        }
+        T::try_from(n as i64).map_err(|_| format!("field `{key}` is out of range: {n:?}"))
+    }
+
+    /// Integer member `key` ([`JsonValue::int_field`]), or `None` when it
+    /// is absent or `null`.
+    pub fn opt_int_field<T: TryFrom<i64>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.opt_field(key).map(|_| self.int_field(key)).transpose()
+    }
+
+    /// `u64` member `key`, carried as a decimal string: a JSON number
+    /// cannot hold every 64-bit value (seeds, worker ids, nanoseconds).
+    pub fn u64_str_field(&self, key: &str) -> Result<u64, String> {
+        let text = self.str_field(key)?;
+        Some(text)
+            .filter(|t| t.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| must(key, &format!("a decimal u64 string, not {text:?}")))
+    }
+
+    /// Enum member `key`: a string label resolved by `from_label`.
+    pub fn label_field<T>(
+        &self,
+        key: &str,
+        from_label: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        let label = self.str_field(key)?;
+        from_label(label).ok_or_else(|| format!("field `{key}` has unknown value `{label}`"))
+    }
+
+    /// Array member `key`.
+    pub fn arr_field(&self, key: &str) -> Result<&[JsonValue], String> {
+        self.field(key)?
+            .as_arr()
+            .ok_or_else(|| must(key, "an array"))
+    }
 }
+
+/// The error of a member of the wrong type or shape.
+fn must(key: &str, what: &str) -> String {
+    format!("field `{key}` must be {what}")
+}
+
+/// The largest magnitude up to which every integer is an exact `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_991.0;
 
 /// A parse failure, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +173,7 @@ impl std::error::Error for JsonError {}
 
 /// Escape a string as a JSON string literal, quotes included — the
 /// one escaping routine every hand-rolled exporter in the workspace
-/// shares (the vendored `serde` is a marker stub without a serializer).
+/// shares.
 ///
 /// # Examples
 ///
@@ -90,8 +183,15 @@ impl std::error::Error for JsonError {}
 /// assert_eq!(json_string("a\"b\n"), "\"a\\\"b\\n\"");
 /// ```
 pub fn json_string(s: &str) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s);
+    out
+}
+
+/// Append [`json_string`]`(s)` to `out`, for encoders that build a whole
+/// record in one buffer.
+pub fn write_json_string(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
     out.push('"');
     for c in s.chars() {
         match c {
@@ -107,7 +207,6 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
@@ -348,13 +447,8 @@ impl TraceStats {
 /// Returns a description of the first structural problem found.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
     let doc = parse(json).map_err(|e| e.to_string())?;
-    doc.get("displayTimeUnit")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing displayTimeUnit")?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing traceEvents array")?;
+    doc.str_field("displayTimeUnit")?;
+    let events = doc.arr_field("traceEvents")?;
     if events.is_empty() {
         return Err("traceEvents is empty".to_string());
     }
@@ -377,9 +471,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
 
     for (i, e) in events.iter().enumerate() {
         let ph = e
-            .get("ph")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("event {i} has no ph"))?;
+            .str_field("ph")
+            .map_err(|err| format!("event {i}: {err}"))?;
         let pid = e.get("pid").and_then(JsonValue::as_num).unwrap_or(0.0) as u64;
         let tid = e.get("tid").and_then(JsonValue::as_num).unwrap_or(0.0) as u64;
         let key = (pid, tid);

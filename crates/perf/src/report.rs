@@ -11,10 +11,10 @@
 //! The first trajectory point, `BENCH_6.json`, predates this schema; its
 //! v0 shape (one benchmark, per-observer min/mean only) is still parsed
 //! by [`BenchReport::parse`] as a fallback so the ledger's history is
-//! never stranded. Serialisation is hand-rolled (the vendored `serde` is
-//! a marker stub) and floats marshal via `{:?}` per the workspace
-//! float-marshalling contract (srclint R1004 — this file is in the
-//! checked writer set).
+//! never stranded. Serialisation is hand-rolled, parsing goes through
+//! [`chopin_obs::json`]'s typed field readers, and floats marshal via
+//! `{:?}` per the workspace float-marshalling contract (srclint R1004 —
+//! this file is in the checked writer set).
 
 use chopin_obs::json::{self, json_string, JsonValue};
 
@@ -169,34 +169,14 @@ impl BenchReport {
     }
 }
 
-fn num_field(obj: &JsonValue, key: &str) -> Result<u64, String> {
-    let n = obj
-        .get(key)
-        .and_then(JsonValue::as_num)
-        .ok_or_else(|| format!("missing numeric `{key}`"))?;
-    if !n.is_finite() || n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("`{key}` must be a non-negative integer, got {n:?}"));
-    }
-    Ok(n as u64)
-}
-
-fn str_field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string `{key}`"))
-}
-
 fn parse_v1(doc: &JsonValue, version: &JsonValue) -> Result<BenchReport, String> {
     let schema_version = version
         .as_num()
         .filter(|v| v.is_finite() && *v >= 0.0 && v.fract() == 0.0)
         .ok_or("schema_version must be a non-negative integer")? as u64;
-    let pr = num_field(doc, "pr")?;
-    let git_rev = str_field(doc, "git_rev")?.to_string();
-    let benches = doc
-        .get("benches")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing `benches` array")?;
+    let pr = doc.int_field("pr")?;
+    let git_rev = doc.str_field("git_rev")?.to_string();
+    let benches = doc.arr_field("benches")?;
     let mut parsed = Vec::new();
     for (i, b) in benches.iter().enumerate() {
         parsed.push(parse_v1_bench(b).map_err(|e| format!("bench {i}: {e}"))?);
@@ -210,7 +190,7 @@ fn parse_v1(doc: &JsonValue, version: &JsonValue) -> Result<BenchReport, String>
 }
 
 fn parse_v1_bench(b: &JsonValue) -> Result<BenchRecord, String> {
-    let id = str_field(b, "id")?.to_string();
+    let id = b.str_field("id")?.to_string();
     let mut config = Vec::new();
     if let Some(JsonValue::Obj(members)) = b.get("config") {
         for (k, v) in members {
@@ -221,10 +201,7 @@ fn parse_v1_bench(b: &JsonValue) -> Result<BenchRecord, String> {
         }
     }
     config.sort();
-    let samples = b
-        .get("samples_ns")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing `samples_ns` array")?;
+    let samples = b.arr_field("samples_ns")?;
     let mut samples_ns = Vec::with_capacity(samples.len());
     for s in samples {
         let n = s
@@ -233,22 +210,16 @@ fn parse_v1_bench(b: &JsonValue) -> Result<BenchRecord, String> {
             .ok_or("samples_ns entries must be non-negative numbers")?;
         samples_ns.push(n as u64);
     }
-    let optional = |key: &str| -> Result<Option<u64>, String> {
-        match b.get(key) {
-            None => Ok(None),
-            Some(_) => num_field(b, key).map(Some),
-        }
-    };
     Ok(BenchRecord {
         id,
         config,
-        sample_count: num_field(b, "sample_count")?,
+        sample_count: b.int_field("sample_count")?,
         samples_ns,
-        min_ns: num_field(b, "min_ns")?,
-        mean_ns: num_field(b, "mean_ns")?,
-        p50_ns: optional("p50_ns")?,
-        p99_ns: optional("p99_ns")?,
-        work: optional("work")?.unwrap_or(0),
+        min_ns: b.int_field("min_ns")?,
+        mean_ns: b.int_field("mean_ns")?,
+        p50_ns: b.opt_int_field("p50_ns")?,
+        p99_ns: b.opt_int_field("p99_ns")?,
+        work: b.opt_int_field("work")?.unwrap_or(0),
     })
 }
 
@@ -257,26 +228,22 @@ fn parse_v1_bench(b: &JsonValue) -> Result<BenchRecord, String> {
 /// per-observer results. Observers map onto `hotloop.<observer>` bench
 /// ids so the v0 point lines up with the modern suite's series.
 fn parse_v0(doc: &JsonValue) -> Result<BenchReport, String> {
-    let bench = str_field(doc, "bench")?;
+    let bench = doc.str_field("bench")?;
     if bench != "engine_hotloop_smoke" {
         return Err(format!("unknown v0 bench `{bench}`"));
     }
-    let benchmark = str_field(doc, "benchmark")?;
-    let collector = str_field(doc, "collector")?;
-    let heap_factor = doc
-        .get("heap_factor")
-        .and_then(JsonValue::as_num)
-        .filter(|f| f.is_finite() && *f > 0.0)
-        .ok_or("missing positive `heap_factor`")?;
-    let sample_count = num_field(doc, "samples")?;
-    let results = doc
-        .get("results")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing `results` array")?;
+    let benchmark = doc.str_field("benchmark")?;
+    let collector = doc.str_field("collector")?;
+    let heap_factor = doc.f64_field("heap_factor")?;
+    if heap_factor <= 0.0 {
+        return Err("`heap_factor` must be positive".to_string());
+    }
+    let sample_count = doc.int_field("samples")?;
+    let results = doc.arr_field("results")?;
     let mut benches = Vec::new();
     for (i, r) in results.iter().enumerate() {
         let err = |e: String| format!("result {i}: {e}");
-        let observer = str_field(r, "observer").map_err(err)?;
+        let observer = r.str_field("observer").map_err(err)?;
         let config = vec![
             ("benchmark".to_string(), benchmark.to_string()),
             ("collector".to_string(), collector.to_string()),
@@ -287,11 +254,11 @@ fn parse_v0(doc: &JsonValue) -> Result<BenchReport, String> {
             config,
             sample_count,
             samples_ns: Vec::new(),
-            min_ns: num_field(r, "min_ns").map_err(err)?,
-            mean_ns: num_field(r, "mean_ns").map_err(err)?,
+            min_ns: r.int_field("min_ns").map_err(err)?,
+            mean_ns: r.int_field("mean_ns").map_err(err)?,
             p50_ns: None,
             p99_ns: None,
-            work: num_field(r, "events").unwrap_or(0),
+            work: r.int_field("events").unwrap_or(0),
         });
     }
     Ok(BenchReport {

@@ -12,7 +12,6 @@
 
 use super::CollectorKind;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Reference mark rate: bytes of live data traced per CPU nanosecond by one
 /// reference hardware thread (≈ 2.5 GB/s).
@@ -40,7 +39,7 @@ const BASE_EVAC_BYTES_PER_NS: f64 = 1.5;
 /// assert!(zgc.work_multiplier > serial.work_multiplier);
 /// assert!(zgc.barrier_tax > serial.barrier_tax);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectorModel {
     /// Which collector this parameterises.
     pub kind: CollectorKind,
@@ -90,7 +89,7 @@ pub struct CollectorModel {
 /// Behaviour when the application exhausts free memory while a concurrent
 /// cycle is still running (or, for STW collectors, immediately on
 /// allocation failure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExhaustionPolicy {
     /// Stop the world and collect (the normal mode for STW collectors).
     StopTheWorld,

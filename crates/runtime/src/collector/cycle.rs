@@ -8,10 +8,9 @@
 
 use super::costs::CollectorModel;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The kind of collection a cycle performs, recorded in pause telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectionKind {
     /// A nursery collection tracing only recent survivors (generational
     /// collectors).

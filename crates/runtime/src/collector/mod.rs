@@ -18,7 +18,6 @@ pub mod cycle;
 pub use costs::CollectorModel;
 pub use cycle::{CollectionKind, CollectionRequest, CycleOutcome};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -34,7 +33,7 @@ use std::str::FromStr;
 /// assert!(CollectorKind::Serial.supports_compressed_oops());
 /// assert_eq!("g1".parse::<CollectorKind>().unwrap(), CollectorKind::G1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CollectorKind {
     /// Single-threaded stop-the-world generational collector (1998).
     Serial,

@@ -8,7 +8,6 @@
 //! pointers", §2, and the GMU nominal statistic records each workload's
 //! uncompressed footprint).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error raised by heap accounting.
@@ -46,7 +45,7 @@ impl std::error::Error for HeapError {}
 /// assert_eq!(heap.occupied(), 100_000.0);
 /// assert_eq!(heap.allocated_since_gc(), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeapState {
     capacity: f64,
     occupied: f64,

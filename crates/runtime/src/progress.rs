@@ -12,10 +12,9 @@
 //! free.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One constant-rate span of mutator execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressSegment {
     /// Wall time at which the segment starts.
     pub start: SimTime,
@@ -51,7 +50,7 @@ impl ProgressSegment {
 /// let t = trace.time_at_progress(120.0).unwrap();
 /// assert_eq!(t.as_nanos(), 170);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProgressTrace {
     segments: Vec<ProgressSegment>,
     /// Cumulative per-worker progress at the *end* of each segment.

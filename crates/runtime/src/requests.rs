@@ -18,10 +18,9 @@ use crate::spec::RequestProfile;
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One timed event: a request (or frame) with its observed start and end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RequestEvent {
     /// When the worker began serving the request.
     pub start: SimTime,

@@ -9,7 +9,6 @@
 //! DaCapo Chopin benchmarks from the paper's published nominal statistics.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Validation error for a [`MutatorSpec`].
@@ -47,7 +46,7 @@ impl std::error::Error for SpecError {}
 /// been completed. Within each thread, the start time of each request is
 /// thus dictated by the completion of the request before." (§4.4) — this is
 /// exactly the model the engine implements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestProfile {
     /// Total number of requests in the pre-determined set.
     pub count: u32,
@@ -111,7 +110,7 @@ impl RequestProfile {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MutatorSpec {
     name: String,
     threads: u32,

@@ -10,7 +10,6 @@ use crate::collector::CollectionKind;
 use crate::time::{SimDuration, SimTime};
 use chopin_faults::FaultKind;
 use chopin_obs::LogHistogram;
-use serde::{Deserialize, Serialize};
 
 /// Individual throttle intervals kept before dropping detail (the
 /// aggregate [`Telemetry::throttled_wall`] stays exact regardless).
@@ -22,7 +21,7 @@ const THROTTLE_INTERVAL_CAP: usize = 10_000;
 const FAULT_INTERVAL_CAP: usize = chopin_faults::MAX_WINDOWS;
 
 /// One stop-the-world pause.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PauseRecord {
     /// Wall time at which the pause began.
     pub start: SimTime,
@@ -36,7 +35,7 @@ pub struct PauseRecord {
 
 /// One sample of the post-collection heap size (the appendix's "heap size
 /// post each garbage collection" graphs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeapSample {
     /// Wall time of the collection's completion.
     pub time: SimTime,
@@ -47,7 +46,7 @@ pub struct HeapSample {
 /// One contiguous interval during which a pacing collector (Shenandoah,
 /// ZGC) slowed or stalled the mutator to protect an in-flight concurrent
 /// cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThrottleInterval {
     /// Wall time at which pacing engaged.
     pub start: SimTime,
@@ -67,7 +66,7 @@ impl ThrottleInterval {
 
 /// One contiguous interval during which an injected fault of one kind was
 /// active (overlapping windows of the same kind merge into one interval).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInterval {
     /// Wall time at which the fault engaged.
     pub start: SimTime,
@@ -79,7 +78,7 @@ pub struct FaultInterval {
 }
 
 /// Accumulated telemetry for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     /// Every stop-the-world pause, in time order.
     pub pauses: Vec<PauseRecord>,

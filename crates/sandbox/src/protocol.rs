@@ -16,8 +16,8 @@
 //! | `@err <p>`   | handler returned an error (transient, retryable)    |
 //! | `@panic <p>` | handler panicked; `<p>` is the panic message        |
 //!
-//! Payloads are escaped (`\` → `\\`, newline → `\n`, CR → `\r`) so any
-//! string survives the line framing.
+//! Payloads are escaped with [`escape`] (`\` → `\\`, newline → `\n`,
+//! CR → `\r`, space → `\s`) so any string survives the line framing.
 //!
 //! `@ok`, `@err` and `@panic` are *final*: the worker prints exactly one
 //! of them and exits. Just before it, the worker reads its own VmHWM
@@ -54,34 +54,44 @@ pub enum Frame {
     Panic(String),
 }
 
-/// Escape a payload for single-line framing.
+/// Escape a frame field for line framing and for space-separated fields:
+/// `\` → `\\`, newline → `\n`, CR → `\r`, space → `\s`. The one line
+/// escape of this pipe's frames and the fleet wire's.
 #[must_use]
-pub fn escape(payload: &str) -> String {
-    let mut out = String::with_capacity(payload.len());
-    for c in payload.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
+pub fn escape(field: &str) -> String {
+    let mut out = String::with_capacity(field.len());
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // split `field` on character boundaries and copy whole.
+    let mut run = 0;
+    for (i, byte) in field.bytes().enumerate() {
+        let escaped = match byte {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b' ' => "\\s",
+            _ => continue,
+        };
+        out.push_str(&field[run..i]);
+        out.push_str(escaped);
+        run = i + 1;
     }
+    out.push_str(&field[run..]);
     out
 }
 
-/// Invert [`escape`]. Unknown escapes pass through verbatim.
+/// Invert [`escape`]. Unknown escapes pass through verbatim, so a torn
+/// escape never corrupts the rest of the field.
 #[must_use]
-pub fn unescape(line: &str) -> String {
-    let mut out = String::with_capacity(line.len());
-    let mut chars = line.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
+pub fn unescape(field: &str) -> String {
+    let mut out = String::with_capacity(field.len());
+    let mut rest = field;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let mut after = rest[at + 1..].chars();
+        match after.next() {
             Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
+            Some('s') => out.push(' '),
             Some('\\') => out.push('\\'),
             Some(other) => {
                 out.push('\\');
@@ -89,7 +99,9 @@ pub fn unescape(line: &str) -> String {
             }
             None => out.push('\\'),
         }
+        rest = after.as_str();
     }
+    out.push_str(rest);
     out
 }
 

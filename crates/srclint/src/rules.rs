@@ -55,7 +55,8 @@ const SPAWN_ALLOWED: [&str; 3] = [
 
 /// Files that write persisted artifacts (CSV rows, journals, JSON
 /// exports): their format strings must marshal floats via `{:?}`.
-const FLOAT_WRITER_FILES: [&str; 5] = [
+const FLOAT_WRITER_FILES: [&str; 6] = [
+    "crates/harness/src/codec.rs",
     "crates/harness/src/journal.rs",
     "crates/harness/src/output.rs",
     "crates/harness/src/sandbox.rs",

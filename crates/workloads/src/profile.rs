@@ -11,13 +11,12 @@
 
 use chopin_runtime::spec::{MutatorSpec, RequestProfile, SpecError};
 use chopin_runtime::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether a profile's calibration numbers come straight from the paper's
 /// appendix tables or were estimated for benchmarks whose tables are
 /// truncated in our source text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
     /// Values transcribed from the paper.
     Published,
@@ -30,7 +29,7 @@ pub enum Provenance {
 ///
 /// §3.2: "its workloads have minimum heap sizes ranging from 5 MB to
 /// 20 GB" across the small/default/large/vlarge configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SizeClass {
     /// The `small` input configuration.
     Small,
@@ -65,7 +64,7 @@ impl fmt::Display for SizeClass {
 }
 
 /// Request structure for the nine latency-sensitive workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestSpec {
     /// Number of timed events in the default configuration.
     pub count: u32,
@@ -80,7 +79,7 @@ pub struct RequestSpec {
 /// Fields mirror the nominal statistics they are calibrated from; see the
 /// module docs. All heap quantities are in megabytes, matching the paper's
 /// tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Benchmark name, lower-case, as used by the suite (`-b` flags etc.).
     pub name: &'static str,
