@@ -9,6 +9,7 @@
 
 use crate::benchmark::{BenchmarkError, BenchmarkRunner};
 use crate::lbo::RunSample;
+use chopin_faults::FaultPlan;
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::result::RunError;
 use chopin_workloads::{SizeClass, WorkloadProfile};
@@ -121,7 +122,46 @@ impl SweepResult {
     }
 }
 
-/// Run a full sweep of `profile` under `config`.
+/// Run every invocation of one (collector, heap factor) cell of
+/// `profile`, appending one sample per completed invocation to
+/// `samples`: invocation `i` runs with seed `1 + i`, and `faults`, when
+/// given, is injected into every run. The first out-of-memory or GC
+/// thrash ends the cell as infeasible and returns its reason.
+///
+/// # Errors
+///
+/// Any other [`BenchmarkError`] (e.g. an unsupported size class).
+pub fn run_cell(
+    profile: &WorkloadProfile,
+    collector: CollectorKind,
+    heap_factor: f64,
+    config: &SweepConfig,
+    faults: Option<&FaultPlan>,
+    samples: &mut Vec<RunSample>,
+) -> Result<Option<String>, BenchmarkError> {
+    for invocation in 0..config.invocations {
+        let mut runner = BenchmarkRunner::for_profile(profile.clone())
+            .collector(collector)
+            .size(config.size)
+            .heap_factor(heap_factor)
+            .iterations(config.iterations)
+            .seed(1 + u64::from(invocation));
+        if let Some(plan) = faults {
+            runner = runner.faults(plan.clone());
+        }
+        match runner.run() {
+            Ok(set) => samples.push(RunSample::from_result(set.timed(), heap_factor)),
+            Err(BenchmarkError::Run(
+                e @ (RunError::OutOfMemory { .. } | RunError::GcThrash { .. }),
+            )) => return Ok(Some(e.to_string())),
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(None)
+}
+
+/// Run a full sweep of `profile` under `config`, one [`run_cell`] per
+/// (collector, heap factor) cell in grid order.
 ///
 /// Cells that fail with out-of-memory or GC thrash are recorded in
 /// [`SweepResult::failures`] rather than aborting the sweep; other errors
@@ -138,35 +178,15 @@ pub fn run_sweep(
     let mut samples = Vec::new();
     let mut failures = Vec::new();
     for &collector in &config.collectors {
-        for &factor in &config.heap_factors {
-            let mut cell_failed = false;
-            for invocation in 0..config.invocations {
-                if cell_failed {
-                    break;
-                }
-                let outcome = BenchmarkRunner::for_profile(profile.clone())
-                    .collector(collector)
-                    .size(config.size)
-                    .heap_factor(factor)
-                    .iterations(config.iterations)
-                    .seed(1 + invocation as u64)
-                    .run();
-                match outcome {
-                    Ok(set) => {
-                        samples.push(RunSample::from_result(set.timed(), factor));
-                    }
-                    Err(BenchmarkError::Run(
-                        e @ (RunError::OutOfMemory { .. } | RunError::GcThrash { .. }),
-                    )) => {
-                        failures.push(SweepFailure {
-                            collector,
-                            heap_factor: factor,
-                            reason: e.to_string(),
-                        });
-                        cell_failed = true;
-                    }
-                    Err(e) => return Err(e),
-                }
+        for &heap_factor in &config.heap_factors {
+            if let Some(reason) =
+                run_cell(profile, collector, heap_factor, config, None, &mut samples)?
+            {
+                failures.push(SweepFailure {
+                    collector,
+                    heap_factor,
+                    reason,
+                });
             }
         }
     }

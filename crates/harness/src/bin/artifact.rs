@@ -52,7 +52,8 @@
 //! and every LBO curve stays ≥ 1 — and exits non-zero on any violation:
 //! the CI chaos gate.
 //!
-//! Chaos also accepts the isolation flags: `--isolation process` runs
+//! Chaos builds its supervisor from the same flags as `runbms` and
+//! `lbo`, so it also accepts the isolation flags: `--isolation process` runs
 //! each cell in a sandboxed child, `--hard-faults kill|abort|oom` adds
 //! real process deaths on deterministic victim cells (process isolation
 //! required, rule R903), `--crash-reports FILE` writes one JSONL record
@@ -124,20 +125,21 @@
 //! exits non-zero on any defect — the CI gate.
 
 use chopin_core::lbo::{Clock, LboAnalysis};
-use chopin_faults::{HardFaultKind, HardFaultPlan, NetFaultPlan};
+use chopin_faults::{FaultPlan, HardFaultKind, HardFaultPlan, NetFaultPlan};
 use chopin_fleet::{FleetConfig, WorkerStormPlan};
 use chopin_harness::cli::Args;
 use chopin_harness::obs::{observe_benchmark, ObsOptions, DEFAULT_EVENTS_OUT, DEFAULT_TRACE_OUT};
 use chopin_harness::preflight;
 use chopin_harness::presets::Preset;
 use chopin_harness::supervisor::{
-    plan_from_args, policy_from_args, QuarantineReason, SuiteSupervisor,
+    plan_from_args, policy_from_args, supervisor_from_args, QuarantineReason, SuiteSupervisor,
 };
 use chopin_obs::validate_chrome_trace;
 use chopin_runtime::collector::CollectorKind;
 use chopin_sandbox::limits::{SIGABRT, SIGKILL};
 use chopin_sandbox::IsolationMode;
 use chopin_workloads::faults::{preset as fault_preset, DEFAULT_HORIZON_NS, FALLBACK_SEED};
+use chopin_workloads::WorkloadProfile;
 
 const USAGE: &str = "usage: artifact <kick-the-tires|lbo|latency|validate|lint|analyze|srclint|\
                      trace|chaos|perf|model> [--json|--rules|--check|--run|--report|--plan NAME|\
@@ -166,6 +168,23 @@ fn sweep_csv(report: &chopin_harness::supervisor::SuiteReport) -> String {
     out
 }
 
+/// What a chaos leg sweeps: the `-b` benchmarks (else `default`), their
+/// profiles, and the `--faults` plan (else the chaos preset).
+fn chaos_inputs(
+    args: &Args,
+    default: &[&str],
+) -> Result<(Vec<String>, Vec<WorkloadProfile>, FaultPlan), String> {
+    let mut benchmarks = args.list("b");
+    if benchmarks.is_empty() {
+        benchmarks = default.iter().map(|b| b.to_string()).collect();
+    }
+    let profiles = chopin_harness::resolve_profiles(&benchmarks).map_err(|e| e.to_string())?;
+    let plan = plan_from_args(args)?.unwrap_or_else(|| {
+        fault_preset("chaos", FALLBACK_SEED, DEFAULT_HORIZON_NS).expect("chaos is a preset")
+    });
+    Ok((benchmarks, profiles, plan))
+}
+
 /// The worker-kill-storm leg of `artifact chaos` (`--workers`): shard
 /// the chaos sweep across a four-worker fleet while a seeded storm
 /// SIGKILLs at least two of the workers mid-run, then separately abort
@@ -174,25 +193,8 @@ fn sweep_csv(report: &chopin_harness::supervisor::SuiteReport) -> String {
 /// `--isolation process` baseline in both legs.
 fn run_chaos_workers(args: &Args) -> i32 {
     const FLEET_WORKERS: u32 = 4;
-    let mut benchmarks = args.list("b");
-    if benchmarks.is_empty() {
-        benchmarks = vec!["fop".to_string()];
-    }
-    let mut profiles = Vec::new();
-    for name in &benchmarks {
-        match chopin_workloads::suite::by_name(name) {
-            Some(p) => profiles.push(p),
-            None => {
-                eprintln!("error: unknown benchmark `{name}`");
-                return 2;
-            }
-        }
-    }
-    let plan = match plan_from_args(args) {
-        Ok(Some(plan)) => plan,
-        Ok(None) => {
-            fault_preset("chaos", FALLBACK_SEED, DEFAULT_HORIZON_NS).expect("chaos is a preset")
-        }
+    let (_, profiles, plan) = match chaos_inputs(args, &["fop"]) {
+        Ok(inputs) => inputs,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
@@ -358,25 +360,8 @@ fn run_chaos_workers(args: &Args) -> i32 {
 fn run_chaos_net(args: &Args) -> i32 {
     const FLEET_WORKERS: u32 = 4;
     const NET_SEED: u64 = 7;
-    let mut benchmarks = args.list("b");
-    if benchmarks.is_empty() {
-        benchmarks = vec!["fop".to_string()];
-    }
-    let mut profiles = Vec::new();
-    for name in &benchmarks {
-        match chopin_workloads::suite::by_name(name) {
-            Some(p) => profiles.push(p),
-            None => {
-                eprintln!("error: unknown benchmark `{name}`");
-                return 2;
-            }
-        }
-    }
-    let plan = match plan_from_args(args) {
-        Ok(Some(plan)) => plan,
-        Ok(None) => {
-            fault_preset("chaos", FALLBACK_SEED, DEFAULT_HORIZON_NS).expect("chaos is a preset")
-        }
+    let (benchmarks, profiles, plan) = match chaos_inputs(args, &["fop"]) {
+        Ok(inputs) => inputs,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
@@ -630,32 +615,8 @@ fn run_chaos(args: &Args) -> i32 {
     if args.has("net") {
         return run_chaos_net(args);
     }
-    let mut benchmarks = args.list("b");
-    if benchmarks.is_empty() {
-        benchmarks = vec!["fop".to_string(), "lusearch".to_string()];
-    }
-    let mut profiles = Vec::new();
-    for name in &benchmarks {
-        match chopin_workloads::suite::by_name(name) {
-            Some(p) => profiles.push(p),
-            None => {
-                eprintln!("error: unknown benchmark `{name}`");
-                return 2;
-            }
-        }
-    }
-    let plan = match plan_from_args(args) {
-        Ok(Some(plan)) => plan,
-        Ok(None) => {
-            fault_preset("chaos", FALLBACK_SEED, DEFAULT_HORIZON_NS).expect("chaos is a preset")
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let policy = match policy_from_args(args) {
-        Ok(p) => p,
+    let (benchmarks, profiles, plan) = match chaos_inputs(args, &["fop", "lusearch"]) {
+        Ok(inputs) => inputs,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
@@ -668,6 +629,13 @@ fn run_chaos(args: &Args) -> i32 {
             return 2;
         }
     };
+    let supervisor = match supervisor_from_args(args) {
+        Ok(s) => s.with_faults(plan.clone()),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
+        }
+    };
     let sweep = chopin_harness::presets::chaos_sweep_config();
     eprintln!(
         "artifact chaos: {} benchmark(s) x {} collectors under seeded faults (seed {})",
@@ -675,19 +643,6 @@ fn run_chaos(args: &Args) -> i32 {
         sweep.collectors.len(),
         plan.seed
     );
-    let mut supervisor = SuiteSupervisor::new(policy)
-        .with_faults(plan)
-        .resume(args.has("resume"));
-    if let Some(path) = args.value("journal") {
-        supervisor = supervisor.with_journal(path);
-    }
-    supervisor = match chopin_harness::sandbox::configure_isolation(supervisor, args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
     let report = match supervisor.run(&profiles, &sweep) {
         Ok(r) => r,
         Err(e) => {

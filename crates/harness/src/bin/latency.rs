@@ -19,6 +19,10 @@
 //! `--isolation process` re-runs the whole measurement inside one
 //! sandboxed child process, so an engine crash surfaces as a structured
 //! crash report instead of taking the terminal session down with it.
+//!
+//! `latency` does not run on the sweep scheduler: the scheduler's flags
+//! (`--journal`, `--resume`, `--cell-deadline`, `--retries`, the fleet
+//! family, …) exit 2 and point at `runbms` and `lbo`.
 
 use chopin_analyzer::Methodology;
 use chopin_core::latency::SmoothingWindow;
@@ -30,7 +34,7 @@ use chopin_harness::obs::{
 };
 use chopin_harness::output::ResultsDir;
 use chopin_harness::preflight;
-use chopin_harness::supervisor::plan_from_args;
+use chopin_harness::supervisor::{plan_from_args, reject_scheduler_flags};
 use chopin_harness::LatencyExperiment;
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::time::SimDuration;
@@ -40,6 +44,10 @@ fn main() {
     // binary re-spawns itself as a sandboxed worker.
     chopin_harness::worker_entry();
     let args = Args::from_env();
+    if let Err(e) = reject_scheduler_flags("latency", &args) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     match chopin_harness::sandbox::isolation_from_args(&args) {
         // latency has no per-cell supervisor path: isolate the whole run
         // in one sandboxed child instead of one child per cell.

@@ -6,19 +6,20 @@
 //! lbo -b cassandra,lusearch   # Figure 5
 //! lbo -b fop --invocations 5  # appendix figure for one benchmark
 //! lbo --quick                 # coarse grid for smoke runs
-//! lbo -b fop --trace-out t.json  # + Perfetto trace (sweep spans
+//! lbo -b fop --trace-out t.json  # + Perfetto trace (scheduler span
 //!                                #   and one observed engine run)
-//! lbo -b fop --faults chaos:42   # sweeps under injected duress,
-//!                                #   supervised (retry + quarantine)
+//! lbo -b fop --faults chaos:42   # sweeps under injected duress
 //! ```
 //!
-//! Any supervisor flag (`--faults`, `--journal`, `--resume`,
-//! `--cell-deadline`, `--retries`, `--backoff-ms`, `--isolation`,
-//! `--hard-faults`, `--crash-reports`) routes the sweeps through the
-//! resilient supervisor; quarantined cells are reported on stderr and
-//! the LBO analysis proceeds over the completed cells. With
-//! `--isolation process` each cell runs in a sandboxed child process,
-//! so hard crashes land in quarantine instead of killing the run.
+//! Every sweep runs on the sweep scheduler (`supervisor`), under the
+//! default policy unless `--cell-deadline`, `--retries` or
+//! `--backoff-ms` say otherwise: cells that panic or hang are retried
+//! and then quarantined, quarantined cells are reported on stderr, and
+//! the LBO analysis proceeds over the completed cells. `--journal` and
+//! `--resume` make the sweep crash-safe, and with `--isolation process`
+//! each cell runs in a sandboxed child process (`--hard-faults`,
+//! `--crash-reports` as for `runbms`), so hard crashes land in
+//! quarantine instead of killing the run. A malformed flag exits 2.
 //!
 //! The fleet flag family works here too: `--fleet N` shards the sweeps
 //! across worker processes, `--fleet-bind`/`--fleet-token` pin and
@@ -27,93 +28,25 @@
 //! seeded network-fault schedule at the transport shim, and
 //! `--fleet-standby ADDR` arms a hot standby coordinator that takes
 //! over on primary death. The deterministic journal merge guarantees
-//! the LBO figures come out identical to a sequential run.
+//! the LBO figures come out identical to a thread-mode run.
 //!
 //! Every invocation is pre-flight analyzed first (`chopin-analyzer`):
 //! statically broken plans abort with exit 2 and an R8xx diagnostic
 //! table before any simulation starts. `--no-preflight` bypasses.
 
 use chopin_analyzer::Methodology;
-use chopin_core::lbo::{Clock, LboAnalysis};
+use chopin_core::lbo::Clock;
 use chopin_core::sweep::SweepConfig;
 use chopin_harness::cli::Args;
 use chopin_harness::obs::{add_spans_to_trace, observe_benchmark_with_faults, ObsOptions};
 use chopin_harness::output::ResultsDir;
-use chopin_harness::preflight;
-use chopin_harness::supervisor::{
-    plan_from_args, policy_from_args, supervision_requested, SuiteSupervisor,
-};
-use chopin_harness::LboExperiment;
+use chopin_harness::supervisor::supervisor_from_args;
+use chopin_harness::{preflight, resolve_profiles, LboExperiment, SpanSink};
 
-/// Run the sweeps under the supervisor and shape the outcome like
-/// [`LboExperiment::run`] so the rendering below is shared.
-fn run_supervised(benchmarks: &[String], sweep: &SweepConfig, args: &Args) -> LboExperiment {
-    let policy = policy_from_args(args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let names: Vec<String> = if benchmarks.is_empty() {
-        chopin_core::Suite::chopin()
-            .names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    } else {
-        benchmarks.to_vec()
-    };
-    let mut profiles = Vec::new();
-    for name in &names {
-        match chopin_workloads::suite::by_name(name) {
-            Some(p) => profiles.push(p),
-            None => {
-                eprintln!("error: unknown benchmark `{name}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut supervisor = SuiteSupervisor::new(policy).resume(args.has("resume"));
-    if let Ok(Some(plan)) = plan_from_args(args) {
-        supervisor = supervisor.with_faults(plan);
-    }
-    if let Some(path) = args.value("journal") {
-        supervisor = supervisor.with_journal(path);
-    }
-    supervisor =
-        chopin_harness::sandbox::configure_isolation(supervisor, args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-    supervisor = supervisor.with_fleet(
-        chopin_harness::fleet::fleet_config_from_args(args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    );
-    let report = supervisor.run(&profiles, sweep).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    if !report.is_clean() {
-        eprint!("{}", report.quarantine_summary());
-    }
-    let analyse = |clock| -> Vec<LboAnalysis> {
-        report
-            .results
-            .iter()
-            .map(|s| {
-                LboAnalysis::compute(&s.samples, clock).unwrap_or_else(|e| {
-                    eprintln!("error: {}: {e}", s.benchmark);
-                    std::process::exit(1);
-                })
-            })
-            .collect()
-    };
-    LboExperiment {
-        wall: analyse(Clock::Wall),
-        task: analyse(Clock::Task),
-        sweeps: report.results,
-        spans: Vec::new(),
-    }
+/// Report a malformed command line or an unusable configuration.
+fn exit_usage(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -144,7 +77,7 @@ fn main() {
         .get_or("iterations", sweep.iterations)
         .unwrap_or(sweep.iterations);
 
-    let plan_benchmarks: Vec<String> = if benchmarks.is_empty() {
+    let names: Vec<String> = if benchmarks.is_empty() {
         chopin_core::Suite::chopin()
             .names()
             .iter()
@@ -155,34 +88,32 @@ fn main() {
     };
     if let Err(code) = preflight::gate(
         &args,
-        preflight::plan_for_args("lbo", Methodology::Lbo, &plan_benchmarks, &sweep, &args),
+        preflight::plan_for_args("lbo", Methodology::Lbo, &names, &sweep, &args),
     ) {
         std::process::exit(code);
     }
+    let supervisor = supervisor_from_args(&args).unwrap_or_else(|e| exit_usage(e));
+    let profiles = resolve_profiles(&names).unwrap_or_else(|e| exit_usage(e));
 
     eprintln!(
         "running LBO sweep: {} benchmark(s), {} collectors, {} heap factors, {} invocation(s)",
-        if benchmarks.is_empty() {
-            22
-        } else {
-            benchmarks.len()
-        },
+        profiles.len(),
         sweep.collectors.len(),
         sweep.heap_factors.len(),
         sweep.invocations
     );
 
-    let experiment = if supervision_requested(&args) {
-        run_supervised(&benchmarks, &sweep, &args)
-    } else {
-        match LboExperiment::run(&benchmarks, &sweep) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
+    let sink = SpanSink::new();
+    let report = sink
+        .time("sweep", || supervisor.run(&profiles, &sweep))
+        .unwrap_or_else(|e| exit_usage(e));
+    if !report.is_clean() {
+        eprint!("{}", report.quarantine_summary());
+    }
+    let experiment = LboExperiment::analyse(report.results, &sink).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 
     let out_dir = args.value("out").map(|d| match ResultsDir::create(d) {
         Ok(dir) => dir,
@@ -223,8 +154,7 @@ fn main() {
         let collector = sweep.collectors[0];
         let factor = sweep.heap_factors[0];
         eprintln!("lbo: tracing {bench} ({collector} @ {factor:.1}x)");
-        let plan = plan_from_args(&args).ok().flatten();
-        let outcome = observe_benchmark_with_faults(&bench, collector, factor, plan.as_ref())
+        let outcome = observe_benchmark_with_faults(&bench, collector, factor, supervisor.faults())
             .and_then(|observed| {
                 let mut trace = observed.trace();
                 add_spans_to_trace(&mut trace, &experiment.spans);

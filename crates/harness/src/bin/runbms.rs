@@ -10,13 +10,18 @@
 //! runbms -b fop --faults chaos:42 --cell-deadline 60000 --retries 2
 //! ```
 //!
-//! Any supervisor flag (`--faults PRESET[:SEED]`, `--journal FILE`,
-//! `--resume`, `--cell-deadline MS`, `--retries N`, `--backoff-ms MS`)
-//! routes the sweep through the resilient supervisor: cells that panic or
-//! hang are retried with backoff and then quarantined instead of killing
-//! the run, completed cells are journalled so `--resume` restarts where an
-//! interrupted suite stopped, and the exit code is 3 when any cell ended
-//! up quarantined (completed results are still printed).
+//! With no supervisor flag, `runbms` is the sequential reference: one
+//! `run_sweep` per benchmark, in order, the output every other executor
+//! is byte-compared against. Any supervisor flag (`--faults
+//! PRESET[:SEED]`, `--journal FILE`, `--resume`, `--cell-deadline MS`,
+//! `--retries N`, `--backoff-ms MS`, and the isolation and fleet flags
+//! below) runs the sweep on the sweep scheduler instead, built exactly
+//! as `lbo` builds it: cells that panic or hang are retried with backoff
+//! and then quarantined instead of killing the run, completed cells are
+//! journalled so `--resume` restarts where an interrupted suite stopped,
+//! and the exit code is 3 when any cell ended up quarantined (completed
+//! results are still printed). A malformed flag or an unknown benchmark
+//! exits 2.
 //!
 //! `--isolation process` moves the isolation boundary from a thread to a
 //! sandboxed child OS process per cell (heartbeats, derived
@@ -60,17 +65,15 @@
 //! JSON Lines.
 
 use chopin_analyzer::Methodology;
-use chopin_core::sweep::{SweepConfig, SweepResult};
+use chopin_core::sweep::{run_sweep, SweepConfig, SweepResult};
 use chopin_core::Suite;
-use chopin_faults::FaultPlan;
 use chopin_harness::cli::Args;
 use chopin_harness::obs::{
     add_spans_to_trace, observe_benchmark_with_faults, ObsOptions, SpanSink,
 };
-use chopin_harness::preflight;
-use chopin_harness::supervisor::{
-    plan_from_args, policy_from_args, supervision_requested, SuiteSupervisor,
-};
+use chopin_harness::supervisor::{supervision_requested, supervisor_from_args, SuiteSupervisor};
+use chopin_harness::{preflight, resolve_profiles};
+use chopin_workloads::WorkloadProfile;
 
 fn print_samples(result: &SweepResult) {
     for s in &result.samples {
@@ -94,50 +97,11 @@ fn print_samples(result: &SweepResult) {
 }
 
 fn run_supervised(
-    benchmarks: &[String],
+    supervisor: &SuiteSupervisor,
+    profiles: &[WorkloadProfile],
     sweep: &SweepConfig,
-    args: &Args,
-    faults: Option<FaultPlan>,
 ) -> i32 {
-    let policy = match policy_from_args(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let mut profiles = Vec::new();
-    for name in benchmarks {
-        match chopin_workloads::suite::by_name(name) {
-            Some(p) => profiles.push(p),
-            None => {
-                eprintln!("error: unknown benchmark `{name}`");
-                return 2;
-            }
-        }
-    }
-    let mut supervisor = SuiteSupervisor::new(policy).resume(args.has("resume"));
-    if let Some(plan) = faults {
-        supervisor = supervisor.with_faults(plan);
-    }
-    if let Some(path) = args.value("journal") {
-        supervisor = supervisor.with_journal(path);
-    }
-    supervisor = match chopin_harness::sandbox::configure_isolation(supervisor, args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    supervisor = match chopin_harness::fleet::fleet_config_from_args(args) {
-        Ok(fleet) => supervisor.with_fleet(fleet),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let report = match supervisor.run(&profiles, sweep) {
+    let report = match supervisor.run(profiles, sweep) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -188,6 +152,12 @@ fn run_supervised(
     }
 }
 
+/// Report a malformed command line or an unusable configuration.
+fn exit_usage(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
 fn main() {
     // Must run before anything else: under --isolation process this
     // binary re-spawns itself as a sandboxed cell worker.
@@ -203,13 +173,6 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
-    let faults = match plan_from_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
     let mut benchmarks = args.list("b");
     if benchmarks.is_empty() || benchmarks == ["all"] {
         benchmarks = Suite::chopin()
@@ -239,15 +202,18 @@ fn main() {
 
     println!("benchmark,collector,heap_factor,wall_s,task_s,wall_distillable_s,task_distillable_s");
 
+    let profiles = resolve_profiles(&benchmarks).unwrap_or_else(|e| exit_usage(e));
     if supervision_requested(&args) {
-        std::process::exit(run_supervised(&benchmarks, &sweep, &args, faults));
+        let supervisor = supervisor_from_args(&args).unwrap_or_else(|e| exit_usage(e));
+        std::process::exit(run_supervised(&supervisor, &profiles, &sweep));
     }
 
+    // The sequential reference every other executor is compared against.
     let sink = SpanSink::new();
-    for bench in &benchmarks {
-        eprintln!("runbms: {bench}");
-        match sink.time(&format!("sweep:{bench}"), || {
-            chopin_harness::sweep_benchmark(bench, &sweep)
+    for profile in &profiles {
+        eprintln!("runbms: {}", profile.name);
+        match sink.time(&format!("sweep:{}", profile.name), || {
+            run_sweep(profile, &sweep)
         }) {
             Ok(result) => print_samples(&result),
             Err(e) => {

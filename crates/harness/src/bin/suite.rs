@@ -20,6 +20,10 @@
 //! `--isolation process` re-runs the selection inside one sandboxed
 //! child process, so an engine crash surfaces as a structured crash
 //! report instead of taking the terminal session down with it.
+//!
+//! `suite` does not run on the sweep scheduler: the scheduler's flags
+//! (`--journal`, `--resume`, `--cell-deadline`, `--retries`, the fleet
+//! family, …) exit 2 and point at `runbms` and `lbo`.
 
 use chopin_analyzer::Methodology;
 use chopin_core::sweep::SweepConfig;
@@ -28,7 +32,7 @@ use chopin_harness::cli::Args;
 use chopin_harness::obs::{observe_benchmark_with_faults, with_suffix, ObsOptions};
 use chopin_harness::plot::render_table;
 use chopin_harness::preflight;
-use chopin_harness::supervisor::plan_from_args;
+use chopin_harness::supervisor::{plan_from_args, reject_scheduler_flags};
 use chopin_runtime::collector::CollectorKind;
 use chopin_workloads::suite as workloads;
 
@@ -37,11 +41,9 @@ fn main() {
     // binary re-spawns itself as a sandboxed worker.
     chopin_harness::worker_entry();
     let args = Args::from_env();
-    for flag in ["fleet", "fleet-connect", "fleet-storm", "lease-deadline"] {
-        if args.has(flag) {
-            eprintln!("error: suite does not shard; use runbms or lbo with --fleet");
-            std::process::exit(2);
-        }
+    if let Err(e) = reject_scheduler_flags("suite", &args) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
     match chopin_harness::sandbox::isolation_from_args(&args) {
         // suite has no per-cell supervisor path: isolate the whole run

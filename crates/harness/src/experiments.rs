@@ -5,18 +5,19 @@
 
 use crate::obs::{HarnessSpan, SpanSink};
 use crate::plot::{render_chart, render_table, to_csv, ChartOptions, Series};
-use crate::runner::run_suite_sweeps_spanned;
+use crate::supervisor::{SuiteSupervisor, SuperviseError};
 use chopin_core::latency::{
     events_of, metered_latencies, simple_latencies, LatencyDistribution, SmoothingWindow,
 };
 use chopin_core::lbo::{geomean_curves, Clock, LboAnalysis};
 use chopin_core::nominal::{self, score_table, METRICS, TABLE2_METRICS};
-use chopin_core::sweep::{run_sweep, SweepConfig, SweepResult};
+use chopin_core::sweep::{SweepConfig, SweepResult};
 use chopin_core::{BenchmarkError, BenchmarkRunner, Suite};
+use chopin_faults::SupervisorPolicy;
 use chopin_obs::{format_ns, LogHistogram};
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::time::SimDuration;
-use chopin_workloads::SizeClass;
+use chopin_workloads::{suite, SizeClass, WorkloadProfile};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -33,6 +34,9 @@ pub enum ExperimentError {
     NotLatencySensitive(String),
     /// Persisting experiment output (trace/event files) failed.
     Io(String),
+    /// The sweep scheduler could not start, or quarantined cells the
+    /// experiment cannot do without.
+    Sweep(String),
 }
 
 impl fmt::Display for ExperimentError {
@@ -44,7 +48,7 @@ impl fmt::Display for ExperimentError {
             ExperimentError::NotLatencySensitive(b) => {
                 write!(f, "{b} is not a latency-sensitive workload")
             }
-            ExperimentError::Io(e) => write!(f, "{e}"),
+            ExperimentError::Io(e) | ExperimentError::Sweep(e) => write!(f, "{e}"),
         }
     }
 }
@@ -54,6 +58,12 @@ impl std::error::Error for ExperimentError {}
 impl From<BenchmarkError> for ExperimentError {
     fn from(e: BenchmarkError) -> Self {
         ExperimentError::Benchmark(e)
+    }
+}
+
+impl From<SuperviseError> for ExperimentError {
+    fn from(e: SuperviseError) -> Self {
+        ExperimentError::Sweep(e.to_string())
     }
 }
 
@@ -73,39 +83,70 @@ pub struct LboExperiment {
     pub wall: Vec<LboAnalysis>,
     /// Per-benchmark task-clock LBO analyses.
     pub task: Vec<LboAnalysis>,
-    /// Wall-time spans of the experiment's phases (per-benchmark sweeps
+    /// Wall-time spans of the experiment's phases (the scheduler run
     /// plus the analysis pass) for the `--trace-out` harness track.
     pub spans: Vec<HarnessSpan>,
 }
 
+/// Look up every named benchmark's profile, in the order given.
+///
+/// # Errors
+///
+/// [`ExperimentError::UnknownBenchmark`] for the first name the suite
+/// does not know.
+pub fn resolve_profiles(names: &[String]) -> Result<Vec<WorkloadProfile>, ExperimentError> {
+    let suite = suite::all();
+    names
+        .iter()
+        .map(|name| {
+            suite
+                .iter()
+                .find(|p| p.name == name)
+                .cloned()
+                .ok_or_else(|| ExperimentError::UnknownBenchmark(name.clone()))
+        })
+        .collect()
+}
+
 impl LboExperiment {
     /// Run the LBO experiment for the named benchmarks (or the whole suite
-    /// when `benchmarks` is empty), in parallel across benchmarks.
+    /// when `benchmarks` is empty) on the sweep scheduler, under the
+    /// default policy and thread isolation.
     ///
     /// # Errors
     ///
-    /// See [`ExperimentError`].
+    /// See [`ExperimentError`]; a quarantined cell is an
+    /// [`ExperimentError::Sweep`], since a hole would corrupt a geomean.
     pub fn run(
         benchmarks: &[String],
         sweep: &SweepConfig,
     ) -> Result<LboExperiment, ExperimentError> {
-        let suite = Suite::chopin();
-        let selected: Vec<_> = if benchmarks.is_empty() {
-            suite.iter().map(|b| b.profile().clone()).collect()
+        let profiles = if benchmarks.is_empty() {
+            suite::all()
         } else {
-            benchmarks
-                .iter()
-                .map(|name| {
-                    suite
-                        .benchmark(name)
-                        .map(|b| b.profile().clone())
-                        .ok_or_else(|| ExperimentError::UnknownBenchmark(name.clone()))
-                })
-                .collect::<Result<_, _>>()?
+            resolve_profiles(benchmarks)?
         };
-
         let sink = SpanSink::new();
-        let sweeps = run_suite_sweeps_spanned(&selected, sweep, &sink).into_result()?;
+        let report = sink.time("sweep", || {
+            SuiteSupervisor::new(SupervisorPolicy::default()).run(&profiles, sweep)
+        })?;
+        if !report.is_clean() {
+            return Err(ExperimentError::Sweep(report.quarantine_summary()));
+        }
+        LboExperiment::analyse(report.results, &sink)
+    }
+
+    /// Compute both clocks' LBO analyses of `sweeps`, timed as the
+    /// `lbo:analysis` span of `sink`, whose spans the experiment keeps.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::Analysis`] when a benchmark's samples do not
+    /// support an analysis (e.g. none completed).
+    pub fn analyse(
+        sweeps: Vec<SweepResult>,
+        sink: &SpanSink,
+    ) -> Result<LboExperiment, ExperimentError> {
         let (wall, task) = sink.time("lbo:analysis", || {
             let mut wall = Vec::with_capacity(sweeps.len());
             let mut task = Vec::with_capacity(sweeps.len());
@@ -619,23 +660,6 @@ pub fn heap_trace(benchmark: &str) -> Result<String, ExperimentError> {
     Ok(out)
 }
 
-/// Quick access to a default-quality sweep for one benchmark (used by
-/// binaries).
-///
-/// # Errors
-///
-/// See [`ExperimentError`].
-pub fn sweep_benchmark(
-    benchmark: &str,
-    config: &SweepConfig,
-) -> Result<SweepResult, ExperimentError> {
-    let suite = Suite::chopin();
-    let bench = suite
-        .benchmark(benchmark)
-        .ok_or_else(|| ExperimentError::UnknownBenchmark(benchmark.to_string()))?;
-    Ok(run_sweep(bench.profile(), config)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,8 +683,37 @@ mod tests {
         let geo = exp.render_geomean(Clock::Task).unwrap();
         assert!(geo.contains("Figure 1(b)"), "{geo}");
         let names: Vec<&str> = exp.spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"sweep:fop"), "{names:?}");
-        assert!(names.contains(&"lbo:analysis"), "{names:?}");
+        assert_eq!(names, ["sweep", "lbo:analysis"]);
+    }
+
+    #[test]
+    fn lbo_on_the_scheduler_matches_the_reference_sweeps() {
+        let sweep = SweepConfig {
+            collectors: vec![CollectorKind::G1, CollectorKind::Zgc],
+            heap_factors: vec![1.0, 2.0, 4.0],
+            invocations: 2,
+            iterations: 1,
+            size: SizeClass::Default,
+        };
+        let names = ["fop".to_string(), "jython".to_string()];
+        let exp = LboExperiment::run(&names, &sweep).unwrap();
+        assert!(
+            exp.sweeps[0]
+                .failures
+                .iter()
+                .any(|f| f.collector == CollectorKind::Zgc && f.heap_factor == 1.0),
+            "the grid holds an infeasible ZGC cell: {:?}",
+            exp.sweeps[0].failures
+        );
+        for (i, name) in names.iter().enumerate() {
+            let profile = suite::by_name(name).unwrap();
+            let reference = chopin_core::sweep::run_sweep(&profile, &sweep).unwrap();
+            assert_eq!(exp.sweeps[i], reference, "{name}");
+            for (analyses, clock) in [(&exp.wall, Clock::Wall), (&exp.task, Clock::Task)] {
+                let expected = LboAnalysis::compute(&reference.samples, clock).unwrap();
+                assert_eq!(analyses[i], expected, "{name} {clock}");
+            }
+        }
     }
 
     #[test]

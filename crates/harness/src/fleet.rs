@@ -48,7 +48,7 @@ use crate::codec;
 use crate::journal::{worker_journal_path, CellKey, CellProvenance, Journal, JournalEntry};
 use crate::sandbox::{status_signal, CellRequest, CrashReport};
 use crate::supervisor::{
-    absorb_recovered, cell_seed, open_journal, settle, Cell, CellOutcome, CellTable, Drained,
+    absorb_recovered, cell_seed, lock, open_journal, settle, Cell, CellOutcome, CellTable, Drained,
     QuarantineReason, SuperviseError,
 };
 use chopin_core::sweep::SweepConfig;
@@ -65,7 +65,6 @@ use chopin_obs::metrics::fleet_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::{die_by_signal, SIGKILL};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -73,7 +72,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// How often a worker's heartbeat thread beats, in milliseconds.
@@ -1501,6 +1500,9 @@ fn run_transport(
         }
     }
 
+    if fail.is_none() {
+        drain_late_joiners(&mut st.slots, &rx, HEARTBEAT_TIMEOUT_MS);
+    }
     // Wake the acceptor so its thread exits, then drop every peer.
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(&addr);
@@ -1532,13 +1534,40 @@ fn run_transport(
     }
 }
 
+/// After a clean finish, answer every late-joining connection with
+/// `Drain` until each spawned worker has exited or `grace_ms` has
+/// passed. A worker whose `Hello` was still queued, or that had not
+/// connected yet, when the matrix drained never got the final `Drain`;
+/// without this it would retry a vanished coordinator for its whole
+/// reconnect schedule.
+fn drain_late_joiners(slots: &mut [SlotState], rx: &mpsc::Receiver<Event>, grace_ms: u64) {
+    let span = WallSpan::begin();
+    while slots.iter().any(|s| s.alive) {
+        let left = grace_ms.saturating_sub(span.elapsed_ms() as u64);
+        match rx.recv_timeout(Duration::from_millis(left)) {
+            Ok(Event::Joined { mut stream, .. }) => {
+                let line = format!("{}\n", protocol::render(&FleetFrame::Drain));
+                let _ = stream.write_all(line.as_bytes());
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            Ok(Event::ChildExit { slot, worker, .. }) => {
+                if let Some(s) = slots.get_mut(slot).filter(|s| s.worker == worker) {
+                    s.alive = false;
+                }
+            }
+            Ok(_) => {}
+            Err(_) => break,
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The worker.
 // ---------------------------------------------------------------------
 
 fn send_frame(writer: &Mutex<TcpStream>, frame: &FleetFrame) -> bool {
     let line = format!("{}\n", protocol::render(frame));
-    writer.lock().write_all(line.as_bytes()).is_ok()
+    lock(writer).write_all(line.as_bytes()).is_ok()
 }
 
 fn spawn_heartbeat(writer: Arc<Mutex<TcpStream>>, me: u64) {
@@ -1556,7 +1585,7 @@ fn execute_lease(payload: &str) -> Result<(CellKey, CellOutcome), QuarantineReas
     let request: CellRequest = codec::decode(payload)
         .map_err(|e| QuarantineReason::Errored(format!("unreadable cell request: {e}")))?;
     let outcome = settle(catch_unwind(AssertUnwindSafe(|| request.run())))?;
-    Ok((request.cell.key(), outcome))
+    Ok((request.cell, outcome))
 }
 
 /// One event from the worker's manual line reader.
@@ -1949,6 +1978,48 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A worker whose `Hello` is still queued when the matrix drains is
+    /// answered with `Drain`, and the coordinator stops waiting once its
+    /// spawned workers have exited.
+    #[test]
+    fn a_worker_joining_after_the_matrix_drained_is_told_to_drain() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (coordinator_side, _) = listener.accept().unwrap();
+        let (tx, rx) = mpsc::channel();
+        tx.send(Event::Joined {
+            conn: 7,
+            hint: Some(1),
+            token: None,
+            stream: coordinator_side,
+        })
+        .unwrap();
+        tx.send(Event::ChildExit {
+            slot: 0,
+            worker: 1,
+            clean: true,
+            signal: None,
+        })
+        .unwrap();
+        let mut slots = vec![SlotState {
+            worker: 1,
+            generation: 0,
+            crashes: 0,
+            alive: true,
+            quarantined: false,
+        }];
+        let span = WallSpan::begin();
+        drain_late_joiners(&mut slots, &rx, HEARTBEAT_TIMEOUT_MS);
+        assert!(
+            span.elapsed_ms() < HEARTBEAT_TIMEOUT_MS as u128,
+            "the last worker's exit ends the wait"
+        );
+        assert!(!slots[0].alive);
+        let mut line = String::new();
+        BufReader::new(worker_side).read_line(&mut line).unwrap();
+        assert_eq!(protocol::parse(line.trim_end()), Some(FleetFrame::Drain));
+    }
 
     #[test]
     fn incarnation_nonces_survive_xor_cancelling_pid_epoch_pairs() {

@@ -23,33 +23,15 @@
 //! re-records its own verdicts.
 
 use crate::codec::{self, JournalHeader, Record};
-use crate::supervisor::{CellOutcome, QuarantineReason};
+use crate::supervisor::{Cell, CellOutcome, QuarantineReason};
 use chopin_obs::json;
-use chopin_runtime::collector::CollectorKind;
 use std::fs;
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
-/// Identity of one sweep cell: benchmark × collector × heap factor.
-#[derive(Debug, Clone)]
-pub struct CellKey {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Collector under test.
-    pub collector: CollectorKind,
-    /// Heap factor (multiple of the nominal minimum heap).
-    pub heap_factor: f64,
-}
-
-impl CellKey {
-    /// Exact-key equality (heap factors compared bitwise: journalled
-    /// factors round-trip exactly through `{:?}`).
-    pub fn matches(&self, other: &CellKey) -> bool {
-        self.benchmark == other.benchmark
-            && self.collector == other.collector
-            && self.heap_factor.to_bits() == other.heap_factor.to_bits()
-    }
-}
+/// Identity of one sweep cell: benchmark × collector × heap factor. The
+/// journal keys its lines by the supervisor's [`Cell`] itself.
+pub type CellKey = Cell;
 
 /// What a completed cell produced: its [`CellOutcome`]. Quarantined
 /// cells are deliberately *not* representable: only real outcomes are
@@ -343,6 +325,7 @@ pub(crate) fn sibling_worker_journals(base: &Path) -> Vec<PathBuf> {
 mod tests {
     use super::*;
     use chopin_core::lbo::RunSample;
+    use chopin_runtime::collector::CollectorKind;
 
     fn sample(wall: f64) -> RunSample {
         RunSample {

@@ -7,7 +7,6 @@
 //!   sweeps of Figures 1 and 5, the latency panels of Figures 3 and 6, the
 //!   Figure 4 PCA, Tables 1–2, the appendix nominal-statistics tables and
 //!   post-GC heap traces.
-//! * [`runner`] — parallel sweep execution across benchmarks.
 //! * [`plot`] — terminal charts, tables and CSV emission.
 //! * [`cli`] — the tiny flag parser the binaries share.
 //! * [`presets`] — the artifact appendix's experiment presets
@@ -23,9 +22,10 @@
 //!   the engine's [`chopin_obs`] tracing hook attached, harness wall-time
 //!   spans, and Perfetto-compatible export (`artifact trace`).
 //! * [`output`] — the results folder the artifact workflow writes into.
-//! * [`supervisor`] — the resilient sweep supervisor: per-cell panic
-//!   isolation, deadlines, retry with jittered backoff, quarantine
-//!   reports and deterministic fault injection (`--faults`).
+//! * [`supervisor`] — the one sweep scheduler every sweep but the
+//!   sequential reference runs on: per-cell panic isolation, deadlines,
+//!   retry with jittered backoff, quarantine reports and deterministic
+//!   fault injection (`--faults`).
 //! * [`sandbox`] — process-isolated cell execution (`--isolation
 //!   process`): sandboxed worker children with derived resource limits,
 //!   the crash taxonomy (signals, OOM kills, lost heartbeats), hard-fault
@@ -65,18 +65,16 @@ pub mod perf;
 pub mod plot;
 pub mod preflight;
 pub mod presets;
-pub mod runner;
 pub mod sandbox;
 pub mod supervisor;
 pub mod validate;
 
 pub use experiments::{
-    heap_trace, nominal_table, pca_figure, sweep_benchmark, table1, table2, ExperimentError,
+    heap_trace, nominal_table, pca_figure, resolve_profiles, table1, table2, ExperimentError,
     LatencyExperiment, LboExperiment,
 };
 pub use obs::{observe_benchmark, ObsOptions, ObservedRun, SpanSink};
 pub use presets::Preset;
-pub use runner::{run_suite_sweeps, run_suite_sweeps_spanned, SuiteSweepOutcome, SweepError};
 pub use sandbox::{worker_entry, CrashReport, IsolationMode, ProcessCellRunner};
 pub use supervisor::{
     CellFailure, QuarantineEntry, QuarantineReason, SuiteReport, SuiteSupervisor, SuperviseError,

@@ -11,6 +11,7 @@
 
 use crate::cli::Args;
 use crate::experiments::ExperimentError;
+use crate::supervisor::lock;
 use chopin_core::{BenchmarkError, Suite};
 use chopin_faults::{FaultPlan, NoFaults, ScheduledFaults};
 use chopin_obs::{ChromeTrace, EventRecorder, MetricsObserver, MetricsRegistry, ObsConfig, Tee};
@@ -20,8 +21,8 @@ use chopin_runtime::engine::run_with_observer_and_faults;
 use chopin_runtime::result::{RunError, RunResult};
 use chopin_sandbox::clock::WallSpan;
 use chopin_workloads::SizeClass;
-use parking_lot::Mutex;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// Chrome-trace track id for harness wall-time spans (the engine uses
 /// tracks 1–5; see [`chopin_obs::ChromeTrace::from_events`]).
@@ -137,8 +138,8 @@ pub struct HarnessSpan {
     pub end_us: f64,
 }
 
-/// A thread-safe collector of [`HarnessSpan`]s — cheap enough to thread
-/// through the parallel sweep runner.
+/// A thread-safe collector of [`HarnessSpan`]s — cheap enough to share
+/// across threads.
 #[derive(Debug, Default)]
 pub struct SpanSink {
     epoch: Option<WallSpan>,
@@ -165,7 +166,7 @@ impl SpanSink {
         let start_us = self.now_us();
         let out = f();
         let end_us = self.now_us();
-        self.spans.lock().push(HarnessSpan {
+        lock(&self.spans).push(HarnessSpan {
             name: name.to_string(),
             start_us,
             end_us,
@@ -175,7 +176,7 @@ impl SpanSink {
 
     /// The spans recorded so far, in completion order.
     pub fn spans(&self) -> Vec<HarnessSpan> {
-        self.spans.lock().clone()
+        lock(&self.spans).clone()
     }
 }
 

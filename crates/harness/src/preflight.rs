@@ -16,6 +16,7 @@
 //! `demo:*` plans from [`chopin_analyzer::demo`].
 
 use crate::cli::Args;
+use crate::experiments::resolve_profiles;
 use crate::sandbox::{hard_plan_from_args, isolation_from_args, sandbox_policy_from_args};
 use crate::supervisor::{plan_from_args, policy_from_args, supervision_requested};
 use chopin_analyzer::{demo, Methodology, PlanIR};
@@ -24,7 +25,7 @@ use chopin_core::Suite;
 use chopin_faults::SupervisorPolicy;
 use chopin_lint::LintReport;
 use chopin_runtime::collector::CollectorKind;
-use chopin_workloads::{suite, SizeClass, WorkloadProfile};
+use chopin_workloads::SizeClass;
 
 /// Every named shipped plan `artifact analyze --plan` accepts, beyond
 /// the `demo:*` family.
@@ -38,14 +39,6 @@ pub const PLAN_NAMES: [&str; 7] = [
     "chaos",
 ];
 
-fn resolve_profiles(benchmarks: &[String]) -> Result<Vec<WorkloadProfile>, String> {
-    let mut profiles = Vec::with_capacity(benchmarks.len());
-    for name in benchmarks {
-        profiles.push(suite::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?);
-    }
-    Ok(profiles)
-}
-
 fn whole_suite() -> Vec<String> {
     Suite::chopin()
         .names()
@@ -56,8 +49,10 @@ fn whole_suite() -> Vec<String> {
 
 /// Compile the plan a binary is about to execute from its resolved
 /// flags: faults from `--faults`, the supervisor policy from
-/// `--cell-deadline`/`--retries`/`--backoff-ms` when supervision is
-/// requested (no watchdog otherwise), journalling from `--journal`,
+/// `--cell-deadline`/`--retries`/`--backoff-ms` whenever the run goes
+/// through the scheduler (always for an LBO plan; for a sweep only when
+/// supervision is requested; no watchdog otherwise), journalling from
+/// `--journal`,
 /// the isolation backend from `--isolation`, the sandbox policy from
 /// `--heartbeat-ms`/`--rlimit-as-mb`/`--rlimit-cpu-s` and hard faults
 /// from `--hard-faults`, the fleet shape from
@@ -78,16 +73,16 @@ pub fn plan_for_args(
     config: &SweepConfig,
     args: &Args,
 ) -> Result<PlanIR, String> {
-    let profiles = resolve_profiles(benchmarks)?;
+    let profiles = resolve_profiles(benchmarks).map_err(|e| e.to_string())?;
     let faults = plan_from_args(args)?;
-    let policy = if supervision_requested(args) {
-        policy_from_args(args)?
-    } else {
+    let policy = match methodology {
+        Methodology::Lbo => policy_from_args(args)?,
+        Methodology::Sweep if supervision_requested(args) => policy_from_args(args)?,
         // An unsupervised run has no watchdog: nothing for R808 to bound.
-        SupervisorPolicy {
+        _ => SupervisorPolicy {
             cell_deadline_ms: None,
             ..SupervisorPolicy::default()
-        }
+        },
     };
     let fleet = crate::fleet::fleet_config_from_args(args)?;
     let (fleet_plan, net_faults, standby) = match fleet {
@@ -201,14 +196,14 @@ pub fn plan_by_name(name: &str) -> Option<PlanIR> {
             None,
             no_watchdog,
         ),
-        // artifact lbo (Figures 1 and 5).
+        // artifact lbo (Figures 1 and 5), on the scheduler's defaults.
         "lbo" => compile_shipped(
             name,
             Methodology::Lbo,
             &whole_suite(),
             crate::presets::lbo_sweep_config(),
             None,
-            no_watchdog,
+            SupervisorPolicy::default(),
         ),
         // artifact latency (Figures 3 and 6): the two figure benchmarks.
         "latency" => compile_shipped(
@@ -240,16 +235,16 @@ pub fn plan_by_name(name: &str) -> Option<PlanIR> {
             None,
             no_watchdog,
         ),
-        // artifact validate: the scorecard's coarse suite sweep. The
-        // scorecard reports per-run telemetry, so warmup rules do not
-        // apply (Methodology::Suite).
+        // artifact validate: the scorecard's coarse suite sweep, on the
+        // scheduler's defaults. The scorecard reports per-run telemetry,
+        // so warmup rules do not apply (Methodology::Suite).
         "validate" => compile_shipped(
             name,
             Methodology::Suite,
             &whole_suite(),
             crate::validate::scorecard_sweep_config(),
             None,
-            no_watchdog,
+            SupervisorPolicy::default(),
         ),
         // artifact chaos: fop + lusearch under the chaos fault preset,
         // supervised with the default policy.
@@ -357,6 +352,32 @@ mod tests {
             &Args::parse(Vec::<String>::new()),
         )
         .is_err());
+    }
+
+    #[test]
+    fn plans_carry_the_policy_each_run_enforces() {
+        let bare = Args::parse(Vec::<String>::new());
+        let fop = ["fop".to_string()];
+        // lbo always runs on the scheduler, so its 60 s default deadline
+        // is enforced and R808 must see it.
+        let lbo = plan_for_args("lbo", Methodology::Lbo, &fop, &SweepConfig::quick(), &bare)
+            .expect("compiles");
+        assert_eq!(lbo.policy, SupervisorPolicy::default());
+        assert_eq!(lbo.policy.cell_deadline_ms, Some(60_000));
+        // runbms without a supervisor flag is the sequential reference.
+        let runbms = plan_for_args(
+            "runbms",
+            Methodology::Sweep,
+            &fop,
+            &SweepConfig::quick(),
+            &bare,
+        )
+        .expect("compiles");
+        assert_eq!(runbms.policy.cell_deadline_ms, None);
+        for name in ["lbo", "validate"] {
+            let plan = plan_by_name(name).expect("shipped");
+            assert_eq!(plan.policy, SupervisorPolicy::default(), "{name}");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use crate::cli::Args;
 use crate::codec::{self, Record};
 use crate::supervisor::{
-    Cell, CellFailure, CellOutcome, CellRunner, QuarantineReason, SweepCellRunner,
+    lock, Cell, CellFailure, CellOutcome, CellRunner, QuarantineReason, SweepCellRunner,
 };
 use chopin_analyzer::analyses::cost::SIM_RATE_CEILING;
 use chopin_core::iteration::warmup_scale;
@@ -45,8 +45,8 @@ use chopin_sandbox::parent::RequestLimits;
 use chopin_sandbox::policy::{derived_rlimit_cpu_s, required_rlimit_as};
 use chopin_sandbox::{ChildOutcome, ChildReport, SandboxPolicy, SandboxPool};
 use chopin_workloads::{SizeClass, WorkloadProfile};
-use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Duration;
 
 pub use chopin_sandbox::IsolationMode;
@@ -372,7 +372,7 @@ impl ProcessCellRunner {
     }
 
     fn absorb(&self, cell: &Cell, report: &ChildReport) {
-        let mut stats = self.stats.lock();
+        let mut stats = lock(&self.stats);
         stats.spawns += 1;
         stats.heartbeats += report.heartbeats;
         if let Some(beat_ms) = report.last_heartbeat_ms {
@@ -395,7 +395,7 @@ impl ProcessCellRunner {
             report.outcome,
             ChildOutcome::Completed(_) | ChildOutcome::Failed(_)
         ) {
-            self.reports.lock().push(CrashReport {
+            lock(&self.reports).push(CrashReport {
                 benchmark: cell.benchmark.clone(),
                 collector: cell.collector.to_string(),
                 heap_factor: cell.heap_factor,
@@ -412,7 +412,7 @@ impl ProcessCellRunner {
     /// Fold the sandbox counters into `metrics` under the
     /// [`sandbox_metrics`] names.
     pub fn merge_metrics(&self, metrics: &mut MetricsRegistry) {
-        let stats = self.stats.lock();
+        let stats = lock(&self.stats);
         metrics.inc(sandbox_metrics::SPAWNS, stats.spawns);
         metrics.inc(sandbox_metrics::KILLS_DEADLINE, stats.kills_deadline);
         metrics.inc(sandbox_metrics::KILLS_HEARTBEAT, stats.kills_heartbeat);
@@ -432,7 +432,7 @@ impl ProcessCellRunner {
 
     /// Drain the crash reports accumulated so far.
     pub fn take_reports(&self) -> Vec<CrashReport> {
-        std::mem::take(&mut self.reports.lock())
+        std::mem::take(&mut lock(&self.reports))
     }
 }
 

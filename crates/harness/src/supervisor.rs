@@ -2,14 +2,15 @@
 //! deadlines, retry with jittered exponential backoff, a crash-safe
 //! resume journal and graceful degradation into a quarantine report.
 //!
-//! [`run_suite_sweeps`](crate::runner::run_suite_sweeps) assumes every
-//! cell is well-behaved; a long unattended campaign cannot. The supervisor
-//! wraps each cell (benchmark × collector × heap factor) in an isolation
-//! boundary: a panicking cell is caught, a hung cell is abandoned at its
-//! deadline, and both are retried with exponential backoff before being
-//! quarantined with a structured reason. The supervisor never aborts on a
-//! bad cell: it always returns every completed [`SweepResult`] plus the
-//! quarantine list.
+//! A long unattended campaign cannot assume every cell is well-behaved.
+//! The supervisor wraps each cell (benchmark × collector × heap factor)
+//! in an isolation boundary: a panicking cell is caught, a hung cell is
+//! abandoned at its deadline, and both are retried with exponential
+//! backoff before being quarantined with a structured reason. The
+//! supervisor never aborts on a bad cell: it always returns every
+//! completed [`SweepResult`] plus the quarantine list. It is the only
+//! way a sweep runs, apart from the sequential reference `run_sweep`
+//! that `runbms` keeps for byte comparisons.
 //!
 //! Every isolation mode runs on one scheduler: a [`LeaseTable`] over
 //! typed cell outcomes, which owns retry, seeded full-jitter backoff and
@@ -19,10 +20,12 @@
 //! order, so a resumed or differently-isolated suite reproduces the
 //! uninterrupted run byte for byte. Only the executor differs by mode:
 //!
-//! * `--isolation thread` — `min(nproc, cells)` threads loop grant →
-//!   attempt → complete or fail, each attempt on a watchdog thread.
-//!   Completed cells are journalled atomically ([`crate::journal`]) as
-//!   they finish.
+//! * `--isolation thread` — `min(nproc, cells)` scheduler threads loop
+//!   grant → attempt → complete or fail. Each hands its attempts to one
+//!   long-lived attempt thread and waits for the reply within the cell
+//!   deadline; an attempt thread abandoned at a deadline is replaced by
+//!   a fresh one. Completed cells are journalled atomically
+//!   ([`crate::journal`]) as they finish.
 //! * `--isolation process` — the same loop, each attempt in a sandboxed
 //!   child ([`crate::sandbox`]): cells that SIGSEGV, get SIGKILLed, blow
 //!   their address-space limit or stop heartbeating are quarantined as
@@ -39,11 +42,9 @@
 
 use crate::codec::{self, decode_reason};
 use crate::journal::{
-    sibling_worker_journals, CellKey, CellProvenance, Journal, JournalEntry, JournalError,
-    QuarantineRecord,
+    sibling_worker_journals, CellProvenance, Journal, JournalEntry, JournalError, QuarantineRecord,
 };
 use crate::sandbox::{write_crash_reports, CrashReport, ProcessCellRunner};
-use chopin_core::benchmark::{BenchmarkError, BenchmarkRunner};
 use chopin_core::lbo::RunSample;
 use chopin_core::sweep::{SweepConfig, SweepFailure, SweepResult};
 use chopin_faults::{FaultPlan, HardFaultPlan, PolicyError, SupervisorPolicy};
@@ -53,21 +54,27 @@ use chopin_fleet::{CellMerge, FleetConfig, Grant, LeaseTable};
 use chopin_obs::metrics::fleet_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_runtime::collector::CollectorKind;
-use chopin_runtime::result::RunError;
 use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::signal_name;
 use chopin_sandbox::{IsolationMode, SandboxPolicy};
 use chopin_workloads::WorkloadProfile;
-use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+/// Lock `mutex`, ignoring poison: a cell that panics while another
+/// thread holds a lock must not take the lease table, the journal or
+/// a telemetry sink down with it.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One unit of supervised work: a benchmark × collector × heap-factor
-/// cell, covering all of the cell's invocations.
+/// cell, covering all of the cell's invocations. It is also the cell's
+/// journal key ([`CellKey`](crate::journal::CellKey)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Benchmark name.
@@ -79,13 +86,12 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// The cell's journal key.
-    pub(crate) fn key(&self) -> CellKey {
-        CellKey {
-            benchmark: self.benchmark.clone(),
-            collector: self.collector,
-            heap_factor: self.heap_factor,
-        }
+    /// Exact-key equality (heap factors compared bitwise: journalled
+    /// factors round-trip exactly through `{:?}`).
+    pub fn matches(&self, other: &Cell) -> bool {
+        self.benchmark == other.benchmark
+            && self.collector == other.collector
+            && self.heap_factor.to_bits() == other.heap_factor.to_bits()
     }
 }
 
@@ -157,8 +163,8 @@ impl From<String> for CellFailure {
     }
 }
 
-/// Executes one cell. The default implementation runs the benchmark
-/// through [`BenchmarkRunner`]; the process backend
+/// Executes one cell. The default implementation ([`SweepCellRunner`])
+/// runs the sweep's invocation loop in this process; the process backend
 /// ([`ProcessCellRunner`]) marshals the cell into a sandboxed child; and
 /// chaos tests substitute runners that panic, hang or fail on schedule.
 pub trait CellRunner: Send + Sync {
@@ -190,9 +196,9 @@ pub trait CellRunner: Send + Sync {
     }
 }
 
-/// The production thread-backend [`CellRunner`]: [`BenchmarkRunner`]
-/// invocations with an optional deterministic fault plan injected into
-/// every run.
+/// The production thread-backend [`CellRunner`]: the sweep's one
+/// invocation loop ([`chopin_core::sweep::run_cell`]) with an optional
+/// deterministic fault plan injected into every run.
 #[derive(Debug, Clone, Default)]
 pub struct SweepCellRunner {
     faults: Option<FaultPlan>,
@@ -219,31 +225,20 @@ impl CellRunner for SweepCellRunner {
         cell: &Cell,
         config: &SweepConfig,
     ) -> Result<CellOutcome, CellFailure> {
-        let mut outcome = CellOutcome::default();
-        for invocation in 0..config.invocations {
-            let mut runner = BenchmarkRunner::for_profile(profile.clone())
-                .collector(cell.collector)
-                .size(config.size)
-                .heap_factor(cell.heap_factor)
-                .iterations(config.iterations)
-                .seed(1 + u64::from(invocation));
-            if let Some(plan) = &self.faults {
-                runner = runner.faults(plan.clone());
-            }
-            match runner.run() {
-                Ok(set) => outcome
-                    .samples
-                    .push(RunSample::from_result(set.timed(), cell.heap_factor)),
-                Err(BenchmarkError::Run(
-                    e @ (RunError::OutOfMemory { .. } | RunError::GcThrash { .. }),
-                )) => {
-                    outcome.infeasible = Some(e.to_string());
-                    return Ok(outcome);
-                }
-                Err(e) => return Err(e.to_string().into()),
-            }
-        }
-        Ok(outcome)
+        let mut samples = Vec::new();
+        let infeasible = chopin_core::sweep::run_cell(
+            profile,
+            cell.collector,
+            cell.heap_factor,
+            config,
+            self.faults.as_ref(),
+            &mut samples,
+        )
+        .map_err(|e| e.to_string())?;
+        Ok(CellOutcome {
+            samples,
+            infeasible,
+        })
     }
 
     fn fingerprint(&self) -> String {
@@ -400,33 +395,73 @@ impl From<JournalError> for SuperviseError {
     }
 }
 
-/// Whether any supervisor flag is on the command line — the binaries use
-/// this to route a sweep through the supervisor instead of the plain
-/// runner.
+/// Flags only the sweep scheduler honours. `latency` and `suite` have no
+/// per-cell scheduler path, so they reject every one of them
+/// ([`reject_scheduler_flags`]); `--faults` and `--isolation`, which
+/// those two honour on their own terms, are not on the list.
+pub const SCHEDULER_FLAGS: [&str; 19] = [
+    "journal",
+    "resume",
+    "cell-deadline",
+    "retries",
+    "backoff-ms",
+    "hard-faults",
+    "crash-reports",
+    "heartbeat-ms",
+    "rlimit-as-mb",
+    "rlimit-cpu-s",
+    "fleet",
+    "fleet-connect",
+    "lease-deadline",
+    "fleet-storm",
+    "fleet-bind",
+    "fleet-token",
+    "fleet-standby",
+    "fleet-await-standby",
+    "net-faults",
+];
+
+/// Whether any supervisor flag is on the command line: `runbms` runs
+/// its sequential reference sweep only when none is.
 pub fn supervision_requested(args: &crate::cli::Args) -> bool {
-    [
-        "faults",
-        "journal",
-        "resume",
-        "cell-deadline",
-        "retries",
-        "backoff-ms",
-        "isolation",
-        "hard-faults",
-        "fleet",
-        "lease-deadline",
-        "fleet-storm",
-        "fleet-bind",
-        "fleet-token",
-        "fleet-standby",
-        "net-faults",
-        "crash-reports",
-        "heartbeat-ms",
-        "rlimit-as-mb",
-        "rlimit-cpu-s",
-    ]
-    .iter()
-    .any(|f| args.has(f))
+    args.has("faults") || args.has("isolation") || SCHEDULER_FLAGS.iter().any(|f| args.has(f))
+}
+
+/// Refuse the [`SCHEDULER_FLAGS`] for `binary`, which has no per-cell
+/// scheduler path and would otherwise accept and ignore them.
+///
+/// # Errors
+///
+/// A message naming the first such flag and the binaries that take it.
+pub fn reject_scheduler_flags(binary: &str, args: &crate::cli::Args) -> Result<(), String> {
+    match SCHEDULER_FLAGS.iter().find(|f| args.has(f)) {
+        None => Ok(()),
+        Some(flag) => Err(format!(
+            "{binary} does not run on the sweep scheduler, so it cannot honour --{flag}; \
+             use runbms or lbo"
+        )),
+    }
+}
+
+/// Build the supervisor a command line asks for: the policy
+/// ([`policy_from_args`]), `--resume`, `--faults`, `--journal`, the
+/// isolation family ([`crate::sandbox::configure_isolation`]) and the
+/// fleet family ([`crate::fleet::fleet_config_from_args`]). The one
+/// recipe `runbms`, `lbo` and `artifact chaos` share.
+///
+/// # Errors
+///
+/// A human-readable message for any malformed flag.
+pub fn supervisor_from_args(args: &crate::cli::Args) -> Result<SuiteSupervisor, String> {
+    let mut supervisor = SuiteSupervisor::new(policy_from_args(args)?).resume(args.has("resume"));
+    if let Some(plan) = plan_from_args(args)? {
+        supervisor = supervisor.with_faults(plan);
+    }
+    if let Some(path) = args.value("journal") {
+        supervisor = supervisor.with_journal(path);
+    }
+    let supervisor = crate::sandbox::configure_isolation(supervisor, args)?;
+    Ok(supervisor.with_fleet(crate::fleet::fleet_config_from_args(args)?))
 }
 
 /// Build a [`SupervisorPolicy`] from `--cell-deadline MS` (0 disables the
@@ -471,7 +506,7 @@ pub fn plan_from_args(args: &crate::cli::Args) -> Result<Option<FaultPlan>, Stri
         .map(Some)
 }
 
-/// What one cell attempt sends back from its worker thread: the
+/// What one cell attempt sends back from its attempt thread: the
 /// `catch_unwind`-wrapped runner result.
 pub type AttemptPayload = std::thread::Result<Result<CellOutcome, CellFailure>>;
 
@@ -556,32 +591,74 @@ pub(crate) fn settle(payload: AttemptPayload) -> Result<CellOutcome, QuarantineR
     }
 }
 
-/// Run one attempt of `cell` on a watchdog-supervised worker thread. On
-/// deadline expiry the worker is abandoned (it parks on a dead channel
-/// and exits whenever its run returns); the attempt is charged as timed
-/// out either way. Runners that enforce the deadline themselves
-/// ([`CellRunner::handles_deadline`]) are waited on without a watchdog.
-fn run_attempt(
+/// What every attempt of one local run shares: the runner, the profiles,
+/// the schedule and the sweep configuration. Attempt threads outlive
+/// the scheduler's borrows when abandoned, so they hold it by `Arc`.
+struct AttemptWork {
     runner: Arc<dyn CellRunner>,
-    profile: WorkloadProfile,
-    cell: Cell,
+    profiles: Vec<WorkloadProfile>,
+    cells: Vec<(usize, Cell)>,
     config: SweepConfig,
+}
+
+/// A scheduler thread's attempt thread: one long-lived OS thread that
+/// runs each cell it is handed under `catch_unwind` and replies over a
+/// channel, so the scheduler thread can wait on the reply with a
+/// deadline. An abandoned attempt thread finishes its run, finds its
+/// reply channel dead and exits.
+struct AttemptThread {
+    cells: mpsc::Sender<usize>,
+    replies: mpsc::Receiver<AttemptPayload>,
+}
+
+impl AttemptThread {
+    fn spawn(work: &Arc<AttemptWork>) -> AttemptThread {
+        let (cells, inbox) = mpsc::channel::<usize>();
+        let (outbox, replies) = mpsc::channel();
+        let work = Arc::clone(work);
+        std::thread::spawn(move || {
+            for idx in inbox {
+                let (pi, cell) = &work.cells[idx];
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    work.runner
+                        .run_cell(&work.profiles[*pi], cell, &work.config)
+                }));
+                if outbox.send(result).is_err() {
+                    break;
+                }
+            }
+        });
+        AttemptThread { cells, replies }
+    }
+}
+
+/// Run one attempt of schedule cell `idx` on `thread` (spawning it when
+/// there is none) and wait for the reply within the cell deadline, or
+/// without one when the runner enforces it itself
+/// ([`CellRunner::handles_deadline`]). A blown deadline abandons the
+/// attempt thread, as does its vanishing; the next attempt then gets a
+/// fresh one.
+fn run_attempt(
+    work: &Arc<AttemptWork>,
+    thread: &mut Option<AttemptThread>,
+    idx: usize,
     deadline_ms: Option<u64>,
     clock: &dyn SupervisorClock,
 ) -> Result<CellOutcome, QuarantineReason> {
-    let budget = if runner.handles_deadline() {
+    let budget = if work.runner.handles_deadline() {
         None
     } else {
         deadline_ms.map(Duration::from_millis)
     };
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            runner.run_cell(&profile, &cell, &config)
-        }));
-        let _ = tx.send(result);
-    });
-    match clock.recv(&rx, budget) {
+    let attempt = thread.get_or_insert_with(|| AttemptThread::spawn(work));
+    let reply = match attempt.cells.send(idx) {
+        Ok(()) => clock.recv(&attempt.replies, budget),
+        Err(_) => Err(mpsc::RecvTimeoutError::Disconnected),
+    };
+    if reply.is_err() {
+        *thread = None;
+    }
+    match reply {
         Err(mpsc::RecvTimeoutError::Timeout) => Err(QuarantineReason::DeadlineExceeded {
             budget_ms: deadline_ms.unwrap_or(0),
         }),
@@ -724,6 +801,11 @@ impl SuiteSupervisor {
     pub fn resume(mut self, resume: bool) -> SuiteSupervisor {
         self.resume = resume;
         self
+    }
+
+    /// The fault plan injected into every cell, if any.
+    pub fn faults(&self) -> Option<&FaultPlan> {
+        self.faults.as_ref()
     }
 }
 
@@ -891,12 +973,12 @@ impl SuiteSupervisor {
         ))
     }
 
-    /// Drain the table in this process: `min(nproc, cells)` threads each
-    /// loop grant → [`run_attempt`] → complete or fail, journalling every
-    /// completion as it lands. Retries wait out the table's backoff on
-    /// the supervisor clock. Each thread stops once no cell is pending:
-    /// a failed cell is requeued by the thread that failed it, which
-    /// keeps asking.
+    /// Drain the table in this process: `min(nproc, cells)` scheduler
+    /// threads each loop grant → [`run_attempt`] on their own attempt
+    /// thread → complete or fail, journalling every completion as it
+    /// lands. Retries wait out the table's backoff on the supervisor
+    /// clock. Each thread stops once no cell is pending: a failed cell is
+    /// requeued by the thread that failed it, which keeps asking.
     fn drain_locally(
         &self,
         runner: &Arc<dyn CellRunner>,
@@ -906,54 +988,61 @@ impl SuiteSupervisor {
         table: CellTable,
         journal: Option<Journal>,
     ) -> (CellTable, Option<Journal>) {
+        let work = Arc::new(AttemptWork {
+            runner: Arc::clone(runner),
+            profiles: profiles.to_vec(),
+            cells: cells.to_vec(),
+            config: config.clone(),
+        });
         let table = Mutex::new(table);
         let journal = Mutex::new(journal);
-        let serve = |worker: u64| loop {
-            let grant = {
-                let mut table = table.lock();
-                if !table.has_pending() {
-                    break;
-                }
-                table.grant(worker, self.clock.now_ms())
-            };
-            let lease = match grant {
-                Grant::Lease(lease) => lease,
-                Grant::Wait(ms) => {
-                    self.clock.sleep(Duration::from_millis(ms));
-                    continue;
-                }
-                Grant::Drain => break,
-            };
-            let (pi, cell) = &cells[lease.cell];
-            match run_attempt(
-                Arc::clone(runner),
-                profiles[*pi].clone(),
-                cell.clone(),
-                config.clone(),
-                self.policy.cell_deadline_ms,
-                self.clock.as_ref(),
-            ) {
-                Ok(outcome) => {
-                    if let Some(j) = journal.lock().as_mut() {
-                        // A journal write failure must not lose the
-                        // computed outcome; the suite continues and only
-                        // resume fidelity degrades.
-                        let _ = j.record(JournalEntry {
-                            key: cell.key(),
-                            record: outcome.clone(),
-                            provenance: None,
-                        });
+        let serve = |worker: u64| {
+            let mut attempts = None;
+            loop {
+                let grant = {
+                    let mut table = lock(&table);
+                    if !table.has_pending() {
+                        break;
                     }
-                    table.lock().complete(lease.lease, outcome);
-                }
-                Err(reason) => {
-                    let now = self.clock.now_ms();
-                    table.lock().fail(lease.lease, &codec::encode(&reason), now);
+                    table.grant(worker, self.clock.now_ms())
+                };
+                let lease = match grant {
+                    Grant::Lease(lease) => lease,
+                    Grant::Wait(ms) => {
+                        self.clock.sleep(Duration::from_millis(ms));
+                        continue;
+                    }
+                    Grant::Drain => break,
+                };
+                match run_attempt(
+                    &work,
+                    &mut attempts,
+                    lease.cell,
+                    self.policy.cell_deadline_ms,
+                    self.clock.as_ref(),
+                ) {
+                    Ok(outcome) => {
+                        if let Some(j) = lock(&journal).as_mut() {
+                            // A journal write failure must not lose the
+                            // computed outcome; the suite continues and
+                            // only resume fidelity degrades.
+                            let _ = j.record(JournalEntry {
+                                key: cells[lease.cell].1.clone(),
+                                record: outcome.clone(),
+                                provenance: None,
+                            });
+                        }
+                        lock(&table).complete(lease.lease, outcome);
+                    }
+                    Err(reason) => {
+                        let now = self.clock.now_ms();
+                        lock(&table).fail(lease.lease, &codec::encode(&reason), now);
+                    }
                 }
             }
         };
         // A complete resume leaves nothing pending: start no threads.
-        let workers = if table.lock().has_pending() {
+        let workers = if lock(&table).has_pending() {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
@@ -967,7 +1056,10 @@ impl SuiteSupervisor {
                 scope.spawn(move || serve(worker));
             }
         });
-        (table.into_inner(), journal.into_inner())
+        (
+            table.into_inner().unwrap_or_else(PoisonError::into_inner),
+            journal.into_inner().unwrap_or_else(PoisonError::into_inner),
+        )
     }
 }
 
@@ -1005,10 +1097,10 @@ pub(crate) struct Drained {
 }
 
 /// A cell's identity as an ordered map key (heap factor bitwise, as
-/// [`CellKey::matches`] compares it).
+/// [`Cell::matches`] compares it).
 type CellIdent<'a> = (&'a str, CollectorKind, u64);
 
-fn ident(key: &CellKey) -> CellIdent<'_> {
+fn ident(key: &Cell) -> CellIdent<'_> {
     (&key.benchmark, key.collector, key.heap_factor.to_bits())
 }
 
@@ -1120,7 +1212,7 @@ pub(crate) fn absorb_recovered(
         if !in_base {
             if let Some(j) = journal.as_mut() {
                 let _ = j.record(JournalEntry {
-                    key: cells[idx].1.key(),
+                    key: cells[idx].1.clone(),
                     record: outcome.clone(),
                     provenance: Some(CellProvenance { attempt, worker }),
                 });
@@ -1182,7 +1274,7 @@ pub(crate) fn assemble_report(
                 }
                 if let Some(j) = journal.as_mut().filter(|_| !journalled[idx]) {
                     let _ = j.record(JournalEntry {
-                        key: cell.key(),
+                        key: cell.clone(),
                         record: outcome.clone(),
                         provenance: Some(CellProvenance { attempt, worker }),
                     });
@@ -1205,7 +1297,7 @@ pub(crate) fn assemble_report(
                 };
                 if let Some(j) = journal.as_mut() {
                     let _ = j.record_quarantine(QuarantineRecord {
-                        key: cell.key(),
+                        key: cell.clone(),
                         attempts: entry.attempts,
                         reason: entry.reason.clone(),
                     });
@@ -1247,7 +1339,7 @@ pub(crate) fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::worker_journal_path;
+    use crate::journal::{worker_journal_path, CellKey};
     use chopin_faults::{HardFaultKind, DEFAULT_HARD_SEED};
     use chopin_workloads::suite;
     use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
@@ -1363,7 +1455,7 @@ mod tests {
         // And the winner was persisted into the base journal at absorb
         // time, so a second coordinator crash cannot lose it.
         let reloaded = Journal::load(&base_path).unwrap();
-        let record = reloaded.lookup(&cell("fop").key()).unwrap();
+        let record = reloaded.lookup(&cell("fop")).unwrap();
         assert_eq!(record.samples[0].wall_s, 0.25);
         assert_eq!(
             reloaded.entries()[0].provenance,
@@ -1490,11 +1582,15 @@ mod tests {
 
     /// The virtual clock (no real sleeping): backoff durations are
     /// recorded for exact assertions, time advances only by them, and
-    /// `expire_deadlines` makes every bounded wait time out immediately
-    /// so deadline tests take no wall time.
+    /// `expire_deadlines` makes a bounded wait time out as soon as its
+    /// attempt parks in [`VirtualClock::park`], so deadline tests take no
+    /// wall time. Expiry pairs each park with one wait, so those tests
+    /// run one cell.
     struct VirtualClock {
         sleeps: Mutex<Vec<u64>>,
         expire_deadlines: bool,
+        parked: AtomicU32,
+        expired: AtomicU32,
     }
 
     impl VirtualClock {
@@ -1502,17 +1598,27 @@ mod tests {
             Arc::new(VirtualClock {
                 sleeps: Mutex::new(Vec::new()),
                 expire_deadlines,
+                parked: AtomicU32::new(0),
+                expired: AtomicU32::new(0),
             })
+        }
+
+        /// Hang the calling attempt for good.
+        fn park(&self) -> ! {
+            self.parked.fetch_add(1, AtomicOrdering::SeqCst);
+            loop {
+                std::thread::sleep(Duration::from_millis(50));
+            }
         }
     }
 
     impl SupervisorClock for VirtualClock {
         fn now_ms(&self) -> u64 {
-            self.sleeps.lock().iter().sum()
+            lock(&self.sleeps).iter().sum()
         }
 
         fn sleep(&self, duration: Duration) {
-            self.sleeps.lock().push(duration.as_millis() as u64);
+            lock(&self.sleeps).push(duration.as_millis() as u64);
         }
 
         fn recv(
@@ -1521,7 +1627,28 @@ mod tests {
             budget: Option<Duration>,
         ) -> Result<AttemptPayload, mpsc::RecvTimeoutError> {
             if self.expire_deadlines && budget.is_some() {
-                return rx.try_recv().map_err(|_| mpsc::RecvTimeoutError::Timeout);
+                let mut waited_ms = 0u32;
+                loop {
+                    match rx.try_recv() {
+                        Ok(payload) => return Ok(payload),
+                        Err(mpsc::TryRecvError::Disconnected) => {
+                            return Err(mpsc::RecvTimeoutError::Disconnected)
+                        }
+                        Err(mpsc::TryRecvError::Empty) => {}
+                    }
+                    if self.parked.load(AtomicOrdering::SeqCst)
+                        > self.expired.load(AtomicOrdering::SeqCst)
+                    {
+                        self.expired.fetch_add(1, AtomicOrdering::SeqCst);
+                        return Err(mpsc::RecvTimeoutError::Timeout);
+                    }
+                    waited_ms += 1;
+                    assert!(
+                        waited_ms < 30_000,
+                        "an attempt neither answered nor parked within 30 s"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
             }
             match budget {
                 Some(budget) => rx.recv_timeout(budget),
@@ -1552,33 +1679,44 @@ mod tests {
                 }
                 return Err(format!("injected transient error #{n}").into());
             }
-            Ok(CellOutcome {
-                samples: vec![RunSample {
-                    collector: cell.collector,
-                    heap_factor: cell.heap_factor,
-                    wall_s: 1.0,
-                    task_s: 2.0,
-                    wall_distillable_s: 0.9,
-                    task_distillable_s: 1.8,
-                }],
-                infeasible: None,
-            })
+            Ok(canned(cell))
         }
     }
 
-    /// A runner whose cells hang forever.
-    struct HangingRunner;
+    /// The one-sample outcome the test runners complete a cell with.
+    fn canned(cell: &Cell) -> CellOutcome {
+        CellOutcome {
+            samples: vec![RunSample {
+                collector: cell.collector,
+                heap_factor: cell.heap_factor,
+                wall_s: 1.0,
+                task_s: 2.0,
+                wall_distillable_s: 0.9,
+                task_distillable_s: 1.8,
+            }],
+            infeasible: None,
+        }
+    }
+
+    /// A runner whose first `hangs` calls hang forever (parked on the
+    /// virtual clock) and whose later calls succeed.
+    struct HangingRunner {
+        clock: Arc<VirtualClock>,
+        hangs: u32,
+        calls: AtomicU32,
+    }
 
     impl CellRunner for HangingRunner {
         fn run_cell(
             &self,
             _profile: &WorkloadProfile,
-            _cell: &Cell,
+            cell: &Cell,
             _config: &SweepConfig,
         ) -> Result<CellOutcome, CellFailure> {
-            loop {
-                std::thread::sleep(Duration::from_millis(50));
+            if self.calls.fetch_add(1, AtomicOrdering::SeqCst) < self.hangs {
+                self.clock.park();
             }
+            Ok(canned(cell))
         }
     }
 
@@ -1628,8 +1766,8 @@ mod tests {
             .map(|a| policy.backoff_jitter_ms(a, seed))
             .filter(|&ms| ms > 0)
             .collect();
-        assert_eq!(*clock.sleeps.lock(), expected);
-        for (attempt, &slept) in clock.sleeps.lock().iter().enumerate() {
+        assert_eq!(*lock(&clock.sleeps), expected);
+        for (attempt, &slept) in lock(&clock.sleeps).iter().enumerate() {
             assert!(
                 slept <= policy.backoff_ms(attempt as u32),
                 "jitter stays under the deterministic ceiling"
@@ -1686,12 +1824,17 @@ mod tests {
             backoff_base_ms: 1,
             backoff_max_ms: 2,
         };
-        // expire_deadlines: bounded waits time out instantly, so this
-        // test asserts deadline *classification* with zero wall time
-        // spent waiting on the hung workers.
+        // expire_deadlines: a hung attempt's wait times out at once, so
+        // this test asserts deadline *classification* with zero wall
+        // time spent waiting on the hung attempts.
+        let clock = VirtualClock::new(true);
         let report = SuiteSupervisor::new(policy)
-            .with_runner(Arc::new(HangingRunner))
-            .with_clock(VirtualClock::new(true))
+            .with_runner(Arc::new(HangingRunner {
+                clock: Arc::clone(&clock),
+                hangs: u32::MAX,
+                calls: AtomicU32::new(0),
+            }))
+            .with_clock(clock)
             .run(&profiles, &one_cell_config())
             .unwrap();
         assert_eq!(report.quarantined.len(), 1);
@@ -1699,6 +1842,152 @@ mod tests {
             report.quarantined[0].reason,
             QuarantineReason::DeadlineExceeded { budget_ms: 30 }
         ));
+    }
+
+    #[test]
+    fn a_retry_after_a_deadline_gets_a_fresh_attempt_thread() {
+        // The first attempt hangs for good and is abandoned at the
+        // deadline with its attempt thread; the retry must run on a fresh
+        // thread, not queue behind the hung one.
+        let profiles = vec![suite::by_name("fop").unwrap()];
+        let clock = VirtualClock::new(true);
+        let report = SuiteSupervisor::new(fast_policy())
+            .with_runner(Arc::new(HangingRunner {
+                clock: Arc::clone(&clock),
+                hangs: 1,
+                calls: AtomicU32::new(0),
+            }))
+            .with_clock(clock)
+            .run(&profiles, &one_cell_config())
+            .unwrap();
+        assert!(report.is_clean(), "{}", report.quarantine_summary());
+        assert_eq!(report.results[0].samples.len(), 1);
+        assert_eq!(
+            report.metrics.counter("supervisor.retries"),
+            1,
+            "the cell completes on attempt 2"
+        );
+    }
+
+    /// A runner that records the thread each attempt runs on.
+    #[derive(Default)]
+    struct ThreadRecorder(Mutex<Vec<std::thread::ThreadId>>);
+
+    impl CellRunner for ThreadRecorder {
+        fn run_cell(
+            &self,
+            _profile: &WorkloadProfile,
+            cell: &Cell,
+            _config: &SweepConfig,
+        ) -> Result<CellOutcome, CellFailure> {
+            let id = std::thread::current().id();
+            let mut seen = lock(&self.0);
+            if !seen.contains(&id) {
+                seen.push(id);
+            }
+            Ok(canned(cell))
+        }
+    }
+
+    #[test]
+    fn attempt_threads_are_reused_across_cells() {
+        let profiles = vec![
+            suite::by_name("fop").unwrap(),
+            suite::by_name("jython").unwrap(),
+        ];
+        let config = SweepConfig::quick();
+        let cells = profiles.len() * config.cell_count();
+        assert!(cells >= 20);
+        let recorder = Arc::new(ThreadRecorder::default());
+        let report = SuiteSupervisor::new(fast_policy())
+            .with_runner(Arc::clone(&recorder) as Arc<dyn CellRunner>)
+            .with_clock(VirtualClock::new(false))
+            .run(&profiles, &config)
+            .unwrap();
+        assert!(report.is_clean(), "{}", report.quarantine_summary());
+        assert_eq!(
+            report.metrics.counter("supervisor.cells.completed"),
+            cells as u64
+        );
+        let schedulers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(cells);
+        let threads = lock(&recorder.0).len();
+        assert!(
+            threads <= schedulers,
+            "{cells} attempts ran on {threads} threads; at most one per scheduler \
+             thread ({schedulers}) when no deadline expires"
+        );
+    }
+
+    #[test]
+    fn lock_sees_through_poison() {
+        let counter = Mutex::new(1);
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = lock(&counter);
+            panic!("a cell panics while holding the lock");
+        }));
+        assert!(poisoned.is_err() && counter.is_poisoned());
+        *lock(&counter) += 41;
+        assert_eq!(*lock(&counter), 42);
+    }
+
+    #[test]
+    fn an_empty_suite_is_an_empty_clean_report() {
+        let report = SuiteSupervisor::new(SupervisorPolicy::default())
+            .run(&[], &one_cell_config())
+            .unwrap();
+        assert!(report.results.is_empty());
+        assert!(report.is_clean());
+        assert_eq!(report.metrics.counter("supervisor.cells"), 0);
+    }
+
+    #[test]
+    fn results_follow_input_order_across_benchmarks() {
+        let profiles = vec![
+            suite::by_name("jython").unwrap(),
+            suite::by_name("fop").unwrap(),
+        ];
+        let report = SuiteSupervisor::new(SupervisorPolicy::default())
+            .run(&profiles, &one_cell_config())
+            .unwrap();
+        let names: Vec<&str> = report
+            .results
+            .iter()
+            .map(|r| r.benchmark.as_str())
+            .collect();
+        assert_eq!(names, ["jython", "fop"]);
+        assert!(report.results.iter().all(|r| !r.samples.is_empty()));
+    }
+
+    #[test]
+    fn a_failing_benchmark_is_quarantined_without_discarding_the_others() {
+        // fop models no Large input size while jython does: at Large,
+        // every fop cell errors and jython's results must survive.
+        let fop = suite::by_name("fop").unwrap();
+        let jython = suite::by_name("jython").unwrap();
+        assert!(fop.to_spec(chopin_workloads::SizeClass::Large).is_none());
+        assert!(jython.to_spec(chopin_workloads::SizeClass::Large).is_some());
+        let config = SweepConfig {
+            size: chopin_workloads::SizeClass::Large,
+            ..one_cell_config()
+        };
+        let report = SuiteSupervisor::new(fast_policy())
+            .with_clock(VirtualClock::new(false))
+            .run(&[fop, jython], &config)
+            .unwrap();
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].cell.benchmark, "fop");
+        assert!(
+            matches!(report.quarantined[0].reason, QuarantineReason::Errored(_)),
+            "{:?}",
+            report.quarantined[0].reason
+        );
+        assert!(report.results[0].samples.is_empty());
+        assert_eq!(report.results[1].benchmark, "jython");
+        assert!(!report.results[1].samples.is_empty());
+        assert!(report.quarantine_summary().contains("fop"));
     }
 
     #[test]
@@ -1827,6 +2116,31 @@ mod tests {
             .unwrap()
             .is_none());
         assert!(plan_from_args(&Args::parse(["--faults", "tsunami"])).is_err());
+
+        // One recipe builds every scheduler run, and a malformed flag is
+        // an error, never a silently fault-free run.
+        let built = supervisor_from_args(&Args::parse(["--faults", "storm:9"])).unwrap();
+        assert_eq!(built.faults().map(|p| p.seed), Some(9));
+        assert!(supervisor_from_args(&Args::parse(["--faults", "tsunami"])).is_err());
+        assert!(supervisor_from_args(&Args::parse(["--fleet-token", "t"])).is_err());
+
+        // The binaries without a scheduler path refuse its flags by name
+        // but keep the ones they honour themselves.
+        let err = reject_scheduler_flags("latency", &Args::parse(["--journal", "J"])).unwrap_err();
+        assert!(
+            err.contains("--journal") && err.contains("runbms") && err.contains("lbo"),
+            "{err}"
+        );
+        for flag in SCHEDULER_FLAGS {
+            let args = Args::parse([format!("--{flag}"), "1".to_string()]);
+            assert!(reject_scheduler_flags("suite", &args).is_err(), "--{flag}");
+            assert!(supervision_requested(&args), "--{flag}");
+        }
+        assert!(reject_scheduler_flags(
+            "suite",
+            &Args::parse(["--faults", "chaos", "--isolation", "process"])
+        )
+        .is_ok());
     }
 
     #[test]

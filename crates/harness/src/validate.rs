@@ -6,11 +6,11 @@
 //! and prints what was found, so a reviewer can see the evidence behind
 //! every checkmark (`artifact validate`).
 
-use crate::runner::run_suite_sweeps;
+use crate::experiments::LboExperiment;
 use chopin_core::latency::{
     events_of, metered_latencies, simple_latencies, LatencyDistribution, SmoothingWindow,
 };
-use chopin_core::lbo::{geomean_curves, Clock, LboAnalysis};
+use chopin_core::lbo::Clock;
 use chopin_core::minheap::MinHeapSearch;
 use chopin_core::nominal::suite_pca;
 use chopin_core::sweep::SweepConfig;
@@ -69,20 +69,9 @@ pub fn run_scorecard() -> Vec<CheckResult> {
 
     // --- Figure 1: the suite-wide sweep -------------------------------
     let sweep = scorecard_sweep_config();
-    let profiles = suite::all();
-    let sweeps = run_suite_sweeps(&profiles, &sweep)
-        .into_result()
-        .expect("suite sweeps run");
-    let task: Vec<LboAnalysis> = sweeps
-        .iter()
-        .map(|s| LboAnalysis::compute(&s.samples, Clock::Task).expect("analysis"))
-        .collect();
-    let wall: Vec<LboAnalysis> = sweeps
-        .iter()
-        .map(|s| LboAnalysis::compute(&s.samples, Clock::Wall).expect("analysis"))
-        .collect();
-    let task_geo = geomean_curves(&task).expect("geomean");
-    let wall_geo = geomean_curves(&wall).expect("geomean");
+    let lbo = LboExperiment::run(&[], &sweep).expect("suite sweeps run");
+    let task_geo = lbo.geomean(Clock::Task).expect("geomean");
+    let wall_geo = lbo.geomean(Clock::Wall).expect("geomean");
 
     let at = |curves: &BTreeMap<CollectorKind, Vec<(f64, f64)>>,
               c: CollectorKind,

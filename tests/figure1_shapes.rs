@@ -1,9 +1,9 @@
 //! Integration: the qualitative shapes of Figure 1 hold on the simulated
 //! runtime — the motivation of the whole paper.
 
-use chopin::core::lbo::{geomean_curves, Clock, LboAnalysis};
+use chopin::core::lbo::{Clock, LboAnalysis};
 use chopin::core::sweep::{run_sweep, SweepConfig};
-use chopin::harness::run_suite_sweeps;
+use chopin::harness::LboExperiment;
 use chopin::runtime::collector::CollectorKind;
 use chopin::workloads::{suite, SizeClass};
 use std::collections::BTreeMap;
@@ -18,16 +18,12 @@ fn quick_sweep() -> SweepConfig {
     }
 }
 
+/// The suite's geomean LBO curves, swept on the sweep scheduler.
 fn geomeans(clock: Clock) -> BTreeMap<CollectorKind, Vec<(f64, f64)>> {
-    let profiles = suite::all();
-    let sweeps = run_suite_sweeps(&profiles, &quick_sweep())
-        .into_result()
-        .expect("sweeps run");
-    let analyses: Vec<LboAnalysis> = sweeps
-        .iter()
-        .map(|s| LboAnalysis::compute(&s.samples, clock).expect("analysis"))
-        .collect();
-    geomean_curves(&analyses).expect("non-empty")
+    LboExperiment::run(&[], &quick_sweep())
+        .expect("sweeps run")
+        .geomean(clock)
+        .expect("non-empty")
 }
 
 fn at(curves: &BTreeMap<CollectorKind, Vec<(f64, f64)>>, c: CollectorKind, x: f64) -> f64 {
