@@ -15,9 +15,6 @@
 //! artifact trace             # observed h2 run -> Perfetto trace + metrics
 //! artifact chaos [--check]   # seeded fault-injection smoke suite
 //! artifact chaos --workers   # fleet worker-kill storm + resume, byte-compared
-//! artifact perf --run        # hot-path bench suite -> BENCH_<PR>.json
-//! artifact perf --report     # trajectory ledger -> perf-report.html
-//! artifact perf --check      # regression gate vs best prior point
 //! artifact model --check     # exhaustive fleet-protocol model check
 //! artifact model --demo lost-lease --trace  # seeded bug + trace
 //! ```
@@ -87,21 +84,6 @@
 //! `CHOPIN_CHAOS_NET_DIR` to keep the journal shards and takeover log
 //! for CI upload.
 //!
-//! `artifact perf <--run|--report|--check> [--pr N] [--samples N]
-//! [--ledger DIR] [--out FILE] [--current FILE] [--tolerance F]` drives
-//! the `chopin-perf` performance-trajectory layer. `--run` executes the
-//! hot-path bench suite (engine event dispatch under three observers,
-//! allocation accounting, the G1/Serial/Parallel collection-cycle
-//! planners, engine batch fast-forward, supervisor journal
-//! write/replay) and writes a schema-versioned `BENCH_<PR>.json` ledger
-//! point with raw per-sample arrays. `--report` renders every ledger
-//! point into a self-contained single-file HTML overview. `--check` is
-//! the CI regression gate: after linting the ledger (rules R1101–R1103,
-//! exit 2 on findings), it compares the candidate (`--current FILE`, or
-//! a live suite run) against each bench's best prior point and exits 1
-//! when any bench's `min_ns` regressed by more than the tolerance
-//! (default 10%).
-//!
 //! `artifact model [--check] [--bounds W,C,K[,N]] [--trace] [--demo
 //! lost-lease|split-brain]` runs the `chopin-model` bounded exhaustive
 //! state-space checker over the fleet lease protocol: every
@@ -142,9 +124,8 @@ use chopin_workloads::faults::{preset as fault_preset, DEFAULT_HORIZON_NS, FALLB
 use chopin_workloads::WorkloadProfile;
 
 const USAGE: &str = "usage: artifact <kick-the-tires|lbo|latency|validate|lint|analyze|srclint|\
-                     trace|chaos|perf|model> [--json|--rules|--check|--run|--report|--plan NAME|\
-                     --results FILE|--current FILE|--workers|--net|--bounds W,C,K[,N]|\
-                     --demo NAME|--trace]";
+                     trace|chaos|model> [--json|--rules|--check|--plan NAME|--results FILE|\
+                     --workers|--net|--bounds W,C,K[,N]|--demo NAME|--trace]";
 
 /// The deterministic CSV of a suite report, in schedule order — the
 /// byte-equality currency of the fleet checks (same shape `runbms`
@@ -1029,9 +1010,6 @@ fn main() {
     }
     if command == "chaos" {
         std::process::exit(run_chaos(&args));
-    }
-    if command == "perf" {
-        std::process::exit(chopin_harness::perf::run_perf(&args));
     }
     if command == "model" {
         std::process::exit(chopin_harness::model::run_model(&args));

@@ -35,9 +35,14 @@ use chopin_harness::obs::{
 use chopin_harness::output::ResultsDir;
 use chopin_harness::preflight;
 use chopin_harness::supervisor::{plan_from_args, reject_scheduler_flags};
-use chopin_harness::LatencyExperiment;
+use chopin_harness::{resolve_profiles, LatencyExperiment};
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::time::SimDuration;
+
+fn exit_usage(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
 
 fn main() {
     // Must run before anything else: under --isolation process this
@@ -87,7 +92,13 @@ fn main() {
         if list.is_empty() {
             vec![2.0, 6.0]
         } else {
-            list.iter().filter_map(|s| s.parse().ok()).collect()
+            list.iter()
+                .map(|s| {
+                    s.parse().unwrap_or_else(|_| {
+                        exit_usage(format!("invalid heap factor `{s}` in --heaps"))
+                    })
+                })
+                .collect()
         }
     };
 
@@ -105,6 +116,9 @@ fn main() {
         preflight::plan_for_args("latency", Methodology::Latency, &benchmarks, &sweep, &args),
     ) {
         std::process::exit(code);
+    }
+    if let Err(e) = resolve_profiles(&benchmarks) {
+        exit_usage(e);
     }
 
     for bench in &benchmarks {

@@ -32,6 +32,7 @@ use chopin_harness::cli::Args;
 use chopin_harness::obs::{observe_benchmark_with_faults, with_suffix, ObsOptions};
 use chopin_harness::plot::render_table;
 use chopin_harness::preflight;
+use chopin_harness::resolve_profiles;
 use chopin_harness::supervisor::{plan_from_args, reject_scheduler_flags};
 use chopin_runtime::collector::CollectorKind;
 use chopin_workloads::suite as workloads;
@@ -89,11 +90,12 @@ fn main() {
         ) {
             std::process::exit(code);
         }
-        for name in &selected {
-            let Some(profile) = workloads::by_name(name) else {
-                eprintln!("error: unknown benchmark `{name}`");
-                std::process::exit(1);
-            };
+        let profiles = resolve_profiles(&selected).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        for profile in &profiles {
+            let name = profile.name;
             println!("{name}: {}\n", profile.description);
             println!(
                 "  min heap: {} MB (small {} MB{}{})",

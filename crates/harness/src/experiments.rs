@@ -1,7 +1,6 @@
 //! Experiment definitions: one function per figure/table of the paper's
 //! evaluation. Each returns structured data plus a rendered text report, so
-//! the binaries, the Criterion benches and the integration tests all share
-//! one implementation.
+//! the binaries and the integration tests share one implementation.
 
 use crate::obs::{HarnessSpan, SpanSink};
 use crate::plot::{render_chart, render_table, to_csv, ChartOptions, Series};

@@ -39,10 +39,6 @@
 //!   bounded exhaustive checker over the fleet lease protocol (rules
 //!   R1301–R1305), with minimal counterexample traces and the seeded
 //!   `lost-lease` demo.
-//! * [`perf`] — the `artifact perf` driver: the [`chopin_perf`] hot-path
-//!   bench suite plus the harness-owned journal write/replay bench, the
-//!   `BENCH_*.json` trajectory ledger, the regression gate and the HTML
-//!   overview report.
 //! * [`validate`] — the reproduction scorecard: re-verify the paper's
 //!   headline claims with fresh measurements (`artifact validate`).
 //!
@@ -61,7 +57,6 @@ pub mod lint;
 pub mod model;
 pub mod obs;
 pub mod output;
-pub mod perf;
 pub mod plot;
 pub mod preflight;
 pub mod presets;

@@ -35,11 +35,6 @@ fn diagnostics_exit_one() {
 fn usage_errors_exit_two() {
     assert_eq!(exit_code(&[]), 2);
     assert_eq!(exit_code(&["no-such-command"]), 2);
-    assert_eq!(exit_code(&["perf"]), 2, "perf needs a mode flag");
-    assert_eq!(
-        exit_code(&["perf", "--check", "--ledger", "/no/such/dir"]),
-        2
-    );
     assert_eq!(exit_code(&["analyze", "--plan", "no-such-plan"]), 2);
     assert_eq!(exit_code(&["analyze", "--results", "r.csv"]), 2);
     assert_eq!(

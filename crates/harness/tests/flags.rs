@@ -1,7 +1,8 @@
 //! Every flag a binary accepts is honoured or refused, never silently
 //! ignored: `lbo` reports a malformed `--faults` even with the
-//! pre-flight gate bypassed, and `latency` and `suite`, which have no
-//! sweep-scheduler path, refuse the scheduler's flags outright.
+//! pre-flight gate bypassed, `latency` and `suite`, which have no
+//! sweep-scheduler path, refuse the scheduler's flags outright, and a
+//! malformed heap factor or an unknown benchmark is a usage error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -87,4 +88,25 @@ fn latency_and_suite_refuse_the_scheduler_flags() {
         assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
     }
     assert!(!journal.exists(), "a refused run writes no journal");
+}
+
+#[test]
+fn bad_heaps_and_unknown_benchmarks_exit_two_before_any_output() {
+    let cases: [(&str, &[&str], &str); 5] = [
+        ("latency", &["-b", "h2", "--heaps", "abc"], "`abc`"),
+        ("latency", &["-b", "h2", "--heaps", "2,abc"], "`abc`"),
+        ("latency", &["-b", "nosuch", "--no-preflight"], "`nosuch`"),
+        ("suite", &["-b", "nosuch", "--no-preflight"], "`nosuch`"),
+        ("suite", &["-b", "fop,nosuch", "--no-preflight"], "`nosuch`"),
+    ];
+    for (bin, args, named) in cases {
+        let out = run(bin, args);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{bin} {args:?} names {named}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed output");
+    }
 }

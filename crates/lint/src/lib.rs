@@ -34,9 +34,6 @@
 //! * **R10xx** — source-level determinism and soundness over the
 //!   workspace's own Rust code, implemented by the `chopin-srclint`
 //!   crate against this catalogue (`artifact srclint`).
-//! * **R11xx** — perf-ledger integrity over the `BENCH_*.json`
-//!   trajectory points, implemented by the `chopin-perf` crate against
-//!   this catalogue (`artifact perf --check`).
 //!
 //! # Examples
 //!

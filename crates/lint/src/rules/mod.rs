@@ -1,4 +1,4 @@
-//! The rule catalogue, grouped into thirteen families:
+//! The rule catalogue, grouped into twelve families:
 //!
 //! * **R1xx** ([`nominal`]) — nominal-statistic completeness and ranges.
 //! * **R2xx** ([`spec`]) — cross-field workload-spec consistency.
@@ -21,11 +21,6 @@
 //!   raw wall-clock reads, confined `unsafe`, seeded-RNG-only, canonical
 //!   float marshalling. Catalogued here, implemented by the
 //!   `chopin-srclint` crate and run by `artifact srclint`.
-//! * **R11xx** — perf-ledger integrity: the `BENCH_*.json` trajectory
-//!   points are schema-current, statistically meaningful (enough
-//!   samples, consistent arrays) and correctly sequenced. Catalogued
-//!   here, implemented by the `chopin-perf` crate and run by
-//!   `artifact perf --check`.
 //! * **R12xx** — fleet-protocol configuration: coordinator/worker
 //!   sharding shape (worker count vs the cell matrix), lease deadlines
 //!   vs the R808 cost bound, and isolation-model conflicts between
@@ -72,7 +67,7 @@ pub struct RuleDef {
 /// Every rule the linter implements, in id order. Rendered by
 /// `artifact lint --rules` and kept in sync with the rule modules by the
 /// crate's tests.
-pub const RULES: [RuleDef; 75] = [
+pub const RULES: [RuleDef; 72] = [
     RuleDef {
         id: "R101",
         severity: Severity::Error,
@@ -367,21 +362,6 @@ pub const RULES: [RuleDef; 75] = [
         id: "R1012",
         severity: Severity::Error,
         summary: "float orderings use total_cmp, not partial_cmp().unwrap(): a NaN must not panic the sweep mid-suite",
-    },
-    RuleDef {
-        id: "R1101",
-        severity: Severity::Error,
-        summary: "every perf-ledger point declares the current bench-report schema version (legacy v0 points are migrated, not accumulated)",
-    },
-    RuleDef {
-        id: "R1102",
-        severity: Severity::Error,
-        summary: "every bench records at least 5 samples, and a non-empty samples_ns array matches its declared sample_count",
-    },
-    RuleDef {
-        id: "R1103",
-        severity: Severity::Error,
-        summary: "ledger file names and document PR numbers agree (BENCH_<PR>.json declares pr = <PR>) and the ledger's PRs are strictly ascending",
     },
     RuleDef {
         id: "R1201",

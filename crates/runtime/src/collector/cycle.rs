@@ -68,13 +68,6 @@ pub struct CycleOutcome {
     pub live_after: f64,
 }
 
-impl CycleOutcome {
-    /// Total CPU work of the cycle, both portions.
-    pub fn total_work_cpu_ns(&self) -> f64 {
-        self.stw_work_cpu_ns + self.concurrent_work_cpu_ns
-    }
-}
-
 /// What the engine asks the planner for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectionRequest {
@@ -197,6 +190,11 @@ mod tests {
     use super::*;
     use crate::collector::CollectorKind;
 
+    /// Total CPU work of the cycle, both portions.
+    fn total_work(o: &CycleOutcome) -> f64 {
+        o.stw_work_cpu_ns + o.concurrent_work_cpu_ns
+    }
+
     fn input() -> CycleInput {
         CycleInput {
             live_bytes: 100e6,
@@ -210,12 +208,14 @@ mod tests {
 
     #[test]
     fn young_collections_are_much_cheaper_than_full() {
-        let m = CollectorKind::Parallel.model();
-        let young = plan_cycle(&m, &input(), CollectionRequest::Normal);
-        let full = plan_cycle(&m, &input(), CollectionRequest::Full);
-        assert_eq!(young.kind, CollectionKind::Young);
-        assert_eq!(full.kind, CollectionKind::Full);
-        assert!(full.total_work_cpu_ns() > 3.0 * young.total_work_cpu_ns());
+        for kind in [CollectorKind::Parallel, CollectorKind::G1] {
+            let m = kind.model();
+            let young = plan_cycle(&m, &input(), CollectionRequest::Normal);
+            let full = plan_cycle(&m, &input(), CollectionRequest::Full);
+            assert_eq!(young.kind, CollectionKind::Young, "{kind}");
+            assert_eq!(full.kind, CollectionKind::Full, "{kind}");
+            assert!(total_work(&full) > 3.0 * total_work(&young), "{kind}");
+        }
     }
 
     #[test]
@@ -237,7 +237,7 @@ mod tests {
             p.stw_wall
         );
         assert!(
-            s.total_work_cpu_ns() < p.total_work_cpu_ns(),
+            total_work(&s) < total_work(&p),
             "Parallel's imperfect parallelism burns more total CPU"
         );
     }
@@ -247,7 +247,7 @@ mod tests {
         for kind in [CollectorKind::Shenandoah, CollectorKind::Zgc] {
             let o = plan_cycle(&kind.model(), &input(), CollectionRequest::Normal);
             assert_eq!(o.kind, CollectionKind::Concurrent);
-            let share = o.concurrent_work_cpu_ns / o.total_work_cpu_ns();
+            let share = o.concurrent_work_cpu_ns / total_work(&o);
             assert!(share > 0.9, "{kind}: concurrent share {share}");
             assert!(
                 o.stw_wall < SimDuration::from_millis(5),
@@ -276,7 +276,7 @@ mod tests {
             },
             CollectionRequest::Normal,
         );
-        assert!(big_live.total_work_cpu_ns() > 10.0 * small_live.total_work_cpu_ns());
+        assert!(total_work(&big_live) > 10.0 * total_work(&small_live));
     }
 
     #[test]
@@ -291,7 +291,7 @@ mod tests {
             },
             CollectionRequest::Normal,
         );
-        assert!(more_alloc.total_work_cpu_ns() > 2.0 * base.total_work_cpu_ns());
+        assert!(total_work(&more_alloc) > 2.0 * total_work(&base));
     }
 
     #[test]
@@ -304,7 +304,7 @@ mod tests {
             &input(),
             CollectionRequest::Full,
         );
-        assert!(degen.total_work_cpu_ns() > full_parallel.total_work_cpu_ns());
+        assert!(total_work(&degen) > total_work(&full_parallel));
         assert_eq!(degen.concurrent_work_cpu_ns, 0.0);
     }
 

@@ -55,13 +55,12 @@ const SPAWN_ALLOWED: [&str; 3] = [
 
 /// Files that write persisted artifacts (CSV rows, journals, JSON
 /// exports): their format strings must marshal floats via `{:?}`.
-const FLOAT_WRITER_FILES: [&str; 6] = [
+const FLOAT_WRITER_FILES: [&str; 5] = [
     "crates/harness/src/codec.rs",
     "crates/harness/src/journal.rs",
     "crates/harness/src/output.rs",
     "crates/harness/src/sandbox.rs",
     "crates/obs/src/json.rs",
-    "crates/perf/src/report.rs",
 ];
 
 /// Run every per-file rule over one file's tokens.
