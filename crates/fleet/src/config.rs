@@ -145,9 +145,6 @@ pub struct FleetConfig {
     pub storm: Option<WorkerStormPlan>,
     /// Crash budget per worker slot before the slot is quarantined.
     pub max_worker_crashes: u32,
-    /// Test hook: abort the coordinator after this many recorded
-    /// completions, leaving worker journals behind for `--resume`.
-    pub die_after: Option<u64>,
     /// Listener bind address (`--fleet-bind`); `None` means the loopback
     /// default `127.0.0.1:0`.
     pub bind: Option<String>,
@@ -178,7 +175,6 @@ impl FleetConfig {
             plan: FleetPlan::new(workers),
             storm: None,
             max_worker_crashes: DEFAULT_MAX_WORKER_CRASHES,
-            die_after: None,
             bind: None,
             token: None,
             net: None,

@@ -172,58 +172,6 @@ struct LeaseRecord {
     active: bool,
 }
 
-/// One wire-level event applied to the lease table — the pure-step
-/// surface used by the `chopin-model` conformance checker, folding every
-/// mutator into a single `(state, event, now) -> effect` transition
-/// function. The transport keeps calling the named methods; `step` is
-/// a thin dispatcher over them, so the model checks the shipped code
-/// paths, not a parallel copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseEvent<P = String> {
-    /// `@next`: a worker asks for work.
-    Ask {
-        /// The requesting worker.
-        worker: u64,
-    },
-    /// `@done`: a worker reports a completed lease.
-    Done {
-        /// The completed lease.
-        lease: u64,
-        /// The cell response.
-        payload: P,
-    },
-    /// `@fail`: a worker reports a cell-level failure.
-    Fail {
-        /// The failed lease.
-        lease: u64,
-        /// The encoded failure reason, reported back verbatim if the
-        /// cell ends quarantined.
-        reason: String,
-    },
-    /// EOF / SIGKILL / reaped child: the transport saw a worker die.
-    WorkerDead {
-        /// The dead worker.
-        worker: u64,
-    },
-    /// A poll timeout fired: sweep expired leases.
-    Tick,
-}
-
-/// What a [`LeaseEvent`] did to the table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseEffect {
-    /// `Ask` answered with a grant, a wait, or a drain.
-    Granted(Grant),
-    /// `Done` merged (`true`) or named an unknown lease (`false`).
-    Merged(bool),
-    /// `Fail` requeued, quarantined, or ignored.
-    Failed(FailOutcome),
-    /// `WorkerDead` released the worker's leases.
-    Released,
-    /// `Tick` expired this many leases.
-    Expired(u64),
-}
-
 /// The lease state machine over completion payloads `P`. See the module
 /// docs for the lifecycle.
 #[derive(Debug, Clone)]
@@ -405,27 +353,6 @@ impl<P: Ord + Clone + std::fmt::Debug> LeaseTable<P> {
         self.metrics.requeued += 1;
     }
 
-    /// Apply one wire-level event at virtual time `now`. Dispatches to
-    /// the named mutators — the model checker drives the table through
-    /// this single entry point so every transition it explores is the
-    /// shipped transition.
-    pub fn step(&mut self, event: LeaseEvent<P>, now: u64) -> LeaseEffect {
-        match event {
-            LeaseEvent::Ask { worker } => LeaseEffect::Granted(self.grant(worker, now)),
-            LeaseEvent::Done { lease, payload } => {
-                LeaseEffect::Merged(self.complete(lease, payload))
-            }
-            LeaseEvent::Fail { lease, reason } => {
-                LeaseEffect::Failed(self.fail(lease, &reason, now))
-            }
-            LeaseEvent::WorkerDead { worker } => {
-                self.worker_dead(worker, now);
-                LeaseEffect::Released
-            }
-            LeaseEvent::Tick => LeaseEffect::Expired(self.expire(now)),
-        }
-    }
-
     /// A worker reported a completed lease. Late and duplicate reports
     /// are welcome: they feed the `(attempt, worker)` merge, no matter
     /// how far past the lease deadline the clock has moved — acceptance
@@ -591,17 +518,6 @@ impl<P: Ord + Clone + std::fmt::Debug> LeaseTable<P> {
     #[must_use]
     pub fn cell_winner(&self, cell: usize) -> Option<(u32, u64, &P)> {
         self.cells.get(cell)?.merge.winner()
-    }
-
-    /// One resolution per cell in schedule order, without consuming the
-    /// table — how the model checker reads the would-be CSV out of an
-    /// intermediate state.
-    #[must_use]
-    pub fn resolutions(&self) -> Vec<CellResolution<P>> {
-        self.cells
-            .iter()
-            .map(|cell| cell.resolution(cell.merge.winner().map(|(a, w, p)| (a, w, p.clone()))))
-            .collect()
     }
 
     /// Consume the table, yielding one resolution per cell in schedule
@@ -903,57 +819,6 @@ mod tests {
         let g = lease_of(t.grant(7, 0));
         assert_eq!(t.expire(99), 0);
         assert!(t.complete(g.lease, "early".to_string()));
-    }
-
-    #[test]
-    fn step_dispatches_to_the_named_mutators() {
-        let mut stepped = table(2, 100, 1);
-        let mut direct = table(2, 100, 1);
-        let g = match stepped.step(LeaseEvent::Ask { worker: 0 }, 0) {
-            LeaseEffect::Granted(Grant::Lease(g)) => g,
-            other => panic!("expected a lease, got {other:?}"),
-        };
-        let d = lease_of(direct.grant(0, 0));
-        assert_eq!(g, d);
-        assert_eq!(
-            stepped.step(
-                LeaseEvent::Done {
-                    lease: g.lease,
-                    payload: "p".to_string()
-                },
-                1
-            ),
-            LeaseEffect::Merged(true)
-        );
-        assert!(direct.complete(d.lease, "p".to_string()));
-        let g2 = match stepped.step(LeaseEvent::Ask { worker: 1 }, 1) {
-            LeaseEffect::Granted(Grant::Lease(g)) => g,
-            other => panic!("expected a lease, got {other:?}"),
-        };
-        let d2 = lease_of(direct.grant(1, 1));
-        assert_eq!(
-            stepped.step(
-                LeaseEvent::Fail {
-                    lease: g2.lease,
-                    reason: "errored:x".to_string()
-                },
-                2
-            ),
-            LeaseEffect::Failed(FailOutcome::Requeued)
-        );
-        assert_eq!(direct.fail(d2.lease, "errored:x", 2), FailOutcome::Requeued);
-        assert_eq!(
-            stepped.step(LeaseEvent::WorkerDead { worker: 1 }, 3),
-            LeaseEffect::Released
-        );
-        direct.worker_dead(1, 3);
-        assert_eq!(stepped.step(LeaseEvent::Tick, 500), LeaseEffect::Expired(0));
-        direct.expire(500);
-        assert_eq!(
-            stepped.snapshot(500),
-            direct.snapshot(500),
-            "step must be the same transition function as the mutators"
-        );
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Worker liveness tracking: the heartbeat reaper as a pure, clock-free
 //! state machine.
 //!
-//! The transport layer (`chopin_harness::fleet`) used to keep its
-//! `last_seen` map and `dead` set inline, which made the reaper's edge
+//! The [`crate::coordinator::Coordinator`] reaps through it. Its edge
 //! cases — a `@beat` delayed *just* past the deadline, a worker declared
-//! dead twice, a reaped worker reconnecting — untestable without real
-//! sockets and real sleeps. This module extracts that logic behind a
-//! caller-supplied millisecond clock, the same discipline as
-//! [`crate::lease::LeaseTable`], so the edge cases are pinned by
-//! virtual-clock unit tests and the net-fault storms can rely on them:
+//! dead twice, a reaped worker reconnecting — run on a caller-supplied
+//! millisecond clock, as [`crate::lease::LeaseTable`] does, so they are
+//! pinned by virtual-clock unit tests:
 //!
 //! * a worker is **stale** once `now - last_seen > timeout`; the reap is
 //!   idempotent (`declare_dead` reports whether this call killed it), so
@@ -104,6 +101,14 @@ impl Liveness {
     #[must_use]
     pub fn dead_count(&self) -> usize {
         self.dead.len()
+    }
+
+    /// The tracked and dead worker sets without their timestamps — the
+    /// part of the reaper a canonical coordinator snapshot renders.
+    #[must_use]
+    pub fn members(&self) -> String {
+        let live: Vec<&u64> = self.last_seen.keys().collect();
+        format!("live {live:?} dead {:?}", self.dead)
     }
 
     /// The earliest instant at which some live worker could become

@@ -15,6 +15,8 @@
 //! flight; the payload itself breaks that tie (lowest byte order wins),
 //! keeping resolution a pure function of the candidate *set*.
 
+use std::collections::BTreeMap;
+
 /// Accumulates completion candidates for one cell and resolves them by
 /// the fixed `(attempt, worker)` tiebreak.
 #[derive(Debug, Clone, Default)]
@@ -83,6 +85,64 @@ impl<T: Ord> CellMerge<T> {
     }
 }
 
+/// One completion offered to [`recover`]: a journal row's cell,
+/// provenance and payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Candidate<P> {
+    /// Schedule index of the completed cell.
+    pub cell: usize,
+    /// The attempt that produced it.
+    pub attempt: u32,
+    /// The worker that produced it.
+    pub worker: u64,
+    /// The recorded outcome.
+    pub payload: P,
+}
+
+/// One cell's merged winner out of [`recover`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Recovered<P> {
+    /// The winning completion.
+    pub winner: Candidate<P>,
+    /// Whether the base journal already holds a row for the cell. A
+    /// winner it lacks must be persisted before any worker truncates
+    /// its shard, or a second coordinator crash loses the cell.
+    pub in_base: bool,
+}
+
+/// Merge recovered completions — the base journal's rows and every
+/// shard's — through [`CellMerge`], one merge per cell: the recovery
+/// step of every resume, of a standby's takeover and of report
+/// assembly. Returns each recovered cell's winner in cell order, and
+/// how many duplicate candidates the merges resolved away.
+pub fn recover<P: Ord>(
+    base: impl IntoIterator<Item = Candidate<P>>,
+    shards: impl IntoIterator<Item = Candidate<P>>,
+) -> (Vec<Recovered<P>>, u64) {
+    let mut merges: BTreeMap<usize, (CellMerge<P>, bool)> = BTreeMap::new();
+    let tagged =
+        (base.into_iter().map(|c| (c, true))).chain(shards.into_iter().map(|c| (c, false)));
+    for (c, in_base) in tagged {
+        let (merge, held) = merges
+            .entry(c.cell)
+            .or_insert_with(|| (CellMerge::new(), false));
+        merge.offer(c.attempt, c.worker, c.payload);
+        *held |= in_base;
+    }
+    let conflicts = merges.values().map(|(merge, _)| merge.conflicts()).sum();
+    let recovered = merges.into_iter().filter_map(|(cell, (merge, in_base))| {
+        let (attempt, worker, payload) = merge.into_winner()?;
+        let winner = Candidate {
+            cell,
+            attempt,
+            worker,
+            payload,
+        };
+        Some(Recovered { winner, in_base })
+    });
+    (recovered.collect(), conflicts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +186,37 @@ mod tests {
         for w in &winners {
             assert_eq!(*w, Some((1, 2, "d")), "order must not matter");
         }
+    }
+
+    #[test]
+    fn recovery_merges_per_cell_and_flags_winners_the_base_lacks() {
+        let row = |cell, attempt, worker, payload| Candidate {
+            cell,
+            attempt,
+            worker,
+            payload,
+        };
+        let base = [row(2, 1, 0, "base")];
+        let shards = [
+            row(5, 2, 3, "late"),
+            row(2, 1, 4, "shard"),
+            row(5, 1, 7, "early"),
+        ];
+        let (recovered, conflicts) = recover(base, shards);
+        assert_eq!(conflicts, 2);
+        assert_eq!(
+            recovered,
+            vec![
+                Recovered {
+                    winner: row(2, 1, 0, "base"),
+                    in_base: true
+                },
+                Recovered {
+                    winner: row(5, 1, 7, "early"),
+                    in_base: false
+                },
+            ]
+        );
     }
 
     #[test]

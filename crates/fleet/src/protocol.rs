@@ -62,13 +62,9 @@ pub const ENV_FLEET_DIE_AFTER: &str = "CHOPIN_FLEET_DIE_AFTER";
 /// take it from `--fleet-token`.
 pub const ENV_FLEET_TOKEN: &str = "CHOPIN_FLEET_TOKEN";
 
-/// The token gate applied to every `Hello`/`Adopt`: admitted iff the
-/// coordinator expects no token, or the offered token matches exactly.
-///
-/// This tiny function is deliberately public and pure: it is the single
-/// admission decision shared by the shipped transport and the
-/// `chopin-model` intruder transition (rule R1403), so the checker
-/// exercises the exact predicate production runs.
+/// The token gate the coordinator applies to every `Hello`: admitted
+/// iff the coordinator expects no token, or the offered token matches
+/// exactly (rule R1403).
 #[must_use]
 pub fn admission(expected: Option<&str>, offered: Option<&str>) -> bool {
     match expected {

@@ -64,9 +64,10 @@
 //! `artifact chaos --workers` is the fleet gate: the chaos sweep is
 //! sharded across a four-worker fleet (`chopin-fleet`) while a seeded
 //! storm SIGKILLs at least two of the workers mid-run, and then — in a
-//! second leg — the coordinator itself is aborted mid-run and resumed
-//! from the per-worker journals. Both legs must produce a merged CSV
-//! byte-identical to a sequential `--isolation process` baseline, or
+//! second leg — a `runbms` coordinator under the same storm SIGKILLs
+//! itself mid-sweep (`CHOPIN_FLEET_DIE_AFTER`) and a second `runbms`
+//! resumes from the per-worker journals. Both legs must produce a merged
+//! CSV byte-identical to a sequential `--isolation process` baseline, or
 //! the gate exits 1.
 //!
 //! `artifact chaos --net` is the partition-tolerance gate. Leg one
@@ -90,7 +91,8 @@
 //! interleaving of wire messages, worker deaths, coordinator crashes
 //! (or stand-by hand-offs), network drops/duplications, admission
 //! probes and lease expiries under the given bounds, with the shipped
-//! `LeaseTable` as the coordinator (rules R1301–R1305 and R1401–R1403).
+//! `Coordinator` as the coordinator (rules R1301–R1305 and
+//! R1401–R1403).
 //! Exits non-zero on a violation, writing the minimal
 //! message-by-message counterexample to
 //! `results/model-counterexample.txt` for CI to upload; `--demo
@@ -109,12 +111,15 @@
 use chopin_core::lbo::{Clock, LboAnalysis};
 use chopin_faults::{FaultPlan, HardFaultKind, HardFaultPlan, NetFaultPlan};
 use chopin_fleet::{FleetConfig, WorkerStormPlan};
-use chopin_harness::cli::Args;
-use chopin_harness::obs::{observe_benchmark, ObsOptions, DEFAULT_EVENTS_OUT, DEFAULT_TRACE_OUT};
+use chopin_harness::cli::{check_flags, Args};
+use chopin_harness::obs::{
+    observe_benchmark, ObsOptions, DEFAULT_EVENTS_OUT, DEFAULT_TRACE_OUT, OBS_FLAGS,
+};
 use chopin_harness::preflight;
 use chopin_harness::presets::Preset;
 use chopin_harness::supervisor::{
     plan_from_args, policy_from_args, supervisor_from_args, QuarantineReason, SuiteSupervisor,
+    SCHEDULER_FLAGS,
 };
 use chopin_obs::validate_chrome_trace;
 use chopin_runtime::collector::CollectorKind;
@@ -168,13 +173,13 @@ fn chaos_inputs(
 
 /// The worker-kill-storm leg of `artifact chaos` (`--workers`): shard
 /// the chaos sweep across a four-worker fleet while a seeded storm
-/// SIGKILLs at least two of the workers mid-run, then separately abort
-/// the coordinator mid-run (die-after hook) and resume it — requiring
-/// the merged CSV to be byte-identical to a sequential
-/// `--isolation process` baseline in both legs.
+/// SIGKILLs at least two of the workers mid-run, then separately
+/// SIGKILL a `runbms` coordinator mid-run (`CHOPIN_FLEET_DIE_AFTER`) and
+/// resume it — requiring the merged CSV to be byte-identical to a
+/// sequential `--isolation process` baseline in both legs.
 fn run_chaos_workers(args: &Args) -> i32 {
     const FLEET_WORKERS: u32 = 4;
-    let (_, profiles, plan) = match chaos_inputs(args, &["fop"]) {
+    let (benchmarks, profiles, plan) = match chaos_inputs(args, &["fop"]) {
         Ok(inputs) => inputs,
         Err(e) => {
             eprintln!("error: {e}");
@@ -258,50 +263,29 @@ fn run_chaos_workers(args: &Args) -> i32 {
         Err(e) => failures.push(format!("storm run failed outright: {e}")),
     }
 
-    // Leg 2: coordinator death and resume. The die-after hook aborts
-    // the coordinator mid-run; the resumed run absorbs the per-worker
-    // journals and must still reproduce the baseline bytes.
+    // Leg 2: coordinator death and resume, against the real binary. A
+    // runbms child coordinating the same storm SIGKILLs itself mid-sweep
+    // (`CHOPIN_FLEET_DIE_AFTER`); a resumed child absorbs the per-worker
+    // journals and must still reproduce a sequential baseline's bytes.
     let dir = std::env::temp_dir().join(format!("chopin-chaos-workers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("error: {e}");
         return 2;
     }
-    let journal = dir.join("storm.journal");
-    let mut interrupted = FleetConfig::new(FLEET_WORKERS);
-    interrupted.storm = Some(storm);
-    interrupted.die_after = Some((cells as u64 / 2).max(1));
-    match supervised(&|s| {
-        s.with_journal(journal.clone())
-            .with_fleet(Some(interrupted.clone()))
-    }) {
-        Ok(_) => failures
-            .push("die-after hook never fired; the interruption leg tested nothing".to_string()),
-        Err(e) => {
-            if !e.to_string().contains("die-after") {
-                failures.push(format!("interrupted run failed for the wrong reason: {e}"));
-            }
-        }
-    }
-    match supervised(&|s| {
-        s.with_journal(journal.clone())
-            .resume(true)
-            .with_fleet(Some(FleetConfig::new(FLEET_WORKERS)))
-    }) {
-        Ok(report) => {
-            println!(
-                "resume leg: {} cell(s) recovered from worker journals, {} merge conflict(s)",
-                report.metrics.counter("fleet.cells.recovered"),
-                report.metrics.counter("fleet.merge.conflicts"),
-            );
-            if report.metrics.counter("fleet.cells.recovered") == 0 {
-                failures.push("resume recovered nothing from the worker journals".to_string());
-            }
-            if sweep_csv(&report) != baseline_csv {
-                failures.push("resumed CSV differs from the sequential baseline".to_string());
-            }
-        }
-        Err(e) => failures.push(format!("resumed run failed: {e}")),
+    let Some(runbms) = sibling_runbms() else {
+        eprintln!("error: no runbms binary beside this artifact binary; build the workspace first");
+        return 2;
+    };
+    let bench_flag = benchmarks.join(",");
+    match resume_leg(
+        &runbms,
+        &bench_flag,
+        &format!("kill:{seed}"),
+        &dir.join("storm.journal"),
+    ) {
+        Ok(note) => println!("resume leg: {note}"),
+        Err(e) => failures.push(e),
     }
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -314,6 +298,83 @@ fn run_chaos_workers(args: &Args) -> i32 {
         }
         1
     }
+}
+
+/// The `runbms` binary built beside this one, if any.
+fn sibling_runbms() -> Option<std::path::PathBuf> {
+    std::env::current_exe()
+        .ok()
+        .and_then(|p| p.parent().map(|d| d.join("runbms")))
+        .filter(|p| p.exists())
+}
+
+/// Run the real-binary resume scenario for [`run_chaos_workers`]: a
+/// `runbms` fleet under the worker storm SIGKILLs itself after ten
+/// completions, a second `runbms` resumes from the journal it left, and
+/// the resumed CSV must equal a sequential `--isolation process`
+/// baseline. Returns a one-line success note, or the failure.
+fn resume_leg(
+    runbms: &std::path::Path,
+    bench_flag: &str,
+    storm_flag: &str,
+    journal: &std::path::Path,
+) -> Result<String, String> {
+    use std::os::unix::process::ExitStatusExt;
+    let journal_flag = journal.to_str().ok_or("non-utf8 temp path")?;
+    let run = |extra: &[&str], die_after: Option<&str>| {
+        let mut cmd = std::process::Command::new(runbms);
+        cmd.args(["-b", bench_flag, "--quick", "--faults", "chaos"])
+            .args(extra);
+        if let Some(limit) = die_after {
+            cmd.env("CHOPIN_FLEET_DIE_AFTER", limit);
+        }
+        cmd.output().map_err(|e| format!("runbms spawn: {e}"))
+    };
+    let baseline = run(&["--isolation", "process"], None)?;
+    let interrupted = run(
+        &[
+            "--fleet",
+            "4",
+            "--fleet-storm",
+            storm_flag,
+            "--journal",
+            journal_flag,
+        ],
+        Some("10"),
+    )?;
+    if interrupted.status.signal() != Some(SIGKILL) {
+        return Err(format!(
+            "the die-after hook never fired ({}); the interruption leg tested nothing:\n{}",
+            interrupted.status,
+            String::from_utf8_lossy(&interrupted.stderr)
+        ));
+    }
+    let resumed = run(
+        &["--fleet", "4", "--journal", journal_flag, "--resume"],
+        None,
+    )?;
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    // `runbms: N cell(s), M completed (R resumed, …`
+    let recovered: u64 = stderr
+        .split(" resumed")
+        .next()
+        .and_then(|head| head.rsplit('(').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0);
+    if recovered == 0 {
+        return Err(format!(
+            "resume recovered nothing from the worker journals:\n{stderr}"
+        ));
+    }
+    if resumed.stdout != baseline.stdout {
+        return Err(format!(
+            "resumed CSV differs from the sequential baseline:\n{stderr}"
+        ));
+    }
+    Ok(format!(
+        "{recovered} cell(s) recovered from the journals of a SIGKILLed coordinator; CSV \
+         byte-identical"
+    ))
 }
 
 /// The partition-tolerance leg of `artifact chaos` (`--net`).
@@ -424,11 +485,7 @@ fn run_chaos_net(args: &Args) -> i32 {
         return 2;
     }
     let journal = dir.join("handoff.journal");
-    let runbms = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("runbms")))
-        .filter(|p| p.exists());
-    let Some(runbms) = runbms else {
+    let Some(runbms) = sibling_runbms() else {
         eprintln!("error: no runbms binary beside this artifact binary; build the workspace first");
         return 2;
     };
@@ -996,6 +1053,22 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
+    let accepted: &[&[&str]] = match command.as_str() {
+        "lint" => &[&["json", "rules"]],
+        "analyze" => &[&["plan", "results", "json", "check", "rules"]],
+        "srclint" => &[&["check", "json", "rules"]],
+        "trace" => &[&["b", "collector", "heap-factor", "check"], &OBS_FLAGS],
+        "chaos" => &[
+            &["b", "check", "workers", "net", "faults", "isolation"],
+            &SCHEDULER_FLAGS,
+        ],
+        "model" => &[&["check", "bounds", "trace", "demo", "out", "rules"]],
+        _ => &[],
+    };
+    if let Err(e) = check_flags(&format!("artifact {command}"), &args, accepted) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     if command == "lint" {
         std::process::exit(run_lint(&args));
     }

@@ -12,11 +12,15 @@
 use chopin_core::characterize::{characterize, rank_agreement, CharacterizeConfig, MeasuredStats};
 use chopin_core::nominal::row;
 use chopin_core::Suite;
-use chopin_harness::cli::Args;
+use chopin_harness::cli::{check_flags, Args};
 use chopin_harness::plot::render_table;
 
 fn main() {
     let args = Args::from_env();
+    if let Err(e) = check_flags("characterize", &args, &[&["b", "minheap", "iterations"]]) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let mut benchmarks = args.list("b");
     if benchmarks.is_empty() {
         benchmarks = Suite::chopin()

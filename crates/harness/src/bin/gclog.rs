@@ -6,12 +6,16 @@
 //! ```
 
 use chopin_core::Suite;
-use chopin_harness::cli::Args;
+use chopin_harness::cli::{check_flags, Args};
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::gclog::render_gc_log;
 
 fn main() {
     let args = Args::from_env();
+    if let Err(e) = check_flags("gclog", &args, &[&["b", "collector", "heap-factor"]]) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let benchmarks = args.list("b");
     let Some(bench_name) = benchmarks.first() else {
         eprintln!("usage: gclog -b <benchmark> [--collector g1] [--heap-factor 2.0]");

@@ -1,10 +1,14 @@
 //! Regenerate the appendix post-GC heap-size graphs (e.g. Figure 8): heap
 //! occupancy after every collection at 2.0x heap with G1.
 
-use chopin_harness::cli::Args;
+use chopin_harness::cli::{check_flags, Args};
 
 fn main() {
     let args = Args::from_env();
+    if let Err(e) = check_flags("heaptrace", &args, &[&["b"]]) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let benchmarks = args.list("b");
     if benchmarks.is_empty() {
         eprintln!("usage: heaptrace -b <benchmark>[,..]");

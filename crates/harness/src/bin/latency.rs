@@ -28,13 +28,13 @@ use chopin_analyzer::Methodology;
 use chopin_core::latency::SmoothingWindow;
 use chopin_core::sweep::SweepConfig;
 use chopin_core::Suite;
-use chopin_harness::cli::Args;
+use chopin_harness::cli::{check_flags, Args};
 use chopin_harness::obs::{
-    add_spans_to_trace, observe_benchmark_with_faults, with_suffix, ObsOptions,
+    add_spans_to_trace, observe_benchmark_with_faults, with_suffix, ObsOptions, OBS_FLAGS,
 };
 use chopin_harness::output::ResultsDir;
 use chopin_harness::preflight;
-use chopin_harness::supervisor::{plan_from_args, reject_scheduler_flags};
+use chopin_harness::supervisor::plan_from_args;
 use chopin_harness::{resolve_profiles, LatencyExperiment};
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::time::SimDuration;
@@ -49,7 +49,21 @@ fn main() {
     // binary re-spawns itself as a sandboxed worker.
     chopin_harness::worker_entry();
     let args = Args::from_env();
-    if let Err(e) = reject_scheduler_flags("latency", &args) {
+    if let Err(e) = check_flags(
+        "latency",
+        &args,
+        &[
+            &[
+                "b",
+                "heaps",
+                "save-events",
+                "no-preflight",
+                "faults",
+                "isolation",
+            ],
+            &OBS_FLAGS,
+        ],
+    ) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

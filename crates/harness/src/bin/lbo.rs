@@ -37,10 +37,12 @@
 use chopin_analyzer::Methodology;
 use chopin_core::lbo::Clock;
 use chopin_core::sweep::SweepConfig;
-use chopin_harness::cli::Args;
-use chopin_harness::obs::{add_spans_to_trace, observe_benchmark_with_faults, ObsOptions};
+use chopin_harness::cli::{check_flags, Args, GRID_FLAGS};
+use chopin_harness::obs::{
+    add_spans_to_trace, observe_benchmark_with_faults, ObsOptions, OBS_FLAGS,
+};
 use chopin_harness::output::ResultsDir;
-use chopin_harness::supervisor::supervisor_from_args;
+use chopin_harness::supervisor::{supervisor_from_args, SCHEDULER_FLAGS};
 use chopin_harness::{preflight, resolve_profiles, LboExperiment, SpanSink};
 
 /// Report a malformed command line or an unusable configuration.
@@ -54,6 +56,20 @@ fn main() {
     // binary re-spawns itself as a sandboxed cell worker.
     chopin_harness::worker_entry();
     let args = Args::from_env();
+    if let Err(e) = check_flags(
+        "lbo",
+        &args,
+        &[
+            &GRID_FLAGS,
+            &["out"],
+            &OBS_FLAGS,
+            &["no-preflight", "faults", "isolation"],
+            &SCHEDULER_FLAGS,
+        ],
+    ) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     // An external fleet worker never runs its own analysis: it attaches
     // to the printed coordinator address and serves leases until drained.
     if let Some(code) = chopin_harness::fleet::maybe_connect(&args) {

@@ -3,10 +3,18 @@
 //! the paper's methodological recommendations (--recommendations).
 
 use chopin_core::methodology::RECOMMENDATIONS;
-use chopin_harness::cli::Args;
+use chopin_harness::cli::{check_flags, Args};
 
 fn main() {
     let args = Args::from_env();
+    if let Err(e) = check_flags(
+        "nominal",
+        &args,
+        &[&["b", "describe", "recommendations", "table2"]],
+    ) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     if args.has("describe") {
         println!("{}", chopin_harness::table1());
         return;

@@ -67,11 +67,13 @@
 use chopin_analyzer::Methodology;
 use chopin_core::sweep::{run_sweep, SweepConfig, SweepResult};
 use chopin_core::Suite;
-use chopin_harness::cli::Args;
+use chopin_harness::cli::{check_flags, Args, GRID_FLAGS};
 use chopin_harness::obs::{
-    add_spans_to_trace, observe_benchmark_with_faults, ObsOptions, SpanSink,
+    add_spans_to_trace, observe_benchmark_with_faults, ObsOptions, SpanSink, OBS_FLAGS,
 };
-use chopin_harness::supervisor::{supervision_requested, supervisor_from_args, SuiteSupervisor};
+use chopin_harness::supervisor::{
+    supervision_requested, supervisor_from_args, SuiteSupervisor, SCHEDULER_FLAGS,
+};
 use chopin_harness::{preflight, resolve_profiles};
 use chopin_workloads::WorkloadProfile;
 
@@ -163,6 +165,19 @@ fn main() {
     // binary re-spawns itself as a sandboxed cell worker.
     chopin_harness::worker_entry();
     let args = Args::from_env();
+    if let Err(e) = check_flags(
+        "runbms",
+        &args,
+        &[
+            &GRID_FLAGS,
+            &OBS_FLAGS,
+            &["no-preflight", "faults", "isolation"],
+            &SCHEDULER_FLAGS,
+        ],
+    ) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     // An external fleet worker never runs its own sweep: it attaches to
     // the printed coordinator address and serves leases until drained.
     if let Some(code) = chopin_harness::fleet::maybe_connect(&args) {

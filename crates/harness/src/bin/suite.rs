@@ -28,12 +28,12 @@
 use chopin_analyzer::Methodology;
 use chopin_core::sweep::SweepConfig;
 use chopin_core::Suite;
-use chopin_harness::cli::Args;
-use chopin_harness::obs::{observe_benchmark_with_faults, with_suffix, ObsOptions};
+use chopin_harness::cli::{check_flags, Args};
+use chopin_harness::obs::{observe_benchmark_with_faults, with_suffix, ObsOptions, OBS_FLAGS};
 use chopin_harness::plot::render_table;
 use chopin_harness::preflight;
 use chopin_harness::resolve_profiles;
-use chopin_harness::supervisor::{plan_from_args, reject_scheduler_flags};
+use chopin_harness::supervisor::plan_from_args;
 use chopin_runtime::collector::CollectorKind;
 use chopin_workloads::suite as workloads;
 
@@ -42,7 +42,11 @@ fn main() {
     // binary re-spawns itself as a sandboxed worker.
     chopin_harness::worker_entry();
     let args = Args::from_env();
-    if let Err(e) = reject_scheduler_flags("suite", &args) {
+    if let Err(e) = check_flags(
+        "suite",
+        &args,
+        &[&["b", "no-preflight", "faults", "isolation"], &OBS_FLAGS],
+    ) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

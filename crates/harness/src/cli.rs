@@ -7,6 +7,30 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The sweep-grid flags every sweeping binary reads.
+pub const GRID_FLAGS: [&str; 4] = ["b", "quick", "invocations", "iterations"];
+
+/// Refuse, before anything prints or runs, a command line naming a flag
+/// `binary` reads on none of its `accepted` lists: a misspelt
+/// `--jounral` must not run an unjournalled sweep. A sweep-scheduler
+/// flag on a binary without the scheduler names the binaries that take
+/// it.
+///
+/// # Errors
+///
+/// A message naming the first unknown flag.
+pub fn check_flags(binary: &str, args: &Args, accepted: &[&[&str]]) -> Result<(), String> {
+    let known = |flag: &str| accepted.iter().any(|list| list.contains(&flag));
+    match args.flags.keys().map(String::as_str).find(|f| !known(f)) {
+        None => Ok(()),
+        Some(flag) if crate::supervisor::SCHEDULER_FLAGS.contains(&flag) => Err(format!(
+            "{binary} does not run on the sweep scheduler, so it cannot honour --{flag}; \
+             use runbms or lbo"
+        )),
+        Some(flag) => Err(format!("unknown flag --{flag} for {binary}")),
+    }
+}
+
 /// Parsed command line: flags with optional values, plus positionals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Args {
@@ -117,6 +141,34 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_flags_names_unknown_flags_and_points_scheduler_flags_at_the_scheduler() {
+        let accepted: &[&[&str]] = &[&GRID_FLAGS, &["faults", "isolation"]];
+        let ok = Args::parse([
+            "-b",
+            "fop",
+            "--quick",
+            "--faults",
+            "chaos",
+            "--isolation",
+            "thread",
+        ]);
+        assert_eq!(check_flags("suite", &ok, accepted), Ok(()));
+
+        let typo = Args::parse(["-b", "fop", "--jounral", "J"]);
+        let err = check_flags("runbms", &typo, accepted).unwrap_err();
+        assert_eq!(err, "unknown flag --jounral for runbms");
+
+        for flag in crate::supervisor::SCHEDULER_FLAGS {
+            let args = Args::parse([format!("--{flag}"), "1".to_string()]);
+            let err = check_flags("latency", &args, accepted).unwrap_err();
+            assert!(
+                err.contains(&format!("--{flag}")) && err.contains("runbms") && err.contains("lbo"),
+                "{err}"
+            );
+        }
+    }
 
     #[test]
     fn parses_flags_values_and_positionals() {

@@ -1,47 +1,38 @@
 //! The fleet transport: crash-tolerant coordinator/worker sharding of
-//! the sweep matrix over a line-framed local socket, with lease-based
-//! reassignment and a deterministic journal merge.
+//! the sweep matrix over TCP, with lease-based reassignment and a
+//! deterministic journal merge.
 //!
 //! `--fleet N` shards the supervised sweep across `N` worker
 //! *processes*. The fleet is one executor of the supervisor's single
 //! scheduler: the supervisor compiles the cell list, builds the
 //! [`LeaseTable`](chopin_fleet::LeaseTable) over typed cell outcomes,
-//! absorbs any resumed cells and assembles the report; this module only
-//! carries leases (cell + deadline + attempt) over the wire to whichever
-//! worker asks next and feeds the replies back into the table. Retry,
-//! backoff and quarantine are therefore the table's, identical in every
-//! mode. Workers are crash domains, not trust domains: a worker that is
-//! SIGKILLed, aborts, or stops heartbeating merely returns its leases to
-//! the pool — the cells are re-leased to surviving workers with the same
-//! seeded full-jitter backoff. Worker *slots* carry a crash budget
-//! ([`FleetConfig::max_worker_crashes`]): a slot is respawned under a
-//! fresh worker id until the budget runs out, then quarantined.
+//! absorbs any resumed cells and assembles the report. Every coordinator
+//! decision — admission, nonce fencing, standby adoption, the heartbeat
+//! reaper, slot respawn and quarantine, the rescue window, the drain —
+//! is the sans-IO [`Coordinator`](chopin_fleet::Coordinator), the same
+//! machine `chopin-model` checks. This module is its pump: it keeps the
+//! sockets, the reader, acceptor and reaper threads, process spawning,
+//! the seeded net-fault shim, the standby's registration loop and the
+//! worker loop, turns what happens on them into machine inputs (a tick
+//! after every event), and applies the machine's outputs in order.
 //!
 //! Every worker runs its cells on the in-process
 //! [`SweepCellRunner`](crate::supervisor::SweepCellRunner) and appends
 //! completed cells to its own fingerprinted journal (`<base>.w<id>`), so
 //! no two processes ever contend on one file. On `--resume` (in any
-//! isolation mode) the supervisor absorbs the base journal *and* every
-//! sibling worker journal, resolving duplicate completions (a stolen
-//! lease finishing twice, a re-lease racing its original) by the fixed
-//! `(attempt, worker)` tiebreak in [`chopin_fleet::CellMerge`]. Because
-//! cells are deterministic and results are assembled in schedule order,
-//! the merged output is byte-identical to a sequential `--isolation
-//! process` run — the property `artifact chaos --check --workers` and the
-//! `fleet` integration test pin.
+//! isolation mode) and at a standby's takeover the supervisor merges the
+//! base journal *and* every sibling worker journal through
+//! [`chopin_fleet::recover`], whose fixed `(attempt, worker)` tiebreak
+//! resolves duplicate completions. Because cells are deterministic and
+//! results are assembled in schedule order, the merged output is
+//! byte-identical to a sequential run.
 //!
-//! A `Done` payload is decoded when it arrives; one that does not decode
-//! is a cell failure (`worker payload: …`). Failure reasons cross the
-//! wire in the journal's quarantine-reason encoding, so the whole crash
-//! taxonomy survives.
-//!
-//! The wire protocol ([`chopin_fleet::protocol`]) uses the same
-//! `@name field …` line framing and the same line escape as the sandbox
-//! heartbeat pipe; payloads are the cell-record codec's requests and
-//! responses (`codec.rs`). It runs over a TCP socket
-//! (loopback by default) so external workers can attach with
-//! `--fleet-connect ADDR` (satisfying rule R1202's appetite for more
-//! workers without more local spawns).
+//! The wire protocol ([`chopin_fleet::protocol`]) uses the sandbox
+//! heartbeat pipe's `@name field …` framing and line escape; payloads
+//! are the cell-record codec's requests and responses (`codec.rs`), and
+//! a `Done` payload that does not decode is a cell failure (`worker
+//! payload: …`). External workers attach with `--fleet-connect ADDR`
+//! (rule R1202's appetite for more workers without more local spawns).
 
 use crate::cli::Args;
 use crate::codec;
@@ -52,20 +43,23 @@ use crate::supervisor::{
     QuarantineReason, SuperviseError,
 };
 use chopin_core::sweep::SweepConfig;
-use chopin_faults::hard::splitmix64;
 use chopin_faults::net::NetFaultPlan;
 use chopin_faults::{
     parse_net_flag, FaultPlan, FrameFate, HardFaultKind, SupervisorPolicy, NET_PRESET_NAMES,
 };
+use chopin_fleet::coordinator::{
+    HEARTBEAT_EVERY_MS, HEARTBEAT_TIMEOUT_MS, POLL_MS, STANDBY_RESCUE_MS,
+};
 use chopin_fleet::protocol;
 use chopin_fleet::{
-    admission, parse_storm_flag, FleetConfig, FleetFrame, Grant, Liveness, WorkerStormPlan,
+    incarnation_nonce, parse_storm_flag, Codec, Coordinator, FleetConfig, FleetFrame, Incarnation,
+    Input, Output, WorkerStormPlan,
 };
 use chopin_obs::metrics::fleet_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::{die_by_signal, SIGKILL};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,22 +68,6 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
-
-/// How often a worker's heartbeat thread beats, in milliseconds.
-const HEARTBEAT_EVERY_MS: u64 = 500;
-
-/// Coordinator-side silence threshold before a worker is declared dead
-/// and its leases reassigned. Generous (20 beats) because a beat only
-/// needs the worker's heartbeat *thread* alive, not the cell.
-const HEARTBEAT_TIMEOUT_MS: u64 = 10_000;
-
-/// Event-loop poll ceiling: lease expiry and heartbeat staleness are
-/// re-checked at least this often, in milliseconds.
-const POLL_MS: u64 = 250;
-
-/// Worker ids for `--fleet-connect` attachers are assigned from this
-/// base, far above any local slot id (`slot + N * generation`).
-const EXTERNAL_WORKER_BASE: u64 = 1 << 32;
 
 /// Ceiling a worker applies to a coordinator-suggested wait.
 const MAX_WORKER_WAIT_MS: u64 = 1_000;
@@ -116,10 +94,6 @@ const RECONNECT_MAX_MS: u64 = 3_200;
 /// Reconnect attempts before a worker gives up on ever seeing a
 /// coordinator again. Its journal shard keeps everything it finished.
 const MAX_RECONNECT_ATTEMPTS: u32 = 8;
-
-/// How long a takeover coordinator waits for the primary's workers to
-/// reconnect before spawning its own.
-const STANDBY_RESCUE_MS: u64 = 5_000;
 
 /// How long a standby keeps retrying its initial connection to the
 /// primary (the primary may still be compiling its cell list).
@@ -170,6 +144,10 @@ pub fn fleet_config_from_args(args: &Args) -> Result<Option<FleetConfig>, String
     }
     let workers: u32 = args.get_or("fleet", 0u32).map_err(|e| e.to_string())?;
     let mut config = FleetConfig::new(workers);
+    let value = |flag: &str, needs: &str| {
+        let missing = || format!("--{flag} needs {needs}");
+        args.value(flag).map(str::to_string).ok_or_else(missing)
+    };
     if args.has("lease-deadline") {
         let ms: u64 = args
             .get_or("lease-deadline", 0u64)
@@ -177,37 +155,26 @@ pub fn fleet_config_from_args(args: &Args) -> Result<Option<FleetConfig>, String
         config.plan.lease_deadline_ms = Some(ms);
     }
     if args.has("fleet-storm") {
-        let flag = args
-            .value("fleet-storm")
-            .ok_or("--fleet-storm needs a preset (kill or abort)")?;
-        config.storm = Some(parse_storm_flag(flag)?);
+        let flag = value("fleet-storm", "a preset (kill or abort)")?;
+        config.storm = Some(parse_storm_flag(&flag)?);
     }
     if args.has("fleet-bind") {
-        let addr = args
-            .value("fleet-bind")
-            .ok_or("--fleet-bind needs HOST:PORT (e.g. 0.0.0.0:7400)")?;
-        config.bind = Some(addr.to_string());
+        config.bind = Some(value("fleet-bind", "HOST:PORT (e.g. 0.0.0.0:7400)")?);
     }
     if args.has("fleet-token") {
-        let token = args
-            .value("fleet-token")
-            .ok_or("--fleet-token needs a token value")?;
-        config.token = Some(token.to_string());
+        config.token = Some(value("fleet-token", "a token value")?);
     }
     if args.has("net-faults") {
-        let flag = args.value("net-faults").ok_or_else(|| {
-            format!(
-                "--net-faults needs a preset ({}), optionally PRESET:SEED",
-                NET_PRESET_NAMES.join(", ")
-            )
-        })?;
-        config.net = Some(parse_net_flag(flag)?);
+        let presets = NET_PRESET_NAMES.join(", ");
+        let flag = value(
+            "net-faults",
+            &format!("a preset ({presets}), optionally PRESET:SEED"),
+        )?;
+        config.net = Some(parse_net_flag(&flag)?);
     }
     if args.has("fleet-standby") {
-        let addr = args
-            .value("fleet-standby")
-            .ok_or("--fleet-standby needs the primary coordinator's address")?;
-        config.standby_of = Some(addr.to_string());
+        let needs = "the primary coordinator's address";
+        config.standby_of = Some(value("fleet-standby", needs)?);
     }
     config.await_standby = args.has("fleet-await-standby");
     config.validate().map_err(|e| e.to_string())?;
@@ -227,15 +194,12 @@ pub fn maybe_connect(args: &Args) -> Option<i32> {
         eprintln!("error: --fleet-connect needs the coordinator address it printed at startup");
         return Some(2);
     };
-    let storm = match args.value("fleet-storm") {
-        None => None,
-        Some(flag) => match parse_storm_flag(flag) {
-            Ok(storm) => Some(storm),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return Some(2);
-            }
-        },
+    let storm = match args.value("fleet-storm").map(parse_storm_flag).transpose() {
+        Ok(storm) => storm,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return Some(2);
+        }
     };
     let token = args
         .value("fleet-token")
@@ -272,15 +236,13 @@ fn fleet_worker_env() -> i32 {
     let id = std::env::var(protocol::ENV_FLEET_WORKER_ID)
         .ok()
         .and_then(|v| v.parse().ok());
-    let storm = match std::env::var(protocol::ENV_FLEET_STORM) {
-        Err(_) => None,
-        Ok(flag) => match parse_storm_flag(&flag) {
-            Ok(storm) => Some(storm),
-            Err(e) => {
-                eprintln!("error: bad {}: {e}", protocol::ENV_FLEET_STORM);
-                return 2;
-            }
-        },
+    let storm = std::env::var(protocol::ENV_FLEET_STORM).ok();
+    let storm = match storm.as_deref().map(parse_storm_flag).transpose() {
+        Ok(storm) => storm,
+        Err(e) => {
+            eprintln!("error: bad {}: {e}", protocol::ENV_FLEET_STORM);
+            return 2;
+        }
     };
     let token = std::env::var(protocol::ENV_FLEET_TOKEN).ok();
     run_worker(&addr, id, storm, token)
@@ -337,12 +299,12 @@ pub(crate) fn coordinate(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
     let mut crash_reports = Vec::new();
     if !table.is_done() {
         let (listener, addr) = bind(&config, "fleet")?;
-        crash_reports = run_transport(
+        (table, crash_reports) = run_transport(
             &config,
             &faults,
             sweep,
             cells,
-            &mut table,
+            table,
             journal_path.as_deref(),
             fingerprint,
             &mut metrics,
@@ -350,7 +312,6 @@ pub(crate) fn coordinate(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
                 listener,
                 addr,
                 epoch: 1,
-                spawn_workers: true,
                 rescue_after_ms: None,
             },
         )?;
@@ -454,88 +415,64 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
         ));
     }
 
+    // Wait for admission (learning the primary's epoch), adopt, then
+    // watch the primary's heartbeat. Silence past the reaper timeout or
+    // a hangup after admission triggers takeover; a Drain means the run
+    // finished and we only reconstruct the report. A Reject refuses the
+    // admission or the adoption (fingerprint mismatch).
     let span = WallSpan::begin();
-    let now_ms = |span: &WallSpan| span.elapsed_ms() as u64;
-    // Wait for admission and learn the primary's epoch.
-    let mut epoch = 0u32;
-    let mut admitted = false;
-    while !admitted {
-        if now_ms(&span) > HEARTBEAT_TIMEOUT_MS {
-            return Err(SuperviseError::Isolation(format!(
-                "the primary at {primary} never admitted this standby"
-            )));
-        }
-        match reader.next_line() {
-            LineEvent::TimedOut => {}
-            LineEvent::Eof => {
-                return Err(SuperviseError::Isolation(format!(
-                    "the primary at {primary} hung up before admitting this standby"
-                )));
+    let (mut epoch, mut last_beat) = (None, 0);
+    let (epoch, drained) = loop {
+        let now = span.elapsed_ms() as u64;
+        let frame = match (reader.next_line(), epoch) {
+            (LineEvent::Line(line), _) => protocol::parse(&line),
+            (LineEvent::TimedOut, _) if now.saturating_sub(last_beat) <= HEARTBEAT_TIMEOUT_MS => {
+                None
             }
-            LineEvent::Line(line) => match protocol::parse(&line) {
-                Some(FleetFrame::Welcome { epoch: e, .. }) => {
-                    epoch = e;
-                    admitted = true;
-                }
-                Some(FleetFrame::Reject { reason }) => {
-                    return Err(SuperviseError::Isolation(format!(
-                        "the primary at {primary} rejected this standby: {reason}"
-                    )));
-                }
-                _ => {}
-            },
-        }
-    }
-    if !send(
-        &mut stream,
-        &FleetFrame::Adopt {
-            addr: my_addr.clone(),
-            fingerprint: format!("{fingerprint:016x}"),
-        },
-    ) {
-        return Err(SuperviseError::Isolation(
-            "standby lost the primary connection while adopting".to_string(),
-        ));
-    }
-    eprintln!(
-        "fleet: standby registered with primary {primary} (epoch {epoch}), \
-         watching heartbeats; successor address is {my_addr}"
-    );
-
-    // Watch the primary's heartbeat. Silence past the reaper timeout or
-    // a hangup triggers takeover; a Drain means the run finished and we
-    // only reconstruct the report. A Reject here means the adoption
-    // itself was refused (fingerprint mismatch).
-    let mut last_beat = now_ms(&span);
-    let mut drained = false;
-    loop {
-        let now = now_ms(&span);
-        match reader.next_line() {
-            LineEvent::TimedOut => {
-                if now.saturating_sub(last_beat) > HEARTBEAT_TIMEOUT_MS {
-                    break;
-                }
+            (_, Some(e)) => break (e, false),
+            (LineEvent::Eof, None) => {
+                let why = format!("the primary at {primary} hung up before admitting this standby");
+                return Err(SuperviseError::Isolation(why));
             }
-            LineEvent::Eof => break,
-            LineEvent::Line(line) => match protocol::parse(&line) {
-                Some(FleetFrame::Beat { .. }) => last_beat = now,
-                Some(FleetFrame::Drain) => {
-                    drained = true;
-                    break;
+            (LineEvent::TimedOut, None) => {
+                let why = format!("the primary at {primary} never admitted this standby");
+                return Err(SuperviseError::Isolation(why));
+            }
+        };
+        match (frame, epoch) {
+            (Some(FleetFrame::Welcome { epoch: e, .. }), None) => {
+                let adopt = FleetFrame::Adopt {
+                    addr: my_addr.clone(),
+                    fingerprint: format!("{fingerprint:016x}"),
+                };
+                if !send(&mut stream, &adopt) {
+                    let why = "standby lost the primary connection while adopting";
+                    return Err(SuperviseError::Isolation(why.to_string()));
                 }
-                Some(FleetFrame::Reject { reason }) => {
-                    return Err(SuperviseError::Isolation(format!(
-                        "the primary at {primary} rejected this standby: {reason}"
-                    )));
-                }
-                _ => {}
-            },
+                eprintln!(
+                    "fleet: standby registered with primary {primary} (epoch {e}), \
+                     watching heartbeats; successor address is {my_addr}"
+                );
+                (epoch, last_beat) = (Some(e), now);
+            }
+            (Some(FleetFrame::Beat { .. }), _) => last_beat = now,
+            (Some(FleetFrame::Drain), Some(e)) => break (e, true),
+            (Some(FleetFrame::Reject { reason }), _) => {
+                let why = format!("the primary at {primary} rejected this standby: {reason}");
+                return Err(SuperviseError::Isolation(why));
+            }
+            _ => {}
         }
-    }
+    };
     let _ = stream.shutdown(Shutdown::Both);
 
     let seeds: Vec<u64> = cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
-    let deadline_ms = config.plan.deadline_ms();
+    let recovered = |mut journal: Option<Journal>| {
+        let mut table = CellTable::new(seeds.clone(), policy, config.plan.deadline_ms());
+        let shards = Some(journal_path.as_path());
+        let absorbed = absorb_recovered(&mut table, cells, &mut journal, shards, fingerprint);
+        (table, journal, absorbed)
+    };
 
     if drained {
         // The primary finished the sweep itself. Reconstruct the same
@@ -543,15 +480,7 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
         // the base journal's last append is still landing.
         let grace = WallSpan::begin();
         loop {
-            let mut table = CellTable::new(seeds.clone(), policy, deadline_ms);
-            let mut journal = Journal::load(&journal_path).ok();
-            let absorbed = absorb_recovered(
-                &mut table,
-                cells,
-                &mut journal,
-                Some(journal_path.as_path()),
-                fingerprint,
-            );
+            let (table, journal, absorbed) = recovered(Journal::load(&journal_path).ok());
             if table.is_done() {
                 eprintln!("fleet: primary drained cleanly; standby reconstructed the report");
                 return Ok(Drained {
@@ -578,15 +507,8 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
         "fleet: primary at {primary} went silent; taking over at epoch {}",
         epoch + 1
     );
-    let mut table = CellTable::new(seeds, policy, deadline_ms);
-    let mut journal = Some(open_journal(&journal_path, fingerprint, true)?);
-    let absorbed = absorb_recovered(
-        &mut table,
-        cells,
-        &mut journal,
-        Some(journal_path.as_path()),
-        fingerprint,
-    );
+    let journal = open_journal(&journal_path, fingerprint, true)?;
+    let (mut table, journal, absorbed) = recovered(Some(journal));
     let mut metrics = absorbed.metrics(cells.len());
     metrics.inc(fleet_metrics::TAKEOVERS, 1);
     let _ = std::fs::write(
@@ -603,12 +525,12 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
 
     let mut crash_reports = Vec::new();
     if !table.is_done() {
-        crash_reports = run_transport(
+        (table, crash_reports) = run_transport(
             &config,
             &faults,
             sweep,
             cells,
-            &mut table,
+            table,
             Some(journal_path.as_path()),
             fingerprint,
             &mut metrics,
@@ -616,7 +538,6 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
                 listener,
                 addr: my_addr,
                 epoch: epoch + 1,
-                spawn_workers: false,
                 rescue_after_ms: Some(STANDBY_RESCUE_MS),
             },
         )?;
@@ -629,321 +550,10 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
     })
 }
 
-/// An event delivered to the coordinator loop by its reader, acceptor
-/// and reaper threads. Connections are identified by a local counter
-/// until their `Hello` binds them to a worker id.
-enum Event {
-    /// A connection sent its `Hello`; the write half rides along.
-    Joined {
-        conn: u64,
-        hint: Option<u64>,
-        token: Option<String>,
-        stream: TcpStream,
-    },
-    /// A post-join frame.
-    Frame { conn: u64, frame: FleetFrame },
-    /// The connection closed or errored.
-    Eof { conn: u64 },
-    /// A locally-spawned worker process exited.
-    ChildExit {
-        slot: usize,
-        worker: u64,
-        clean: bool,
-        signal: Option<i32>,
-    },
-}
-
-/// A joined connection: the worker it speaks for and the write half.
-struct Peer {
-    worker: u64,
-    stream: TcpStream,
-}
-
-/// One local worker slot: respawned with a fresh id on each crash until
-/// its crash budget runs out.
-struct SlotState {
-    worker: u64,
-    generation: u32,
-    crashes: u32,
-    alive: bool,
-    quarantined: bool,
-}
-
-/// Coordinator state shared by the event handlers.
-struct FleetState<'a> {
-    cells: &'a [(usize, Cell)],
-    table: &'a mut CellTable,
-    /// Joined connections by connection id.
-    peers: BTreeMap<u64, Peer>,
-    /// Worker id → connection id, for targeted shutdown.
-    worker_conns: BTreeMap<u64, u64>,
-    /// The heartbeat reaper: staleness, idempotent death declaration,
-    /// revival on reconnect ([`chopin_fleet::Liveness`]).
-    liveness: Liveness,
-    slots: Vec<SlotState>,
-    reports: Vec<CrashReport>,
-    spawned: u64,
-    deaths: u64,
-    quarantined_slots: u64,
-    completions: u64,
-    next_external: u64,
-    journal_base: Option<String>,
-    fingerprint: u64,
-    /// `CHOPIN_FLEET_DIE_AFTER`: SIGKILL the coordinator after this
-    /// many completions (the integration test's crash trigger).
-    hard_die: Option<u64>,
-    /// This incarnation's nonce, carried in `Welcome` and required as an
-    /// echo on `Done`/`Fail` — the fence against stale completions from
-    /// a previous coordinator's lease-id space.
-    coord: u64,
-    /// Logical hand-off depth: the primary serves 1, takeovers increment.
-    epoch: u32,
-    /// Per-run admission token (`--fleet-token`), if any.
-    expected_token: Option<String>,
-    /// The seeded net-fault shim over the worker links (`--net-faults`).
-    net: Option<NetFaultPlan>,
-    /// Per-worker outbound frame counter feeding the shim's fate rolls.
-    net_seq: BTreeMap<u64, u64>,
-    /// Shim-delayed outbound frames: `(due_ms, conn, frame)`.
-    delayed: Vec<(u64, u64, FleetFrame)>,
-    /// Connections registered as standby coordinators (exempt from the
-    /// shim and from worker accounting).
-    standby_conns: BTreeSet<u64>,
-    /// The advertised successor address, broadcast to every worker.
-    successor: Option<String>,
-    net_dropped: u64,
-    net_delayed: u64,
-    net_duplicated: u64,
-    net_partitioned: u64,
-    auth_rejected: u64,
-    stale_fenced: u64,
-    revived: u64,
-}
-
-impl FleetState<'_> {
-    /// Write a frame straight to the connection, bypassing the net-fault
-    /// shim — the control plane (welcomes, rejections, drains, standby
-    /// advertisements) stays reliable so chaos stays convergent.
-    fn send_raw(&mut self, conn: u64, frame: &FleetFrame) {
-        if let Some(peer) = self.peers.get_mut(&conn) {
-            let line = format!("{}\n", protocol::render(frame));
-            let _ = peer.stream.write_all(line.as_bytes());
-        }
-    }
-
-    /// Send a data-plane frame through the net-fault shim: a partition
-    /// window swallows it; otherwise the seeded per-frame fate may drop,
-    /// delay or duplicate it. Without `--net-faults` this is a plain
-    /// write.
-    fn send(&mut self, conn: u64, frame: &FleetFrame, now: u64) {
-        let data_plane = matches!(frame, FleetFrame::Lease { .. } | FleetFrame::Wait { .. });
-        if data_plane && !self.standby_conns.contains(&conn) {
-            if let Some(plan) = self.net {
-                let Some(worker) = self.peers.get(&conn).map(|p| p.worker) else {
-                    return;
-                };
-                if plan.partitioned(worker, now) {
-                    self.net_partitioned += 1;
-                    return;
-                }
-                let seq = self.net_seq.entry(worker).or_insert(0);
-                *seq += 1;
-                let seq = *seq;
-                match plan.fate(worker, seq) {
-                    FrameFate::Deliver => {}
-                    FrameFate::Drop => {
-                        self.net_dropped += 1;
-                        return;
-                    }
-                    FrameFate::Delay(ms) => {
-                        self.net_delayed += 1;
-                        self.delayed.push((now + ms, conn, frame.clone()));
-                        return;
-                    }
-                    FrameFate::Duplicate => {
-                        self.net_duplicated += 1;
-                        self.send_raw(conn, frame);
-                    }
-                }
-            }
-        }
-        self.send_raw(conn, frame);
-    }
-
-    /// Deliver every shim-delayed frame whose due time has passed.
-    fn flush_delayed(&mut self, now: u64) {
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                let (_, conn, frame) = self.delayed.remove(i);
-                self.send_raw(conn, &frame);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Whether an inbound frame is swallowed by an active partition
-    /// window. Only the worker data plane (`Next`/`Done`/`Fail`/`Beat`)
-    /// partitions — `@beat` included, so the reaper sees real silence.
-    fn inbound_blocked(&mut self, conn: u64, frame: &FleetFrame, now: u64) -> bool {
-        let Some(plan) = self.net else { return false };
-        if self.standby_conns.contains(&conn) {
-            return false;
-        }
-        let Some(worker) = self.peers.get(&conn).map(|p| p.worker) else {
-            return false;
-        };
-        let data_plane = matches!(
-            frame,
-            FleetFrame::Next { .. }
-                | FleetFrame::Done { .. }
-                | FleetFrame::Fail { .. }
-                | FleetFrame::Beat { .. }
-        );
-        if data_plane && plan.partitioned(worker, now) {
-            self.net_partitioned += 1;
-            return true;
-        }
-        false
-    }
-
-    /// Admit a joined connection: check the run token, assign (or
-    /// honour) its worker id and welcome it with the journal
-    /// fingerprint, base path and this incarnation's coord/epoch.
-    fn admit(
-        &mut self,
-        conn: u64,
-        hint: Option<u64>,
-        token: Option<String>,
-        mut stream: TcpStream,
-        now: u64,
-    ) {
-        if !admission(self.expected_token.as_deref(), token.as_deref()) {
-            self.auth_rejected += 1;
-            eprintln!("fleet: refusing a connection: auth token mismatch");
-            let line = format!(
-                "{}\n",
-                protocol::render(&FleetFrame::Reject {
-                    reason: "auth token mismatch: this run requires --fleet-token".to_string(),
-                })
-            );
-            let _ = stream.write_all(line.as_bytes());
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        let worker = hint.unwrap_or_else(|| {
-            let id = self.next_external;
-            self.next_external += 1;
-            id
-        });
-        // A reconnect under the same id replaces the old connection.
-        if let Some(old) = self.worker_conns.insert(worker, conn) {
-            self.standby_conns.remove(&old);
-            if let Some(peer) = self.peers.remove(&old) {
-                let _ = peer.stream.shutdown(Shutdown::Both);
-            }
-        }
-        self.peers.insert(conn, Peer { worker, stream });
-        if self.liveness.revive(worker, now) {
-            self.revived += 1;
-            eprintln!("fleet: worker {worker} reconnected after being reaped; revived");
-        }
-        let welcome = FleetFrame::Welcome {
-            worker,
-            fingerprint: format!("{:016x}", self.fingerprint),
-            coord: self.coord,
-            epoch: self.epoch,
-            journal: self.journal_base.clone(),
-        };
-        self.send_raw(conn, &welcome);
-        if let Some(addr) = self.successor.clone() {
-            self.send_raw(conn, &FleetFrame::Standby { addr });
-        }
-    }
-
-    /// Declare a worker dead exactly once: file a crash report per held
-    /// lease, return its leases to the pool, drop its connection.
-    /// Returns `false` when the worker was already declared.
-    fn declare_dead(&mut self, worker: u64, now: u64, signal: Option<i32>) -> bool {
-        let last_beat = self.liveness.last_seen(worker);
-        if !self.liveness.declare_dead(worker) {
-            return false;
-        }
-        self.deaths += 1;
-        for cell_idx in self.table.held_cells(worker) {
-            let (_, cell) = &self.cells[cell_idx];
-            self.reports.push(CrashReport {
-                benchmark: cell.benchmark.clone(),
-                collector: cell.collector.to_string(),
-                heap_factor: cell.heap_factor,
-                outcome: "worker-died".to_string(),
-                exit_code: None,
-                signal,
-                last_heartbeat_ms: last_beat,
-                peak_rss_bytes: None,
-                wall_ms: now,
-            });
-        }
-        self.table.worker_dead(worker, now);
-        if let Some(conn) = self.worker_conns.remove(&worker) {
-            if let Some(peer) = self.peers.remove(&conn) {
-                let _ = peer.stream.shutdown(Shutdown::Both);
-            }
-        }
-        true
-    }
-
-    fn slot_of(&self, worker: u64) -> Option<usize> {
-        self.slots.iter().position(|s| s.worker == worker)
-    }
-}
-
-/// Spawns local worker processes (this same executable, marked via the
-/// environment) and reaps them onto the event channel.
-struct Spawner {
-    exe: PathBuf,
-    addr: String,
-    storm_env: Option<String>,
-    token_env: Option<String>,
-    tx: mpsc::Sender<Event>,
-}
-
-impl Spawner {
-    fn spawn(&self, slot: usize, worker: u64) -> std::io::Result<()> {
-        let mut cmd = Command::new(&self.exe);
-        cmd.env(protocol::ENV_FLEET_WORKER, "1")
-            .env(protocol::ENV_FLEET_ADDR, &self.addr)
-            .env(protocol::ENV_FLEET_WORKER_ID, worker.to_string())
-            // The die-after hook targets the *coordinator*; a worker
-            // inheriting it would re-enter coordination on exec.
-            .env_remove(protocol::ENV_FLEET_DIE_AFTER)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit());
-        if let Some(storm) = &self.storm_env {
-            cmd.env(protocol::ENV_FLEET_STORM, storm);
-        }
-        if let Some(token) = &self.token_env {
-            cmd.env(protocol::ENV_FLEET_TOKEN, token);
-        }
-        let mut child = cmd.spawn()?;
-        let tx = self.tx.clone();
-        std::thread::spawn(move || {
-            let (clean, signal) = match child.wait() {
-                Ok(status) => (status.success(), status_signal(&status)),
-                Err(_) => (false, None),
-            };
-            let _ = tx.send(Event::ChildExit {
-                slot,
-                worker,
-                clean,
-                signal,
-            });
-        });
-        Ok(())
-    }
-}
+/// What the reader, acceptor and reaper threads hand the pump: a
+/// machine input, with a connection's write half riding along with its
+/// `Hello` so the pump owns all outbound traffic.
+type Event = (Input, Option<TcpStream>);
 
 /// Re-render a storm plan into the env grammar workers parse
 /// (`KIND:SEED:STRIDE`, same as the `--fleet-storm` flag).
@@ -973,7 +583,7 @@ fn accept_loop(listener: TcpListener, tx: mpsc::Sender<Event>, stop: Arc<AtomicB
 fn reader_loop(conn: u64, stream: TcpStream, tx: mpsc::Sender<Event>) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
-        let _ = tx.send(Event::Eof { conn });
+        let _ = tx.send((Input::Eof(conn), None));
         return;
     };
     let mut write_half = Some(stream);
@@ -983,242 +593,221 @@ fn reader_loop(conn: u64, stream: TcpStream, tx: mpsc::Sender<Event>) {
         let Some(frame) = protocol::parse(&line) else {
             continue;
         };
-        match (&frame, write_half.take()) {
+        let event = match (frame, write_half.take()) {
             // The first frame must be the Hello; the write half rides
-            // along so the coordinator owns all outbound traffic.
-            (FleetFrame::Hello { worker, token }, Some(stream)) => {
-                let hint = *worker;
-                let token = token.clone();
-                if tx
-                    .send(Event::Joined {
-                        conn,
-                        hint,
-                        token,
-                        stream,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
+            // along so the pump owns all outbound traffic.
+            (
+                FleetFrame::Hello {
+                    worker: hint,
+                    token,
+                },
+                Some(stream),
+            ) => (Input::Hello { conn, hint, token }, Some(stream)),
             (_, Some(stream)) => {
                 // Pre-Hello garbage: keep waiting for the Hello.
                 write_half = Some(stream);
+                continue;
             }
-            (_, None) => {
-                if tx.send(Event::Frame { conn, frame }).is_err() {
+            (frame, None) => (Input::Frame { conn, frame }, None),
+        };
+        if tx.send(event).is_err() {
+            return;
+        }
+    }
+    let _ = tx.send((Input::Eof(conn), None));
+}
+
+/// The pump's half of the coordinator: the write half of every joined
+/// connection, the seeded net-fault shim over the worker links, worker
+/// process spawning, and the crash reports the machine's deaths turn
+/// into.
+struct Pump<'a> {
+    cells: &'a [(usize, Cell)],
+    /// The worker executable, and the environment it gets.
+    exe: PathBuf,
+    addr: String,
+    storm_env: Option<String>,
+    token_env: Option<String>,
+    tx: mpsc::Sender<Event>,
+    streams: BTreeMap<u64, TcpStream>,
+    /// The seeded net-fault shim over the worker links (`--net-faults`).
+    net: Option<NetFaultPlan>,
+    /// Per-worker outbound frame counter feeding the shim's fate rolls.
+    net_seq: BTreeMap<u64, u64>,
+    /// Shim-delayed outbound frames: `(due_ms, conn, frame)`.
+    delayed: Vec<(u64, u64, FleetFrame)>,
+    net_dropped: u64,
+    net_delayed: u64,
+    net_duplicated: u64,
+    net_partitioned: u64,
+    reports: Vec<CrashReport>,
+}
+
+impl Pump<'_> {
+    /// Start a local worker process (this same executable, marked via
+    /// the environment) and reap it onto the event channel.
+    fn spawn(&self, slot: usize, worker: u64) -> std::io::Result<()> {
+        let mut cmd = Command::new(&self.exe);
+        cmd.env(protocol::ENV_FLEET_WORKER, "1")
+            .env(protocol::ENV_FLEET_ADDR, &self.addr)
+            .env(protocol::ENV_FLEET_WORKER_ID, worker.to_string())
+            // The die-after hook targets the *coordinator*; a worker
+            // inheriting it would re-enter coordination on exec.
+            .env_remove(protocol::ENV_FLEET_DIE_AFTER)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit());
+        if let Some(storm) = &self.storm_env {
+            cmd.env(protocol::ENV_FLEET_STORM, storm);
+        }
+        if let Some(token) = &self.token_env {
+            cmd.env(protocol::ENV_FLEET_TOKEN, token);
+        }
+        let mut child = cmd.spawn()?;
+        let tx = self.tx.clone();
+        std::thread::spawn(move || {
+            let (clean, signal) = match child.wait() {
+                Ok(status) => (status.success(), status_signal(&status)),
+                Err(_) => (false, None),
+            };
+            let exit = Input::Exited {
+                slot,
+                worker,
+                clean,
+                signal,
+            };
+            let _ = tx.send((exit, None));
+        });
+        Ok(())
+    }
+
+    fn write(&mut self, conn: u64, frame: &FleetFrame) {
+        if let Some(stream) = self.streams.get_mut(&conn) {
+            let line = format!("{}\n", protocol::render(frame));
+            let _ = stream.write_all(line.as_bytes());
+        }
+    }
+
+    /// Send a frame, through the net-fault shim when the machine marked
+    /// it as faultable: a partition window swallows it; otherwise the
+    /// seeded per-frame fate may drop, delay or duplicate it.
+    fn send(&mut self, conn: u64, frame: FleetFrame, shim: Option<u64>, now: u64) {
+        if let (Some(plan), Some(worker)) = (self.net, shim) {
+            if plan.partitioned(worker, now) {
+                self.net_partitioned += 1;
+                return;
+            }
+            let seq = self.net_seq.entry(worker).or_insert(0);
+            *seq += 1;
+            match plan.fate(worker, *seq) {
+                FrameFate::Deliver => {}
+                FrameFate::Drop => {
+                    self.net_dropped += 1;
                     return;
                 }
+                FrameFate::Delay(ms) => {
+                    self.net_delayed += 1;
+                    self.delayed.push((now + ms, conn, frame));
+                    return;
+                }
+                FrameFate::Duplicate => {
+                    self.net_duplicated += 1;
+                    self.write(conn, &frame);
+                }
             }
         }
+        self.write(conn, &frame);
     }
-    let _ = tx.send(Event::Eof { conn });
-}
 
-/// Quarantine or respawn a local slot after its worker crashed. The
-/// caller has already declared the old worker dead.
-fn crash_slot(st: &mut FleetState<'_>, spawner: &Spawner, slot: usize, config: &FleetConfig) {
-    let done = st.table.is_done();
-    st.slots[slot].alive = false;
-    st.slots[slot].crashes += 1;
-    if done || st.slots[slot].quarantined {
-        return;
+    /// Deliver every shim-delayed frame whose due time has passed.
+    fn flush_delayed(&mut self, now: u64) {
+        let (due, later) = std::mem::take(&mut self.delayed)
+            .into_iter()
+            .partition(|(at, ..)| *at <= now);
+        self.delayed = later;
+        for (_, conn, frame) in due {
+            self.write(conn, &frame);
+        }
     }
-    if st.slots[slot].crashes >= config.max_worker_crashes {
-        st.slots[slot].quarantined = true;
-        st.quarantined_slots += 1;
-        eprintln!(
-            "fleet: worker slot {slot} quarantined after {} crash(es)",
-            st.slots[slot].crashes
+
+    /// Whether an active partition window swallows an inbound frame.
+    /// Only a worker's data plane (`Next`/`Done`/`Fail`/`Beat`)
+    /// partitions — `@beat` included, so the reaper sees real silence;
+    /// the worker's retry discipline re-sends once the window heals.
+    fn inbound_blocked(&mut self, worker: Option<u64>, frame: &FleetFrame, now: u64) -> bool {
+        let (Some(plan), Some(worker)) = (self.net, worker) else {
+            return false;
+        };
+        let data_plane = matches!(
+            frame,
+            FleetFrame::Next { .. }
+                | FleetFrame::Done { .. }
+                | FleetFrame::Fail { .. }
+                | FleetFrame::Beat { .. }
         );
-        return;
+        let blocked = data_plane && plan.partitioned(worker, now);
+        self.net_partitioned += u64::from(blocked);
+        blocked
     }
-    st.slots[slot].generation += 1;
-    let worker =
-        slot as u64 + u64::from(config.plan.workers) * u64::from(st.slots[slot].generation);
-    st.slots[slot].worker = worker;
-    match spawner.spawn(slot, worker) {
-        Ok(()) => {
-            st.slots[slot].alive = true;
-            st.spawned += 1;
-        }
-        Err(e) => {
-            eprintln!("fleet: could not respawn worker slot {slot}: {e}");
-            st.slots[slot].quarantined = true;
-            st.quarantined_slots += 1;
-        }
-    }
-}
 
-/// Declare workers that stopped heartbeating dead and respawn their
-/// slots. A worker whose process is merely wedged (not exited) keeps
-/// its socket open, so the reaper never fires for it — staleness is the
-/// only way its leases come back.
-fn check_heartbeats(st: &mut FleetState<'_>, spawner: &Spawner, config: &FleetConfig, now: u64) {
-    for worker in st.liveness.stale(now) {
-        if st.net.is_some() {
-            // Under injected net faults silence usually means partition,
-            // not death: reassign the leases but leave the slot alone —
-            // the process is alive and will reconnect (revive). A real
-            // exit still respawns via its ChildExit event.
-            eprintln!(
-                "fleet: worker {worker} went silent under net faults; \
-                 leases reassigned, awaiting reconnect"
-            );
-            st.declare_dead(worker, now, None);
-        } else {
-            eprintln!("fleet: worker {worker} went silent; reassigning its leases");
-            st.declare_dead(worker, now, None);
-            if let Some(slot) = st.slot_of(worker) {
-                crash_slot(st, spawner, slot, config);
+    /// Apply the machine's outputs in order. A spawn that fails is fed
+    /// back as that worker's crash. Returns how the run ended, if it
+    /// did: `Ok` once drained, `Err` with the reason once failed.
+    fn apply<L: Fn(usize) -> String>(
+        &mut self,
+        coordinator: &mut Coordinator<CellOutcome, L>,
+        outputs: Vec<Output>,
+        now: u64,
+    ) -> Option<Result<(), String>> {
+        let mut end = None;
+        let mut outputs = VecDeque::from(outputs);
+        while let Some(output) = outputs.pop_front() {
+            match output {
+                Output::Send { conn, frame, shim } => self.send(conn, frame, shim, now),
+                Output::Close(conn) => {
+                    if let Some(stream) = self.streams.remove(&conn) {
+                        let _ = stream.shutdown(Shutdown::Both);
+                    }
+                }
+                Output::Spawn { slot, worker } => {
+                    if let Err(e) = self.spawn(slot, worker) {
+                        eprintln!("fleet: could not spawn worker slot {slot}: {e}");
+                        let crash = Input::Exited {
+                            slot,
+                            worker,
+                            clean: false,
+                            signal: None,
+                        };
+                        outputs.extend(coordinator.step(crash, now));
+                    }
+                }
+                Output::Died {
+                    cells,
+                    last_seen,
+                    signal,
+                } => {
+                    for idx in cells {
+                        let (_, cell) = &self.cells[idx];
+                        self.reports.push(CrashReport {
+                            benchmark: cell.benchmark.clone(),
+                            collector: cell.collector.to_string(),
+                            heap_factor: cell.heap_factor,
+                            outcome: "worker-died".to_string(),
+                            exit_code: None,
+                            signal,
+                            last_heartbeat_ms: last_seen,
+                            peak_rss_bytes: None,
+                            wall_ms: now,
+                        });
+                    }
+                }
+                Output::Log(line) => eprintln!("{line}"),
+                Output::Drained => end = Some(Ok(())),
+                Output::Failed(why) => end = Some(Err(why)),
             }
         }
+        end
     }
-}
-
-/// Handle one post-join frame. Only a `Done` can error (the soft
-/// die-after test hook aborts the coordinator mid-run).
-fn handle_frame(
-    st: &mut FleetState<'_>,
-    conn: u64,
-    frame: FleetFrame,
-    now: u64,
-    faults: &Option<FaultPlan>,
-    sweep: &SweepConfig,
-    config: &FleetConfig,
-) -> Result<(), SuperviseError> {
-    let Some(worker) = st.peers.get(&conn).map(|p| p.worker) else {
-        return Ok(());
-    };
-    if !st.standby_conns.contains(&conn) {
-        st.liveness.observe(worker, now);
-    }
-    match frame {
-        FleetFrame::Next { .. } => {
-            // The armed-failover drill: no lease leaves the primary
-            // until a standby has adopted, so a drill's coordinator
-            // death always has a successor to hand over to. Takeover
-            // epochs are exempt — the drill armed before epoch 1 ended.
-            if config.await_standby && st.epoch == 1 && st.successor.is_none() {
-                st.send(conn, &FleetFrame::Wait { ms: POLL_MS }, now);
-                return Ok(());
-            }
-            match st.table.grant(worker, now) {
-                Grant::Lease(grant) => {
-                    let (_, cell) = &st.cells[grant.cell];
-                    let request = CellRequest {
-                        cell: cell.clone(),
-                        invocations: sweep.invocations,
-                        iterations: sweep.iterations,
-                        size: sweep.size,
-                        faults: faults.clone(),
-                        hard: None,
-                    };
-                    let lease = FleetFrame::Lease {
-                        lease: grant.lease,
-                        attempt: grant.attempt,
-                        payload: codec::encode(&request),
-                    };
-                    st.send(conn, &lease, now);
-                }
-                Grant::Wait(ms) => st.send(conn, &FleetFrame::Wait { ms }, now),
-                Grant::Drain => st.send_raw(conn, &FleetFrame::Drain),
-            }
-        }
-        FleetFrame::Done {
-            lease,
-            coord,
-            payload,
-            ..
-        } => {
-            // A completion echoing a stale coordinator nonce belongs to a
-            // previous incarnation's lease-id space: fence it — this
-            // incarnation's ids restart at 0 and could collide.
-            if coord != st.coord {
-                st.stale_fenced += 1;
-                return Ok(());
-            }
-            // An unreadable payload is a cell failure, exactly as the
-            // process backend treats one.
-            let outcome = match codec::decode(&payload) {
-                Ok(outcome) => outcome,
-                Err(e) => {
-                    let reason = QuarantineReason::Errored(format!("worker payload: {e}"));
-                    st.table.fail(lease, &codec::encode(&reason), now);
-                    return Ok(());
-                }
-            };
-            // A late Done from a stolen lease is rejected by the table.
-            if !st.table.complete(lease, outcome) {
-                return Ok(());
-            }
-            st.completions += 1;
-            if st.hard_die.is_some_and(|limit| st.completions >= limit) {
-                // Integration-test hook: a real coordinator crash — no
-                // cleanup, no persisted base journal.
-                die_by_signal(SIGKILL);
-            }
-            if let Some(limit) = config.die_after {
-                if st.completions >= limit {
-                    return Err(SuperviseError::Isolation(format!(
-                        "fleet coordinator aborted after {limit} completion(s) \
-                         (die-after test hook); worker journals remain for --resume"
-                    )));
-                }
-            }
-        }
-        FleetFrame::Fail {
-            lease,
-            coord,
-            reason,
-            ..
-        } => {
-            if coord != st.coord {
-                st.stale_fenced += 1;
-                return Ok(());
-            }
-            st.table.fail(lease, &reason, now);
-        }
-        FleetFrame::Adopt { addr, fingerprint } => {
-            let want = format!("{:016x}", st.fingerprint);
-            if fingerprint != want {
-                eprintln!(
-                    "fleet: rejecting standby at {addr}: fingerprint {fingerprint} does not \
-                     match this sweep ({want})"
-                );
-                st.send_raw(
-                    conn,
-                    &FleetFrame::Reject {
-                        reason: "standby fingerprint mismatch: different experiment".to_string(),
-                    },
-                );
-                st.worker_conns.remove(&worker);
-                if let Some(peer) = st.peers.remove(&conn) {
-                    let _ = peer.stream.shutdown(Shutdown::Both);
-                }
-                return Ok(());
-            }
-            st.standby_conns.insert(conn);
-            st.liveness.forget(worker);
-            st.successor = Some(addr.clone());
-            eprintln!(
-                "fleet: standby coordinator registered at {addr}; workers will fail over to it"
-            );
-            let worker_conns: Vec<u64> = st
-                .peers
-                .keys()
-                .filter(|c| !st.standby_conns.contains(c))
-                .copied()
-                .collect();
-            for c in worker_conns {
-                st.send_raw(c, &FleetFrame::Standby { addr: addr.clone() });
-            }
-        }
-        // Beat only refreshes liveness (done above); the rest are
-        // coordinator→worker frames echoed back by a confused peer.
-        _ => {}
-    }
-    Ok(())
 }
 
 /// The transport's bind/epoch parameters: the primary binds fresh and
@@ -1229,55 +818,43 @@ struct Transport {
     listener: TcpListener,
     addr: String,
     epoch: u32,
-    spawn_workers: bool,
     rescue_after_ms: Option<u64>,
 }
 
-/// Mint a coordinator incarnation's `coord` nonce. Every input is
-/// diffused through `splitmix64` *before* it is combined with the next:
-/// a raw `pid ^ fingerprint ^ epoch` XOR is not injective across
-/// incarnations. A standby spawned just before its primary gets a
-/// neighbouring pid, and whenever `pid_a ^ pid_b == epoch_a ^ epoch_b`
-/// (pids `4k+1`/`4k+2` with epochs 1/2 — a quarter of consecutive-pid
-/// spawns) the raw XORs cancel, the two incarnations mint the *same*
-/// nonce, and the stale-completion fence goes vacuous: a veteran
-/// worker's resent epoch-1 `Done` lands on the colliding epoch-2 lease
-/// id and corrupts the merge.
-fn incarnation_nonce(pid: u64, fingerprint: u64, epoch: u32) -> u64 {
-    splitmix64(pid ^ splitmix64(fingerprint ^ splitmix64(u64::from(epoch))))
-}
-
-/// Drive the worker pool until the lease table drains (or the run dies).
-/// Returns the crash reports collected from worker deaths.
+/// Pump the coordinator machine until the lease table drains (or the run
+/// dies), then answer late joiners with `Drain` until every spawned
+/// worker has exited or the heartbeat timeout has passed. Returns the
+/// drained table and the crash reports of worker deaths.
 #[allow(clippy::too_many_arguments)]
 fn run_transport(
     config: &FleetConfig,
     faults: &Option<FaultPlan>,
     sweep: &SweepConfig,
     cells: &[(usize, Cell)],
-    table: &mut CellTable,
+    table: CellTable,
     journal_base: Option<&Path>,
     fingerprint: u64,
     metrics: &mut MetricsRegistry,
     transport: Transport,
-) -> Result<Vec<CrashReport>, SuperviseError> {
+) -> Result<(CellTable, Vec<CrashReport>), SuperviseError> {
     let Transport {
         listener,
         addr,
         epoch,
-        spawn_workers,
         rescue_after_ms,
     } = transport;
     let exe = std::env::current_exe().map_err(|e| {
         SuperviseError::Isolation(format!("fleet cannot resolve the worker executable: {e}"))
     })?;
+    // `CHOPIN_FLEET_DIE_AFTER`: SIGKILL the coordinator after this many
+    // completions — a real crash, no cleanup, no persisted base journal.
     let hard_die: Option<u64> = std::env::var(protocol::ENV_FLEET_DIE_AFTER)
         .ok()
         .and_then(|v| v.parse().ok());
     // Every incarnation mints a fresh nonce; workers echo it on
     // `Done`/`Fail` so a successor can fence the previous incarnation's
     // completions out of its own lease-id space.
-    let coord = incarnation_nonce(u64::from(std::process::id()), fingerprint, epoch);
+    let nonce = incarnation_nonce(u64::from(std::process::id()), fingerprint, epoch);
 
     eprintln!(
         "fleet: coordinating {} cell(s) across {} worker(s) at {addr} (attach with --fleet-connect {addr})",
@@ -1285,7 +862,7 @@ fn run_transport(
         config.plan.workers,
     );
     if epoch > 1 {
-        eprintln!("fleet: serving epoch {epoch} (incarnation {coord:016x})");
+        eprintln!("fleet: serving epoch {epoch} (incarnation {nonce:016x})");
     }
     if let Some(plan) = &config.net {
         eprintln!("fleet: net-fault shim active: {plan}");
@@ -1298,267 +875,128 @@ fn run_transport(
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || accept_loop(listener, tx, stop));
     }
-    let spawner = Spawner {
+    let mut pump = Pump {
+        cells,
         exe,
         addr: addr.clone(),
         storm_env: config.storm.as_ref().map(render_storm),
         token_env: config.token.clone(),
         tx,
-    };
-
-    let mut st = FleetState {
-        cells,
-        table,
-        peers: BTreeMap::new(),
-        worker_conns: BTreeMap::new(),
-        liveness: Liveness::new(HEARTBEAT_TIMEOUT_MS),
-        slots: Vec::new(),
-        reports: Vec::new(),
-        spawned: 0,
-        deaths: 0,
-        quarantined_slots: 0,
-        completions: 0,
-        next_external: EXTERNAL_WORKER_BASE,
-        journal_base: journal_base.map(|p| p.to_string_lossy().into_owned()),
-        fingerprint,
-        hard_die,
-        coord,
-        epoch,
-        expected_token: config.token.clone(),
+        streams: BTreeMap::new(),
         net: config.net,
         net_seq: BTreeMap::new(),
         delayed: Vec::new(),
-        standby_conns: BTreeSet::new(),
-        successor: None,
         net_dropped: 0,
         net_delayed: 0,
         net_duplicated: 0,
         net_partitioned: 0,
-        auth_rejected: 0,
-        stale_fenced: 0,
-        revived: 0,
+        reports: Vec::new(),
     };
-
-    if spawn_workers {
-        for slot in 0..config.plan.workers as usize {
-            let worker = slot as u64;
-            spawner.spawn(slot, worker).map_err(|e| {
-                stop.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(&addr);
-                SuperviseError::Isolation(format!("fleet cannot spawn worker {slot}: {e}"))
-            })?;
-            st.slots.push(SlotState {
-                worker,
-                generation: 0,
-                crashes: 0,
-                alive: true,
-                quarantined: false,
-            });
-            st.spawned += 1;
-        }
-    }
+    let codec = Codec {
+        lease: |cell: usize| {
+            codec::encode(&CellRequest {
+                cell: cells[cell].1.clone(),
+                invocations: sweep.invocations,
+                iterations: sweep.iterations,
+                size: sweep.size,
+                faults: faults.clone(),
+                hard: None,
+            })
+        },
+        // An unreadable payload is a cell failure, exactly as the
+        // process backend treats one.
+        decode: |payload| {
+            codec::decode::<CellOutcome>(payload).map_err(|e| {
+                codec::encode(&QuarantineReason::Errored(format!("worker payload: {e}")))
+            })
+        },
+    };
+    let incarnation = Incarnation {
+        epoch,
+        nonce,
+        fingerprint,
+        journal: journal_base.map(|p| p.to_string_lossy().into_owned()),
+        rescue_after_ms,
+    };
 
     let span = WallSpan::begin();
     let now_ms = |span: &WallSpan| span.elapsed_ms() as u64;
-    let mut fail: Option<SuperviseError> = None;
-    let mut rescue_at: Option<u64> = rescue_after_ms.map(|ms| now_ms(&span) + ms);
-    let mut last_standby_beat: u64 = 0;
-
-    loop {
+    let (mut coordinator, started) = Coordinator::start(config, incarnation, table, codec, 0);
+    let mut end = pump.apply(&mut coordinator, started, 0);
+    let mut drained_at: Option<u64> = None;
+    let outcome = loop {
         let now = now_ms(&span);
-        st.flush_delayed(now);
-        let timeout = st
-            .table
-            .next_deadline_in(now)
-            .map_or(POLL_MS, |d| d.clamp(1, POLL_MS));
-        match rx.recv_timeout(Duration::from_millis(timeout)) {
-            Ok(Event::Joined {
-                conn,
-                hint,
-                token,
-                stream,
-            }) => {
-                st.admit(conn, hint, token, stream, now_ms(&span));
-            }
-            Ok(Event::Frame { conn, frame }) => {
-                if st.inbound_blocked(conn, &frame, now_ms(&span)) {
-                    // The partition eats the frame; the worker's retry
-                    // discipline re-sends it once the window heals.
-                } else if let Err(e) =
-                    handle_frame(&mut st, conn, frame, now_ms(&span), faults, sweep, config)
-                {
-                    fail = Some(e);
-                    break;
-                }
-            }
-            Ok(Event::Eof { conn }) => {
-                if st.standby_conns.remove(&conn) {
-                    eprintln!("fleet: standby coordinator disconnected");
-                    st.worker_conns.retain(|_, c| *c != conn);
-                    st.peers.remove(&conn);
-                } else {
-                    // Free the leases immediately; for local workers the
-                    // reaper's ChildExit still drives respawn accounting.
-                    if let Some(worker) = st.peers.get(&conn).map(|p| p.worker) {
-                        st.declare_dead(worker, now_ms(&span), None);
-                    }
-                    st.peers.remove(&conn);
-                }
-            }
-            Ok(Event::ChildExit {
-                slot,
-                worker,
-                clean,
-                signal,
-            }) => {
-                let now = now_ms(&span);
-                if clean {
-                    if st.slots.get(slot).map(|s| s.worker) == Some(worker) {
-                        st.slots[slot].alive = false;
-                    }
-                } else {
-                    st.declare_dead(worker, now, signal);
-                    // Skip respawn if staleness already rotated the slot
-                    // to a new generation.
-                    if st.slots.get(slot).map(|s| s.worker) == Some(worker) {
-                        crash_slot(&mut st, &spawner, slot, config);
-                    }
-                }
-            }
-            Err(_) => {}
+        match end.take() {
+            Some(Err(why)) => break Err(SuperviseError::Isolation(why)),
+            Some(Ok(())) => drained_at = Some(now),
+            None => {}
         }
-
+        if drained_at.is_some_and(|at| {
+            !coordinator.slots_alive() || now.saturating_sub(at) >= HEARTBEAT_TIMEOUT_MS
+        }) {
+            break Ok(());
+        }
+        pump.flush_delayed(now);
+        let timeout = Duration::from_millis(coordinator.next_deadline_in(now));
+        let input = match rx.recv_timeout(timeout) {
+            Ok((input, stream)) => {
+                if let (Input::Hello { conn, .. }, Some(stream)) = (&input, stream) {
+                    pump.streams.insert(*conn, stream);
+                }
+                match &input {
+                    Input::Frame { conn, frame }
+                        if pump.inbound_blocked(
+                            coordinator.worker_of(*conn),
+                            frame,
+                            now_ms(&span),
+                        ) =>
+                    {
+                        None
+                    }
+                    _ => Some(input),
+                }
+            }
+            Err(_) => None,
+        };
         let now = now_ms(&span);
-        st.flush_delayed(now);
-        let expired = st.table.expire(now);
-        if expired > 0 {
-            eprintln!("fleet: {expired} lease(s) expired; cells requeued");
+        if let Some(input) = input {
+            let outputs = coordinator.step(input, now);
+            end = pump.apply(&mut coordinator, outputs, now);
         }
-        check_heartbeats(&mut st, &spawner, config, now);
+        if hard_die.is_some_and(|limit| coordinator.counters().completions >= limit) {
+            die_by_signal(SIGKILL);
+        }
+        pump.flush_delayed(now);
+        let outputs = coordinator.step(Input::Tick, now);
+        end = end.or(pump.apply(&mut coordinator, outputs, now));
+    };
 
-        // The primary proves its own liveness to any registered standby;
-        // heartbeat loss is the standby's takeover trigger.
-        if !st.standby_conns.is_empty()
-            && now.saturating_sub(last_standby_beat) >= HEARTBEAT_EVERY_MS
-        {
-            last_standby_beat = now;
-            let conns: Vec<u64> = st.standby_conns.iter().copied().collect();
-            for conn in conns {
-                st.send_raw(conn, &FleetFrame::Beat { worker: 0 });
-            }
-        }
-
-        if st.table.is_done() {
-            let conns: Vec<u64> = st.peers.keys().copied().collect();
-            for conn in conns {
-                st.send_raw(conn, &FleetFrame::Drain);
-            }
-            break;
-        }
-        let workers_connected = st.peers.keys().any(|c| !st.standby_conns.contains(c));
-        if let Some(at) = rescue_at {
-            if workers_connected || st.spawned > 0 {
-                // At least one of the primary's workers made it across;
-                // the successor never needs a pool of its own.
-                rescue_at = None;
-            } else if now >= at {
-                rescue_at = None;
-                eprintln!(
-                    "fleet: no workers reconnected within the rescue window; \
-                     spawning a fresh pool of {}",
-                    config.plan.workers
-                );
-                for slot in 0..config.plan.workers as usize {
-                    let worker = slot as u64;
-                    if let Err(e) = spawner.spawn(slot, worker) {
-                        fail = Some(SuperviseError::Isolation(format!(
-                            "fleet cannot spawn rescue worker {slot}: {e}"
-                        )));
-                        break;
-                    }
-                    st.slots.push(SlotState {
-                        worker,
-                        generation: 0,
-                        crashes: 0,
-                        alive: true,
-                        quarantined: false,
-                    });
-                    st.spawned += 1;
-                }
-                if fail.is_some() {
-                    break;
-                }
-            }
-        }
-        if rescue_at.is_none() && !workers_connected && !st.slots.iter().any(|s| s.alive) {
-            fail = Some(SuperviseError::Isolation(
-                "the fleet lost every worker (crash budgets exhausted) before the \
-                 matrix resolved; worker journals remain for --resume"
-                    .to_string(),
-            ));
-            break;
-        }
-    }
-
-    if fail.is_none() {
-        drain_late_joiners(&mut st.slots, &rx, HEARTBEAT_TIMEOUT_MS);
-    }
-    // Wake the acceptor so its thread exits, then drop every peer.
+    // Wake the acceptor so its thread exits, then drop every connection.
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(&addr);
-    for peer in st.peers.values() {
-        let _ = peer.stream.shutdown(Shutdown::Both);
+    for stream in pump.streams.values() {
+        let _ = stream.shutdown(Shutdown::Both);
     }
 
-    let lease_metrics = st.table.metrics();
-    metrics.inc(fleet_metrics::WORKERS_SPAWNED, st.spawned);
-    metrics.inc(fleet_metrics::WORKER_DEATHS, st.deaths);
-    metrics.inc(fleet_metrics::WORKERS_QUARANTINED, st.quarantined_slots);
+    let counters = coordinator.counters();
+    let table = coordinator.into_table();
+    let lease_metrics = table.metrics();
+    metrics.inc(fleet_metrics::WORKERS_SPAWNED, counters.spawned);
+    metrics.inc(fleet_metrics::WORKER_DEATHS, counters.deaths);
+    metrics.inc(fleet_metrics::WORKERS_QUARANTINED, counters.quarantined);
     metrics.inc(fleet_metrics::LEASES_ISSUED, lease_metrics.issued);
     metrics.inc(fleet_metrics::LEASES_EXPIRED, lease_metrics.expired);
     metrics.inc(fleet_metrics::LEASES_STOLEN, lease_metrics.stolen);
     metrics.inc(fleet_metrics::CELLS_REQUEUED, lease_metrics.requeued);
     metrics.inc(fleet_metrics::MERGE_CONFLICTS, lease_metrics.conflicts);
-    metrics.inc(fleet_metrics::NET_DROPPED, st.net_dropped);
-    metrics.inc(fleet_metrics::NET_DELAYED, st.net_delayed);
-    metrics.inc(fleet_metrics::NET_DUPLICATED, st.net_duplicated);
-    metrics.inc(fleet_metrics::NET_PARTITIONED, st.net_partitioned);
-    metrics.inc(fleet_metrics::AUTH_REJECTED, st.auth_rejected);
-    metrics.inc(fleet_metrics::STALE_FENCED, st.stale_fenced);
-    metrics.inc(fleet_metrics::WORKERS_REVIVED, st.revived);
-
-    let reports = std::mem::take(&mut st.reports);
-    match fail {
-        Some(e) => Err(e),
-        None => Ok(reports),
-    }
-}
-
-/// After a clean finish, answer every late-joining connection with
-/// `Drain` until each spawned worker has exited or `grace_ms` has
-/// passed. A worker whose `Hello` was still queued, or that had not
-/// connected yet, when the matrix drained never got the final `Drain`;
-/// without this it would retry a vanished coordinator for its whole
-/// reconnect schedule.
-fn drain_late_joiners(slots: &mut [SlotState], rx: &mpsc::Receiver<Event>, grace_ms: u64) {
-    let span = WallSpan::begin();
-    while slots.iter().any(|s| s.alive) {
-        let left = grace_ms.saturating_sub(span.elapsed_ms() as u64);
-        match rx.recv_timeout(Duration::from_millis(left)) {
-            Ok(Event::Joined { mut stream, .. }) => {
-                let line = format!("{}\n", protocol::render(&FleetFrame::Drain));
-                let _ = stream.write_all(line.as_bytes());
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            Ok(Event::ChildExit { slot, worker, .. }) => {
-                if let Some(s) = slots.get_mut(slot).filter(|s| s.worker == worker) {
-                    s.alive = false;
-                }
-            }
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
+    metrics.inc(fleet_metrics::NET_DROPPED, pump.net_dropped);
+    metrics.inc(fleet_metrics::NET_DELAYED, pump.net_delayed);
+    metrics.inc(fleet_metrics::NET_DUPLICATED, pump.net_duplicated);
+    metrics.inc(fleet_metrics::NET_PARTITIONED, pump.net_partitioned);
+    metrics.inc(fleet_metrics::AUTH_REJECTED, counters.auth_rejected);
+    metrics.inc(fleet_metrics::STALE_FENCED, counters.stale_fenced);
+    metrics.inc(fleet_metrics::WORKERS_REVIVED, counters.revived);
+    outcome.map(|()| (table, pump.reports))
 }
 
 // ---------------------------------------------------------------------
@@ -1568,6 +1006,14 @@ fn drain_late_joiners(slots: &mut [SlotState], rx: &mpsc::Receiver<Event>, grace
 fn send_frame(writer: &Mutex<TcpStream>, frame: &FleetFrame) -> bool {
     let line = format!("{}\n", protocol::render(frame));
     lock(writer).write_all(line.as_bytes()).is_ok()
+}
+
+/// Send the un-acknowledged reply, if any, then ask for work: both are
+/// idempotent (the lease table keys completions on the lease id), so
+/// this is the answer to any doubt about what the wire delivered.
+fn reack(writer: &Mutex<TcpStream>, pending: &Option<FleetFrame>, me: u64) -> bool {
+    pending.iter().all(|reply| send_frame(writer, reply))
+        && send_frame(writer, &FleetFrame::Next { worker: me })
 }
 
 fn spawn_heartbeat(writer: Arc<Mutex<TcpStream>>, me: u64) {
@@ -1656,6 +1102,7 @@ impl LineReader {
 /// shard (created once per process, never re-truncated), the advertised
 /// successor address, and the last un-acknowledged reply for the
 /// resend discipline.
+#[derive(Default)]
 struct WorkerSession {
     token: Option<String>,
     storm: Option<WorkerStormPlan>,
@@ -1758,18 +1205,9 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                 if silent_ms >= WORKER_SILENCE_MS {
                     return ServeEnd::Lost;
                 }
-                if joined {
-                    // The wire may have eaten our reply or the next
-                    // Lease; resending both is idempotent (the lease
-                    // table keys completions on the lease id).
-                    if let Some(pending) = &s.pending {
-                        if !send_frame(&writer, pending) {
-                            break;
-                        }
-                    }
-                    if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
-                        break;
-                    }
+                // The wire may have eaten our reply or the next Lease.
+                if joined && !reack(&writer, &s.pending, me) {
+                    break;
                 }
             }
             LineEvent::Line(line) => {
@@ -1818,12 +1256,7 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                             });
                         }
                         spawn_heartbeat(Arc::clone(&writer), me);
-                        if let Some(pending) = &s.pending {
-                            if !send_frame(&writer, pending) {
-                                break;
-                            }
-                        }
-                        if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
+                        if !reack(&writer, &s.pending, me) {
                             break;
                         }
                     }
@@ -1842,12 +1275,7 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                         if s.last_lease == Some(lease) {
                             // A duplicated Lease frame: the work already
                             // ran (or is our current grant); just re-ack.
-                            if let Some(pending) = &s.pending {
-                                if !send_frame(&writer, pending) {
-                                    break;
-                                }
-                            }
-                            if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
+                            if !reack(&writer, &s.pending, me) {
                                 break;
                             }
                             continue;
@@ -1893,12 +1321,8 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                                 reason: codec::encode(&reason),
                             },
                         };
-                        let sent = send_frame(&writer, &reply);
                         s.pending = Some(reply);
-                        if !sent {
-                            break;
-                        }
-                        if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
+                        if !reack(&writer, &s.pending, me) {
                             break;
                         }
                     }
@@ -1928,13 +1352,7 @@ fn run_worker(
         token,
         storm,
         me: id,
-        journal: None,
-        successor: None,
-        leases_received: 0,
-        pending: None,
-        last_lease: None,
-        last_coord: 0,
-        joined_once: false,
+        ..WorkerSession::default()
     };
     let mut attempts: u32 = 0;
     let mut backoff = RECONNECT_BASE_MS;
@@ -1978,78 +1396,6 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A worker whose `Hello` is still queued when the matrix drains is
-    /// answered with `Drain`, and the coordinator stops waiting once its
-    /// spawned workers have exited.
-    #[test]
-    fn a_worker_joining_after_the_matrix_drained_is_told_to_drain() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let worker_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (coordinator_side, _) = listener.accept().unwrap();
-        let (tx, rx) = mpsc::channel();
-        tx.send(Event::Joined {
-            conn: 7,
-            hint: Some(1),
-            token: None,
-            stream: coordinator_side,
-        })
-        .unwrap();
-        tx.send(Event::ChildExit {
-            slot: 0,
-            worker: 1,
-            clean: true,
-            signal: None,
-        })
-        .unwrap();
-        let mut slots = vec![SlotState {
-            worker: 1,
-            generation: 0,
-            crashes: 0,
-            alive: true,
-            quarantined: false,
-        }];
-        let span = WallSpan::begin();
-        drain_late_joiners(&mut slots, &rx, HEARTBEAT_TIMEOUT_MS);
-        assert!(
-            span.elapsed_ms() < HEARTBEAT_TIMEOUT_MS as u128,
-            "the last worker's exit ends the wait"
-        );
-        assert!(!slots[0].alive);
-        let mut line = String::new();
-        BufReader::new(worker_side).read_line(&mut line).unwrap();
-        assert_eq!(protocol::parse(line.trim_end()), Some(FleetFrame::Drain));
-    }
-
-    #[test]
-    fn incarnation_nonces_survive_xor_cancelling_pid_epoch_pairs() {
-        // Regression: the nonce used to be splitmix64(pid ^ fp ^ epoch),
-        // so any pid pair whose XOR equals the epoch pair's XOR minted
-        // the SAME nonce for both incarnations — e.g. a standby at pid
-        // 4k+1 taking over (epoch 2) from a primary at pid 4k+2
-        // (epoch 1). The fence against stale cross-epoch completions
-        // was then vacuous and resent epoch-1 Dones corrupted the
-        // epoch-2 merge on colliding lease ids.
-        let fp = 0x000c_0ffe_e0dd_f00d_u64;
-        for standby_pid in [1u64, 5, 1021, 40_961, 65_537] {
-            let primary_pid = standby_pid ^ 3;
-            assert_ne!(
-                incarnation_nonce(primary_pid, fp, 1),
-                incarnation_nonce(standby_pid, fp, 2),
-                "primary pid {primary_pid} epoch 1 vs standby pid {standby_pid} epoch 2"
-            );
-        }
-        // And the generic guarantees: epoch bumps and pid changes each
-        // move the nonce on their own.
-        assert_ne!(
-            incarnation_nonce(1234, fp, 1),
-            incarnation_nonce(1234, fp, 2)
-        );
-        assert_ne!(
-            incarnation_nonce(1234, fp, 1),
-            incarnation_nonce(1235, fp, 1)
-        );
-    }
 
     #[test]
     fn fleet_flags_parse_and_reject_orphans() {

@@ -22,9 +22,10 @@
 //! truncate their shards) and exits `1` with the R1303 counterexample —
 //! the seeded-bug walkthrough in EXPERIMENTS.md, and the proof the
 //! checker can actually see through the journal lifecycle. `--demo
-//! split-brain` does the same for the takeover path: the successor
-//! forgets to fence frames echoing the dead incarnation's epoch, and
-//! the checker returns the R1402 counterexample.
+//! split-brain` does the same for the takeover path: the successor is
+//! handed its predecessor's nonce (the raw-XOR mint), the shipped fence
+//! lets the dead incarnation's frames through, and the checker returns
+//! the R1402 counterexample.
 //!
 //! Exit codes follow the workspace contract: `0` clean, `1` violation
 //! found, `2` usage errors or an exploration that could not finish
@@ -150,7 +151,7 @@ pub fn run_model(args: &Args) -> i32 {
             "split-brain" => {
                 eprintln!(
                     "artifact model: exploring the seeded split-brain takeover bug \
-                     (stale-epoch fencing skipped)"
+                     (successor handed its predecessor's nonce)"
                 );
                 let bounds = Bounds {
                     workers: 1,

@@ -33,6 +33,9 @@ pub const DEFAULT_TRACE_OUT: &str = "results/trace.json";
 /// Default path for `artifact trace` JSONL event output.
 pub const DEFAULT_EVENTS_OUT: &str = "results/events.jsonl";
 
+/// The flags [`ObsOptions::from_args`] reads.
+pub const OBS_FLAGS: [&str; 2] = ["trace-out", "events-out"];
+
 /// The observability flags shared by the harness binaries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsOptions {

@@ -50,7 +50,7 @@ use chopin_core::sweep::{SweepConfig, SweepFailure, SweepResult};
 use chopin_faults::{FaultPlan, HardFaultPlan, PolicyError, SupervisorPolicy};
 use chopin_fleet::config::DEFAULT_LEASE_DEADLINE_MS;
 use chopin_fleet::lease::CellResolution;
-use chopin_fleet::{CellMerge, FleetConfig, Grant, LeaseTable};
+use chopin_fleet::{recover, Candidate, FleetConfig, Grant, LeaseTable};
 use chopin_obs::metrics::fleet_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_runtime::collector::CollectorKind;
@@ -396,9 +396,10 @@ impl From<JournalError> for SuperviseError {
 }
 
 /// Flags only the sweep scheduler honours. `latency` and `suite` have no
-/// per-cell scheduler path, so they reject every one of them
-/// ([`reject_scheduler_flags`]); `--faults` and `--isolation`, which
-/// those two honour on their own terms, are not on the list.
+/// per-cell scheduler path, so [`crate::cli::check_flags`] refuses every
+/// one of them there, pointing at the binaries that take them;
+/// `--faults` and `--isolation`, which those two honour on their own
+/// terms, are not on the list.
 pub const SCHEDULER_FLAGS: [&str; 19] = [
     "journal",
     "resume",
@@ -425,22 +426,6 @@ pub const SCHEDULER_FLAGS: [&str; 19] = [
 /// its sequential reference sweep only when none is.
 pub fn supervision_requested(args: &crate::cli::Args) -> bool {
     args.has("faults") || args.has("isolation") || SCHEDULER_FLAGS.iter().any(|f| args.has(f))
-}
-
-/// Refuse the [`SCHEDULER_FLAGS`] for `binary`, which has no per-cell
-/// scheduler path and would otherwise accept and ignore them.
-///
-/// # Errors
-///
-/// A message naming the first such flag and the binaries that take it.
-pub fn reject_scheduler_flags(binary: &str, args: &crate::cli::Args) -> Result<(), String> {
-    match SCHEDULER_FLAGS.iter().find(|f| args.has(f)) {
-        None => Ok(()),
-        Some(flag) => Err(format!(
-            "{binary} does not run on the sweep scheduler, so it cannot honour --{flag}; \
-             use runbms or lbo"
-        )),
-    }
 }
 
 /// Build the supervisor a command line asks for: the policy
@@ -1144,9 +1129,40 @@ impl AbsorbStats {
     }
 }
 
+/// The journal rows of `entries` that name a cell of the schedule, as
+/// merge candidates carrying `payload` of each row's outcome (rows
+/// without provenance are attempt 1 of worker 0).
+fn candidates<'a, P>(
+    index: &'a BTreeMap<CellIdent<'a>, usize>,
+    entries: &'a [JournalEntry],
+    payload: impl Fn(&'a CellOutcome) -> P + 'a,
+) -> impl Iterator<Item = Candidate<P>> + 'a {
+    entries.iter().filter_map(move |entry| {
+        let &cell = index.get(&ident(&entry.key))?;
+        let (attempt, worker) = entry.provenance.map_or((1, 0), |p| (p.attempt, p.worker));
+        let payload = payload(&entry.record);
+        Some(Candidate {
+            cell,
+            attempt,
+            worker,
+            payload,
+        })
+    })
+}
+
+/// The base-journal row recording a merged winner.
+fn winner_entry(key: &Cell, attempt: u32, worker: u64, record: CellOutcome) -> JournalEntry {
+    let provenance = Some(CellProvenance { attempt, worker });
+    JournalEntry {
+        key: key.clone(),
+        record,
+        provenance,
+    }
+}
+
 /// Absorb every recovered completion — from the base journal and, given
 /// `shard_base`, every fingerprint-matching sibling worker journal — into
-/// the lease table, resolving duplicates with the deterministic
+/// the lease table, merged by [`recover`] with the deterministic
 /// `(attempt, worker)` tiebreak (equal provenance falls through to the
 /// outcomes' rendered bytes, exactly as in the live merge). Winners
 /// missing from the base journal are persisted into it *now*, before any
@@ -1165,28 +1181,8 @@ pub(crate) fn absorb_recovered(
     shard_base: Option<&Path>,
     fingerprint: u64,
 ) -> AbsorbStats {
-    let index = schedule_index(cells);
     let mut stats = AbsorbStats::default();
-    // Per recovered cell: its merge, how many candidates it saw, and
-    // whether the base journal already holds one of them.
-    let mut merges: BTreeMap<usize, (CellMerge<CellOutcome>, u64, bool)> = BTreeMap::new();
-    let mut offer = |entries: &[JournalEntry], in_base: bool| {
-        for entry in entries {
-            let Some(&idx) = index.get(&ident(&entry.key)) else {
-                continue;
-            };
-            let (attempt, worker) = entry.provenance.map_or((1, 0), |p| (p.attempt, p.worker));
-            let slot = merges
-                .entry(idx)
-                .or_insert_with(|| (CellMerge::new(), 0, false));
-            slot.0.offer(attempt, worker, entry.record.clone());
-            slot.1 += 1;
-            slot.2 |= in_base;
-        }
-    };
-    if let Some(j) = journal.as_ref() {
-        offer(j.entries(), true);
-    }
+    let mut shards = Vec::new();
     for worker_path in shard_base.map(sibling_worker_journals).unwrap_or_default() {
         let Ok(worker_journal) = Journal::load(&worker_path) else {
             continue;
@@ -1201,24 +1197,22 @@ pub(crate) fn absorb_recovered(
             );
             continue;
         }
-        offer(worker_journal.entries(), false);
+        shards.push(worker_journal);
     }
-
-    for (idx, (merge, seen, in_base)) in merges {
-        stats.conflicts += seen.saturating_sub(1);
-        let Some((attempt, worker, outcome)) = merge.into_winner() else {
-            continue;
-        };
-        if !in_base {
-            if let Some(j) = journal.as_mut() {
-                let _ = j.record(JournalEntry {
-                    key: cells[idx].1.clone(),
-                    record: outcome.clone(),
-                    provenance: Some(CellProvenance { attempt, worker }),
-                });
-            }
+    let index = schedule_index(cells);
+    let base = journal.as_ref().map_or(&[][..], Journal::entries);
+    let shard_rows = shards
+        .iter()
+        .flat_map(|j| candidates(&index, j.entries(), CellOutcome::clone));
+    let (recovered, conflicts) = recover(candidates(&index, base, CellOutcome::clone), shard_rows);
+    stats.conflicts = conflicts;
+    for r in recovered {
+        let w = r.winner;
+        if let Some(j) = journal.as_mut().filter(|_| !r.in_base) {
+            let key = &cells[w.cell].1;
+            let _ = j.record(winner_entry(key, w.attempt, w.worker, w.payload.clone()));
         }
-        table.absorb(idx, attempt, worker, outcome);
+        table.absorb(w.cell, w.attempt, w.worker, w.payload);
         stats.recovered += 1;
     }
     stats
@@ -1242,13 +1236,33 @@ pub(crate) fn assemble_report(
         crash_reports,
     } = drained;
     metrics.inc("supervisor.retries", table.metrics().requeued);
-    let mut journalled = vec![false; cells.len()];
-    if let Some(j) = &journal {
+    if let Some(j) = journal.as_mut() {
+        // Seal the base journal with the completed winners it lacks. Its
+        // own rows enter the merge without payloads: presence is all
+        // that decides here, and it spares the tiebreak from rendering
+        // outcomes.
         let index = schedule_index(cells);
-        for entry in j.entries() {
-            if let Some(&idx) = index.get(&ident(&entry.key)) {
-                journalled[idx] = true;
-            }
+        let base = candidates(&index, j.entries(), |_| None);
+        let live = (0..cells.len()).filter_map(|cell| {
+            let (attempt, worker, outcome) = table.cell_winner(cell)?;
+            let payload = Some(outcome);
+            Some(Candidate {
+                cell,
+                attempt,
+                worker,
+                payload,
+            })
+        });
+        let missing: Vec<JournalEntry> = (recover(base, live).0.into_iter())
+            .filter(|r| !r.in_base)
+            .filter_map(|r| {
+                let w = r.winner;
+                let key = &cells[w.cell].1;
+                Some(winner_entry(key, w.attempt, w.worker, w.payload?.clone()))
+            })
+            .collect();
+        for entry in missing {
+            let _ = j.record(entry);
         }
     }
     let mut results: Vec<SweepResult> = profiles
@@ -1261,23 +1275,14 @@ pub(crate) fn assemble_report(
         .collect();
     let mut quarantined = Vec::new();
     let resolutions = table.into_resolutions().into_iter().zip(cells);
-    for (idx, (resolution, (pi, cell))) in resolutions.enumerate() {
+    for (resolution, (pi, cell)) in resolutions {
         match resolution {
             CellResolution::Completed {
-                attempt,
-                worker,
-                payload: outcome,
+                payload: outcome, ..
             } => {
                 metrics.inc("supervisor.cells.completed", 1);
                 if outcome.infeasible.is_some() {
                     metrics.inc("supervisor.cells.infeasible", 1);
-                }
-                if let Some(j) = journal.as_mut().filter(|_| !journalled[idx]) {
-                    let _ = j.record(JournalEntry {
-                        key: cell.clone(),
-                        record: outcome.clone(),
-                        provenance: Some(CellProvenance { attempt, worker }),
-                    });
                 }
                 results[*pi].samples.extend(outcome.samples);
                 if let Some(reason) = outcome.infeasible {
@@ -2124,23 +2129,10 @@ mod tests {
         assert!(supervisor_from_args(&Args::parse(["--faults", "tsunami"])).is_err());
         assert!(supervisor_from_args(&Args::parse(["--fleet-token", "t"])).is_err());
 
-        // The binaries without a scheduler path refuse its flags by name
-        // but keep the ones they honour themselves.
-        let err = reject_scheduler_flags("latency", &Args::parse(["--journal", "J"])).unwrap_err();
-        assert!(
-            err.contains("--journal") && err.contains("runbms") && err.contains("lbo"),
-            "{err}"
-        );
         for flag in SCHEDULER_FLAGS {
             let args = Args::parse([format!("--{flag}"), "1".to_string()]);
-            assert!(reject_scheduler_flags("suite", &args).is_err(), "--{flag}");
             assert!(supervision_requested(&args), "--{flag}");
         }
-        assert!(reject_scheduler_flags(
-            "suite",
-            &Args::parse(["--faults", "chaos", "--isolation", "process"])
-        )
-        .is_ok());
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub struct Bounds {
     /// reconnect) instead of a crash-and-resume.
     pub standby: bool,
     /// Whether the fleet is token-gated: the adversary gets one
-    /// admission attempt with a wrong token, checked through the
-    /// shipped `chopin_fleet::admission` gate (rule R1403).
+    /// admission attempt with a wrong token, answered by the shipped
+    /// coordinator (rule R1403).
     pub token: bool,
     /// How many of the first cells deterministically fail on every
     /// attempt (exercising retry budgets and quarantine).

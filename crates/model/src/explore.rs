@@ -77,7 +77,7 @@ fn trace_to(parents: &BTreeMap<u64, (u64, String)>, target: u64) -> Vec<String> 
 /// report carrying [`ExploreReport::violation`].
 pub fn explore(bounds: &Bounds, bug: SeededBug) -> Result<ExploreReport, String> {
     bounds.validate()?;
-    let init = ModelState::init(bounds);
+    let init = ModelState::init(bounds, bug);
     let root = fnv64(&init.canonical());
 
     let mut visited: BTreeSet<u64> = BTreeSet::new();

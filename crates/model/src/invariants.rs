@@ -61,7 +61,7 @@ fn r1301_single_committed_winner(state: &ModelState) -> Option<(&'static str, St
 /// this coordinator incarnation — i.e. no late duplicate from a stolen
 /// or expired lease ever overwrote an established winner.
 fn r1302_merge_minimality(state: &ModelState, bounds: &Bounds) -> Option<(&'static str, String)> {
-    let table = state.table.as_ref()?;
+    let table = state.table()?;
     for cell in 0..bounds.cells {
         let winner = table.cell_winner(cell);
         let minimal = state.offers[cell].iter().next().copied();
@@ -113,10 +113,7 @@ fn r1303_durability(state: &ModelState) -> Option<(&'static str, String)> {
     for &cell in &state.durable {
         let in_base = state.base.iter().any(|r| r.cell == cell);
         let in_shard = state.shards.values().flatten().any(|r| r.cell == cell);
-        let in_memory = state
-            .table
-            .as_ref()
-            .is_some_and(|t| t.cell_winner(cell).is_some());
+        let in_memory = state.table().is_some_and(|t| t.cell_winner(cell).is_some());
         if !in_base && !in_shard && !in_memory {
             let (rule, path) = if state.epoch > 1 {
                 ("R1401", "across the coordinator hand-off")
@@ -139,8 +136,8 @@ fn r1303_durability(state: &ModelState) -> Option<(&'static str, String)> {
 /// R1402: single active coordinator epoch. The fencing discipline — a
 /// `@done`/`@fail` echoing a dead incarnation's nonce is dropped, never
 /// applied — is what keeps two incarnations' lease-id spaces from
-/// colliding. The ghost records any stale frame that mutated the live
-/// table.
+/// colliding. The ghost records any stale frame the coordinator let
+/// through to the live table.
 fn r1402_epoch_fencing(state: &ModelState) -> Option<(&'static str, String)> {
     if state.stale_applied {
         return Some((
@@ -155,8 +152,8 @@ fn r1402_epoch_fencing(state: &ModelState) -> Option<(&'static str, String)> {
 
 /// R1403: token-gated admission, both ways. The intruder's wrong (or
 /// missing) token must be refused, and the run's own token must be
-/// admitted — both checked through the shipped `chopin_fleet::admission`
-/// gate, so the model cannot drift from the code.
+/// admitted — both answered by the shipped coordinator, so the model
+/// cannot drift from the code.
 fn r1403_token_gated_admission(state: &ModelState) -> Option<(&'static str, String)> {
     if state.intruder_admitted {
         return Some((
@@ -205,8 +202,8 @@ fn r1304_determinism(state: &ModelState, bounds: &Bounds) -> Option<(&'static st
             "the run drained with a worker still attached".to_string(),
         ));
     }
-    let table = state.table.as_ref()?;
-    for (cell, resolution) in table.resolutions().into_iter().enumerate() {
+    let table = state.table()?;
+    for (cell, resolution) in table.clone().into_resolutions().into_iter().enumerate() {
         let should_fail = cell < bounds.failing_cells;
         let in_base = state.base.iter().any(|r| r.cell == cell);
         match resolution {
@@ -265,13 +262,16 @@ mod tests {
     #[test]
     fn the_initial_state_is_clean() {
         let bounds = Bounds::default();
-        assert_eq!(check(&ModelState::init(&bounds), &bounds), None);
+        assert_eq!(
+            check(&ModelState::init(&bounds, SeededBug::None), &bounds),
+            None
+        );
     }
 
     #[test]
     fn a_doctored_double_commit_trips_r1301() {
         let bounds = Bounds::default();
-        let mut s = ModelState::init(&bounds);
+        let mut s = ModelState::init(&bounds, SeededBug::None);
         for worker in [0, 1] {
             s.base.push(Row {
                 cell: 2,
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn a_doctored_divergent_payload_trips_r1304() {
         let bounds = Bounds::default();
-        let mut s = ModelState::init(&bounds);
+        let mut s = ModelState::init(&bounds, SeededBug::None);
         s.base.push(Row {
             cell: 1,
             attempt: 1,
@@ -301,9 +301,9 @@ mod tests {
     #[test]
     fn a_doctored_orphaned_durable_cell_trips_r1303() {
         let bounds = Bounds::default();
-        let mut s = ModelState::init(&bounds);
+        let mut s = ModelState::init(&bounds, SeededBug::None);
         s.durable.insert(1);
-        s.table = None;
+        s.coordinator = None;
         for slot in &mut s.slots {
             *slot = crate::state::Slot::Exited;
         }
@@ -315,10 +315,10 @@ mod tests {
     #[test]
     fn a_doctored_post_takeover_loss_trips_r1401() {
         let bounds = Bounds::default();
-        let mut s = ModelState::init(&bounds);
+        let mut s = ModelState::init(&bounds, SeededBug::None);
         s.epoch = 2;
         s.durable.insert(1);
-        s.table = None;
+        s.coordinator = None;
         for slot in &mut s.slots {
             *slot = crate::state::Slot::Exited;
         }
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn a_doctored_stale_mutation_trips_r1402() {
         let bounds = Bounds::default();
-        let mut s = ModelState::init(&bounds);
+        let mut s = ModelState::init(&bounds, SeededBug::None);
         s.stale_applied = true;
         let (rule, _) = check(&s, &bounds).expect("must trip");
         assert_eq!(rule, "R1402");
@@ -339,13 +339,13 @@ mod tests {
     #[test]
     fn doctored_admission_failures_trip_r1403_both_ways() {
         let bounds = Bounds::default();
-        let mut s = ModelState::init(&bounds);
+        let mut s = ModelState::init(&bounds, SeededBug::None);
         s.intruder_admitted = true;
         let (rule, msg) = check(&s, &bounds).expect("must trip");
         assert_eq!(rule, "R1403");
         assert!(msg.contains("wrong token"), "{msg}");
 
-        let mut s = ModelState::init(&bounds);
+        let mut s = ModelState::init(&bounds, SeededBug::None);
         s.legit_refused = true;
         let (rule, msg) = check(&s, &bounds).expect("must trip");
         assert_eq!(rule, "R1403");
@@ -361,7 +361,7 @@ mod tests {
             failing_cells: 0,
             ..Bounds::default()
         };
-        let mut frontier = vec![ModelState::init(&bounds)];
+        let mut frontier = vec![ModelState::init(&bounds, SeededBug::None)];
         let mut checked = 0usize;
         while let Some(s) = frontier.pop() {
             assert_eq!(check(&s, &bounds), None, "state:\n{}", s.canonical());

@@ -1,7 +1,7 @@
 //! A bounded exhaustive model checker — a mini-TLC — for the fleet
 //! lease protocol.
 //!
-//! PR 8's coordinator/worker sharding is validated dynamically: kill
+//! The coordinator/worker sharding is validated dynamically: kill
 //! storms, SIGKILLed coordinators and resume runs exercise a handful of
 //! interleavings out of an astronomically large space. This crate gives
 //! the protocol the same *static* treatment plans already get from
@@ -12,13 +12,13 @@
 //! catalogue).
 //!
 //! The crucial design point is the **conformance layer**: the model
-//! does not re-implement the lease state machine. Its coordinator *is*
-//! the shipped [`chopin_fleet::lease::LeaseTable`], driven through the
-//! [`chopin_fleet::lease::LeaseEvent`] pure-step surface under the
-//! model's virtual clock, and duplicate completions resolve through the
-//! real [`chopin_fleet::CellMerge`] tiebreak inside it. A bug fixed in
-//! the model but not in the code (or vice versa) is therefore
-//! impossible: the explored transitions are the shipped transitions.
+//! does not re-implement the coordinator. Its coordinator *is* the
+//! shipped [`chopin_fleet::Coordinator`] — admission, nonce fencing,
+//! slot respawn ids, the rescue window and the drain, over the real
+//! `LeaseTable` and `CellMerge` — fed inputs under the model's virtual
+//! clock, and resume, takeover and assembly merge journals through the
+//! shipped [`chopin_fleet::recover`]. The seeded bugs live in the
+//! model's pump and adversary, never in the shipped code.
 //!
 //! What *is* abstracted, and how:
 //!
@@ -29,30 +29,30 @@
 //! * **The wire** keeps the line-framing guarantees and nothing else:
 //!   per-channel FIFO order (TCP), cross-channel interleaving chosen
 //!   adversarially, and delivery-before-EOF for frames a dead worker
-//!   already wrote (the kernel delivers buffered bytes before the
-//!   reader sees the hangup). `@hello`/`@welcome` collapse into spawn;
-//!   `@beat` only refreshes liveness and is dropped.
+//!   already wrote. `@hello`/`@welcome` collapse into spawn and
+//!   reconnect; `@beat` never lapses (a dead worker surfaces as EOF,
+//!   not silence), and the standby's own socket is left out.
 //! * **Time** is a virtual millisecond clock that only ever jumps to
-//!   the next *interesting* instant — a waiting worker's wake-up or a
-//!   lease deadline — with lease expiry gated behind an adversarial
-//!   budget so unbounded wedge-loops cannot blow up the space (that is
-//!   the fairness assumption behind the bounded-liveness rule R1305).
+//!   the next *interesting* instant — a waiting worker's wake-up, a
+//!   lease deadline, a successor's rescue window — with lease expiry
+//!   gated behind an adversarial budget (the fairness assumption behind
+//!   the bounded-liveness rule R1305). A poll (`Tick`) is a transition
+//!   of its own whenever the machine has something to do.
 //! * **Network faults** draw on their own budget `N`: the adversary may
 //!   drop or duplicate the head frame of any worker→coordinator channel
-//!   (the model of the seeded `--net-faults` shim), with expiry slack
-//!   scaled so every dropped `@done` stays recoverable (R1305).
+//!   (the model of the seeded `--net-faults` shim).
 //! * **Hand-off** replaces coordinator crash-and-resume when a standby
 //!   is registered: channels die with the primary, the successor
-//!   absorbs base + shards *without* truncating shards or respawning
-//!   workers, and serves the next epoch. Frames echoing the dead
-//!   incarnation fence at delivery (R1401/R1402), and the adversary
-//!   gets one admission probe with a wrong token, checked through the
-//!   shipped `chopin_fleet::admission` gate (R1403).
+//!   absorbs base + shards *without* truncating shards, surviving
+//!   workers reconnect, and it serves the next epoch. Whether a frame
+//!   echoing the dead incarnation is fenced is the machine's decision
+//!   (R1401/R1402); an intruder's wrong-token `@hello` is answered by
+//!   the machine too (R1403).
 //! * **Journals** are per-worker shard logs plus an append-only base
 //!   log, with the real lifecycle: workers journal a cell *before*
-//!   sending `@done`, respawned and resumed workers truncate their own
-//!   shard on startup, and a resuming coordinator absorbs base + shards
-//!   and persists merged winners into the base *before* spawning.
+//!   sending `@done`, spawned workers truncate their own shard on
+//!   startup, and a resuming coordinator persists the winners the base
+//!   lacks *before* spawning.
 //!
 //! [`explore()`] runs a breadth-first search over canonically-hashed
 //! states ([`state::ModelState::canonical`] rebases every embedded
@@ -109,11 +109,11 @@ pub fn demo_lost_lease() -> Result<ExploreReport, String> {
 }
 
 /// Run the checker over the deliberately broken `split-brain` model:
-/// the takeover coordinator forgets to fence frames echoing the dead
-/// incarnation's epoch, so a `@done` written by the primary's lease
-/// space mutates the successor's table — two epochs effectively active
-/// at once. Returns the exploration report, whose violation names
-/// R1402.
+/// incarnations mint the raw-XOR nonce, so the successor is handed its
+/// predecessor's nonce and the shipped fence lets a `@done` written
+/// against the primary's lease space mutate the successor's table —
+/// two epochs effectively active at once. Returns the exploration
+/// report, whose violation names R1402.
 ///
 /// The bounds are the minimal ones that exhibit the bug: one worker,
 /// one cell, one coordinator death (which the registered standby turns
