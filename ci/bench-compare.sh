@@ -4,11 +4,13 @@
 #   bash ci/bench-compare.sh BASE HEAD
 #
 # Builds each revision in its own git worktree with its own
-# CARGO_TARGET_DIR, runs interleaved BASE/HEAD pairs of
+# CARGO_TARGET_DIR, runs the sequential paper grid once per side into
+# results/compare/{base,head}.csv, runs interleaved BASE/HEAD pairs of
 # `sweepbench/run.sh` over all five workloads, appends each run's result
 # line to results/compare/runs.jsonl and hands the runs to
 # ci/bench_judge.py, which applies sweepbench/README.md's rules and
-# writes results/compare/report.md.
+# writes results/compare/report.md, with a section on the grid lines
+# whose simulated output differs (a report only: it sets no exit code).
 #
 # Exit codes: 0 no regression, 1 a regressed metric or a failed HEAD run,
 # 2 a usage, checkout or build error. When the benchmark itself differs
@@ -64,6 +66,14 @@ for side in base head; do
         cargo build --release --quiet --offline -p chopin-harness --bin runbms
         cargo bench --no-run --quiet --offline --manifest-path sweepbench/Cargo.toml --bench sweep
     ) > "$out/logs/build-$side.log" 2>&1 || fail "cannot build $side; see $out/logs/build-$side.log"
+done
+
+for side in base head; do
+    "$out/$side/target/release/runbms" -b all --invocations 10 > "$out/$side.csv" \
+        2> "$out/logs/grid-$side.err" || {
+        echo "bench-compare: the $side grid run failed; see $out/logs/grid-$side.err" >&2
+        rm -f "$out/$side.csv"
+    }
 done
 
 for ((pair = 0; pair < PAIRS; pair++)); do

@@ -20,10 +20,14 @@ applies, following sweepbench/README.md ("Comparing two commits"):
 4. within bound.
 
 Writes DIR/report.md (host record and thresholds table) and prints it.
-Exits 1 on any regressed row or any HEAD run that failed, 2 when the
-inputs cannot be read, and 0 otherwise.
+When DIR/base.csv and DIR/head.csv hold each side's sequential paper
+grid, the report also counts the CSV lines whose simulated output
+differs and shows up to ten as BASE -> HEAD; that section never changes
+the exit code. Exits 1 on any regressed row or any HEAD run that failed,
+2 when the inputs cannot be read, and 0 otherwise.
 """
 
+import itertools
 import json
 import statistics
 import sys
@@ -31,6 +35,8 @@ import time
 from pathlib import Path
 
 SIDES = ("base", "head")
+# Differing grid lines the report shows in full.
+DRIFT_SHOWN = 10
 
 
 def quartiles(values):
@@ -144,6 +150,24 @@ def render_report(rows, failed, host, base_rev, head_rev, pairs):
     return "\n".join(lines) + "\n"
 
 
+def render_drift(out):
+    """Report section on the paper grid's simulated output, BASE -> HEAD."""
+    lines = ["", "## Simulated output of `runbms -b all --invocations 10`", ""]
+    try:
+        base, head = ((out / f"{side}.csv").read_text().splitlines() for side in SIDES)
+    except OSError:
+        return "\n".join(lines + ["Not compared: a side's grid CSV is missing."]) + "\n"
+    pairs = list(itertools.zip_longest(base, head, fillvalue="(no line)"))
+    changed = [(b, h) for b, h in pairs if b != h]
+    lines.append(f"{len(changed)} of {len(pairs)} CSV lines differ between BASE and HEAD.")
+    if changed:
+        lines.append("")
+        lines += [f"- `{b}` → `{h}`" for b, h in changed[:DRIFT_SHOWN]]
+        if len(changed) > DRIFT_SHOWN:
+            lines.append(f"- … and {len(changed) - DRIFT_SHOWN} more")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv):
     if len(argv) != 4:
         print(__doc__.splitlines()[2], file=sys.stderr)
@@ -164,7 +188,7 @@ def main(argv):
         host = {}
     rows, failed = judge(runs, benchmark)
     pairs = len({run["pair"] for run in runs})
-    report = render_report(rows, failed, host, base_rev, head_rev, pairs)
+    report = render_report(rows, failed, host, base_rev, head_rev, pairs) + render_drift(out)
     (out / "report.md").write_text(report)
     print(report, end="")
     return 1 if failed or any(row["verdict"] == "regressed" for *_, row in rows) else 0

@@ -45,15 +45,22 @@ def verdicts(base, head):
     return {metric: row["verdict"] for _, metric, _, _, row in rows}
 
 
-def exit_code(records):
+def judged(records, grids=None):
+    """Exit code and report.md of the judge over `records`, with
+    `grids` = (BASE lines, HEAD lines) written as the sides' grid CSVs."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         (out / "runs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
         (out / "benchmark.json").write_text(json.dumps(BENCHMARK))
+        for side, lines in zip(bench_judge.SIDES, grids or ()):
+            (out / f"{side}.csv").write_text("".join(line + "\n" for line in lines))
         with contextlib.redirect_stdout(io.StringIO()):
             code = bench_judge.main([str(out), str(out / "benchmark.json"), "base", "head"])
-        assert (out / "report.md").is_file()
-        return code
+        return code, (out / "report.md").read_text()
+
+
+def exit_code(records):
+    return judged(records)[0]
 
 
 class Rules(unittest.TestCase):
@@ -81,6 +88,21 @@ class Rules(unittest.TestCase):
 
     def test_a_failed_head_run_fails_the_gate(self):
         self.assertEqual(exit_code(runs(STEADY, STEADY, failed_pair=3)), 1)
+
+    def test_grid_drift_is_reported_but_never_fails_the_gate(self):
+        header = "benchmark,collector,heap_factor,wall_s,task_s,wall_distillable_s,task_distillable_s"
+        base = [header] + [f"lusearch,G1,1,32.0,{200 + i},1.0,70.0" for i in range(12)] + ["fop,G1,2,1,2,1,1"]
+        head = [header] + [f"lusearch,G1,1,32.0,{150 + i},1.0,20.0" for i in range(12)] + ["fop,G1,2,1,2,1,1"]
+        code, report = judged(runs(STEADY, STEADY), (base, head))
+        self.assertEqual(code, 0)
+        self.assertIn("12 of 14 CSV lines differ", report)
+        self.assertEqual(report.count(" → "), bench_judge.DRIFT_SHOWN)
+        self.assertIn("`lusearch,G1,1,32.0,200,1.0,70.0` → `lusearch,G1,1,32.0,150,1.0,20.0`", report)
+        self.assertIn("and 2 more", report)
+        code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), (base, base))
+        self.assertEqual(code, 1, "an identical grid does not forgive a regression")
+        self.assertIn("0 of 14 CSV lines differ", report)
+        self.assertIn("grid CSV is missing", judged(runs(STEADY, STEADY))[1])
 
     def test_cells_per_s_is_better_when_higher(self):
         slower = [v * 1.4 for v in STEADY]

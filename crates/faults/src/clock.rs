@@ -7,9 +7,10 @@
 //! exact times — keeping fault-injected runs just as deterministic as
 //! clean ones.
 //!
-//! [`NoFaults`] advertises `NOOP = true`; every fault branch in the engine
-//! is guarded by that associated constant, so the no-fault instantiation
-//! monomorphises to the pre-fault engine (the same zero-cost discipline as
+//! [`NoFaults`] always samples [`FaultSample::IDENTITY`]: every factor is
+//! 1.0 and no boundary is pending, so each faulted expression in the engine
+//! equals its clean form. It also advertises `NOOP = true`, which compiles
+//! the fault bookkeeping away (the same zero-cost discipline as
 //! `NoopObserver`, asserted bit-for-bit by the determinism tests).
 
 use crate::plan::{FaultKind, FaultPlan, FaultWindow};
@@ -63,9 +64,8 @@ impl FaultSample {
 /// guarantee extends to fault-injected runs only because the clock never
 /// consults wall time, I/O or shared state.
 pub trait FaultClock {
-    /// `true` for the no-fault instantiation: the engine guards every
-    /// fault branch with this constant so [`NoFaults`] compiles the fault
-    /// plane away entirely.
+    /// `true` for the no-fault instantiation: the engine skips its fault
+    /// bookkeeping under this constant, and batches only when it is set.
     const NOOP: bool;
 
     /// The combined fault state at simulated time `now_ns`.

@@ -11,9 +11,10 @@
 //!   seeded storm generator for spreading many windows over a run horizon.
 //! * [`FaultClock`] — the engine-side hook. The engine is monomorphised
 //!   over its fault clock exactly as it is over its observer: the
-//!   [`NoFaults`] instantiation advertises `NOOP = true` and every fault
-//!   branch in the engine is guarded by that constant, so the no-fault
-//!   path compiles to the pre-change engine and stays bit-identical.
+//!   [`NoFaults`] instantiation always samples [`FaultSample::IDENTITY`],
+//!   under which every faulted expression in the engine equals its clean
+//!   form, and advertises `NOOP = true`, which compiles the fault
+//!   bookkeeping away.
 //! * [`ScheduledFaults`] — the live clock built from a plan: per-slice it
 //!   reports the combined effect of every active window plus the time of
 //!   the next fault boundary, so the engine can bound its slices and open

@@ -1092,7 +1092,10 @@ fn main() {
         std::process::exit(2);
     };
     match preset.run() {
-        Ok(report) => println!("{report}"),
+        Ok((report, code)) => {
+            println!("{report}");
+            std::process::exit(code);
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);

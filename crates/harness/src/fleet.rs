@@ -9,7 +9,7 @@
 //! absorbs any resumed cells and assembles the report. Every coordinator
 //! decision — admission, nonce fencing, standby adoption, the heartbeat
 //! reaper, slot respawn and quarantine, the rescue window, the drain —
-//! is the sans-IO [`Coordinator`](chopin_fleet::Coordinator), the same
+//! is the sans-IO [`Coordinator`], the same
 //! machine `chopin-model` checks. This module is its pump: it keeps the
 //! sockets, the reader, acceptor and reaper threads, process spawning,
 //! the seeded net-fault shim, the standby's registration loop and the

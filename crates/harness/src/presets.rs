@@ -49,21 +49,26 @@ impl Preset {
         }
     }
 
-    /// Run the preset and return its textual report.
+    /// Run the preset and return its textual report with the exit code
+    /// the gate contract gives it: 1 when the report names a failed
+    /// headline claim (a scorecard `[FAIL]` line), 0 otherwise.
     ///
     /// # Errors
     ///
     /// Propagates [`ExperimentError`] from the underlying experiments.
-    pub fn run(self) -> Result<String, ExperimentError> {
-        match self {
-            Preset::KickTheTires => kick_the_tires(),
-            Preset::Lbo => lbo_experiment(),
-            Preset::Latency => latency_experiment(),
+    pub fn run(self) -> Result<(String, i32), ExperimentError> {
+        Ok(match self {
+            Preset::KickTheTires => (kick_the_tires()?, 0),
+            Preset::Lbo => (lbo_experiment()?, 0),
+            Preset::Latency => (latency_experiment()?, 0),
             Preset::Validate => {
                 let results = crate::validate::run_scorecard();
-                Ok(crate::validate::render_scorecard(&results))
+                (
+                    crate::validate::render_scorecard(&results),
+                    crate::validate::scorecard_exit_code(&results),
+                )
             }
-        }
+        })
     }
 }
 

@@ -294,6 +294,11 @@ pub fn run_scorecard() -> Vec<CheckResult> {
     results
 }
 
+/// The scorecard's exit code: 1 when any headline claim failed, else 0.
+pub fn scorecard_exit_code(results: &[CheckResult]) -> i32 {
+    i32::from(results.iter().any(|r| !r.pass))
+}
+
 /// Render the scorecard as text.
 pub fn render_scorecard(results: &[CheckResult]) -> String {
     let mut out = String::new();
@@ -326,5 +331,19 @@ mod tests {
             "scorecard failures:\n{report}"
         );
         assert!(report.contains("headline claims reproduced"));
+    }
+
+    #[test]
+    fn any_failed_claim_makes_the_scorecard_exit_one() {
+        let check = |pass| CheckResult {
+            id: "synthetic",
+            claim: "a claim",
+            measured: String::new(),
+            pass,
+        };
+        assert_eq!(scorecard_exit_code(&[]), 0);
+        assert_eq!(scorecard_exit_code(&[check(true), check(true)]), 0);
+        assert_eq!(scorecard_exit_code(&[check(true), check(false)]), 1);
+        assert_eq!(scorecard_exit_code(&[check(false)]), 1);
     }
 }

@@ -205,8 +205,8 @@ pub enum Event {
         /// Release time.
         at: u64,
     },
-    /// The engine fast-forwarded through a run of identical collections in
-    /// closed form (the batching optimisation for GC-thrash regimes).
+    /// The engine fast-forwarded by replaying whole steady-state periods
+    /// of collections (the batching optimisation for GC-thrash regimes).
     BatchFastForward {
         /// Start of the fast-forwarded region.
         at: u64,
@@ -214,7 +214,8 @@ pub enum Event {
         end: u64,
         /// Collections folded into the batch.
         cycles: u64,
-        /// Wall nanoseconds of each folded pause.
+        /// Mean wall nanoseconds of the folded pauses: a batch folds whole
+        /// periods of young and full pauses.
         pause_wall_each_ns: u64,
     },
     /// A collection completed without reclaiming usable space.

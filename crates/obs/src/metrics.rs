@@ -159,7 +159,7 @@ impl LogHistogram {
     }
 
     /// Record `n` occurrences of `value` (used to fold the engine's
-    /// batched pauses, which are `n` identical collections).
+    /// batched pauses at their mean duration).
     pub fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;

@@ -126,6 +126,12 @@ impl HeapState {
         self.total_allocated += heap_bytes;
     }
 
+    /// Count `heap_bytes` allocated and already reclaimed, leaving
+    /// occupancy unchanged (whole allocate/reclaim rounds a batch replays).
+    pub fn record_reclaimed(&mut self, heap_bytes: f64) {
+        self.total_allocated += heap_bytes;
+    }
+
     /// Complete a collection: occupancy drops to `live_after` heap bytes
     /// and the allocation-since-GC counter resets.
     ///

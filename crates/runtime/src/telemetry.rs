@@ -15,6 +15,10 @@ use chopin_obs::LogHistogram;
 /// aggregate [`Telemetry::throttled_wall`] stays exact regardless).
 const THROTTLE_INTERVAL_CAP: usize = 10_000;
 
+/// Post-GC heap samples kept: when the trace reaches this length, every
+/// other sample is dropped and the sampling stride doubles.
+pub(crate) const HEAP_TRACE_CAP: usize = 32_768;
+
 /// Individual fault intervals kept; matches the fault plane's window cap,
 /// so every planned window can be recorded ([`Telemetry::faults_injected`]
 /// stays exact regardless).
@@ -82,7 +86,8 @@ pub struct FaultInterval {
 pub struct Telemetry {
     /// Every stop-the-world pause, in time order.
     pub pauses: Vec<PauseRecord>,
-    /// Post-GC heap samples, in time order.
+    /// Post-GC heap samples, in time order (thinned to a bounded length;
+    /// see [`Telemetry::record_heap_sample`]).
     pub heap_trace: Vec<HeapSample>,
     /// CPU nanoseconds burned by mutator threads (includes barrier taxes —
     /// deliberately: those are the hard-to-attribute costs LBO exposes).
@@ -109,8 +114,8 @@ pub struct Telemetry {
     /// not its average usage").
     pub heap_byte_seconds: f64,
     /// Aggregate wall time of pauses folded into batches when the engine
-    /// fast-forwards through GC-thrash regimes (individual records are only
-    /// kept below a cap; totals stay exact).
+    /// replays steady-state periods of a GC-thrash regime (individual
+    /// records are only kept below a cap; totals stay exact).
     pub batched_pause_wall: SimDuration,
     /// Number of pauses folded into [`Telemetry::batched_pause_wall`].
     pub batched_pause_count: u64,
@@ -119,6 +124,9 @@ pub struct Telemetry {
     pub fault_intervals: Vec<FaultInterval>,
     /// Number of fault intervals that engaged (exact even past the cap).
     pub faults_injected: u64,
+    /// How often [`Telemetry::heap_trace`] has been halved to stay under
+    /// its cap.
+    heap_trace_halvings: u32,
 }
 
 impl Telemetry {
@@ -136,22 +144,35 @@ impl Telemetry {
         self.pauses.push(pause);
     }
 
-    /// Record the heap state after a collection completes.
+    /// Count a completed collection and sample the heap state after it.
+    /// Every collection whose number is a multiple of the sampling stride
+    /// is kept; when the trace reaches its cap (32,768 samples), every
+    /// other sample is dropped and the stride doubles, so a run of any
+    /// length keeps a bounded, evenly thinned trace.
     pub fn record_heap_sample(&mut self, time: SimTime, occupied_bytes: f64) {
+        self.gc_count += 1;
+        if !self.gc_count.is_multiple_of(1 << self.heap_trace_halvings) {
+            return;
+        }
         self.heap_trace.push(HeapSample {
             time,
             occupied_bytes,
         });
-        self.gc_count += 1;
+        if self.heap_trace.len() >= HEAP_TRACE_CAP {
+            self.heap_trace_halvings += 1;
+            let kept: Vec<_> = self.heap_trace.iter().step_by(2).copied().collect();
+            self.heap_trace = kept;
+        }
     }
 
-    /// Record `count` identical pauses in aggregate form (batched
-    /// fast-forward through thrash regimes). CPU and wall totals stay
-    /// exact; only the individual records are elided.
-    pub fn record_batched_pauses(&mut self, count: u64, each: SimDuration, gc_cpu_each: f64) {
+    /// Record `count` pauses in aggregate form: their total wall time and
+    /// STW CPU (the engine's batches, and pauses past the record cap).
+    /// CPU and wall totals stay exact; only the individual records are
+    /// elided.
+    pub fn record_batched_pauses(&mut self, count: u64, wall: SimDuration, gc_cpu_ns: f64) {
         self.batched_pause_count += count;
-        self.batched_pause_wall += each * count;
-        self.gc_stw_cpu_ns += gc_cpu_each * count as f64;
+        self.batched_pause_wall += wall;
+        self.gc_stw_cpu_ns += gc_cpu_ns;
     }
 
     /// Record one contiguous pacing interval (dropped past the cap; the
@@ -175,13 +196,13 @@ impl Telemetry {
     /// count and sum side-channels — the quantile source for latency and
     /// LBO analysis, replacing repeated scans over [`Telemetry::pauses`].
     ///
-    /// Batched pauses (from the engine's fast-forward through thrash
-    /// regimes) enter at their aggregate mean duration, split across two
-    /// adjacent values so the histogram's count and sum match
+    /// Batched pauses (from the engine's batches through thrash regimes)
+    /// enter at their aggregate mean duration, split across two adjacent
+    /// values so the histogram's count and sum match
     /// [`Telemetry::batched_pause_count`] and
-    /// [`Telemetry::total_pause_wall`] exactly. Within a single batch the
-    /// folded cycles are identical, so the mean loses nothing; across
-    /// batches only the per-batch spread is elided.
+    /// [`Telemetry::total_pause_wall`] exactly. A batch folds whole
+    /// periods of young and full pauses, so the spread between them is
+    /// elided.
     pub fn pause_histogram(&self) -> LogHistogram {
         let mut h = LogHistogram::new();
         for p in &self.pauses {
@@ -282,6 +303,21 @@ mod tests {
     }
 
     #[test]
+    fn heap_trace_halves_at_its_cap_and_thins_later_samples() {
+        let mut t = Telemetry::new();
+        let n = (HEAP_TRACE_CAP + HEAP_TRACE_CAP / 2) as u64;
+        for i in 1..=n {
+            t.record_heap_sample(SimTime::from_nanos(i), i as f64);
+        }
+        assert_eq!(t.gc_count, n);
+        assert!(t.heap_trace.len() < HEAP_TRACE_CAP);
+        assert!(t.heap_trace.windows(2).all(|w| w[0].time < w[1].time));
+        // Past the first halving only every other collection is sampled.
+        let tail = &t.heap_trace[t.heap_trace.len() - 2..];
+        assert_eq!(tail[1].time.as_nanos() - tail[0].time.as_nanos(), 2);
+    }
+
+    #[test]
     fn empty_telemetry_has_no_max_pause() {
         assert_eq!(Telemetry::new().max_pause(), None);
     }
@@ -293,7 +329,7 @@ mod tests {
         t.record_pause(pause(7, CollectionKind::Full));
         // Two batches with different per-pause durations: the combined
         // mean does not divide evenly, exercising the remainder split.
-        t.record_batched_pauses(2, SimDuration::from_nanos(1_000_001), 0.0);
+        t.record_batched_pauses(2, SimDuration::from_nanos(2_000_002), 0.0);
         t.record_batched_pauses(1, SimDuration::from_nanos(3_000_000), 0.0);
         let h = t.pause_histogram();
         assert_eq!(h.count(), 5);

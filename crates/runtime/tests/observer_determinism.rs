@@ -91,8 +91,8 @@ fn observed_run_is_identical_under_throttling() {
 
 #[test]
 fn observed_run_is_identical_in_batching_regime() {
-    // Tiny heap, huge churn: the engine fast-forwards through identical
-    // cycles; the batch events must not change the arithmetic.
+    // Tiny heap, huge churn: the engine replays steady-state periods of
+    // collections; the batch events must not change the arithmetic.
     let s = spec(512 << 10, 8, 8);
     let config = RunConfig::new(12 << 20, CollectorKind::Parallel).with_noise(0.0);
     let (result, recorder) = assert_observed_matches(&s, &config);

@@ -33,7 +33,11 @@ fn telemetry_of(pauses: &[u64], batches: &[(u64, u64)]) -> Telemetry {
         now += ns + 1;
     }
     for &(count, each) in batches {
-        t.record_batched_pauses(count, SimDuration::from_nanos(each), each as f64);
+        t.record_batched_pauses(
+            count,
+            SimDuration::from_nanos(each) * count,
+            each as f64 * count as f64,
+        );
     }
     t
 }
