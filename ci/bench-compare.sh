@@ -5,12 +5,14 @@
 #
 # Builds each revision in its own git worktree with its own
 # CARGO_TARGET_DIR, runs the sequential paper grid once per side into
-# results/compare/{base,head}.csv, runs interleaved BASE/HEAD pairs of
-# `sweepbench/run.sh` over all five workloads, appends each run's result
-# line to results/compare/runs.jsonl and hands the runs to
-# ci/bench_judge.py, which applies sweepbench/README.md's rules and
-# writes results/compare/report.md, with a section on the grid lines
-# whose simulated output differs (a report only: it sets no exit code).
+# results/compare/{base,head}.csv and the latency figures and pause
+# tables once per side into results/compare/{base,head}-latency.txt,
+# runs interleaved BASE/HEAD pairs of `sweepbench/run.sh` over all five
+# workloads, appends each run's result line to results/compare/runs.jsonl
+# and hands the runs to ci/bench_judge.py, which applies
+# sweepbench/README.md's rules and writes results/compare/report.md, with
+# a section per simulated output on the lines that differ (a report
+# only: it sets no exit code).
 #
 # Exit codes: 0 no regression, 1 a regressed metric or a failed HEAD run,
 # 2 a usage, checkout or build error. When the benchmark itself differs
@@ -63,7 +65,7 @@ for side in base head; do
     (
         cd "$out/$side"
         export CARGO_TARGET_DIR="$out/$side/target"
-        cargo build --release --quiet --offline -p chopin-harness --bin runbms
+        cargo build --release --quiet --offline -p chopin-harness --bin runbms --bin latency
         cargo bench --no-run --quiet --offline --manifest-path sweepbench/Cargo.toml --bench sweep
     ) > "$out/logs/build-$side.log" 2>&1 || fail "cannot build $side; see $out/logs/build-$side.log"
 done
@@ -73,6 +75,12 @@ for side in base head; do
         2> "$out/logs/grid-$side.err" || {
         echo "bench-compare: the $side grid run failed; see $out/logs/grid-$side.err" >&2
         rm -f "$out/$side.csv"
+    }
+    # Batching arms only at 1.0x, so the minimum heap is the one to show.
+    "$out/$side/target/release/latency" -b all --heaps 1,2,6 > "$out/$side-latency.txt" \
+        2> "$out/logs/latency-$side.err" || {
+        echo "bench-compare: the $side latency run failed; see $out/logs/latency-$side.err" >&2
+        rm -f "$out/$side-latency.txt"
     }
 done
 

@@ -20,9 +20,10 @@ applies, following sweepbench/README.md ("Comparing two commits"):
 4. within bound.
 
 Writes DIR/report.md (host record and thresholds table) and prints it.
-When DIR/base.csv and DIR/head.csv hold each side's sequential paper
-grid, the report also counts the CSV lines whose simulated output
-differs and shows up to ten as BASE -> HEAD; that section never changes
+For each simulated output in DRIFT_OUTPUTS (each side's sequential
+paper grid in DIR/{base,head}.csv, its latency figures and pause tables
+in DIR/{base,head}-latency.txt) the report also counts the lines that
+differ and shows up to ten as BASE -> HEAD; those sections never change
 the exit code. Exits 1 on any regressed row or any HEAD run that failed,
 2 when the inputs cannot be read, and 0 otherwise.
 """
@@ -35,8 +36,14 @@ import time
 from pathlib import Path
 
 SIDES = ("base", "head")
-# Differing grid lines the report shows in full.
+# Differing lines the report shows in full, per output.
 DRIFT_SHOWN = 10
+# The simulated outputs each side writes once: (file name after the side,
+# the command that wrote it, what its lines are, what the file is).
+DRIFT_OUTPUTS = (
+    (".csv", "runbms -b all --invocations 10", "CSV", "grid CSV"),
+    ("-latency.txt", "latency -b all --heaps 1,2,6", "output", "latency output"),
+)
 
 
 def quartiles(values):
@@ -150,16 +157,16 @@ def render_report(rows, failed, host, base_rev, head_rev, pairs):
     return "\n".join(lines) + "\n"
 
 
-def render_drift(out):
-    """Report section on the paper grid's simulated output, BASE -> HEAD."""
-    lines = ["", "## Simulated output of `runbms -b all --invocations 10`", ""]
+def render_drift(out, suffix, command, lines_are, file_is):
+    """Report section on one simulated output, BASE -> HEAD."""
+    lines = ["", f"## Simulated output of `{command}`", ""]
     try:
-        base, head = ((out / f"{side}.csv").read_text().splitlines() for side in SIDES)
+        base, head = ((out / f"{side}{suffix}").read_text().splitlines() for side in SIDES)
     except OSError:
-        return "\n".join(lines + ["Not compared: a side's grid CSV is missing."]) + "\n"
+        return "\n".join(lines + [f"Not compared: a side's {file_is} is missing."]) + "\n"
     pairs = list(itertools.zip_longest(base, head, fillvalue="(no line)"))
     changed = [(b, h) for b, h in pairs if b != h]
-    lines.append(f"{len(changed)} of {len(pairs)} CSV lines differ between BASE and HEAD.")
+    lines.append(f"{len(changed)} of {len(pairs)} {lines_are} lines differ between BASE and HEAD.")
     if changed:
         lines.append("")
         lines += [f"- `{b}` → `{h}`" for b, h in changed[:DRIFT_SHOWN]]
@@ -188,7 +195,8 @@ def main(argv):
         host = {}
     rows, failed = judge(runs, benchmark)
     pairs = len({run["pair"] for run in runs})
-    report = render_report(rows, failed, host, base_rev, head_rev, pairs) + render_drift(out)
+    report = render_report(rows, failed, host, base_rev, head_rev, pairs)
+    report += "".join(render_drift(out, *output) for output in DRIFT_OUTPUTS)
     (out / "report.md").write_text(report)
     print(report, end="")
     return 1 if failed or any(row["verdict"] == "regressed" for *_, row in rows) else 0

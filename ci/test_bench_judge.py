@@ -45,15 +45,17 @@ def verdicts(base, head):
     return {metric: row["verdict"] for _, metric, _, _, row in rows}
 
 
-def judged(records, grids=None):
+def judged(records, grids=None, latency=None):
     """Exit code and report.md of the judge over `records`, with
-    `grids` = (BASE lines, HEAD lines) written as the sides' grid CSVs."""
+    `grids` and `latency` = (BASE lines, HEAD lines) written as the sides'
+    grid CSVs and latency outputs."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         (out / "runs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
         (out / "benchmark.json").write_text(json.dumps(BENCHMARK))
-        for side, lines in zip(bench_judge.SIDES, grids or ()):
-            (out / f"{side}.csv").write_text("".join(line + "\n" for line in lines))
+        for suffix, sides in ((".csv", grids), ("-latency.txt", latency)):
+            for side, lines in zip(bench_judge.SIDES, sides or ()):
+                (out / f"{side}{suffix}").write_text("".join(line + "\n" for line in lines))
         with contextlib.redirect_stdout(io.StringIO()):
             code = bench_judge.main([str(out), str(out / "benchmark.json"), "base", "head"])
         return code, (out / "report.md").read_text()
@@ -103,6 +105,23 @@ class Rules(unittest.TestCase):
         self.assertEqual(code, 1, "an identical grid does not forgive a regression")
         self.assertIn("0 of 14 CSV lines differ", report)
         self.assertIn("grid CSV is missing", judged(runs(STEADY, STEADY))[1])
+
+    def test_latency_drift_is_reported_beside_the_grid_but_never_fails_the_gate(self):
+        header = "collector  heap  pauses  pause p50  pause p99  pause p99.9  pause max"
+        g1_2x = "G1         2.0   263     1.55ms     11.04ms    11.04ms      11.04ms"
+        base = [header, "G1         1.0   59857   764.5us    1.02ms     1.02ms       1.47ms", g1_2x]
+        head = [header, "G1         1.0   59857   388.1us    1.47ms     1.47ms       1.47ms", g1_2x]
+        code, report = judged(runs(STEADY, STEADY), latency=(base, head))
+        self.assertEqual(code, 0)
+        self.assertIn("## Simulated output of `latency -b all --heaps 1,2,6`", report)
+        self.assertIn("1 of 3 output lines differ", report)
+        self.assertIn(f"- `{base[1]}` → `{head[1]}`", report)
+        self.assertEqual(report.count(" → "), 1)
+        self.assertIn("grid CSV is missing", report)
+        code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), latency=(base, base))
+        self.assertEqual(code, 1, "an identical latency output does not forgive a regression")
+        self.assertIn("0 of 3 output lines differ", report)
+        self.assertIn("latency output is missing", judged(runs(STEADY, STEADY))[1])
 
     def test_cells_per_s_is_better_when_higher(self):
         slower = [v * 1.4 for v in STEADY]

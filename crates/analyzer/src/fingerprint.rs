@@ -7,6 +7,7 @@
 //! never drift apart.
 
 use chopin_core::sweep::SweepConfig;
+use chopin_faults::{FaultPlan, HardFaultPlan};
 
 /// FNV-1a over the canonical description of a suite configuration.
 ///
@@ -48,6 +49,18 @@ pub fn sweep_fingerprint(benchmarks: &[&str], config: &SweepConfig, runner: &str
     fingerprint_of(&refs)
 }
 
+/// The cell runner's part of [`sweep_fingerprint`]: the fault plan
+/// injected into every run, then the hard-fault plan. Every backend's
+/// runner reports it, and the isolation mode is deliberately not part of
+/// it, so a sweep may be resumed across backends.
+pub fn runner_fingerprint(faults: Option<&FaultPlan>, hard: Option<&HardFaultPlan>) -> String {
+    let mut out = faults.map(|plan| format!("{plan:?}")).unwrap_or_default();
+    if let Some(hard) = hard {
+        out.push_str(&format!("+hard:{hard:?}"));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,6 +69,23 @@ mod tests {
     fn fingerprints_separate_parts_and_content() {
         assert_ne!(fingerprint_of(&["a"]), fingerprint_of(&["b"]));
         assert_ne!(fingerprint_of(&[]), fingerprint_of(&[""]));
+    }
+
+    #[test]
+    fn runner_fingerprint_keeps_the_recipe_existing_journals_carry() {
+        let horizon = chopin_workloads::faults::DEFAULT_HORIZON_NS;
+        let plan = chopin_workloads::faults::preset("chaos", 7, horizon).unwrap();
+        let hard = HardFaultPlan::new(chopin_faults::HardFaultKind::Kill, 1);
+        assert_eq!(runner_fingerprint(None, None), "");
+        assert_eq!(runner_fingerprint(Some(&plan), None), format!("{plan:?}"));
+        assert_eq!(
+            runner_fingerprint(None, Some(&hard)),
+            format!("+hard:{hard:?}")
+        );
+        assert_eq!(
+            runner_fingerprint(Some(&plan), Some(&hard)),
+            format!("{plan:?}+hard:{hard:?}")
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`crate::analyses`] can reason about the whole experiment without
 //! executing a single simulated slice.
 
-use crate::fingerprint::sweep_fingerprint;
+use crate::fingerprint::{runner_fingerprint, sweep_fingerprint};
 use chopin_core::iteration::warmup_scale;
 use chopin_core::sweep::SweepConfig;
 use chopin_faults::{FaultPlan, HardFaultPlan, NetFaultPlan, SupervisorPolicy};
@@ -289,13 +289,7 @@ impl PlanIR {
     /// supervisor uses, so provenance checks and `--resume` agree.
     pub fn resume_fingerprint(&self) -> u64 {
         let names: Vec<&str> = self.benchmarks.iter().map(|b| b.name.as_str()).collect();
-        let mut runner = match &self.faults {
-            None => String::new(),
-            Some(plan) => format!("{plan:?}"),
-        };
-        if let Some(hard) = &self.hard_faults {
-            runner.push_str(&format!("+hard:{hard:?}"));
-        }
+        let runner = runner_fingerprint(self.faults.as_ref(), self.hard_faults.as_ref());
         sweep_fingerprint(&names, &self.config, &runner)
     }
 }

@@ -46,7 +46,7 @@ mod fingerprint;
 mod ir;
 pub mod provenance;
 
-pub use fingerprint::{fingerprint_of, sweep_fingerprint};
+pub use fingerprint::{fingerprint_of, runner_fingerprint, sweep_fingerprint};
 pub use ir::{BenchmarkIR, CellIR, Methodology, PlanIR};
 pub use provenance::{check_provenance, parse_artifact, Artifact, ArtifactKind, ArtifactRow};
 

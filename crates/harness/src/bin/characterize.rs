@@ -31,7 +31,10 @@ fn main() {
     }
     let config = CharacterizeConfig {
         with_min_heap: args.has("minheap"),
-        iterations: args.get_or("iterations", 5).unwrap_or(5),
+        iterations: args.get_or("iterations", 5).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }),
     };
 
     let suite = Suite::chopin();

@@ -28,7 +28,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let factor = args.get_or("heap-factor", 2.0).unwrap_or(2.0);
+    let factor = args.get_or("heap-factor", 2.0).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     let suite = Suite::chopin();
     let Some(bench) = suite.benchmark(bench_name) else {

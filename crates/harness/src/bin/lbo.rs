@@ -36,8 +36,7 @@
 
 use chopin_analyzer::Methodology;
 use chopin_core::lbo::Clock;
-use chopin_core::sweep::SweepConfig;
-use chopin_harness::cli::{check_flags, Args, GRID_FLAGS};
+use chopin_harness::cli::{check_flags, sweep_from_args, Args, GRID_FLAGS};
 use chopin_harness::obs::{
     add_spans_to_trace, observe_benchmark_with_faults, ObsOptions, OBS_FLAGS,
 };
@@ -81,17 +80,7 @@ fn main() {
         std::process::exit(2);
     }
     let benchmarks = args.list("b");
-    let mut sweep = if args.has("quick") {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::default()
-    };
-    sweep.invocations = args
-        .get_or("invocations", sweep.invocations)
-        .unwrap_or(sweep.invocations);
-    sweep.iterations = args
-        .get_or("iterations", sweep.iterations)
-        .unwrap_or(sweep.iterations);
+    let sweep = sweep_from_args(&args).unwrap_or_else(|e| exit_usage(e));
 
     let names: Vec<String> = if benchmarks.is_empty() {
         chopin_core::Suite::chopin()

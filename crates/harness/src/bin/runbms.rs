@@ -58,16 +58,17 @@
 //! exit 2 and an R8xx diagnostic table before any simulation starts.
 //! `--no-preflight` bypasses the gate.
 //!
-//! With `--trace-out`, the per-benchmark sweep wall times land on a
+//! With `--trace-out`, the sweep's wall times (one span per benchmark
+//! sequentially, one for the whole sweep on the scheduler) land on a
 //! harness track and the first benchmark is re-run once with the engine's
-//! tracing observer attached, so the file opens in ui.perfetto.dev with
-//! both views. `--events-out` writes that observed run's event stream as
-//! JSON Lines.
+//! tracing observer attached, under the sweep's fault plan if any, so the
+//! file opens in ui.perfetto.dev with both views. `--events-out` writes
+//! that observed run's event stream as JSON Lines.
 
 use chopin_analyzer::Methodology;
 use chopin_core::sweep::{run_sweep, SweepConfig, SweepResult};
 use chopin_core::Suite;
-use chopin_harness::cli::{check_flags, Args, GRID_FLAGS};
+use chopin_harness::cli::{check_flags, sweep_from_args, Args, GRID_FLAGS};
 use chopin_harness::obs::{
     add_spans_to_trace, observe_benchmark_with_faults, ObsOptions, SpanSink, OBS_FLAGS,
 };
@@ -196,17 +197,7 @@ fn main() {
             .map(|s| s.to_string())
             .collect();
     }
-    let mut sweep = if args.has("quick") {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::default()
-    };
-    sweep.invocations = args
-        .get_or("invocations", sweep.invocations)
-        .unwrap_or(sweep.invocations);
-    sweep.iterations = args
-        .get_or("iterations", sweep.iterations)
-        .unwrap_or(sweep.iterations);
+    let sweep = sweep_from_args(&args).unwrap_or_else(|e| exit_usage(e));
 
     if let Err(code) = preflight::gate(
         &args,
@@ -218,32 +209,43 @@ fn main() {
     println!("benchmark,collector,heap_factor,wall_s,task_s,wall_distillable_s,task_distillable_s");
 
     let profiles = resolve_profiles(&benchmarks).unwrap_or_else(|e| exit_usage(e));
-    if supervision_requested(&args) {
-        let supervisor = supervisor_from_args(&args).unwrap_or_else(|e| exit_usage(e));
-        std::process::exit(run_supervised(&supervisor, &profiles, &sweep));
-    }
-
-    // The sequential reference every other executor is compared against.
+    let supervisor = supervision_requested(&args)
+        .then(|| supervisor_from_args(&args).unwrap_or_else(|e| exit_usage(e)));
     let sink = SpanSink::new();
-    for profile in &profiles {
-        eprintln!("runbms: {}", profile.name);
-        match sink.time(&format!("sweep:{}", profile.name), || {
-            run_sweep(profile, &sweep)
-        }) {
-            Ok(result) => print_samples(&result),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
+    let code = match &supervisor {
+        Some(supervisor) => {
+            match sink.time("sweep", || run_supervised(supervisor, &profiles, &sweep)) {
+                // The scheduler could not start: nothing ran to trace.
+                2 => std::process::exit(2),
+                code => code,
             }
         }
-    }
+        None => {
+            // The sequential reference every other executor is compared
+            // against.
+            for profile in &profiles {
+                eprintln!("runbms: {}", profile.name);
+                match sink.time(&format!("sweep:{}", profile.name), || {
+                    run_sweep(profile, &sweep)
+                }) {
+                    Ok(result) => print_samples(&result),
+                    Err(e) => {
+                        eprintln!("error: {e}");
+                        std::process::exit(1);
+                    }
+                }
+            }
+            0
+        }
+    };
 
     if obs.enabled() {
         let bench = &benchmarks[0];
         let collector = sweep.collectors[0];
         let factor = sweep.heap_factors[0];
+        let faults = supervisor.as_ref().and_then(SuiteSupervisor::faults);
         eprintln!("runbms: tracing {bench} ({collector} @ {factor:.1}x)");
-        match observe_benchmark_with_faults(bench, collector, factor, None) {
+        match observe_benchmark_with_faults(bench, collector, factor, faults) {
             Ok(observed) => {
                 let mut trace = observed.trace();
                 add_spans_to_trace(&mut trace, &sink.spans());
@@ -265,4 +267,5 @@ fn main() {
             }
         }
     }
+    std::process::exit(code);
 }

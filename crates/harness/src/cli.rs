@@ -4,11 +4,31 @@
 //! only need flags of the form `--key value`, `--flag`, and `-b
 //! bench1,bench2`, so this module implements exactly that.
 
+use chopin_core::sweep::SweepConfig;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The sweep-grid flags every sweeping binary reads.
 pub const GRID_FLAGS: [&str; 4] = ["b", "quick", "invocations", "iterations"];
+
+/// The sweep grid the [`GRID_FLAGS`] ask for: [`SweepConfig::quick`]
+/// under `--quick`, else the default grid, with `--invocations` and
+/// `--iterations` overriding its counts.
+///
+/// # Errors
+///
+/// An [`ArgError`] naming the flag and its value when a count is not a
+/// non-negative integer.
+pub fn sweep_from_args(args: &Args) -> Result<SweepConfig, ArgError> {
+    let mut sweep = if args.has("quick") {
+        SweepConfig::quick()
+    } else {
+        SweepConfig::default()
+    };
+    sweep.invocations = args.get_or("invocations", sweep.invocations)?;
+    sweep.iterations = args.get_or("iterations", sweep.iterations)?;
+    Ok(sweep)
+}
 
 /// Refuse, before anything prints or runs, a command line naming a flag
 /// `binary` reads on none of its `accepted` lists: a misspelt
@@ -198,6 +218,25 @@ mod tests {
         let a = Args::parse(["--n", "many"]);
         let err = a.get_or("n", 1u32).unwrap_err();
         assert!(err.to_string().contains("many"));
+    }
+
+    #[test]
+    fn sweep_grid_flags_override_the_grid_or_name_a_malformed_count() {
+        let quick = sweep_from_args(&Args::parse(["--quick", "--invocations", "3"])).unwrap();
+        assert_eq!(quick.invocations, 3);
+        assert_eq!(quick.iterations, SweepConfig::quick().iterations);
+        assert_eq!(
+            sweep_from_args(&Args::parse(Vec::<String>::new())).unwrap(),
+            SweepConfig::default()
+        );
+        for (flag, value) in [("invocations", "abc"), ("iterations", "-3")] {
+            let args = Args::parse([format!("--{flag}"), value.to_string()]);
+            let err = sweep_from_args(&args).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("--{flag}")) && err.contains(value),
+                "{err}"
+            );
+        }
     }
 
     #[test]

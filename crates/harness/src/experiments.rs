@@ -276,9 +276,9 @@ pub struct LatencyExperiment {
         Vec<chopin_runtime::requests::RequestEvent>,
     )>,
     /// Per-cell GC pause histograms from the timed iteration's telemetry
-    /// ([`chopin_runtime::telemetry::Telemetry::pause_histogram`]) — the
-    /// quantile source for the pause report, replacing ad-hoc scans over
-    /// the pause vector.
+    /// ([`chopin_runtime::telemetry::Telemetry::pause_histogram`], which
+    /// counts every pause, replayed ones included) — the quantile source
+    /// for the pause report.
     pub pause_histograms: Vec<(CollectorKind, f64, LogHistogram)>,
     /// Wall-time spans of each measured (collector, heap-factor) cell for
     /// the `--trace-out` harness track.
@@ -338,7 +338,7 @@ impl LatencyExperiment {
                 pause_histograms.push((
                     collector,
                     factor,
-                    set.timed().telemetry().pause_histogram(),
+                    set.timed().telemetry().pause_histogram().clone(),
                 ));
                 let events = events_of(set.timed(), spec.requests())
                     .expect("latency-sensitive by construction");

@@ -344,7 +344,7 @@ mod tests {
             .expect("pauses were observed");
         assert_eq!(
             h.count(),
-            result.telemetry().pauses.len() as u64 + result.telemetry().batched_pause_count,
+            result.telemetry().pause_histogram().count(),
             "the metrics observer sees every pause"
         );
         let stats = validate_chrome_trace(&observed.trace().to_json()).unwrap();

@@ -489,17 +489,7 @@ impl CellRunner for ProcessCellRunner {
     }
 
     fn fingerprint(&self) -> String {
-        // Must match SweepCellRunner plus PlanIR::resume_fingerprint's
-        // hard-fault suffix: same experiment, different engine — the
-        // journals interchange across isolation modes.
-        let mut out = match &self.faults {
-            None => String::new(),
-            Some(plan) => format!("{plan:?}"),
-        };
-        if let Some(hard) = &self.hard {
-            out.push_str(&format!("+hard:{hard:?}"));
-        }
-        out
+        chopin_analyzer::runner_fingerprint(self.faults.as_ref(), self.hard.as_ref())
     }
 
     fn handles_deadline(&self) -> bool {
@@ -709,7 +699,7 @@ mod tests {
         assert_eq!(
             runner.fingerprint(),
             format!("{plan:?}+hard:{hard:?}"),
-            "must compose exactly like PlanIR::resume_fingerprint"
+            "the runner fingerprint existing journals carry"
         );
         assert!(runner.handles_deadline());
     }

@@ -242,10 +242,7 @@ impl CellRunner for SweepCellRunner {
     }
 
     fn fingerprint(&self) -> String {
-        match &self.faults {
-            None => String::new(),
-            Some(plan) => format!("{plan:?}"),
-        }
+        chopin_analyzer::runner_fingerprint(self.faults.as_ref(), None)
     }
 }
 

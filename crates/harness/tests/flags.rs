@@ -2,8 +2,10 @@
 //! ignored: every binary refuses a flag it does not read before it
 //! prints or runs anything, `lbo` reports a malformed `--faults` even
 //! with the pre-flight gate bypassed, `latency` and `suite`, which have
-//! no sweep-scheduler path, refuse the scheduler's flags outright, and
-//! a malformed heap factor or an unknown benchmark is a usage error.
+//! no sweep-scheduler path, refuse the scheduler's flags outright, a
+//! malformed heap factor, count or unknown benchmark is a usage error,
+//! and `runbms` writes its trace and event stream on the scheduler path
+//! too.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -207,4 +209,60 @@ fn bad_heaps_and_unknown_benchmarks_exit_two_before_any_output() {
         );
         assert!(out.stdout.is_empty(), "{bin} {args:?} printed output");
     }
+}
+
+#[test]
+fn malformed_counts_and_heap_factors_exit_two_before_any_output() {
+    let cases: [(&str, &[&str], &str); 4] = [
+        (
+            "runbms",
+            &["-b", "fop", "--quick", "--invocations", "abc"],
+            "abc",
+        ),
+        (
+            "lbo",
+            &["-b", "fop", "--quick", "--invocations", "-3"],
+            "-3",
+        ),
+        ("characterize", &["-b", "fop", "--iterations", "abc"], "abc"),
+        ("gclog", &["-b", "fop", "--heap-factor", "abc"], "abc"),
+    ];
+    for (bin, args, value) in cases {
+        let out = run(bin, args);
+        let stderr = stderr_of(&out);
+        let flag = args[args.len() - 2];
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(&format!("`{value}`")),
+            "{bin} names {flag} and `{value}`: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed output");
+    }
+}
+
+#[test]
+fn runbms_writes_its_trace_and_events_on_the_scheduler_path() {
+    let dir = scratch("runbms-trace");
+    let trace = dir.join("t.json");
+    let events = dir.join("e.jsonl");
+    let out = run(
+        "runbms",
+        &[
+            "-b",
+            "fop",
+            "--quick",
+            "--isolation",
+            "thread",
+            "--trace-out",
+            &trace.to_string_lossy(),
+            "--events-out",
+            &events.to_string_lossy(),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let trace = std::fs::read_to_string(&trace).expect("the trace is written");
+    let stats = chopin_obs::validate_chrome_trace(&trace).expect("the trace validates");
+    assert!(stats.spans_on("harness (wall time)") >= 1, "the sweep span");
+    let events = std::fs::read_to_string(&events).expect("the events are written");
+    assert!(events.lines().count() > 0, "the observed run's events");
 }

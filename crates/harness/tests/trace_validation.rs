@@ -43,10 +43,7 @@ fn event_stream_and_metrics_agree_with_telemetry() {
         .metrics
         .get_histogram("pause_ns")
         .expect("pauses observed");
-    assert_eq!(
-        h.count(),
-        telemetry.pauses.len() as u64 + telemetry.batched_pause_count
-    );
+    assert_eq!(h.count(), telemetry.pause_histogram().count());
     assert_eq!(observed.metrics.counter("gc.trigger"), telemetry.gc_count);
 
     // Every JSONL line is valid JSON.

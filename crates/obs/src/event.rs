@@ -207,6 +207,8 @@ pub enum Event {
     },
     /// The engine fast-forwarded by replaying whole steady-state periods
     /// of collections (the batching optimisation for GC-thrash regimes).
+    /// The replayed collections emit no events of their own; the run's
+    /// telemetry counts their pauses.
     BatchFastForward {
         /// Start of the fast-forwarded region.
         at: u64,
@@ -214,9 +216,6 @@ pub enum Event {
         end: u64,
         /// Collections folded into the batch.
         cycles: u64,
-        /// Mean wall nanoseconds of the folded pauses: a batch folds whole
-        /// periods of young and full pauses.
-        pause_wall_each_ns: u64,
     },
     /// A collection completed without reclaiming usable space.
     FutileCollection {
@@ -309,7 +308,6 @@ mod tests {
                 at: 3,
                 end: 9,
                 cycles: 2,
-                pause_wall_each_ns: 1,
             }
             .at(),
             3

@@ -154,12 +154,13 @@ impl LogHistogram {
     }
 
     /// Record one value.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
     }
 
-    /// Record `n` occurrences of `value` (used to fold the engine's
-    /// batched pauses at their mean duration).
+    /// Record `n` occurrences of `value` (a pause of a period the engine
+    /// replays `n` times).
     pub fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
@@ -322,15 +323,10 @@ impl MetricsRegistry {
     /// Record a value into a named histogram (created with default pause
     /// bounds on first use).
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.observe_n(name, value, 1);
-    }
-
-    /// Record `n` occurrences of `value` into a named histogram.
-    pub fn observe_n(&mut self, name: &str, value: u64, n: u64) {
         self.histograms
             .entry(name.to_string())
             .or_default()
-            .record_n(value, n);
+            .record(value);
     }
 
     /// Access a named histogram (created empty if absent).
@@ -414,6 +410,11 @@ impl MetricsRegistry {
 /// as it arrives: pause durations into the `pause_ns` histogram, trigger
 /// reasons and pause kinds into counters, pacing into throttled-wall
 /// accounting.
+///
+/// It folds the events it sees, so a batch counts its collections in
+/// `gc.batched_cycles` and adds nothing to `pause_ns`: the replayed pauses
+/// emit no events. The run's telemetry holds the histogram of every
+/// pause.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsObserver {
     registry: MetricsRegistry,
@@ -477,14 +478,7 @@ impl Observer for MetricsObserver {
                     m.inc("pacing.throttled_wall_ns", at.saturating_sub(begin));
                 }
             }
-            Event::BatchFastForward {
-                cycles,
-                pause_wall_each_ns,
-                ..
-            } => {
-                m.inc("gc.batched_cycles", cycles);
-                m.observe_n("pause_ns", pause_wall_each_ns, cycles);
-            }
+            Event::BatchFastForward { cycles, .. } => m.inc("gc.batched_cycles", cycles),
             Event::FutileCollection { .. } => m.inc("gc.futile", 1),
             Event::OomDeclared { .. } => m.inc("engine.oom", 1),
             Event::FaultOnset { at, kind, .. } => {
@@ -588,14 +582,13 @@ mod tests {
             at: 3_000,
             end: 10_000,
             cycles: 5,
-            pause_wall_each_ns: 400,
         });
         let m = obs.registry();
         assert_eq!(m.counter("gc.pauses.young"), 1);
         assert_eq!(m.counter("gc.batched_cycles"), 5);
         let h = m.get_histogram("pause_ns").unwrap();
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 2_000 + 5 * 400);
+        assert_eq!(h.count(), 1, "only the stepped pause");
+        assert_eq!(h.sum(), 2_000);
         assert_eq!(h.max(), 2_000);
     }
 

@@ -152,15 +152,9 @@ pub fn event_json(event: &Event) -> String {
         Event::ThrottleOnset { throttle, .. } => {
             fields.push(("throttle".into(), json_num(throttle)));
         }
-        Event::BatchFastForward {
-            end,
-            cycles,
-            pause_wall_each_ns,
-            ..
-        } => {
+        Event::BatchFastForward { end, cycles, .. } => {
             fields.push(("end_ns".into(), end.to_string()));
             fields.push(("cycles".into(), cycles.to_string()));
-            fields.push(("pause_wall_each_ns".into(), pause_wall_each_ns.to_string()));
         }
         Event::FutileCollection { streak, .. } => {
             fields.push(("streak".into(), streak.to_string()));

@@ -404,7 +404,6 @@ mod tests {
                 at: 5_000,
                 end: 9_000,
                 cycles: 12,
-                pause_wall_each_ns: 10,
             },
             Event::FutileCollection {
                 at: 9_000,

@@ -26,9 +26,16 @@
 //!   occur, the engine batches them: once the loop's own measurements show
 //!   a steady state (two consecutive periods of collections taking the same
 //!   simulated time), it replays whole periods by multiplying the last
-//!   period's deltas, so the totals are those the stepwise loop would reach
-//!   and only individual pause records, heap samples and progress-trace
-//!   detail are merged.
+//!   period's deltas and recording its pauses again.
+//!
+//! # Aggregates and detail
+//!
+//! A batched run's aggregates — counters, CPU clocks, byte-seconds and the
+//! pause histogram — equal those of the stepwise run it stands in for (the
+//! CPU clocks up to floating-point rounding). Its detail covers the
+//! collections it stepped through only: a replayed period keeps no pause
+//! records or heap samples, its progress-trace segments merge into one,
+//! and its observer events into one [`Event::BatchFastForward`].
 
 use crate::collector::costs::ExhaustionPolicy;
 use crate::collector::cycle::{plan_cycle, CollectionRequest, CycleInput, CycleOutcome};
@@ -55,9 +62,6 @@ const MAX_FUTILE: u32 = 4;
 
 /// Hard cap on engine slices; beyond this the run is declared thrashing.
 const MAX_SLICES: u64 = 20_000_000;
-
-/// Individual pause records kept before falling back to aggregate counters.
-const PAUSE_RECORD_CAP: usize = 200_000;
 
 /// If more than this many collections would occur in a run, steady-state
 /// periods of collections are replayed in batches.
@@ -273,8 +277,6 @@ struct Totals {
     gc_stw_cpu_ns: f64,
     gc_concurrent_cpu_ns: f64,
     heap_byte_seconds: f64,
-    pause_wall: SimDuration,
-    pauses: u64,
     gc_count: u64,
     allocated: f64,
     throttled_wall: SimDuration,
@@ -291,8 +293,6 @@ impl Totals {
             gc_stw_cpu_ns: self.gc_stw_cpu_ns - earlier.gc_stw_cpu_ns,
             gc_concurrent_cpu_ns: self.gc_concurrent_cpu_ns - earlier.gc_concurrent_cpu_ns,
             heap_byte_seconds: self.heap_byte_seconds - earlier.heap_byte_seconds,
-            pause_wall: self.pause_wall - earlier.pause_wall,
-            pauses: self.pauses - earlier.pauses,
             gc_count: self.gc_count - earlier.gc_count,
             allocated: self.allocated - earlier.allocated,
             throttled_wall: self.throttled_wall - earlier.throttled_wall,
@@ -333,8 +333,9 @@ struct Engine<'a, O: Observer, F: FaultClock> {
     slices: u64,
     /// Whether this run batches steady-state periods.
     batching: bool,
-    /// Running total of stop-the-world pause wall time.
-    pause_wall: SimDuration,
+    /// The kind and wall time of each pause since the last period boundary
+    /// (kept while batching is armed): what a replay records again.
+    period_pauses: Vec<(CollectionKind, SimDuration)>,
     /// The totals at the last period boundary.
     boundary: Option<Totals>,
     /// What the last period past the build ramp added to the totals.
@@ -386,6 +387,11 @@ impl<'a, O: Observer, F: FaultClock> Engine<'a, O, F> {
         let alloc_total_heap = spec.total_allocation() as f64 * inflation;
         let est_headroom = (heap.capacity() * model.trigger_occupancy - live_peak_heap).max(1.0);
         let est_cycles = alloc_total_heap / est_headroom;
+        // Fault windows break the periodicity a batch replays, so batching
+        // only arms on the no-fault path. A period ends at a stop-the-world
+        // reclaim, which only generational collectors make without faults.
+        let batching =
+            est_cycles > BATCH_THRESHOLD_CYCLES && F::NOOP && model.kind.is_generational();
 
         let machine = config.machine();
         let mut mutator_speed = machine.speed_factor();
@@ -426,10 +432,8 @@ impl<'a, O: Observer, F: FaultClock> Engine<'a, O, F> {
             cycles_since_full: 0,
             futile_streak: 0,
             slices: 0,
-            // Fault windows break the periodicity a batch replays, so
-            // batching only arms on the no-fault path.
-            batching: est_cycles > BATCH_THRESHOLD_CYCLES && F::NOOP,
-            pause_wall: SimDuration::ZERO,
+            batching,
+            period_pauses: Vec::new(),
             boundary: None,
             last_period: None,
             throttle_open: None,
@@ -909,6 +913,7 @@ impl<'a, O: Observer, F: FaultClock> Engine<'a, O, F> {
                     && (self.model.full_gc_period.is_none() || outcome.kind == CollectionKind::Full)
                 {
                     self.end_period();
+                    self.period_pauses.clear();
                 }
                 Ok(())
             }
@@ -928,23 +933,20 @@ impl<'a, O: Observer, F: FaultClock> Engine<'a, O, F> {
         self.telemetry.heap_byte_seconds +=
             self.heap.occupied() * outcome.stw_wall.as_nanos() as f64 / 1e9;
         self.now = end;
-        self.pause_wall += outcome.stw_wall;
         self.obs.record(Event::PauseEnd {
             at: end.as_nanos(),
             kind,
             gc_cpu_ns: outcome.stw_work_cpu_ns,
         });
-        if self.telemetry.pauses.len() < PAUSE_RECORD_CAP {
-            self.telemetry.record_pause(PauseRecord {
-                start,
-                duration: outcome.stw_wall,
-                gc_cpu_ns: outcome.stw_work_cpu_ns,
-                kind: outcome.kind,
-            });
-        } else {
-            self.telemetry
-                .record_batched_pauses(1, outcome.stw_wall, outcome.stw_work_cpu_ns);
+        if self.batching {
+            self.period_pauses.push((outcome.kind, outcome.stw_wall));
         }
+        self.telemetry.record_pause(PauseRecord {
+            start,
+            duration: outcome.stw_wall,
+            gc_cpu_ns: outcome.stw_work_cpu_ns,
+            kind: outcome.kind,
+        });
     }
 
     /// Reclaim and run the futility / OOM bookkeeping.
@@ -1004,8 +1006,6 @@ impl<'a, O: Observer, F: FaultClock> Engine<'a, O, F> {
             gc_stw_cpu_ns: t.gc_stw_cpu_ns,
             gc_concurrent_cpu_ns: t.gc_concurrent_cpu_ns,
             heap_byte_seconds: t.heap_byte_seconds,
-            pause_wall: self.pause_wall,
-            pauses: t.pauses.len() as u64 + t.batched_pause_count,
             gc_count: t.gc_count,
             allocated: self.heap.total_allocated(),
             throttled_wall: t.throttled_wall,
@@ -1040,10 +1040,10 @@ impl<'a, O: Observer, F: FaultClock> Engine<'a, O, F> {
     }
 
     /// Advance `k` whole periods at once by `k` times `period`'s deltas,
-    /// keeping time and pause wall in integer nanoseconds. At most
-    /// [`BATCH_MAX`] collections fold into one batch, and the final period
-    /// is left to the stepwise loop, which ends the run where it would
-    /// have ended anyway.
+    /// keeping time in integer nanoseconds, and record the period's pauses
+    /// `k` times each. At most [`BATCH_MAX`] collections fold into one
+    /// batch, and the final period is left to the stepwise loop, which
+    /// ends the run where it would have ended anyway.
     fn replay(&mut self, period: &Totals) {
         let periods_left = ((self.total_work - self.progress) / period.progress) as u64;
         let k = periods_left
@@ -1062,11 +1062,9 @@ impl<'a, O: Observer, F: FaultClock> Engine<'a, O, F> {
             at: start.as_nanos(),
             end: end.as_nanos(),
             cycles: period.gc_count * k,
-            pause_wall_each_ns: (period.pause_wall / period.pauses).as_nanos(),
         });
         self.now = end;
         self.progress += progress;
-        self.pause_wall += period.pause_wall * k;
         self.backlog += period.backlog * kf;
         self.heap.record_reclaimed(period.allocated * kf);
         let t = &mut self.telemetry;
@@ -1075,11 +1073,7 @@ impl<'a, O: Observer, F: FaultClock> Engine<'a, O, F> {
         t.heap_byte_seconds += period.heap_byte_seconds * kf;
         t.throttled_wall += period.throttled_wall * k;
         t.gc_count += period.gc_count * k;
-        t.record_batched_pauses(
-            period.pauses * k,
-            period.pause_wall * k,
-            period.gc_stw_cpu_ns * kf,
-        );
+        t.record_replayed_pauses(&self.period_pauses, k, period.gc_stw_cpu_ns * kf);
         self.boundary = Some(self.totals());
     }
 }

@@ -14,14 +14,15 @@
 use crate::collector::CollectionKind;
 use crate::result::RunResult;
 use crate::telemetry::{FaultInterval, HeapSample, PauseRecord, ThrottleInterval};
+use crate::time::SimDuration;
 use std::fmt::Write as _;
 
 /// Render the run's GC log.
 ///
 /// Pause records and post-collection heap samples are merged in time
 /// order. Runs that fast-forwarded through GC-thrash regimes note the
-/// batched pauses at the end (individual records above the cap are
-/// aggregated, see the engine docs).
+/// pauses without a record (replayed, or past the record cap; see the
+/// engine docs) at the end.
 ///
 /// # Examples
 ///
@@ -144,13 +145,14 @@ pub fn render_gc_log(result: &RunResult) -> String {
         }
     }
 
-    if telemetry.batched_pause_count > 0 {
+    let unrecorded = telemetry.pause_histogram().count() - telemetry.pauses.len() as u64;
+    if unrecorded > 0 {
+        let recorded_wall: SimDuration = telemetry.pauses.iter().map(|p| p.duration).sum();
         let _ = writeln!(
             out,
-            "[{:.3}s][info][gc] ... plus {} batched pauses totalling {} (thrash fast-forward)",
+            "[{:.3}s][info][gc] ... plus {unrecorded} batched pauses totalling {} (thrash fast-forward)",
             result.wall_time().as_secs_f64(),
-            telemetry.batched_pause_count,
-            telemetry.batched_pause_wall,
+            telemetry.total_pause_wall() - recorded_wall,
         );
     }
     if !telemetry.throttled_wall.is_zero() {

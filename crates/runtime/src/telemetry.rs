@@ -5,11 +5,23 @@
 //! methodology, §6.2), Linux `perf` `TASK_CLOCK` (total CPU time across all
 //! threads, Figure 1(b)), and the GC logs behind the appendix's post-GC
 //! heap-size graphs.
+//!
+//! # Aggregates and detail
+//!
+//! The aggregates — counters, CPU clocks, byte-seconds and the pause
+//! histogram — are exact for every run, including the periods the engine
+//! replays in batches ([`Telemetry::record_replayed_pauses`]). The detail —
+//! pause records, heap samples, pacing and fault intervals — covers the
+//! collections the engine stepped through, up to a cap per kind of record.
 
 use crate::collector::CollectionKind;
 use crate::time::{SimDuration, SimTime};
 use chopin_faults::FaultKind;
 use chopin_obs::LogHistogram;
+
+/// Individual pause records kept (the pause histogram stays exact
+/// regardless).
+const PAUSE_RECORD_CAP: usize = 200_000;
 
 /// Individual throttle intervals kept before dropping detail (the
 /// aggregate [`Telemetry::throttled_wall`] stays exact regardless).
@@ -84,7 +96,8 @@ pub struct FaultInterval {
 /// Accumulated telemetry for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
-    /// Every stop-the-world pause, in time order.
+    /// The stop-the-world pauses the engine stepped through, in time order
+    /// (kept up to a cap; [`Telemetry::pause_histogram`] holds every pause).
     pub pauses: Vec<PauseRecord>,
     /// Post-GC heap samples, in time order (thinned to a bounded length;
     /// see [`Telemetry::record_heap_sample`]).
@@ -113,12 +126,6 @@ pub struct Telemetry {
     /// which a workload can run reflects the workload's peak memory usage,
     /// not its average usage").
     pub heap_byte_seconds: f64,
-    /// Aggregate wall time of pauses folded into batches when the engine
-    /// replays steady-state periods of a GC-thrash regime (individual
-    /// records are only kept below a cap; totals stay exact).
-    pub batched_pause_wall: SimDuration,
-    /// Number of pauses folded into [`Telemetry::batched_pause_wall`].
-    pub batched_pause_count: u64,
     /// Injected-fault intervals, in onset order (empty on clean runs; kept
     /// up to the fault plane's window cap).
     pub fault_intervals: Vec<FaultInterval>,
@@ -127,6 +134,8 @@ pub struct Telemetry {
     /// How often [`Telemetry::heap_trace`] has been halved to stay under
     /// its cap.
     heap_trace_halvings: u32,
+    /// Every pause's wall nanoseconds, stepped or replayed.
+    pause_histogram: LogHistogram,
 }
 
 impl Telemetry {
@@ -135,13 +144,35 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Record a stop-the-world pause.
+    /// Record a stop-the-world pause the engine stepped through. Its record
+    /// is kept up to a cap of 200,000; the aggregates count it regardless.
     pub fn record_pause(&mut self, pause: PauseRecord) {
         self.gc_stw_cpu_ns += pause.gc_cpu_ns;
         if pause.kind == CollectionKind::Degenerate {
             self.degenerate_count += 1;
         }
-        self.pauses.push(pause);
+        self.pause_histogram.record(pause.duration.as_nanos());
+        if self.pauses.len() < PAUSE_RECORD_CAP {
+            self.pauses.push(pause);
+        }
+    }
+
+    /// Record `k` replays of one period's pauses, given as the kind and
+    /// wall time of each, together with the STW CPU the replays burned:
+    /// the aggregates count every replayed pause, and no record is kept.
+    pub fn record_replayed_pauses(
+        &mut self,
+        period: &[(CollectionKind, SimDuration)],
+        k: u64,
+        stw_cpu_ns: f64,
+    ) {
+        self.gc_stw_cpu_ns += stw_cpu_ns;
+        for &(kind, duration) in period {
+            if kind == CollectionKind::Degenerate {
+                self.degenerate_count += k;
+            }
+            self.pause_histogram.record_n(duration.as_nanos(), k);
+        }
     }
 
     /// Count a completed collection and sample the heap state after it.
@@ -165,16 +196,6 @@ impl Telemetry {
         }
     }
 
-    /// Record `count` pauses in aggregate form: their total wall time and
-    /// STW CPU (the engine's batches, and pauses past the record cap).
-    /// CPU and wall totals stay exact; only the individual records are
-    /// elided.
-    pub fn record_batched_pauses(&mut self, count: u64, wall: SimDuration, gc_cpu_ns: f64) {
-        self.batched_pause_count += count;
-        self.batched_pause_wall += wall;
-        self.gc_stw_cpu_ns += gc_cpu_ns;
-    }
-
     /// Record one contiguous pacing interval (dropped past the cap; the
     /// aggregate counters are the source of truth for totals).
     pub fn record_throttle_interval(&mut self, interval: ThrottleInterval) {
@@ -192,37 +213,17 @@ impl Telemetry {
         }
     }
 
-    /// Fold every pause into a log-bucketed [`LogHistogram`] with exact
-    /// count and sum side-channels — the quantile source for latency and
-    /// LBO analysis, replacing repeated scans over [`Telemetry::pauses`].
-    ///
-    /// Batched pauses (from the engine's batches through thrash regimes)
-    /// enter at their aggregate mean duration, split across two adjacent
-    /// values so the histogram's count and sum match
-    /// [`Telemetry::batched_pause_count`] and
-    /// [`Telemetry::total_pause_wall`] exactly. A batch folds whole
-    /// periods of young and full pauses, so the spread between them is
-    /// elided.
-    pub fn pause_histogram(&self) -> LogHistogram {
-        let mut h = LogHistogram::new();
-        for p in &self.pauses {
-            h.record(p.duration.as_nanos());
-        }
-        let count = self.batched_pause_count;
-        let wall = self.batched_pause_wall.as_nanos();
-        if let Some(mean) = wall.checked_div(count) {
-            let rem = wall - mean * count; // rem < count
-            h.record_n(mean, count - rem);
-            h.record_n(mean + 1, rem);
-        }
-        h
+    /// Every pause's wall nanoseconds, replayed pauses included: exact
+    /// count, sum and maximum, log-bucketed quantiles — the pause source
+    /// for latency and LBO analysis.
+    pub fn pause_histogram(&self) -> &LogHistogram {
+        &self.pause_histogram
     }
 
     /// Total wall-clock time spent in stop-the-world pauses — the quantity
-    /// JVMTI exposes and LBO subtracts from wall time. Includes batched
-    /// pauses.
+    /// JVMTI exposes and LBO subtracts from wall time.
     pub fn total_pause_wall(&self) -> SimDuration {
-        self.pauses.iter().map(|p| p.duration).sum::<SimDuration>() + self.batched_pause_wall
+        SimDuration::from_nanos(u64::try_from(self.pause_histogram.sum()).unwrap_or(u64::MAX))
     }
 
     /// Total CPU time across all threads — the simulation's `TASK_CLOCK`.
@@ -237,7 +238,8 @@ impl Telemetry {
 
     /// The longest single pause, if any pause occurred.
     pub fn max_pause(&self) -> Option<SimDuration> {
-        self.pauses.iter().map(|p| p.duration).max()
+        (self.pause_histogram.count() > 0)
+            .then(|| SimDuration::from_nanos(self.pause_histogram.max()))
     }
 
     /// Average heap occupancy over a run of `wall` seconds, in bytes —
@@ -327,14 +329,29 @@ mod tests {
         let mut t = Telemetry::new();
         t.record_pause(pause(2, CollectionKind::Young));
         t.record_pause(pause(7, CollectionKind::Full));
-        // Two batches with different per-pause durations: the combined
-        // mean does not divide evenly, exercising the remainder split.
-        t.record_batched_pauses(2, SimDuration::from_nanos(2_000_002), 0.0);
-        t.record_batched_pauses(1, SimDuration::from_nanos(3_000_000), 0.0);
+        // Three replays of a period holding a young and a degenerate pause.
+        let period = [
+            (CollectionKind::Young, SimDuration::from_nanos(1_000_001)),
+            (CollectionKind::Degenerate, SimDuration::from_millis(9)),
+        ];
+        t.record_replayed_pauses(&period, 3, 6e6);
         let h = t.pause_histogram();
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), u128::from(t.total_pause_wall().as_nanos()));
-        assert_eq!(h.max(), 7_000_000);
+        assert_eq!(h.count(), 8);
+        assert_eq!(t.pauses.len(), 2, "replayed pauses keep no record");
+        assert_eq!(t.total_pause_wall(), SimDuration::from_nanos(39_000_003));
+        assert_eq!(t.max_pause(), Some(SimDuration::from_millis(9)));
+        assert_eq!(t.degenerate_count, 3);
+        assert_eq!(t.gc_stw_cpu_ns, 15e6);
+    }
+
+    #[test]
+    fn pause_records_are_capped_but_the_histogram_counts_every_pause() {
+        let mut t = Telemetry::new();
+        for _ in 0..PAUSE_RECORD_CAP + 3 {
+            t.record_pause(pause(1, CollectionKind::Young));
+        }
+        assert_eq!(t.pauses.len(), PAUSE_RECORD_CAP);
+        assert_eq!(t.pause_histogram().count(), PAUSE_RECORD_CAP as u64 + 3);
     }
 
     #[test]

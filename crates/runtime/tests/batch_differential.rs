@@ -8,8 +8,8 @@
 //! must actually batch.
 //!
 //! Tolerance, fixed before the batch was rewritten to pass it:
-//! * exact: wall time, wall minus STW, GC count, pause count and total
-//!   pause wall;
+//! * exact: wall time, wall minus STW, GC count, degenerate count and the
+//!   pause histogram (every bucket, count, sum and max);
 //! * relative [`TASK_RTOL`]: task clock and task clock minus STW CPU. A
 //!   batch multiplies CPU deltas that the loop adds slice by slice, so the
 //!   two sums may differ in their last bits.
@@ -19,7 +19,6 @@ use chopin_obs::{Event, Observer};
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::config::RunConfig;
 use chopin_runtime::engine::{run_with_faults, run_with_observer};
-use chopin_runtime::result::RunResult;
 use chopin_runtime::spec::MutatorSpec;
 use chopin_runtime::time::SimDuration;
 use proptest::prelude::*;
@@ -46,10 +45,6 @@ fn relative_gap(a: SimDuration, b: SimDuration) -> f64 {
     (a - b).abs() / b.max(1.0)
 }
 
-fn pause_count(r: &RunResult) -> u64 {
-    r.telemetry().pauses.len() as u64 + r.telemetry().batched_pause_count
-}
-
 /// Run `spec` batched and stepwise and hold the batched run to the
 /// tolerance. Returns the number of collections the batches folded.
 fn batched_matches_stepwise(spec: &MutatorSpec, config: &RunConfig) -> Result<u64, TestCaseError> {
@@ -67,8 +62,20 @@ fn batched_matches_stepwise(spec: &MutatorSpec, config: &RunConfig) -> Result<u6
         "wall minus STW"
     );
     prop_assert_eq!(b.gc_count, s.gc_count, "GC count");
-    prop_assert_eq!(pause_count(&batched), pause_count(&stepwise), "pauses");
-    prop_assert_eq!(b.total_pause_wall(), s.total_pause_wall(), "pause wall");
+    prop_assert_eq!(b.degenerate_count, s.degenerate_count, "degenerate count");
+    let (bh, sh) = (b.pause_histogram(), s.pause_histogram());
+    prop_assert!(
+        bh == sh,
+        "pause histogram: count {} vs {}, sum {} vs {}, max {} vs {}, p50 {} vs {}",
+        bh.count(),
+        sh.count(),
+        bh.sum(),
+        sh.sum(),
+        bh.max(),
+        sh.max(),
+        bh.p50(),
+        sh.p50()
+    );
     let task = relative_gap(batched.task_clock(), stepwise.task_clock());
     prop_assert!(
         task <= TASK_RTOL,

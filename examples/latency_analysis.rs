@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("\n== h2 with {collector} at 2.0x heap ==");
         println!(
             "GC pauses: {} pauses, max {} (the *proxy* the paper warns against)",
-            timed.telemetry().pauses.len(),
+            timed.telemetry().pause_histogram().count(),
             timed
                 .telemetry()
                 .max_pause()

@@ -7,9 +7,10 @@
 //! The same comparison is the property that a plan with no reachable
 //! windows changes nothing.
 //!
-//! Tolerance, fixed before the batch was rewritten to pass it: wall time
-//! and wall minus STW exact; task clock and task clock minus STW CPU within
-//! a relative [`TASK_RTOL`].
+//! Tolerance, fixed before the batch was rewritten to pass it: wall time,
+//! wall minus STW, the degenerate count and the pause histogram (every
+//! bucket, count, sum and max) exact; task clock and task clock minus STW
+//! CPU within a relative [`TASK_RTOL`].
 
 use chopin::core::sweep::PAPER_HEAP_FACTORS;
 use chopin::core::{BenchmarkRunner, Suite};
@@ -43,6 +44,8 @@ fn disagreement(batched: &RunResult, stepwise: &RunResult) -> Option<String> {
         stepwise.task_clock_minus_stw(),
     );
     let ns = |d: SimDuration| d.as_nanos();
+    let (b, s) = (batched.telemetry(), stepwise.telemetry());
+    let (bh, sh) = (b.pause_histogram(), s.pause_histogram());
     if batched.wall_time() != stepwise.wall_time() {
         Some(format!(
             "wall {} vs {} ns",
@@ -54,6 +57,23 @@ fn disagreement(batched: &RunResult, stepwise: &RunResult) -> Option<String> {
             "wall minus STW {} vs {} ns",
             ns(batched.wall_minus_stw()),
             ns(stepwise.wall_minus_stw())
+        ))
+    } else if b.degenerate_count != s.degenerate_count {
+        Some(format!(
+            "degenerate count {} vs {}",
+            b.degenerate_count, s.degenerate_count
+        ))
+    } else if bh != sh {
+        Some(format!(
+            "pause histogram: count {} vs {}, sum {} vs {}, max {} vs {}, p50 {} vs {} ns",
+            bh.count(),
+            sh.count(),
+            bh.sum(),
+            sh.sum(),
+            bh.max(),
+            sh.max(),
+            bh.p50(),
+            sh.p50()
         ))
     } else if task > TASK_RTOL {
         Some(format!(
@@ -84,8 +104,8 @@ fn check(label: &str, runner: BenchmarkRunner, mismatches: &mut Vec<String>) {
     match (batched, stepwise) {
         (Ok(b), Ok(s)) => {
             for (i, (b, s)) in b.iterations().iter().zip(s.iterations()).enumerate() {
-                let unbatched =
-                    b.telemetry().batched_pause_count == s.telemetry().batched_pause_count;
+                // A batch replays pauses without recording them one by one.
+                let unbatched = b.telemetry().pauses.len() == s.telemetry().pauses.len();
                 let why = if unbatched {
                     (b != s).then(|| "not bit-identical, yet no batch fired".to_string())
                 } else {
