@@ -4,15 +4,17 @@
 #   bash ci/bench-compare.sh BASE HEAD
 #
 # Builds each revision in its own git worktree with its own
-# CARGO_TARGET_DIR, runs the sequential paper grid once per side into
-# results/compare/{base,head}.csv and the latency figures and pause
-# tables once per side into results/compare/{base,head}-latency.txt,
-# runs interleaved BASE/HEAD pairs of `sweepbench/run.sh` over all five
-# workloads, appends each run's result line to results/compare/runs.jsonl
-# and hands the runs to ci/bench_judge.py, which applies
-# sweepbench/README.md's rules and writes results/compare/report.md, with
-# a section per simulated output on the lines that differ (a report
-# only: it sets no exit code).
+# CARGO_TARGET_DIR and writes each side's simulated outputs once into
+# results/compare/: the sequential paper grid ({base,head}.csv), the
+# latency figures and pause tables ({base,head}-latency.txt), and the
+# outputs that read the workload profiles directly, the characterisation
+# table, the suite summary and Table 2 ({base,head}-characterize.txt,
+# -suite.txt, -table2.txt). It then runs interleaved BASE/HEAD pairs of
+# `sweepbench/run.sh` over all five workloads, appends each run's result
+# line to results/compare/runs.jsonl and hands the runs to
+# ci/bench_judge.py, which applies sweepbench/README.md's rules and
+# writes results/compare/report.md, with a section per simulated output
+# on the lines that differ (a report only: it sets no exit code).
 #
 # Exit codes: 0 no regression, 1 a regressed metric or a failed HEAD run,
 # 2 a usage, checkout or build error. When the benchmark itself differs
@@ -65,23 +67,31 @@ for side in base head; do
     (
         cd "$out/$side"
         export CARGO_TARGET_DIR="$out/$side/target"
-        cargo build --release --quiet --offline -p chopin-harness --bin runbms --bin latency
+        cargo build --release --quiet --offline -p chopin-harness --bin runbms --bin latency \
+            --bin characterize --bin suite --bin nominal
         cargo bench --no-run --quiet --offline --manifest-path sweepbench/Cargo.toml --bench sweep
     ) > "$out/logs/build-$side.log" 2>&1 || fail "cannot build $side; see $out/logs/build-$side.log"
 done
 
+# Write one side's simulated output: SIDE FILE-SUFFIX BINARY [ARGS...].
+# A failed run leaves no file, which the report names as missing.
+simulate() {
+    local side=$1 suffix=$2 bin=$3
+    shift 3
+    "$out/$side/target/release/$bin" "$@" > "$out/$side$suffix" \
+        2> "$out/logs/$bin-$side.err" || {
+        echo "bench-compare: the $side $bin run failed; see $out/logs/$bin-$side.err" >&2
+        rm -f "$out/$side$suffix"
+    }
+}
+
 for side in base head; do
-    "$out/$side/target/release/runbms" -b all --invocations 10 > "$out/$side.csv" \
-        2> "$out/logs/grid-$side.err" || {
-        echo "bench-compare: the $side grid run failed; see $out/logs/grid-$side.err" >&2
-        rm -f "$out/$side.csv"
-    }
+    simulate "$side" .csv runbms -b all --invocations 10
     # Batching arms only at 1.0x, so the minimum heap is the one to show.
-    "$out/$side/target/release/latency" -b all --heaps 1,2,6 > "$out/$side-latency.txt" \
-        2> "$out/logs/latency-$side.err" || {
-        echo "bench-compare: the $side latency run failed; see $out/logs/latency-$side.err" >&2
-        rm -f "$out/$side-latency.txt"
-    }
+    simulate "$side" -latency.txt latency -b all --heaps 1,2,6
+    simulate "$side" -characterize.txt characterize
+    simulate "$side" -suite.txt suite
+    simulate "$side" -table2.txt nominal --table2
 done
 
 for ((pair = 0; pair < PAIRS; pair++)); do

@@ -18,25 +18,29 @@ BENCHMARK = {
     ],
 }
 
+# The same metrics on `resume`, whose small moves the report annotates.
+RESUME = {"workloads": [{"name": "resume"}], "end_to_end": BENCHMARK["end_to_end"]}
+
 # Ten runs with IQR/median 0.04.
 STEADY = [3.6, 3.62, 3.64, 3.66, 3.68, 3.7, 3.72, 3.74, 3.76, 3.78]
 # Ten runs with IQR/median above 0.25.
 NOISY = [2.4, 4.6, 2.9, 4.2, 3.1, 4.4, 2.6, 3.9, 3.3, 4.8]
 
 
-def result(sweep_s, failed=0):
+def result(sweep_s, failed=0, workload="sweep-journal"):
     metrics = {
-        "sweep-journal.sweep_s": {"value": sweep_s, "unit": "s"},
-        "sweep-journal.cells_per_s": {"value": 1210 / sweep_s, "unit": "cells/s"},
+        f"{workload}.sweep_s": {"value": sweep_s, "unit": "s"},
+        f"{workload}.cells_per_s": {"value": 1210 / sweep_s, "unit": "cells/s"},
     }
     return {"correct": failed == 0, "attempted": 9000, "failed": failed, "metrics": metrics}
 
 
-def runs(base, head, failed_pair=None):
+def runs(base, head, failed_pair=None, workload="sweep-journal"):
     out = []
     for pair, (b, h) in enumerate(zip(base, head)):
-        out.append({"side": "base", "pair": pair, "result": result(b)})
-        out.append({"side": "head", "pair": pair, "result": result(h, int(pair == failed_pair))})
+        out.append({"side": "base", "pair": pair, "result": result(b, 0, workload)})
+        failed = int(pair == failed_pair)
+        out.append({"side": "head", "pair": pair, "result": result(h, failed, workload)})
     return out
 
 
@@ -45,17 +49,28 @@ def verdicts(base, head):
     return {metric: row["verdict"] for _, metric, _, _, row in rows}
 
 
-def judged(records, grids=None, latency=None):
-    """Exit code and report.md of the judge over `records`, with
-    `grids` and `latency` = (BASE lines, HEAD lines) written as the sides'
-    grid CSVs and latency outputs."""
+# judged()'s keyword for each simulated output's file suffix.
+OUTPUT_SUFFIXES = {
+    "grids": ".csv",
+    "latency": "-latency.txt",
+    "characterize": "-characterize.txt",
+    "suite": "-suite.txt",
+    "table2": "-table2.txt",
+}
+
+
+def judged(records, benchmark=BENCHMARK, **outputs):
+    """Exit code and report.md of the judge over `records`, with each
+    keyword of OUTPUT_SUFFIXES = (BASE lines, HEAD lines) written as the
+    sides' files of that simulated output."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         (out / "runs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
-        (out / "benchmark.json").write_text(json.dumps(BENCHMARK))
-        for suffix, sides in ((".csv", grids), ("-latency.txt", latency)):
-            for side, lines in zip(bench_judge.SIDES, sides or ()):
-                (out / f"{side}{suffix}").write_text("".join(line + "\n" for line in lines))
+        (out / "benchmark.json").write_text(json.dumps(benchmark))
+        for name, sides in outputs.items():
+            for side, lines in zip(bench_judge.SIDES, sides):
+                path = out / f"{side}{OUTPUT_SUFFIXES[name]}"
+                path.write_text("".join(line + "\n" for line in lines))
         with contextlib.redirect_stdout(io.StringIO()):
             code = bench_judge.main([str(out), str(out / "benchmark.json"), "base", "head"])
         return code, (out / "report.md").read_text()
@@ -95,13 +110,13 @@ class Rules(unittest.TestCase):
         header = "benchmark,collector,heap_factor,wall_s,task_s,wall_distillable_s,task_distillable_s"
         base = [header] + [f"lusearch,G1,1,32.0,{200 + i},1.0,70.0" for i in range(12)] + ["fop,G1,2,1,2,1,1"]
         head = [header] + [f"lusearch,G1,1,32.0,{150 + i},1.0,20.0" for i in range(12)] + ["fop,G1,2,1,2,1,1"]
-        code, report = judged(runs(STEADY, STEADY), (base, head))
+        code, report = judged(runs(STEADY, STEADY), grids=(base, head))
         self.assertEqual(code, 0)
         self.assertIn("12 of 14 CSV lines differ", report)
         self.assertEqual(report.count(" → "), bench_judge.DRIFT_SHOWN)
         self.assertIn("`lusearch,G1,1,32.0,200,1.0,70.0` → `lusearch,G1,1,32.0,150,1.0,20.0`", report)
         self.assertIn("and 2 more", report)
-        code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), (base, base))
+        code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), grids=(base, base))
         self.assertEqual(code, 1, "an identical grid does not forgive a regression")
         self.assertIn("0 of 14 CSV lines differ", report)
         self.assertIn("grid CSV is missing", judged(runs(STEADY, STEADY))[1])
@@ -122,6 +137,40 @@ class Rules(unittest.TestCase):
         self.assertEqual(code, 1, "an identical latency output does not forgive a regression")
         self.assertIn("0 of 3 output lines differ", report)
         self.assertIn("latency output is missing", judged(runs(STEADY, STEADY))[1])
+
+    def test_profile_reading_outputs_are_reported_but_never_fail_the_gate(self):
+        header = "benchmark   GLK  GMU  PET"
+        base = [header, "avrora      0    7    5", "zxing       120  24   1"]
+        head = [header, "avrora      0    7    5", "zxing       121  24   1"]
+        same = (base, base)
+        code, report = judged(runs(STEADY, STEADY), characterize=same, suite=same, table2=(base, head))
+        self.assertEqual(code, 0)
+        for command in ("characterize", "suite", "nominal --table2"):
+            self.assertIn(f"## Simulated output of `{command}`", report)
+        self.assertEqual(report.count("0 of 3 output lines differ"), 2)
+        self.assertIn("1 of 3 output lines differ", report)
+        self.assertIn(f"- `{base[2]}` → `{head[2]}`", report)
+        missing = judged(runs(STEADY, STEADY))[1]
+        for output in ("characterize output", "suite output", "Table 2 output"):
+            self.assertIn(f"{output} is missing", missing)
+
+    def test_a_small_resume_move_that_is_no_gain_is_noted_as_possibly_layout(self):
+        def report(head, workload="resume", base=STEADY):
+            benchmark = RESUME if workload == "resume" else BENCHMARK
+            return judged(runs(base, head, workload=workload), benchmark)
+
+        code, text = report([v * 1.1 for v in STEADY])
+        self.assertEqual(code, 0)
+        self.assertIn("`resume` `sweep_s` moved by +10.0% in the median and is not a gain.", text)
+        self.assertIn("code layout alone", text)
+        unresolved = report([v * 0.9 for v in reversed(NOISY)], base=NOISY)[1]
+        self.assertIn("moved by -10.0%", unresolved)
+        for head, workload in (
+            ([v * 0.8 for v in STEADY], "resume"),  # a gain
+            ([v * 1.2 for v in STEADY], "resume"),  # a move of 15% or more
+            ([v * 1.1 for v in STEADY], "sweep-journal"),
+        ):
+            self.assertNotIn("code layout", report(head, workload)[1])
 
     def test_cells_per_s_is_better_when_higher(self):
         slower = [v * 1.4 for v in STEADY]

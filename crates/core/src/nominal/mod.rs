@@ -12,12 +12,15 @@
 //! * [`mod@dataset`] — the per-benchmark values (appendix tables / Table 2).
 //! * [`score`] — the rank → score(0–10) machinery of the appendix tables.
 //! * [`suite_pca`] — the Figure 4 analysis.
+//!
+//! The metric definitions and the dataset live in `chopin-workloads`,
+//! whose profiles read their published fields from the dataset; this
+//! module re-exports both.
 
-pub mod dataset;
-pub mod metric;
+pub use chopin_workloads::nominal::{dataset, metric};
 pub mod score;
 
-pub use dataset::{complete_matrix, complete_metrics, dataset, row, NominalRow, RowProvenance};
+pub use dataset::{complete_matrix, complete_metrics, dataset, row, NominalRow, Provenance};
 pub use metric::{metric_index, MetricDef, MetricGroup, METRICS, TABLE2_METRICS};
 pub use score::{metric_ranking, score_table, ScoredMetric};
 

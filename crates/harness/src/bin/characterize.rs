@@ -31,7 +31,7 @@ fn main() {
     }
     let config = CharacterizeConfig {
         with_min_heap: args.has("minheap"),
-        iterations: args.get_or("iterations", 5).unwrap_or_else(|e| {
+        iterations: args.count_or("iterations", 5).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         }),

@@ -77,10 +77,16 @@ use chopin_harness::supervisor::{
 };
 use chopin_harness::{preflight, resolve_profiles};
 use chopin_workloads::WorkloadProfile;
+use std::io::{self, BufWriter, Stdout, Write};
 
-fn print_samples(result: &SweepResult) {
+/// The CSV on stdout, buffered so that rows reach it in blocks instead of
+/// one `write` each.
+type Csv = BufWriter<Stdout>;
+
+fn print_samples(csv: &mut Csv, result: &SweepResult) {
     for s in &result.samples {
-        println!(
+        writeln!(
+            csv,
             "{},{},{},{},{},{},{}",
             result.benchmark,
             s.collector,
@@ -89,7 +95,8 @@ fn print_samples(result: &SweepResult) {
             s.task_s,
             s.wall_distillable_s,
             s.task_distillable_s
-        );
+        )
+        .unwrap_or_else(|e| csv_failed(e));
     }
     for f in &result.failures {
         eprintln!(
@@ -99,7 +106,21 @@ fn print_samples(result: &SweepResult) {
     }
 }
 
+/// Report a CSV that could not be written (a closed pipe, a full disk).
+fn csv_failed(e: io::Error) -> ! {
+    eprintln!("error: writing the CSV: {e}");
+    std::process::exit(1);
+}
+
+/// Flush the CSV and exit with `code`: `process::exit` runs no
+/// destructors, so buffered rows would otherwise be lost.
+fn exit(csv: &mut Csv, code: i32) -> ! {
+    csv.flush().unwrap_or_else(|e| csv_failed(e));
+    std::process::exit(code);
+}
+
 fn run_supervised(
+    csv: &mut Csv,
     supervisor: &SuiteSupervisor,
     profiles: &[WorkloadProfile],
     sweep: &SweepConfig,
@@ -112,7 +133,7 @@ fn run_supervised(
         }
     };
     for result in &report.results {
-        print_samples(result);
+        print_samples(csv, result);
     }
     eprintln!(
         "runbms: {} cell(s), {} completed ({} resumed, {} infeasible), {} retries",
@@ -206,7 +227,15 @@ fn main() {
         std::process::exit(code);
     }
 
-    println!("benchmark,collector,heap_factor,wall_s,task_s,wall_distillable_s,task_distillable_s");
+    // The header goes out before any cell runs: sweepbench's `setup_s` is
+    // the time from spawn to this line.
+    let mut csv = BufWriter::new(io::stdout());
+    writeln!(
+        csv,
+        "benchmark,collector,heap_factor,wall_s,task_s,wall_distillable_s,task_distillable_s"
+    )
+    .and_then(|()| csv.flush())
+    .unwrap_or_else(|e| csv_failed(e));
 
     let profiles = resolve_profiles(&benchmarks).unwrap_or_else(|e| exit_usage(e));
     let supervisor = supervision_requested(&args)
@@ -214,9 +243,11 @@ fn main() {
     let sink = SpanSink::new();
     let code = match &supervisor {
         Some(supervisor) => {
-            match sink.time("sweep", || run_supervised(supervisor, &profiles, &sweep)) {
+            match sink.time("sweep", || {
+                run_supervised(&mut csv, supervisor, &profiles, &sweep)
+            }) {
                 // The scheduler could not start: nothing ran to trace.
-                2 => std::process::exit(2),
+                2 => exit(&mut csv, 2),
                 code => code,
             }
         }
@@ -228,10 +259,10 @@ fn main() {
                 match sink.time(&format!("sweep:{}", profile.name), || {
                     run_sweep(profile, &sweep)
                 }) {
-                    Ok(result) => print_samples(&result),
+                    Ok(result) => print_samples(&mut csv, &result),
                     Err(e) => {
                         eprintln!("error: {e}");
-                        std::process::exit(1);
+                        exit(&mut csv, 1);
                     }
                 }
             }
@@ -257,15 +288,15 @@ fn main() {
                     }
                     Err(e) => {
                         eprintln!("error: {e}");
-                        std::process::exit(1);
+                        exit(&mut csv, 1);
                     }
                 }
             }
             Err(e) => {
                 eprintln!("error: {e}");
-                std::process::exit(1);
+                exit(&mut csv, 1);
             }
         }
     }
-    std::process::exit(code);
+    exit(&mut csv, code);
 }

@@ -18,15 +18,15 @@ pub const GRID_FLAGS: [&str; 4] = ["b", "quick", "invocations", "iterations"];
 /// # Errors
 ///
 /// An [`ArgError`] naming the flag and its value when a count is not a
-/// non-negative integer.
+/// positive integer.
 pub fn sweep_from_args(args: &Args) -> Result<SweepConfig, ArgError> {
     let mut sweep = if args.has("quick") {
         SweepConfig::quick()
     } else {
         SweepConfig::default()
     };
-    sweep.invocations = args.get_or("invocations", sweep.invocations)?;
-    sweep.iterations = args.get_or("iterations", sweep.iterations)?;
+    sweep.invocations = args.count_or("invocations", sweep.invocations)?;
+    sweep.iterations = args.count_or("iterations", sweep.iterations)?;
     Ok(sweep)
 }
 
@@ -152,6 +152,21 @@ impl Args {
         }
     }
 
+    /// A count flag with a default. Zero is refused, since zero
+    /// invocations or iterations measure nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError`] when the value is not a positive integer.
+    pub fn count_or(&self, name: &str, default: u32) -> Result<u32, ArgError> {
+        match self.get_or(name, default)? {
+            0 => Err(ArgError {
+                message: format!("invalid value `0` for --{name}: a count must be at least 1"),
+            }),
+            n => Ok(n),
+        }
+    }
+
     /// Positional arguments.
     pub fn positionals(&self) -> &[String] {
         &self.positionals
@@ -229,7 +244,12 @@ mod tests {
             sweep_from_args(&Args::parse(Vec::<String>::new())).unwrap(),
             SweepConfig::default()
         );
-        for (flag, value) in [("invocations", "abc"), ("iterations", "-3")] {
+        for (flag, value) in [
+            ("invocations", "abc"),
+            ("iterations", "-3"),
+            ("invocations", "0"),
+            ("iterations", "0"),
+        ] {
             let args = Args::parse([format!("--{flag}"), value.to_string()]);
             let err = sweep_from_args(&args).unwrap_err().to_string();
             assert!(

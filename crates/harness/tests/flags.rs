@@ -3,9 +3,9 @@
 //! prints or runs anything, `lbo` reports a malformed `--faults` even
 //! with the pre-flight gate bypassed, `latency` and `suite`, which have
 //! no sweep-scheduler path, refuse the scheduler's flags outright, a
-//! malformed heap factor, count or unknown benchmark is a usage error,
-//! and `runbms` writes its trace and event stream on the scheduler path
-//! too.
+//! malformed heap factor, a zero or malformed count or an unknown
+//! benchmark is a usage error, and `runbms` writes its trace and event
+//! stream on the scheduler path too.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -213,7 +213,7 @@ fn bad_heaps_and_unknown_benchmarks_exit_two_before_any_output() {
 
 #[test]
 fn malformed_counts_and_heap_factors_exit_two_before_any_output() {
-    let cases: [(&str, &[&str], &str); 4] = [
+    let cases: [(&str, &[&str], &str); 8] = [
         (
             "runbms",
             &["-b", "fop", "--quick", "--invocations", "abc"],
@@ -226,6 +226,27 @@ fn malformed_counts_and_heap_factors_exit_two_before_any_output() {
         ),
         ("characterize", &["-b", "fop", "--iterations", "abc"], "abc"),
         ("gclog", &["-b", "fop", "--heap-factor", "abc"], "abc"),
+        // A zero count measures nothing, so it is refused like a
+        // malformed one, with or without the pre-flight gate.
+        (
+            "runbms",
+            &["-b", "fop", "--quick", "--invocations", "0"],
+            "0",
+        ),
+        ("lbo", &["-b", "fop", "--quick", "--invocations", "0"], "0"),
+        (
+            "runbms",
+            &[
+                "-b",
+                "fop",
+                "--quick",
+                "--no-preflight",
+                "--iterations",
+                "0",
+            ],
+            "0",
+        ),
+        ("characterize", &["-b", "fop", "--iterations", "0"], "0"),
     ];
     for (bin, args, value) in cases {
         let out = run(bin, args);

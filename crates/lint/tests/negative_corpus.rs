@@ -7,7 +7,7 @@
 //! `shipped_presets_lint_clean`; these tests establish that a clean report
 //! is meaningful, i.e. that every rule actually detects its defect.
 
-use chopin_core::nominal::dataset::{NominalRow, RowProvenance, METRIC_COUNT};
+use chopin_core::nominal::dataset::{NominalRow, Provenance, METRIC_COUNT};
 use chopin_core::nominal::score::ScoredMetric;
 use chopin_core::sweep::SweepConfig;
 use chopin_faults::{FaultKind, FaultPlan, SupervisorPolicy};
@@ -43,7 +43,7 @@ fn base_score() -> ScoredMetric {
 fn r101_missing_required_metric() {
     let row = NominalRow {
         benchmark: "broken",
-        provenance: RowProvenance::Published,
+        provenance: Provenance::Published,
         values: [None; METRIC_COUNT],
     };
     let diags = chopin_lint::rules::nominal::lint_rows(&[row]);
@@ -58,7 +58,7 @@ fn r102_negative_value_in_unsigned_column() {
     values[0] = Some(-50.0); // AOA: allocation cannot be negative.
     let row = NominalRow {
         benchmark: "broken",
-        provenance: RowProvenance::Published,
+        provenance: Provenance::Published,
         values,
     };
     let diags = chopin_lint::rules::nominal::lint_rows(&[row]);

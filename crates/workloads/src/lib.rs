@@ -9,6 +9,11 @@
 //! statistics (appendix B), and converts them into
 //! [`chopin_runtime::spec::MutatorSpec`]s the simulation engine can run.
 //!
+//! The published statistics live once, in [`nominal::dataset`]. A profile
+//! reads its 19 published fields and its provenance from its benchmark's
+//! row; each [`suite`] module adds only what the paper does not publish
+//! (see [`profile`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -33,4 +38,13 @@ pub mod faults;
 pub mod profile;
 pub mod suite;
 
-pub use profile::{Provenance, RequestSpec, SizeClass, WorkloadProfile};
+/// The paper's published nominal statistics (§5.1): the Table 1 metric
+/// definitions and the per-benchmark values. `chopin_core::nominal`
+/// re-exports both modules beside the scores and the PCA built on them.
+pub mod nominal {
+    pub mod dataset;
+    pub mod metric;
+}
+
+pub use nominal::dataset::Provenance;
+pub use profile::{RequestSpec, SizeClass, WorkloadProfile};

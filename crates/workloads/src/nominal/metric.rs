@@ -293,9 +293,23 @@ pub const METRICS: [MetricDef; 48] = [
     },
 ];
 
-/// Index of a metric code within [`METRICS`], if it exists.
-pub fn metric_index(code: &str) -> Option<usize> {
-    METRICS.iter().position(|m| m.code == code)
+/// Index of a metric code within [`METRICS`], if it exists. It is a
+/// `const fn` so that a code known at compile time costs no search.
+pub const fn metric_index(code: &str) -> Option<usize> {
+    let code = code.as_bytes();
+    let mut i = 0;
+    while i < METRICS.len() {
+        let m = METRICS[i].code.as_bytes();
+        let mut j = 0;
+        while j < m.len() && j < code.len() && m[j] == code[j] {
+            j += 1;
+        }
+        if j == m.len() && j == code.len() {
+            return Some(i);
+        }
+        i += 1;
+    }
+    None
 }
 
 /// The twelve most-determinant nominal statistics named by Table 2.
@@ -331,6 +345,16 @@ mod tests {
         sorted.dedup();
         assert_eq!(codes.len(), sorted.len(), "codes are unique");
         assert_eq!(codes, sorted, "Table 1 lists codes alphabetically");
+    }
+
+    #[test]
+    fn metric_index_matches_whole_codes_only() {
+        for (i, m) in METRICS.iter().enumerate() {
+            assert_eq!(metric_index(m.code), Some(i), "{}", m.code);
+        }
+        for near in ["", "GM", "GMDX", "gmd", "ZZZ"] {
+            assert_eq!(metric_index(near), None, "{near:?}");
+        }
     }
 
     #[test]

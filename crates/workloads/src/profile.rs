@@ -1,29 +1,32 @@
-//! Workload profiles: the published characteristics of each DaCapo Chopin
+//! Workload profiles: the characteristics of each DaCapo Chopin
 //! benchmark, and their conversion into runnable [`MutatorSpec`]s.
 //!
-//! Each profile is parameterised from the paper's per-benchmark nominal
-//! statistics (appendix B): minimum heap sizes (GMD/GMS/GML/GMV/GMU),
+//! Nineteen fields are the paper's per-benchmark nominal statistics
+//! (appendix B), read from the benchmark's row of
+//! [`crate::nominal::dataset`]: minimum heap sizes (GMD/GMU/GMS/GML/GMV),
 //! execution time (PET), allocation rate (ARA), mean object size (AOA),
 //! parallel efficiency (PPE), kernel share (PKP), memory turnover (GTO),
-//! leakage (GLK), warmup (PWU) and invocation noise (PSD). Where the source
-//! text of the paper truncates a benchmark's table, values are estimated
-//! and flagged via [`Provenance::Estimated`].
+//! leakage (GLK), warmup (PWU), invocation noise (PSD), and the frequency,
+//! memory, LLC, compiler and interpreter sensitivities
+//! (PFS/PMS/PLS/PCC/PIN). The row also gives the profile its
+//! [`Provenance`]: where the source text of the paper truncates a
+//! benchmark's table, values are estimated.
+//!
+//! Every published field copies its cell but one. The appendix prints PSD
+//! as a whole percentage, so a published PSD of 0 means below 0.5 %, and
+//! the profile takes 0.3 %; every other published PSD is at least 1.
+//!
+//! The paper does not publish the rest, which each [`crate::suite`] module
+//! holds: the description, the new-in-Chopin flag, and the calibrated
+//! thread count, survival, live-floor and build fractions and request
+//! shape.
 
+use crate::nominal::dataset::{NominalRow, Provenance};
+use crate::nominal::metric::metric_index;
+use crate::suite::Workload;
 use chopin_runtime::spec::{MutatorSpec, RequestProfile, SpecError};
 use chopin_runtime::time::SimDuration;
 use std::fmt;
-
-/// Whether a profile's calibration numbers come straight from the paper's
-/// appendix tables or were estimated for benchmarks whose tables are
-/// truncated in our source text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
-    /// Values transcribed from the paper.
-    Published,
-    /// Values estimated from Table 2 plus the paper's prose (documented in
-    /// DESIGN.md).
-    Estimated,
-}
 
 /// The DaCapo Chopin workload size classes.
 ///
@@ -139,8 +142,21 @@ pub struct WorkloadProfile {
     pub build_fraction: f64,
     /// Request structure for latency-sensitive workloads.
     pub requests: Option<RequestSpec>,
-    /// Whether the numbers are published or estimated.
+    /// Whether the published fields' row is published or partly
+    /// estimated.
     pub provenance: Provenance,
+}
+
+/// The invocation noise (PSD, %) of a profile whose published PSD is 0:
+/// the appendix prints PSD as a whole percentage, so 0 means below 0.5 %.
+pub(crate) const ZERO_PSD_NOISE_PCT: f64 = 0.3;
+
+/// The column of a metric code known at compile time.
+const fn column(code: &str) -> usize {
+    match metric_index(code) {
+        Some(i) => i,
+        None => panic!("not a Table 1 metric code"),
+    }
 }
 
 /// Live peak as a fraction of the published minimum heap: the minimum heap
@@ -152,6 +168,52 @@ const LIVE_PEAK_OF_MIN_HEAP: f64 = 0.90;
 const MB: f64 = (1u64 << 20) as f64;
 
 impl WorkloadProfile {
+    /// The profile of `workload`: its published fields and its provenance
+    /// from `row`, its benchmark's row of the nominal dataset, and the rest
+    /// from `workload`.
+    pub(crate) fn new(row: &NominalRow, workload: &Workload) -> WorkloadProfile {
+        // Each code resolves to its column at compile time. A missing
+        // required cell reads as NaN, which lint rule R101 and the
+        // dataset's consistency test reject.
+        macro_rules! cell {
+            ($code:literal) => {
+                row.values[const { column($code) }]
+            };
+        }
+        let published = |cell: Option<f64>| cell.unwrap_or(f64::NAN);
+        let psd = published(cell!("PSD"));
+        WorkloadProfile {
+            name: workload.name,
+            description: workload.description,
+            new_in_chopin: workload.new_in_chopin,
+            min_heap_default_mb: published(cell!("GMD")),
+            min_heap_uncompressed_mb: published(cell!("GMU")),
+            min_heap_small_mb: published(cell!("GMS")),
+            min_heap_large_mb: cell!("GML"),
+            min_heap_vlarge_mb: cell!("GMV"),
+            exec_time_s: published(cell!("PET")),
+            alloc_rate_mb_s: published(cell!("ARA")),
+            mean_object_size: published(cell!("AOA")) as u64,
+            parallel_efficiency_pct: published(cell!("PPE")),
+            kernel_pct: published(cell!("PKP")),
+            threads: workload.threads,
+            turnover: published(cell!("GTO")),
+            leak_pct: published(cell!("GLK")),
+            warmup_iterations: published(cell!("PWU")) as u32,
+            invocation_noise_pct: if psd == 0.0 { ZERO_PSD_NOISE_PCT } else { psd },
+            freq_sensitivity_pct: published(cell!("PFS")),
+            memory_sensitivity_pct: published(cell!("PMS")),
+            llc_sensitivity_pct: published(cell!("PLS")),
+            forced_c2_pct: published(cell!("PCC")),
+            interpreter_pct: published(cell!("PIN")),
+            survival_fraction: workload.survival_fraction,
+            live_floor_fraction: workload.live_floor_fraction,
+            build_fraction: workload.build_fraction,
+            requests: workload.requests,
+            provenance: row.provenance,
+        }
+    }
+
     /// Whether this workload reports per-event latency.
     pub fn is_latency_sensitive(&self) -> bool {
         self.requests.is_some()

@@ -3,56 +3,34 @@
 //! Simulates a number of programs run on a grid of AVR micro-controllers; each simulated entity is a thread, giving a high degree of fine-grained concurrency.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `avrora`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "avrora",
-        description: "Simulates a number of programs run on a grid of AVR micro-controllers; each simulated entity is a thread, giving a high degree of fine-grained concurrency",
-        new_in_chopin: false,
-        min_heap_default_mb: 5.0,
-        min_heap_uncompressed_mb: 7.0,
-        min_heap_small_mb: 5.0,
-        min_heap_large_mb: Some(15.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 4.0,
-        alloc_rate_mb_s: 56.0,
-        mean_object_size: 34,
-        parallel_efficiency_pct: 3.0,
-        kernel_pct: 56.0,
-        threads: 27,
-        turnover: 33.0,
-        leak_pct: 0.0,
-        warmup_iterations: 2,
-        invocation_noise_pct: 4.0,
-        freq_sensitivity_pct: 18.0,
-        memory_sensitivity_pct: 6.0,
-        llc_sensitivity_pct: 2.0,
-        forced_c2_pct: 83.0,
-        interpreter_pct: 7.0,
-        survival_fraction: 0.0855,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `avrora` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "one of the most unusual workloads in the suite: each simulated micro-controller entity is a thread, giving very fine-grained concurrency",
-    "second lowest allocation rate in the suite (ARA) and the highest share of kernel time (PKP 56%)",
-    "the most front-end-bound workload (USF rank 1), likely due to heavy use of locking primitives",
-    "highly concurrent yet with very low parallel efficiency (PPE 3%)",
-    ]
-}
+/// What the paper does not publish about `avrora`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "avrora",
+    description: "Simulates a number of programs run on a grid of AVR micro-controllers; each simulated entity is a thread, giving a high degree of fine-grained concurrency",
+    new_in_chopin: false,
+    threads: 27,
+    survival_fraction: 0.0855,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
+        "one of the most unusual workloads in the suite: each simulated micro-controller entity is a thread, giving very fine-grained concurrency",
+        "second lowest allocation rate in the suite (ARA) and the highest share of kernel time (PKP 56%)",
+        "the most front-end-bound workload (USF rank 1), likely due to heavy use of locking primitives",
+        "highly concurrent yet with very low parallel efficiency (PPE 3%)",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("avrora").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -80,6 +58,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "avrora");
+        assert_eq!(WORKLOAD.name, "avrora");
     }
 }

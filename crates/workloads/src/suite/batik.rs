@@ -3,57 +3,34 @@
 //! Renders a number of SVG files with the Apache Batik scalable vector graphics toolkit.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `batik`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "batik",
-        description:
-            "Renders a number of SVG files with the Apache Batik scalable vector graphics toolkit",
-        new_in_chopin: false,
-        min_heap_default_mb: 175.0,
-        min_heap_uncompressed_mb: 229.0,
-        min_heap_small_mb: 19.0,
-        min_heap_large_mb: Some(1759.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 2.0,
-        alloc_rate_mb_s: 506.0,
-        mean_object_size: 58,
-        parallel_efficiency_pct: 4.0,
-        kernel_pct: 0.0,
-        threads: 4,
-        turnover: 3.0,
-        leak_pct: 0.0,
-        warmup_iterations: 4,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 20.0,
-        memory_sensitivity_pct: 2.0,
-        llc_sensitivity_pct: 0.0,
-        forced_c2_pct: 306.0,
-        interpreter_pct: 24.0,
-        survival_fraction: 0.35,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `batik` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "renders SVG files with a ~400 KLOC Apache toolkit",
-    "the lowest memory turnover in the suite (GTO 3) and the most frequency-scaling-sensitive workload (PFS 20%)",
-    "among the most back-end-bound workloads yet with one of the highest IPCs",
-    "its large configuration needs a 1.7 GB minimum heap",
-    ]
-}
+/// What the paper does not publish about `batik`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "batik",
+    description: "Renders a number of SVG files with the Apache Batik scalable vector graphics toolkit",
+    new_in_chopin: false,
+    threads: 4,
+    survival_fraction: 0.35,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
+        "renders SVG files with a ~400 KLOC Apache toolkit",
+        "the lowest memory turnover in the suite (GTO 3) and the most frequency-scaling-sensitive workload (PFS 20%)",
+        "among the most back-end-bound workloads yet with one of the highest IPCs",
+        "its large configuration needs a 1.7 GB minimum heap",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("batik").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -62,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -79,6 +56,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "batik");
+        assert_eq!(WORKLOAD.name, "batik");
     }
 }

@@ -3,56 +3,34 @@
 //! Generates ten physico-chemical properties of protein sequences using the BioJava framework; the highest-IPC, most compute-bound workload in the suite.
 //! This profile is one of the eight workloads new in Chopin.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `biojava`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "biojava",
-        description: "Generates ten physico-chemical properties of protein sequences using the BioJava framework; the highest-IPC, most compute-bound workload in the suite",
-        new_in_chopin: true,
-        min_heap_default_mb: 93.0,
-        min_heap_uncompressed_mb: 183.0,
-        min_heap_small_mb: 7.0,
-        min_heap_large_mb: Some(1027.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 5.0,
-        alloc_rate_mb_s: 2041.0,
-        mean_object_size: 28,
-        parallel_efficiency_pct: 5.0,
-        kernel_pct: 1.0,
-        threads: 4,
-        turnover: 102.0,
-        leak_pct: 0.0,
-        warmup_iterations: 1,
-        invocation_noise_pct: 0.3,
-        freq_sensitivity_pct: 19.0,
-        memory_sensitivity_pct: 0.0,
-        llc_sensitivity_pct: 1.0,
-        forced_c2_pct: 224.0,
-        interpreter_pct: 106.0,
-        survival_fraction: 0.0547,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `biojava` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `biojava`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "biojava",
+    description: "Generates ten physico-chemical properties of protein sequences using the BioJava framework; the highest-IPC, most compute-bound workload in the suite",
+    new_in_chopin: true,
+    threads: 4,
+    survival_fraction: 0.0547,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
         "computes physico-chemical properties of protein sequences (>300 KLOC framework)",
         "the tightest hot-code focus (BEF) and the highest IPC in the suite (4.76)",
         "the lowest data-cache miss rate and among the lowest stalls of any kind",
         "one of the most heap-size-sensitive benchmarks (GSS 7107%)",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("biojava").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -78,6 +56,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "biojava");
+        assert_eq!(WORKLOAD.name, "biojava");
     }
 }

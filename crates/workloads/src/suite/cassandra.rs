@@ -3,64 +3,39 @@
 //! Executes the Yahoo! Cloud Serving Benchmark (YCSB) over the Apache Cassandra NoSQL database management system.
 //! This profile is one of the eight workloads new in Chopin.
 
-use crate::profile::{Provenance, RequestSpec, WorkloadProfile};
+use super::Workload;
+use crate::profile::RequestSpec;
 
-/// The published/calibrated profile for `cassandra`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "cassandra",
-        description: "Executes the Yahoo! Cloud Serving Benchmark (YCSB) over the Apache Cassandra NoSQL database management system",
-        new_in_chopin: true,
-        min_heap_default_mb: 174.0,
-        // The seed data carried GMU = 142 < GMD, which is physically
-        // impossible (uncompressed pointers cannot shrink the footprint);
-        // the engine floored the inflation ratio to 1.0, so GMU = GMD
-        // preserves behaviour while making the statistics self-consistent.
-        min_heap_uncompressed_mb: 174.0,
-        min_heap_small_mb: 77.0,
-        min_heap_large_mb: Some(174.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 6.0,
-        alloc_rate_mb_s: 890.0,
-        mean_object_size: 40,
-        parallel_efficiency_pct: 13.0,
-        kernel_pct: 11.0,
-        threads: 32,
-        turnover: 34.0,
-        leak_pct: 46.0,
-        warmup_iterations: 2,
-        invocation_noise_pct: 0.3,
-        freq_sensitivity_pct: 2.0,
-        memory_sensitivity_pct: 2.0,
-        llc_sensitivity_pct: 3.0,
-        forced_c2_pct: 60.0,
-        interpreter_pct: 31.0,
-        survival_fraction: 0.0841,
-        live_floor_fraction: 0.6,
-        build_fraction: 0.08,
-        requests: Some(RequestSpec {
-            count: 100000,
-            workers: 32,
-            dispersion: 0.8,
-        }),
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `cassandra` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "YCSB over the Apache Cassandra NoSQL database (~700 KLOC), reporting request latencies",
-    "one of the least GC-intensive workloads (GCP) but leaks memory across iterations (GLK 46%)",
-    "the highest DTLB miss rate in the suite (UDT) with very high data- and last-level-cache miss rates",
-    "its wall/task-clock divergence under concurrent collectors is the paper's Figure 5 case study",
-    ]
-}
+/// What the paper does not publish about `cassandra`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "cassandra",
+    description: "Executes the Yahoo! Cloud Serving Benchmark (YCSB) over the Apache Cassandra NoSQL database management system",
+    new_in_chopin: true,
+    threads: 32,
+    survival_fraction: 0.0841,
+    live_floor_fraction: 0.6,
+    build_fraction: 0.08,
+    requests: Some(RequestSpec {
+        count: 100000,
+        workers: 32,
+        dispersion: 0.8,
+    }),
+    highlights: &[
+        "YCSB over the Apache Cassandra NoSQL database (~700 KLOC), reporting request latencies",
+        "one of the least GC-intensive workloads (GCP) but leaks memory across iterations (GLK 46%)",
+        "the highest DTLB miss rate in the suite (UDT) with very high data- and last-level-cache miss rates",
+        "its wall/task-clock divergence under concurrent collectors is the paper's Figure 5 case study",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("cassandra").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -69,8 +44,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -86,6 +61,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "cassandra");
+        assert_eq!(WORKLOAD.name, "cassandra");
     }
 }

@@ -3,56 +3,34 @@
 //! Executes the Eclipse IDE's performance tests; the tightest hot-code focus and strongest compiler sensitivity in the suite.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `eclipse`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "eclipse",
-        description: "Executes the Eclipse IDE's performance tests; the tightest hot-code focus and strongest compiler sensitivity in the suite",
-        new_in_chopin: false,
-        min_heap_default_mb: 135.0,
-        min_heap_uncompressed_mb: 167.0,
-        min_heap_small_mb: 13.0,
-        min_heap_large_mb: Some(139.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 8.0,
-        alloc_rate_mb_s: 1043.0,
-        mean_object_size: 84,
-        parallel_efficiency_pct: 5.0,
-        kernel_pct: 6.0,
-        threads: 4,
-        turnover: 52.0,
-        leak_pct: 1.0,
-        warmup_iterations: 3,
-        invocation_noise_pct: 0.3,
-        freq_sensitivity_pct: 18.0,
-        memory_sensitivity_pct: 5.0,
-        llc_sensitivity_pct: 23.0,
-        forced_c2_pct: 349.0,
-        interpreter_pct: 224.0,
-        survival_fraction: 0.0688,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `eclipse` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `eclipse`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "eclipse",
+    description: "Executes the Eclipse IDE's performance tests; the tightest hot-code focus and strongest compiler sensitivity in the suite",
+    new_in_chopin: false,
+    threads: 4,
+    survival_fraction: 0.0688,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
         "runs the Eclipse IDE performance tests over a >6 MLOC codebase",
         "the highest concentration of hot code (BEF rank 1)",
         "among the most compiler-configuration-sensitive workloads (PCC, PCS)",
         "suffers high bad speculation from branch mispredicts (UBP, UBS)",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("eclipse").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -76,6 +54,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "eclipse");
+        assert_eq!(WORKLOAD.name, "eclipse");
     }
 }

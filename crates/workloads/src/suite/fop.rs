@@ -3,56 +3,34 @@
 //! Renders XSL-FO files into PDF with the Apache FOP print formatter; executes the most unique bytecodes of any workload.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `fop`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "fop",
-        description: "Renders XSL-FO files into PDF with the Apache FOP print formatter; executes the most unique bytecodes of any workload",
-        new_in_chopin: false,
-        min_heap_default_mb: 13.0,
-        min_heap_uncompressed_mb: 17.0,
-        min_heap_small_mb: 9.0,
-        min_heap_large_mb: None,
-        min_heap_vlarge_mb: None,
-        exec_time_s: 1.0,
-        alloc_rate_mb_s: 3340.0,
-        mean_object_size: 58,
-        parallel_efficiency_pct: 9.0,
-        kernel_pct: 2.0,
-        threads: 2,
-        turnover: 75.0,
-        leak_pct: 0.0,
-        warmup_iterations: 8,
-        invocation_noise_pct: 0.3,
-        freq_sensitivity_pct: 13.0,
-        memory_sensitivity_pct: 12.0,
-        llc_sensitivity_pct: 37.0,
-        forced_c2_pct: 1083.0,
-        interpreter_pct: 23.0,
-        survival_fraction: 0.06,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `fop` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "renders XSL-FO documents to PDF (>400 KLOC framework)",
-    "executes the most unique bytecodes in the suite (BUB rank 1)",
-    "one of the slowest benchmarks to warm up (PWU 8) and among the most heap-size sensitive (GSS)",
-    "one of the highest shares of time in GC pauses at 2x heap (GCP 23%)",
-    ]
-}
+/// What the paper does not publish about `fop`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "fop",
+    description: "Renders XSL-FO files into PDF with the Apache FOP print formatter; executes the most unique bytecodes of any workload",
+    new_in_chopin: false,
+    threads: 2,
+    survival_fraction: 0.06,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
+        "renders XSL-FO documents to PDF (>400 KLOC framework)",
+        "executes the most unique bytecodes in the suite (BUB rank 1)",
+        "one of the slowest benchmarks to warm up (PWU 8) and among the most heap-size sensitive (GSS)",
+        "one of the highest shares of time in GC pauses at 2x heap (GCP 23%)",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("fop").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -78,6 +56,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "fop");
+        assert_eq!(WORKLOAD.name, "fop");
     }
 }

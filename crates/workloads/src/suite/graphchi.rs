@@ -3,56 +3,34 @@
 //! Performs ALS matrix factorization over the Netflix Challenge dataset with the Java port of the GraphChi out-of-core graph engine.
 //! This profile is one of the eight workloads new in Chopin.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `graphchi`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "graphchi",
-        description: "Performs ALS matrix factorization over the Netflix Challenge dataset with the Java port of the GraphChi out-of-core graph engine",
-        new_in_chopin: true,
-        min_heap_default_mb: 175.0,
-        min_heap_uncompressed_mb: 179.0,
-        min_heap_small_mb: 141.0,
-        min_heap_large_mb: Some(1183.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 3.0,
-        alloc_rate_mb_s: 2737.0,
-        mean_object_size: 110,
-        parallel_efficiency_pct: 9.0,
-        kernel_pct: 1.0,
-        threads: 16,
-        turnover: 38.0,
-        leak_pct: 0.0,
-        warmup_iterations: 2,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 14.0,
-        memory_sensitivity_pct: 10.0,
-        llc_sensitivity_pct: 5.0,
-        forced_c2_pct: 276.0,
-        interpreter_pct: 323.0,
-        survival_fraction: 0.0795,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `graphchi` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `graphchi`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "graphchi",
+    description: "Performs ALS matrix factorization over the Netflix Challenge dataset with the Java port of the GraphChi out-of-core graph engine",
+    new_in_chopin: true,
+    threads: 16,
+    survival_fraction: 0.0795,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
         "ALS matrix factorization of the Netflix Challenge dataset on the GraphChi engine",
         "the most compiler-sensitive workload in the suite (PCS rank 1)",
         "the lowest front-end stalls and bad speculation, one of the best IPCs",
         "its large configuration needs a 1.1 GB minimum heap",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("graphchi").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -76,6 +54,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "graphchi");
+        assert_eq!(WORKLOAD.name, "graphchi");
     }
 }

@@ -3,60 +3,39 @@
 //! Executes a TPC-C-like transactional workload over the H2 in-memory database: builds a large database, then times 100000 queries against it.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, RequestSpec, WorkloadProfile};
+use super::Workload;
+use crate::profile::RequestSpec;
 
-/// The published/calibrated profile for `h2`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "h2",
-        description: "Executes a TPC-C-like transactional workload over the H2 in-memory database: builds a large database, then times 100000 queries against it",
-        new_in_chopin: false,
-        min_heap_default_mb: 681.0,
-        min_heap_uncompressed_mb: 903.0,
-        min_heap_small_mb: 69.0,
-        min_heap_large_mb: Some(10201.0),
-        min_heap_vlarge_mb: Some(20641.0),
-        exec_time_s: 2.0,
-        alloc_rate_mb_s: 11858.0,
-        mean_object_size: 41,
-        parallel_efficiency_pct: 24.0,
-        kernel_pct: 0.0,
-        threads: 16,
-        turnover: 30.0,
-        leak_pct: 0.0,
-        warmup_iterations: 2,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 5.0,
-        memory_sensitivity_pct: 40.0,
-        llc_sensitivity_pct: 31.0,
-        forced_c2_pct: 87.0,
-        interpreter_pct: 55.0,
-        survival_fraction: 0.09,
-        live_floor_fraction: 0.12,
-        build_fraction: 0.3,
-        requests: Some(RequestSpec {
-            count: 20000,
-            workers: 16,
-            dispersion: 1.2,
-        }),
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `h2` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `h2`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "h2",
+    description: "Executes a TPC-C-like transactional workload over the H2 in-memory database: builds a large database, then times 100000 queries against it",
+    new_in_chopin: false,
+    threads: 16,
+    survival_fraction: 0.09,
+    live_floor_fraction: 0.12,
+    build_fraction: 0.3,
+    requests: Some(RequestSpec {
+        count: 20000,
+        workers: 16,
+        dispersion: 1.2,
+    }),
+    highlights: &[
         "TPC-C-like transactions over an in-memory database: build a large database, then query it",
         "the largest heaps in the suite: 681 MB default, 10.2 GB large, 20.6 GB vlarge",
         "very low memory turnover (GTO) but the strongest memory-speed sensitivity (PMS 40%)",
         "its latency distributions under the five collectors are the paper's Figure 6 case study",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("h2").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -65,8 +44,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -82,6 +61,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "h2");
+        assert_eq!(WORKLOAD.name, "h2");
     }
 }

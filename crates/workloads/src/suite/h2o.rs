@@ -3,56 +3,34 @@
 //! Performs machine learning over the citibike trip dataset on the H2O ML platform; the most memory-bound, lowest-IPC workload in the suite.
 //! This profile is one of the eight workloads new in Chopin.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `h2o`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "h2o",
-        description: "Performs machine learning over the citibike trip dataset on the H2O ML platform; the most memory-bound, lowest-IPC workload in the suite",
-        new_in_chopin: true,
-        min_heap_default_mb: 72.0,
-        min_heap_uncompressed_mb: 73.0,
-        min_heap_small_mb: 29.0,
-        min_heap_large_mb: Some(2543.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 3.0,
-        alloc_rate_mb_s: 5740.0,
-        mean_object_size: 142,
-        parallel_efficiency_pct: 4.0,
-        kernel_pct: 4.0,
-        threads: 16,
-        turnover: 187.0,
-        leak_pct: 17.0,
-        warmup_iterations: 4,
-        invocation_noise_pct: 2.0,
-        freq_sensitivity_pct: 9.0,
-        memory_sensitivity_pct: 21.0,
-        llc_sensitivity_pct: 11.0,
-        forced_c2_pct: 207.0,
-        interpreter_pct: 57.0,
-        survival_fraction: 0.048,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `h2o` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "machine learning over the citibike trip dataset on the H2O platform",
-    "the lowest IPC in the suite (0.89): the most back-end-bound, highest LLC-miss-rate workload",
-    "very sensitive to DRAM speed (PMS 21%) and one of the noisiest between invocations (PSD)",
-    "leaks moderately across iterations (GLK 17%)",
-    ]
-}
+/// What the paper does not publish about `h2o`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "h2o",
+    description: "Performs machine learning over the citibike trip dataset on the H2O ML platform; the most memory-bound, lowest-IPC workload in the suite",
+    new_in_chopin: true,
+    threads: 16,
+    survival_fraction: 0.048,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
+        "machine learning over the citibike trip dataset on the H2O platform",
+        "the lowest IPC in the suite (0.89): the most back-end-bound, highest LLC-miss-rate workload",
+        "very sensitive to DRAM speed (PMS 21%) and one of the noisiest between invocations (PSD)",
+        "leaks moderately across iterations (GLK 17%)",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("h2o").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -78,6 +56,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "h2o");
+        assert_eq!(WORKLOAD.name, "h2o");
     }
 }

@@ -3,60 +3,39 @@
 //! Renders a series of video frames with jMonkeyEngine, a 3-D game engine; the least GC-intensive workload, reporting per-frame latency.
 //! This profile is one of the eight workloads new in Chopin.
 
-use crate::profile::{Provenance, RequestSpec, WorkloadProfile};
+use super::Workload;
+use crate::profile::RequestSpec;
 
-/// The published/calibrated profile for `jme`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "jme",
-        description: "Renders a series of video frames with jMonkeyEngine, a 3-D game engine; the least GC-intensive workload, reporting per-frame latency",
-        new_in_chopin: true,
-        min_heap_default_mb: 29.0,
-        min_heap_uncompressed_mb: 29.0,
-        min_heap_small_mb: 29.0,
-        min_heap_large_mb: Some(29.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 7.0,
-        alloc_rate_mb_s: 54.0,
-        mean_object_size: 42,
-        parallel_efficiency_pct: 3.0,
-        kernel_pct: 8.0,
-        threads: 4,
-        turnover: 12.0,
-        leak_pct: 0.0,
-        warmup_iterations: 1,
-        invocation_noise_pct: 0.3,
-        freq_sensitivity_pct: 0.0,
-        memory_sensitivity_pct: 0.0,
-        llc_sensitivity_pct: 0.0,
-        forced_c2_pct: 72.0,
-        interpreter_pct: 1.0,
-        survival_fraction: 0.04,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: Some(RequestSpec {
-            count: 420,
-            workers: 1,
-            dispersion: 0.2,
-        }),
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `jme` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `jme`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "jme",
+    description: "Renders a series of video frames with jMonkeyEngine, a 3-D game engine; the least GC-intensive workload, reporting per-frame latency",
+    new_in_chopin: true,
+    threads: 4,
+    survival_fraction: 0.04,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: Some(RequestSpec {
+        count: 420,
+        workers: 1,
+        dispersion: 0.2,
+    }),
+    highlights: &[
         "renders video frames with the jMonkeyEngine 3-D game engine, reporting per-frame latency",
         "the least GC-intensive workload in the suite (31 collections at 2x heap)",
         "insensitive to frequency scaling, compiler choice and heap size, consistent with GPU use",
         "the lowest SMT contention in the suite (USC)",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("jme").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -65,8 +44,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -82,6 +61,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "jme");
+        assert_eq!(WORKLOAD.name, "jme");
     }
 }

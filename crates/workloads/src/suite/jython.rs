@@ -3,56 +3,34 @@
 //! Executes a standard Python performance test on Jython, a Java implementation of Python; spends its time in a small but poorly predicted interpreter loop.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `jython`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "jython",
-        description: "Executes a standard Python performance test on Jython, a Java implementation of Python; spends its time in a small but poorly predicted interpreter loop",
-        new_in_chopin: false,
-        min_heap_default_mb: 25.0,
-        min_heap_uncompressed_mb: 31.0,
-        min_heap_small_mb: 25.0,
-        min_heap_large_mb: Some(25.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 3.0,
-        alloc_rate_mb_s: 1462.0,
-        mean_object_size: 37,
-        parallel_efficiency_pct: 5.0,
-        kernel_pct: 1.0,
-        threads: 2,
-        turnover: 139.0,
-        leak_pct: 0.0,
-        warmup_iterations: 9,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 20.0,
-        memory_sensitivity_pct: 0.0,
-        llc_sensitivity_pct: 1.0,
-        forced_c2_pct: 211.0,
-        interpreter_pct: 277.0,
-        survival_fraction: 0.0508,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `jython` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "a standard Python performance test running on a Java implementation of Python",
-    "the most unique function calls in the suite (BUF rank 1) and the slowest warmup (PWU 9)",
-    "spends its time in a small but poorly predicted interpreter loop: very high mispredict stalls",
-    "tied for the most frequency-scaling-sensitive workload (PFS 20%)",
-    ]
-}
+/// What the paper does not publish about `jython`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "jython",
+    description: "Executes a standard Python performance test on Jython, a Java implementation of Python; spends its time in a small but poorly predicted interpreter loop",
+    new_in_chopin: false,
+    threads: 2,
+    survival_fraction: 0.0508,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
+        "a standard Python performance test running on a Java implementation of Python",
+        "the most unique function calls in the suite (BUF rank 1) and the slowest warmup (PWU 9)",
+        "spends its time in a small but poorly predicted interpreter loop: very high mispredict stalls",
+        "tied for the most frequency-scaling-sensitive workload (PFS 20%)",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("jython").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -78,6 +56,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "jython");
+        assert_eq!(WORKLOAD.name, "jython");
     }
 }

@@ -3,60 +3,39 @@
 //! Issues requests against the Apache Kafka publish-subscribe messaging framework; kernel-intensive and insensitive to heap size.
 //! This profile is one of the eight workloads new in Chopin.
 
-use crate::profile::{Provenance, RequestSpec, WorkloadProfile};
+use super::Workload;
+use crate::profile::RequestSpec;
 
-/// The published/calibrated profile for `kafka`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "kafka",
-        description: "Issues requests against the Apache Kafka publish-subscribe messaging framework; kernel-intensive and insensitive to heap size",
-        new_in_chopin: true,
-        min_heap_default_mb: 201.0,
-        min_heap_uncompressed_mb: 208.0,
-        min_heap_small_mb: 157.0,
-        min_heap_large_mb: Some(345.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 6.0,
-        alloc_rate_mb_s: 803.0,
-        mean_object_size: 54,
-        parallel_efficiency_pct: 3.0,
-        kernel_pct: 25.0,
-        threads: 8,
-        turnover: 19.0,
-        leak_pct: 0.0,
-        warmup_iterations: 3,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 1.0,
-        memory_sensitivity_pct: 0.0,
-        llc_sensitivity_pct: 0.0,
-        forced_c2_pct: 255.0,
-        interpreter_pct: 34.0,
-        survival_fraction: 0.03,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: Some(RequestSpec {
-            count: 60000,
-            workers: 8,
-            dispersion: 0.7,
-        }),
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `kafka` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "issues requests against the Kafka publish-subscribe framework (~840 KLOC of Java and Scala)",
-    "kernel-intensive (PKP 25%) and completely insensitive to heap size (GSS 0)",
-    "very high data-cache and LLC miss rates; among the most front-end-bound workloads",
-    "insensitive to CPU frequency and memory speed",
-    ]
-}
+/// What the paper does not publish about `kafka`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "kafka",
+    description: "Issues requests against the Apache Kafka publish-subscribe messaging framework; kernel-intensive and insensitive to heap size",
+    new_in_chopin: true,
+    threads: 8,
+    survival_fraction: 0.03,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: Some(RequestSpec {
+        count: 60000,
+        workers: 8,
+        dispersion: 0.7,
+    }),
+    highlights: &[
+        "issues requests against the Kafka publish-subscribe framework (~840 KLOC of Java and Scala)",
+        "kernel-intensive (PKP 25%) and completely insensitive to heap size (GSS 0)",
+        "very high data-cache and LLC miss rates; among the most front-end-bound workloads",
+        "insensitive to CPU frequency and memory speed",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("kafka").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -65,8 +44,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -82,6 +61,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "kafka");
+        assert_eq!(WORKLOAD.name, "kafka");
     }
 }

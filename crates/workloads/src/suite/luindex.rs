@@ -3,56 +3,34 @@
 //! Builds a search index from a document corpus with the Apache Lucene search engine; allocates the largest objects in the suite.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `luindex`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "luindex",
-        description: "Builds a search index from a document corpus with the Apache Lucene search engine; allocates the largest objects in the suite",
-        new_in_chopin: false,
-        min_heap_default_mb: 29.0,
-        min_heap_uncompressed_mb: 31.0,
-        min_heap_small_mb: 13.0,
-        min_heap_large_mb: Some(37.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 3.0,
-        alloc_rate_mb_s: 841.0,
-        mean_object_size: 211,
-        parallel_efficiency_pct: 3.0,
-        kernel_pct: 2.0,
-        threads: 2,
-        turnover: 76.0,
-        leak_pct: 0.0,
-        warmup_iterations: 2,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 18.0,
-        memory_sensitivity_pct: 2.0,
-        llc_sensitivity_pct: 38.0,
-        forced_c2_pct: 201.0,
-        interpreter_pct: 61.0,
-        survival_fraction: 0.0597,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `luindex` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `luindex`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "luindex",
+    description: "Builds a search index from a document corpus with the Apache Lucene search engine; allocates the largest objects in the suite",
+    new_in_chopin: false,
+    threads: 2,
+    survival_fraction: 0.0597,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
         "builds a Lucene search index from a document corpus (~830 KLOC framework)",
         "allocates the largest objects in the suite (AOA 211 bytes)",
         "the second most LLC-size-sensitive workload (PLS 38%)",
         "high IPC despite among the worst bad-speculation rates",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("luindex").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -76,6 +54,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "luindex");
+        assert_eq!(WORKLOAD.name, "luindex");
     }
 }

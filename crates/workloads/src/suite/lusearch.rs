@@ -3,60 +3,39 @@
 //! Issues search queries against the Apache Lucene search engine from 32 client threads; the highest allocation rate and memory turnover in the suite.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, RequestSpec, WorkloadProfile};
+use super::Workload;
+use crate::profile::RequestSpec;
 
-/// The published/calibrated profile for `lusearch`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "lusearch",
-        description: "Issues search queries against the Apache Lucene search engine from 32 client threads; the highest allocation rate and memory turnover in the suite",
-        new_in_chopin: false,
-        min_heap_default_mb: 19.0,
-        min_heap_uncompressed_mb: 21.0,
-        min_heap_small_mb: 5.0,
-        min_heap_large_mb: Some(109.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 2.0,
-        alloc_rate_mb_s: 23556.0,
-        mean_object_size: 75,
-        parallel_efficiency_pct: 34.0,
-        kernel_pct: 7.0,
-        threads: 32,
-        turnover: 1211.0,
-        leak_pct: 0.0,
-        warmup_iterations: 8,
-        invocation_noise_pct: 3.0,
-        freq_sensitivity_pct: 11.0,
-        memory_sensitivity_pct: 9.0,
-        llc_sensitivity_pct: 19.0,
-        forced_c2_pct: 172.0,
-        interpreter_pct: 202.0,
-        survival_fraction: 0.0412,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: Some(RequestSpec {
-            count: 100000,
-            workers: 32,
-            dispersion: 0.6,
-        }),
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `lusearch` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "32 client threads issuing search queries against a Lucene index",
-    "the highest allocation rate (23.5 GB/s) and memory turnover (GTO 1211) in the suite",
-    "the most GCs at 2x heap (GCC 22408) and among the highest GC pause shares (GCP 32%)",
-    "Shenandoah's allocation pacer collapses its wall-clock time: the paper's Figure 5 case study",
-    ]
-}
+/// What the paper does not publish about `lusearch`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "lusearch",
+    description: "Issues search queries against the Apache Lucene search engine from 32 client threads; the highest allocation rate and memory turnover in the suite",
+    new_in_chopin: false,
+    threads: 32,
+    survival_fraction: 0.0412,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: Some(RequestSpec {
+        count: 100000,
+        workers: 32,
+        dispersion: 0.6,
+    }),
+    highlights: &[
+        "32 client threads issuing search queries against a Lucene index",
+        "the highest allocation rate (23.5 GB/s) and memory turnover (GTO 1211) in the suite",
+        "the most GCs at 2x heap (GCC 22408) and among the highest GC pause shares (GCP 32%)",
+        "Shenandoah's allocation pacer collapses its wall-clock time: the paper's Figure 5 case study",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("lusearch").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -65,8 +44,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -84,6 +63,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "lusearch");
+        assert_eq!(WORKLOAD.name, "lusearch");
     }
 }

@@ -1,102 +1,107 @@
 //! The 22 DaCapo Chopin workloads, one module per benchmark.
 //!
 //! "The DaCapo Chopin suite replaces DaCapo Bach, adding eight new
-//! benchmarks and removing one." (§5) Each module carries the workload's
-//! description from the paper's appendix and its calibrated profile. Nine
-//! of the workloads are latency-sensitive and report per-event latency.
+//! benchmarks and removing one." (§5) Each module carries what the paper
+//! does not publish about its workload: the description from the paper's
+//! appendix, the calibrated fields and the appendix highlights. A profile's
+//! published fields come from its benchmark's row of the nominal dataset
+//! (see [`crate::profile`]). Nine of the workloads are latency-sensitive
+//! and report per-event latency.
 
-pub mod avrora;
-pub mod batik;
-pub mod biojava;
-pub mod cassandra;
-pub mod eclipse;
-pub mod fop;
-pub mod graphchi;
-pub mod h2;
-pub mod h2o;
-pub mod jme;
-pub mod jython;
-pub mod kafka;
-pub mod luindex;
-pub mod lusearch;
-pub mod pmd;
-pub mod spring;
-pub mod sunflow;
-pub mod tomcat;
-pub mod tradebeans;
-pub mod tradesoap;
-pub mod xalan;
-pub mod zxing;
+mod avrora;
+mod batik;
+mod biojava;
+mod cassandra;
+mod eclipse;
+mod fop;
+mod graphchi;
+mod h2;
+mod h2o;
+mod jme;
+mod jython;
+mod kafka;
+mod luindex;
+mod lusearch;
+mod pmd;
+mod spring;
+mod sunflow;
+mod tomcat;
+mod tradebeans;
+mod tradesoap;
+mod xalan;
+mod zxing;
 
-use crate::profile::WorkloadProfile;
+use crate::nominal::dataset::DATASET;
+use crate::profile::{RequestSpec, WorkloadProfile};
+
+/// What a suite module knows about its workload beyond the benchmark's
+/// row of the nominal dataset. The fields mirror the [`WorkloadProfile`]
+/// fields of the same name.
+pub(crate) struct Workload {
+    pub name: &'static str,
+    pub description: &'static str,
+    pub new_in_chopin: bool,
+    pub threads: u32,
+    pub survival_fraction: f64,
+    pub live_floor_fraction: f64,
+    pub build_fraction: f64,
+    pub requests: Option<RequestSpec>,
+    /// Notable characteristics from the paper's appendix prose.
+    pub highlights: &'static [&'static str],
+}
+
+/// The suite registry, in the dataset's (alphabetical) row order: entry
+/// `i` pairs with row `i`.
+static SUITE: [Workload; 22] = [
+    avrora::WORKLOAD,
+    batik::WORKLOAD,
+    biojava::WORKLOAD,
+    cassandra::WORKLOAD,
+    eclipse::WORKLOAD,
+    fop::WORKLOAD,
+    graphchi::WORKLOAD,
+    h2::WORKLOAD,
+    h2o::WORKLOAD,
+    jme::WORKLOAD,
+    jython::WORKLOAD,
+    kafka::WORKLOAD,
+    luindex::WORKLOAD,
+    lusearch::WORKLOAD,
+    pmd::WORKLOAD,
+    spring::WORKLOAD,
+    sunflow::WORKLOAD,
+    tomcat::WORKLOAD,
+    tradebeans::WORKLOAD,
+    tradesoap::WORKLOAD,
+    xalan::WORKLOAD,
+    zxing::WORKLOAD,
+];
 
 /// The full suite, in alphabetical order (the order the paper's tables
 /// use).
 pub fn all() -> Vec<WorkloadProfile> {
-    vec![
-        avrora::profile(),
-        batik::profile(),
-        biojava::profile(),
-        cassandra::profile(),
-        eclipse::profile(),
-        fop::profile(),
-        graphchi::profile(),
-        h2::profile(),
-        h2o::profile(),
-        jme::profile(),
-        jython::profile(),
-        kafka::profile(),
-        luindex::profile(),
-        lusearch::profile(),
-        pmd::profile(),
-        spring::profile(),
-        sunflow::profile(),
-        tomcat::profile(),
-        tradebeans::profile(),
-        tradesoap::profile(),
-        xalan::profile(),
-        zxing::profile(),
-    ]
+    DATASET
+        .iter()
+        .zip(&SUITE)
+        .map(|(row, workload)| WorkloadProfile::new(row, workload))
+        .collect()
 }
 
 /// Look up one workload by name.
 pub fn by_name(name: &str) -> Option<WorkloadProfile> {
-    all().into_iter().find(|p| p.name == name)
+    let i = SUITE.iter().position(|w| w.name == name)?;
+    Some(WorkloadProfile::new(&DATASET[i], &SUITE[i]))
 }
 
 /// Notable characteristics of a workload from the paper's appendix prose.
 pub fn highlights(name: &str) -> Option<&'static [&'static str]> {
-    Some(match name {
-        "avrora" => avrora::highlights(),
-        "batik" => batik::highlights(),
-        "biojava" => biojava::highlights(),
-        "cassandra" => cassandra::highlights(),
-        "eclipse" => eclipse::highlights(),
-        "fop" => fop::highlights(),
-        "graphchi" => graphchi::highlights(),
-        "h2" => h2::highlights(),
-        "h2o" => h2o::highlights(),
-        "jme" => jme::highlights(),
-        "jython" => jython::highlights(),
-        "kafka" => kafka::highlights(),
-        "luindex" => luindex::highlights(),
-        "lusearch" => lusearch::highlights(),
-        "pmd" => pmd::highlights(),
-        "spring" => spring::highlights(),
-        "sunflow" => sunflow::highlights(),
-        "tomcat" => tomcat::highlights(),
-        "tradebeans" => tradebeans::highlights(),
-        "tradesoap" => tradesoap::highlights(),
-        "xalan" => xalan::highlights(),
-        "zxing" => zxing::highlights(),
-        _ => return None,
-    })
+    SUITE.iter().find(|w| w.name == name).map(|w| w.highlights)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::Provenance;
+    use crate::Provenance;
 
     #[test]
     fn suite_has_twenty_two_workloads() {
@@ -172,8 +177,22 @@ mod tests {
             .collect();
         assert_eq!(
             estimated,
-            vec!["tomcat", "tradebeans", "tradesoap", "xalan", "zxing"]
+            vec![
+                "sunflow",
+                "tomcat",
+                "tradebeans",
+                "tradesoap",
+                "xalan",
+                "zxing"
+            ]
         );
+    }
+
+    #[test]
+    fn registry_entries_pair_with_their_dataset_rows() {
+        let entries: Vec<&str> = SUITE.iter().map(|w| w.name).collect();
+        let rows: Vec<&str> = DATASET.iter().map(|r| r.benchmark).collect();
+        assert_eq!(entries, rows);
     }
 
     #[test]

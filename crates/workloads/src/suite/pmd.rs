@@ -3,56 +3,34 @@
 //! Checks a corpus of Java source code with the PMD static code analyzer; strongly last-level-cache and memory-speed sensitive.
 //! This profile is refreshed from the previous DaCapo release.
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `pmd`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "pmd",
-        description: "Checks a corpus of Java source code with the PMD static code analyzer; strongly last-level-cache and memory-speed sensitive",
-        new_in_chopin: false,
-        min_heap_default_mb: 191.0,
-        min_heap_uncompressed_mb: 269.0,
-        min_heap_small_mb: 7.0,
-        min_heap_large_mb: Some(3519.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 1.0,
-        alloc_rate_mb_s: 6721.0,
-        mean_object_size: 32,
-        parallel_efficiency_pct: 10.0,
-        kernel_pct: 1.0,
-        threads: 16,
-        turnover: 32.0,
-        leak_pct: 5.0,
-        warmup_iterations: 7,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 11.0,
-        memory_sensitivity_pct: 19.0,
-        llc_sensitivity_pct: 31.0,
-        forced_c2_pct: 179.0,
-        interpreter_pct: 74.0,
-        survival_fraction: 0.0869,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `pmd` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "static analysis of a Java source corpus (~120 KLOC analyzer)",
-    "among the most LLC-size- and memory-speed-sensitive workloads (PLS 31%, PMS 19%)",
-    "one of the least generational workloads (GCM rank 1) and slow to warm up (PWU 7)",
-    "the strongest uncompressed-pointer inflation used in our ZGC minimum-heap tests (GMU/GMD 1.41)",
-    ]
-}
+/// What the paper does not publish about `pmd`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "pmd",
+    description: "Checks a corpus of Java source code with the PMD static code analyzer; strongly last-level-cache and memory-speed sensitive",
+    new_in_chopin: false,
+    threads: 16,
+    survival_fraction: 0.0869,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
+        "static analysis of a Java source corpus (~120 KLOC analyzer)",
+        "among the most LLC-size- and memory-speed-sensitive workloads (PLS 31%, PMS 19%)",
+        "one of the least generational workloads (GCM rank 1) and slow to warm up (PWU 7)",
+        "the strongest uncompressed-pointer inflation used in our ZGC minimum-heap tests (GMU/GMD 1.41)",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("pmd").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -61,8 +39,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -78,6 +56,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "pmd");
+        assert_eq!(WORKLOAD.name, "pmd");
     }
 }

@@ -3,60 +3,39 @@
 //! Runs the petclinic workload over the Spring Boot microservices framework with a deterministic request stream replacing the synthetic load generator.
 //! This profile is one of the eight workloads new in Chopin.
 
-use crate::profile::{Provenance, RequestSpec, WorkloadProfile};
+use super::Workload;
+use crate::profile::RequestSpec;
 
-/// The published/calibrated profile for `spring`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "spring",
-        description: "Runs the petclinic workload over the Spring Boot microservices framework with a deterministic request stream replacing the synthetic load generator",
-        new_in_chopin: true,
-        min_heap_default_mb: 55.0,
-        min_heap_uncompressed_mb: 70.0,
-        min_heap_small_mb: 43.0,
-        min_heap_large_mb: Some(65.0),
-        min_heap_vlarge_mb: None,
-        exec_time_s: 2.0,
-        alloc_rate_mb_s: 10849.0,
-        mean_object_size: 70,
-        parallel_efficiency_pct: 36.0,
-        kernel_pct: 7.0,
-        threads: 32,
-        turnover: 283.0,
-        leak_pct: 0.0,
-        warmup_iterations: 2,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 8.0,
-        memory_sensitivity_pct: 20.0,
-        llc_sensitivity_pct: 6.0,
-        forced_c2_pct: 162.0,
-        interpreter_pct: 110.0,
-        survival_fraction: 0.0453,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: Some(RequestSpec {
-            count: 32000,
-            workers: 32,
-            dispersion: 0.6,
-        }),
-        provenance: Provenance::Published,
-    }
-}
-
-/// Notable characteristics of `spring` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `spring`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "spring",
+    description: "Runs the petclinic workload over the Spring Boot microservices framework with a deterministic request stream replacing the synthetic load generator",
+    new_in_chopin: true,
+    threads: 32,
+    survival_fraction: 0.0453,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: Some(RequestSpec {
+        count: 32000,
+        workers: 32,
+        dispersion: 0.6,
+    }),
+    highlights: &[
         "the petclinic workload on Spring Boot with a deterministic request stream",
         "one of the highest unique bytecode and function-call counts in the suite",
         "strong memory-speed sensitivity (PMS 20%) and high parallel efficiency (PPE 36%)",
         "one of the nine latency-sensitive workloads",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("spring").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -65,8 +44,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -82,6 +61,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "spring");
+        assert_eq!(WORKLOAD.name, "spring");
     }
 }

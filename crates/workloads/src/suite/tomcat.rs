@@ -6,60 +6,39 @@
 //! The appendix table for this benchmark is truncated in our source text;
 //! values not present in Table 2 are estimated (see DESIGN.md, D4).
 
-use crate::profile::{Provenance, RequestSpec, WorkloadProfile};
+use super::Workload;
+use crate::profile::RequestSpec;
 
-/// The published/calibrated profile for `tomcat`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "tomcat",
-        description: "Serves a series of HTTP requests with the Apache Tomcat servlet container against a deterministic client workload",
-        new_in_chopin: false,
-        min_heap_default_mb: 19.0,
-        min_heap_uncompressed_mb: 24.0,
-        min_heap_small_mb: 12.0,
-        min_heap_large_mb: None,
-        min_heap_vlarge_mb: None,
-        exec_time_s: 4.0,
-        alloc_rate_mb_s: 2000.0,
-        mean_object_size: 48,
-        parallel_efficiency_pct: 20.0,
-        kernel_pct: 19.0,
-        threads: 32,
-        turnover: 90.0,
-        leak_pct: 0.0,
-        warmup_iterations: 2,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 2.0,
-        memory_sensitivity_pct: 2.0,
-        llc_sensitivity_pct: 3.0,
-        forced_c2_pct: 200.0,
-        interpreter_pct: 60.0,
-        survival_fraction: 0.0567,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: Some(RequestSpec {
-            count: 64000,
-            workers: 32,
-            dispersion: 0.7,
-        }),
-        provenance: Provenance::Estimated,
-    }
-}
-
-/// Notable characteristics of `tomcat` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `tomcat`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "tomcat",
+    description: "Serves a series of HTTP requests with the Apache Tomcat servlet container against a deterministic client workload",
+    new_in_chopin: false,
+    threads: 32,
+    survival_fraction: 0.0567,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: Some(RequestSpec {
+        count: 64000,
+        workers: 32,
+        dispersion: 0.7,
+    }),
+    highlights: &[
         "serves HTTP requests through the Tomcat servlet container against a deterministic client",
         "kernel-heavy (PKP 19%) and insensitive to CPU frequency (PFS 2%)",
         "among the most front-end-bound workloads (USF 45)",
         "appendix table truncated in our source: non-Table-2 cells are estimates",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("tomcat").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -68,8 +47,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -85,6 +64,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "tomcat");
+        assert_eq!(WORKLOAD.name, "tomcat");
     }
 }

@@ -6,60 +6,39 @@
 //! The appendix table for this benchmark is truncated in our source text;
 //! values not present in Table 2 are estimated (see DESIGN.md, D4).
 
-use crate::profile::{Provenance, RequestSpec, WorkloadProfile};
+use super::Workload;
+use crate::profile::RequestSpec;
 
-/// The published/calibrated profile for `tradebeans`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "tradebeans",
-        description: "Runs the DayTrader stock-trading benchmark via EJB beans on an in-memory h2 database under Apache Geronimo",
-        new_in_chopin: false,
-        min_heap_default_mb: 113.0,
-        min_heap_uncompressed_mb: 141.0,
-        min_heap_small_mb: 60.0,
-        min_heap_large_mb: None,
-        min_heap_vlarge_mb: None,
-        exec_time_s: 1.0,
-        alloc_rate_mb_s: 1500.0,
-        mean_object_size: 40,
-        parallel_efficiency_pct: 12.0,
-        kernel_pct: 2.0,
-        threads: 8,
-        turnover: 60.0,
-        leak_pct: 26.0,
-        warmup_iterations: 6,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 17.0,
-        memory_sensitivity_pct: 5.0,
-        llc_sensitivity_pct: 8.0,
-        forced_c2_pct: 250.0,
-        interpreter_pct: 80.0,
-        survival_fraction: 0.065,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: Some(RequestSpec {
-            count: 8000,
-            workers: 8,
-            dispersion: 0.8,
-        }),
-        provenance: Provenance::Estimated,
-    }
-}
-
-/// Notable characteristics of `tradebeans` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `tradebeans`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "tradebeans",
+    description: "Runs the DayTrader stock-trading benchmark via EJB beans on an in-memory h2 database under Apache Geronimo",
+    new_in_chopin: false,
+    threads: 8,
+    survival_fraction: 0.065,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: Some(RequestSpec {
+        count: 8000,
+        workers: 8,
+        dispersion: 0.8,
+    }),
+    highlights: &[
         "the DayTrader stock-trading benchmark via EJB beans over an in-memory h2 database",
         "leaks noticeably across iterations (GLK 26%)",
         "the second-largest ARM-vs-x86 slowdown in the suite (UAA 144)",
         "appendix table truncated in our source: non-Table-2 cells are estimates",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("tradebeans").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -68,8 +47,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -83,6 +62,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "tradebeans");
+        assert_eq!(WORKLOAD.name, "tradebeans");
     }
 }

@@ -6,56 +6,34 @@
 //! The appendix table for this benchmark is truncated in our source text;
 //! values not present in Table 2 are estimated (see DESIGN.md, D4).
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `xalan`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "xalan",
-        description: "Transforms XML documents into HTML with the Apache Xalan XSLT processor; poor locality with very high data-cache, LLC and DTLB miss rates",
-        new_in_chopin: false,
-        min_heap_default_mb: 14.0,
-        min_heap_uncompressed_mb: 17.0,
-        min_heap_small_mb: 7.0,
-        min_heap_large_mb: None,
-        min_heap_vlarge_mb: None,
-        exec_time_s: 1.0,
-        alloc_rate_mb_s: 9000.0,
-        mean_object_size: 32,
-        parallel_efficiency_pct: 45.0,
-        kernel_pct: 14.0,
-        threads: 32,
-        turnover: 300.0,
-        leak_pct: 7.0,
-        warmup_iterations: 1,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: 12.0,
-        memory_sensitivity_pct: 15.0,
-        llc_sensitivity_pct: 25.0,
-        forced_c2_pct: 180.0,
-        interpreter_pct: 100.0,
-        survival_fraction: 0.045,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Estimated,
-    }
-}
-
-/// Notable characteristics of `xalan` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
-    "XSLT transformation of XML documents to HTML across 32 threads",
-    "poor locality is key to its low IPC (~0.94): very high data-cache, LLC and DTLB miss rates",
-    "sensitive to LLC size (PLS) and fast to warm up (PWU 1)",
-    "appendix table truncated in our source: non-Table-2 cells are estimates",
-    ]
-}
+/// What the paper does not publish about `xalan`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "xalan",
+    description: "Transforms XML documents into HTML with the Apache Xalan XSLT processor; poor locality with very high data-cache, LLC and DTLB miss rates",
+    new_in_chopin: false,
+    threads: 32,
+    survival_fraction: 0.045,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
+        "XSLT transformation of XML documents to HTML across 32 threads",
+        "poor locality is key to its low IPC (~0.94): very high data-cache, LLC and DTLB miss rates",
+        "sensitive to LLC size (PLS) and fast to warm up (PWU 1)",
+        "appendix table truncated in our source: non-Table-2 cells are estimates",
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("xalan").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -64,8 +42,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -81,6 +59,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "xalan");
+        assert_eq!(WORKLOAD.name, "xalan");
     }
 }

@@ -6,56 +6,34 @@
 //! The appendix table for this benchmark is truncated in our source text;
 //! values not present in Table 2 are estimated (see DESIGN.md, D4).
 
-use crate::profile::{Provenance, WorkloadProfile};
+use super::Workload;
 
-/// The published/calibrated profile for `zxing`.
-pub fn profile() -> WorkloadProfile {
-    WorkloadProfile {
-        name: "zxing",
-        description: "Decodes a corpus of 1-D and 2-D barcode images with the ZXing barcode library; exhibits the largest iteration-to-iteration memory leakage in the suite",
-        new_in_chopin: true,
-        min_heap_default_mb: 102.0,
-        min_heap_uncompressed_mb: 127.0,
-        min_heap_small_mb: 50.0,
-        min_heap_large_mb: None,
-        min_heap_vlarge_mb: None,
-        exec_time_s: 1.0,
-        alloc_rate_mb_s: 2500.0,
-        mean_object_size: 60,
-        parallel_efficiency_pct: 25.0,
-        kernel_pct: 5.0,
-        threads: 16,
-        turnover: 40.0,
-        leak_pct: 120.0,
-        warmup_iterations: 7,
-        invocation_noise_pct: 1.0,
-        freq_sensitivity_pct: -1.0,
-        memory_sensitivity_pct: 8.0,
-        llc_sensitivity_pct: 10.0,
-        forced_c2_pct: 220.0,
-        interpreter_pct: 70.0,
-        survival_fraction: 0.0775,
-        live_floor_fraction: 0.55,
-        build_fraction: 0.08,
-        requests: None,
-        provenance: Provenance::Estimated,
-    }
-}
-
-/// Notable characteristics of `zxing` from the paper's appendix prose,
-/// for reports and documentation.
-pub fn highlights() -> &'static [&'static str] {
-    &[
+/// What the paper does not publish about `zxing`, and its appendix prose.
+pub(super) const WORKLOAD: Workload = Workload {
+    name: "zxing",
+    description: "Decodes a corpus of 1-D and 2-D barcode images with the ZXing barcode library; exhibits the largest iteration-to-iteration memory leakage in the suite",
+    new_in_chopin: true,
+    threads: 16,
+    survival_fraction: 0.0775,
+    live_floor_fraction: 0.55,
+    build_fraction: 0.08,
+    requests: None,
+    highlights: &[
         "decodes 1-D and 2-D barcode images with the ZXing library",
         "the largest iteration-to-iteration memory leakage in the suite (GLK 120%)",
         "the only workload slowed by enabling frequency boost (PFS -1%)",
         "appendix table truncated in our source: non-Table-2 cells are estimates",
-    ]
-}
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadProfile;
+
+    fn profile() -> WorkloadProfile {
+        super::super::by_name("zxing").unwrap()
+    }
 
     #[test]
     fn profile_is_internally_consistent() {
@@ -64,8 +42,8 @@ mod tests {
 
     #[test]
     fn highlights_are_present() {
-        assert!(highlights().len() >= 3);
-        assert!(highlights().iter().all(|h| !h.is_empty()));
+        assert!(WORKLOAD.highlights.len() >= 3);
+        assert!(WORKLOAD.highlights.iter().all(|h| !h.is_empty()));
     }
 
     #[test]
@@ -81,6 +59,6 @@ mod tests {
 
     #[test]
     fn name_matches_module() {
-        assert_eq!(profile().name, "zxing");
+        assert_eq!(WORKLOAD.name, "zxing");
     }
 }
