@@ -24,10 +24,12 @@ When `resume`'s `sweep_s` is not a gain and its median moved by less
 than LAYOUT_MOVE, the report notes that a move of that size has come
 from code layout alone. For each simulated output in DRIFT_OUTPUTS
 (each side's sequential paper grid in DIR/{base,head}.csv, its latency
-figures and pause tables in DIR/{base,head}-latency.txt, and the
+figures and pause tables in DIR/{base,head}-latency.txt, the
 characterisation table, suite summary and Table 2 in
-DIR/{base,head}-characterize.txt, -suite.txt and -table2.txt) the report
-also counts the lines that differ and shows up to ten as BASE -> HEAD;
+DIR/{base,head}-characterize.txt, -suite.txt and -table2.txt, and the
+LBO tables with each infeasible cell's reason in DIR/{base,head}-lbo.txt)
+the report also counts the lines that differ and shows up to ten as
+BASE -> HEAD;
 those sections never change the exit code. Exits 1 on any regressed row
 or any HEAD run that failed, 2 when the inputs cannot be read, and 0
 otherwise.
@@ -51,6 +53,7 @@ DRIFT_OUTPUTS = (
     ("-characterize.txt", "characterize", "output", "characterize output"),
     ("-suite.txt", "suite", "output", "suite output"),
     ("-table2.txt", "nominal --table2", "output", "Table 2 output"),
+    ("-lbo.txt", "lbo", "output", "lbo output"),
 )
 # A `resume` `sweep_s` move below this share of BASE's median has come
 # from code layout alone: one added call that a resume never executes

@@ -56,6 +56,7 @@ OUTPUT_SUFFIXES = {
     "characterize": "-characterize.txt",
     "suite": "-suite.txt",
     "table2": "-table2.txt",
+    "lbo": "-lbo.txt",
 }
 
 
@@ -153,6 +154,21 @@ class Rules(unittest.TestCase):
         missing = judged(runs(STEADY, STEADY))[1]
         for output in ("characterize output", "suite output", "Table 2 output"):
             self.assertIn(f"{output} is missing", missing)
+
+    def test_lbo_reason_drift_is_reported_but_never_fails_the_gate(self):
+        header = "unplotted points (collector cannot run at this heap):"
+        oom = "  Shen. @ 1.00x: out of memory at {}s: {} live bytes in a 5242880-byte heap"
+        zgc = "  ZGC* @ 1.00x: collector cannot run"
+        base = [header, oom.format("0.213703", 4420636), zgc]
+        head = [header, oom.format("0.209804", 4369335), zgc]
+        code, report = judged(runs(STEADY, STEADY), lbo=(base, head))
+        self.assertEqual(code, 0)
+        self.assertIn("## Simulated output of `lbo`", report)
+        self.assertIn("1 of 3 output lines differ", report)
+        self.assertIn(f"- `{base[1]}` → `{head[1]}`", report)
+        code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), lbo=(base, base))
+        self.assertEqual(code, 1, "an identical lbo output does not forgive a regression")
+        self.assertIn("lbo output is missing", judged(runs(STEADY, STEADY))[1])
 
     def test_a_small_resume_move_that_is_no_gain_is_noted_as_possibly_layout(self):
         def report(head, workload="resume", base=STEADY):

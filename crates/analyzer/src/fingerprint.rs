@@ -49,12 +49,22 @@ pub fn sweep_fingerprint(benchmarks: &[&str], config: &SweepConfig, runner: &str
     fingerprint_of(&refs)
 }
 
-/// The cell runner's part of [`sweep_fingerprint`]: the fault plan
-/// injected into every run, then the hard-fault plan. Every backend's
-/// runner reports it, and the isolation mode is deliberately not part of
-/// it, so a sweep may be resumed across backends.
+/// The rule a cell runner decides an invocation's feasibility by: the
+/// timed iteration alone, the only one a sweep cell simulates. Journals
+/// written when a failed warm-up decided carry no token, so `--resume`
+/// refuses them instead of mixing their infeasible reasons with these.
+const TIMED_ITERATION_DECIDES: &str = "timed-iteration";
+
+/// The cell runner's part of [`sweep_fingerprint`]: the feasibility rule,
+/// the fault plan injected into every run, then the hard-fault plan.
+/// Every backend's runner reports it, and the isolation mode is
+/// deliberately not part of it, so a sweep may be resumed across
+/// backends.
 pub fn runner_fingerprint(faults: Option<&FaultPlan>, hard: Option<&HardFaultPlan>) -> String {
-    let mut out = faults.map(|plan| format!("{plan:?}")).unwrap_or_default();
+    let mut out = TIMED_ITERATION_DECIDES.to_string();
+    if let Some(plan) = faults {
+        out.push_str(&format!("{plan:?}"));
+    }
     if let Some(hard) = hard {
         out.push_str(&format!("+hard:{hard:?}"));
     }
@@ -72,19 +82,22 @@ mod tests {
     }
 
     #[test]
-    fn runner_fingerprint_keeps_the_recipe_existing_journals_carry() {
+    fn runner_fingerprint_leads_with_the_timed_iteration_rule() {
         let horizon = chopin_workloads::faults::DEFAULT_HORIZON_NS;
         let plan = chopin_workloads::faults::preset("chaos", 7, horizon).unwrap();
         let hard = HardFaultPlan::new(chopin_faults::HardFaultKind::Kill, 1);
-        assert_eq!(runner_fingerprint(None, None), "");
-        assert_eq!(runner_fingerprint(Some(&plan), None), format!("{plan:?}"));
+        assert_eq!(runner_fingerprint(None, None), "timed-iteration");
+        assert_eq!(
+            runner_fingerprint(Some(&plan), None),
+            format!("timed-iteration{plan:?}")
+        );
         assert_eq!(
             runner_fingerprint(None, Some(&hard)),
-            format!("+hard:{hard:?}")
+            format!("timed-iteration+hard:{hard:?}")
         );
         assert_eq!(
             runner_fingerprint(Some(&plan), Some(&hard)),
-            format!("{plan:?}+hard:{hard:?}")
+            format!("timed-iteration{plan:?}+hard:{hard:?}")
         );
     }
 

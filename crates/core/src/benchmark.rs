@@ -13,8 +13,7 @@ use chopin_faults::FaultPlan;
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::config::{CompilerMode, RunConfig};
 use chopin_runtime::machine::MachineConfig;
-use chopin_runtime::result::RunError;
-use chopin_runtime::time::SimDuration;
+use chopin_runtime::result::{RunError, RunResult};
 use chopin_workloads::{suite, SizeClass, WorkloadProfile};
 use std::fmt;
 
@@ -329,55 +328,65 @@ impl BenchmarkRunner {
     /// configured heap or the configuration is inconsistent.
     pub fn run(&self) -> Result<IterationSet, BenchmarkError> {
         let heap = self.resolved_heap_bytes()?;
-        let mut results = Vec::with_capacity(self.iterations as usize);
-        for i in 0..self.iterations {
-            // GLK models live-set leakage across iterations. The published
-            // minimum heaps are defined over 5-iteration invocations
-            // (§6.1.2), so the scale is normalised to reach 1.0 at the
-            // fifth iteration: earlier iterations are lighter, later ones
-            // (beyond the GMD definition) heavier.
-            let leak = self.profile.leak_pct / 100.0;
-            let live_scale = (1.0 + leak * (i as f64 / 9.0)) / (1.0 + leak * (4.0 / 9.0));
-            let spec = self
-                .profile
-                .to_spec_scaled(self.size, live_scale)
-                .ok_or(BenchmarkError::UnsupportedSize {
-                    benchmark: self.profile.name.to_string(),
-                    size: self.size,
-                })?
-                .map_err(|e| BenchmarkError::Spec(e.to_string()))?;
-            let mut config = RunConfig::new(heap, self.collector)
-                .with_machine(self.machine)
-                .with_seed(
-                    self.seed
-                        .wrapping_mul(0x9E3779B97F4A7C15)
-                        .wrapping_add(i as u64),
-                )
-                .with_work_scale(warmup_scale(i, self.profile.warmup_iterations))
-                .with_noise(
-                    self.noise_override
-                        .unwrap_or(self.profile.invocation_noise_pct / 100.0),
-                )
-                .with_compiler_mode(self.compiler_mode);
-            if let Some(oops) = self.compressed_oops {
-                config = config.with_compressed_oops(oops);
-            }
-            results.push(match &self.fault_plan {
-                None => chopin_runtime::engine::run(&spec, &config)?,
-                Some(plan) => chopin_runtime::engine::run_with_faults(&spec, &config, plan)?,
-            });
-        }
-        Ok(IterationSet::new(results))
+        let iterations = (0..self.iterations)
+            .map(|i| self.run_iteration(heap, i))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(IterationSet::new(iterations))
     }
 
-    /// Convenience: run and return only the timed (last) iteration's wall
-    /// time.
+    /// Simulate the timed iteration alone: iteration `iterations − 1`,
+    /// with the seed, work scale and live scale [`BenchmarkRunner::run`]
+    /// gives it, so the result equals `run()?.timed()` whenever `run()`
+    /// succeeds. No state carries from one simulated iteration to the
+    /// next, so the warm-ups could only fail; here the timed iteration
+    /// alone decides whether the invocation is infeasible (DESIGN.md D6).
     ///
     /// # Errors
     ///
-    /// See [`BenchmarkRunner::run`].
-    pub fn run_timed_wall(&self) -> Result<SimDuration, BenchmarkError> {
-        Ok(self.run()?.timed().wall_time())
+    /// As [`BenchmarkRunner::run`], for the timed iteration.
+    pub fn run_timed(&self) -> Result<RunResult, BenchmarkError> {
+        let heap = self.resolved_heap_bytes()?;
+        self.run_iteration(heap, self.iterations - 1)
+    }
+
+    /// Simulate iteration `i` (0-based) of the invocation in a heap of
+    /// `heap` bytes.
+    fn run_iteration(&self, heap: u64, i: u32) -> Result<RunResult, BenchmarkError> {
+        // GLK models live-set leakage across iterations. The published
+        // minimum heaps are defined over 5-iteration invocations
+        // (§6.1.2), so the scale is normalised to reach 1.0 at the fifth
+        // iteration: earlier iterations are lighter, later ones (beyond
+        // the GMD definition) heavier.
+        let leak = self.profile.leak_pct / 100.0;
+        let live_scale = (1.0 + leak * (i as f64 / 9.0)) / (1.0 + leak * (4.0 / 9.0));
+        let spec = self
+            .profile
+            .to_spec_scaled(self.size, live_scale)
+            .ok_or(BenchmarkError::UnsupportedSize {
+                benchmark: self.profile.name.to_string(),
+                size: self.size,
+            })?
+            .map_err(|e| BenchmarkError::Spec(e.to_string()))?;
+        let mut config = RunConfig::new(heap, self.collector)
+            .with_machine(self.machine)
+            .with_seed(
+                self.seed
+                    .wrapping_mul(0x9E3779B97F4A7C15)
+                    .wrapping_add(i as u64),
+            )
+            .with_work_scale(warmup_scale(i, self.profile.warmup_iterations))
+            .with_noise(
+                self.noise_override
+                    .unwrap_or(self.profile.invocation_noise_pct / 100.0),
+            )
+            .with_compiler_mode(self.compiler_mode);
+        if let Some(oops) = self.compressed_oops {
+            config = config.with_compressed_oops(oops);
+        }
+        Ok(match &self.fault_plan {
+            None => chopin_runtime::engine::run(&spec, &config)?,
+            Some(plan) => chopin_runtime::engine::run_with_faults(&spec, &config, plan)?,
+        })
     }
 }
 
@@ -454,6 +463,24 @@ mod tests {
             set.timed().wall_time().as_secs_f64(),
             walls[4],
             "the timed iteration is the last"
+        );
+    }
+
+    #[test]
+    fn the_timed_iteration_alone_equals_the_last_of_five() {
+        // zxing leaks (GLK 120), so its live set grows across iterations
+        // and iteration 4 differs from every earlier one.
+        let s = Suite::chopin();
+        let runner = s.benchmark("zxing").unwrap().runner().iterations(5);
+        let set = runner.run().unwrap();
+        let timed = runner.run_timed().unwrap();
+        assert_eq!(&timed, &set.iterations()[4]);
+        assert_ne!(&timed, &set.iterations()[0], "iterations differ");
+
+        let err = runner.heap_factor(0.5).run_timed().unwrap_err();
+        assert!(
+            matches!(err, BenchmarkError::Run(RunError::OutOfMemory { .. })),
+            "{err}"
         );
     }
 

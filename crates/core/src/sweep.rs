@@ -125,8 +125,10 @@ impl SweepResult {
 /// Run every invocation of one (collector, heap factor) cell of
 /// `profile`, appending one sample per completed invocation to
 /// `samples`: invocation `i` runs with seed `1 + i`, and `faults`, when
-/// given, is injected into every run. The first out-of-memory or GC
-/// thrash ends the cell as infeasible and returns its reason.
+/// given, is injected into every run. Each invocation simulates only its
+/// timed iteration ([`BenchmarkRunner::run_timed`]), the one a sample
+/// reads. The first out-of-memory or GC thrash ends the cell as
+/// infeasible and returns its reason.
 ///
 /// # Errors
 ///
@@ -149,8 +151,8 @@ pub fn run_cell(
         if let Some(plan) = faults {
             runner = runner.faults(plan.clone());
         }
-        match runner.run() {
-            Ok(set) => samples.push(RunSample::from_result(set.timed(), heap_factor)),
+        match runner.run_timed() {
+            Ok(timed) => samples.push(RunSample::from_result(&timed, heap_factor)),
             Err(BenchmarkError::Run(
                 e @ (RunError::OutOfMemory { .. } | RunError::GcThrash { .. }),
             )) => return Ok(Some(e.to_string())),

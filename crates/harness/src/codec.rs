@@ -18,7 +18,8 @@
 //! bounds, hard-fault delays, worker ids) travel as decimal strings;
 //! every other integer is range-checked on decode, so out-of-range input
 //! is an error naming the field, never a saturated value. Encoders append
-//! to one `String`: the journal re-renders every entry on every record.
+//! to one `String`: the journal renders each record once, as the line it
+//! appends.
 
 use crate::journal::{CellKey, CellProvenance, JournalEntry, QuarantineRecord};
 use crate::sandbox::{CellRequest, CrashReport};

@@ -328,20 +328,20 @@ impl LatencyExperiment {
                         .collector(collector)
                         .heap_factor(factor)
                         .iterations(2)
-                        .run()
+                        .run_timed()
                 });
-                let set = match outcome {
-                    Ok(set) => set,
+                let timed = match outcome {
+                    Ok(timed) => timed,
                     Err(BenchmarkError::Run(_)) => continue,
                     Err(e) => return Err(e.into()),
                 };
                 pause_histograms.push((
                     collector,
                     factor,
-                    set.timed().telemetry().pause_histogram().clone(),
+                    timed.telemetry().pause_histogram().clone(),
                 ));
-                let events = events_of(set.timed(), spec.requests())
-                    .expect("latency-sensitive by construction");
+                let events =
+                    events_of(&timed, spec.requests()).expect("latency-sensitive by construction");
                 raw_events.push((collector, factor, events.clone()));
                 for window in windows {
                     let latencies = match window {

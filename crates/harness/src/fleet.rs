@@ -477,7 +477,9 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
     if drained {
         // The primary finished the sweep itself. Reconstruct the same
         // report from the merged journals; grace-loop briefly in case
-        // the base journal's last append is still landing.
+        // the primary's last appends are still landing. A load reads
+        // only newline-terminated lines and never writes, so a line
+        // mid-append is simply not there yet.
         let grace = WallSpan::begin();
         loop {
             let (table, journal, absorbed) = recovered(Journal::load(&journal_path).ok());
@@ -507,6 +509,8 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
         "fleet: primary at {primary} went silent; taking over at epoch {}",
         epoch + 1
     );
+    // The primary may have died mid-append: the reloaded journal's
+    // first append truncates that torn last line.
     let journal = open_journal(&journal_path, fingerprint, true)?;
     let (mut table, journal, absorbed) = recovered(Some(journal));
     let mut metrics = absorbed.metrics(cells.len());

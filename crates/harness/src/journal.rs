@@ -1,14 +1,19 @@
 //! The crash-safe sweep journal: a JSONL record of completed cells that
 //! lets an interrupted suite resume without redoing finished work.
 //!
-//! Every time a cell completes, the whole journal is rewritten to a
-//! sibling `.tmp` file and atomically renamed over the real path, so the
-//! on-disk journal is always a complete, parseable document — a crash
-//! mid-write can only lose the newest cell, never corrupt the file. The
-//! first line is a header carrying a fingerprint of the suite
-//! configuration; resume refuses a journal whose fingerprint does not
-//! match, because replaying cells from a different configuration would
-//! silently mix incompatible results.
+//! Every time a cell completes, its one line is appended to the open
+//! file and synced to disk. The trailing newline is the commit marker:
+//! [`Journal::load`] reads every newline-terminated line and ignores a
+//! last line without one, which only a crash mid-append leaves, so a
+//! crash can lose the newest cell but never corrupt the file. Before the
+//! first append to a file it loaded, a journal truncates such a torn
+//! tail, so the next record never glues itself onto it. Only
+//! [`Journal::create`] and a resume that drops stale quarantine lines
+//! write the whole file, to a `.tmp` sibling that is synced and renamed
+//! over the real path. The first line is a header carrying a fingerprint
+//! of the suite configuration; resume refuses a journal whose
+//! fingerprint does not match, because replaying cells from a different
+//! configuration would silently mix incompatible results.
 //!
 //! Every line is rendered and parsed by the one cell-record codec
 //! (`codec.rs`), which writes floats with `{:?}` so a parse restores
@@ -26,7 +31,7 @@ use crate::codec::{self, JournalHeader, Record};
 use crate::supervisor::{Cell, CellOutcome, QuarantineReason};
 use chopin_obs::json;
 use std::fs;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Identity of one sweep cell: benchmark × collector × heap factor. The
@@ -120,65 +125,90 @@ pub struct Journal {
     fingerprint: u64,
     entries: Vec<JournalEntry>,
     quarantines: Vec<QuarantineRecord>,
+    /// Bytes of the file known to be whole lines: the header and every
+    /// record committed so far. Only what follows can be a torn tail.
+    committed: u64,
+    /// The file records append to, opened by the first append.
+    file: Option<fs::File>,
 }
 
 impl Journal {
-    /// Start a fresh journal at `path` (truncating any previous file) and
+    /// Start a fresh journal at `path` (replacing any previous file) and
     /// persist the header.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] if the file cannot be written.
     pub fn create(path: &Path, fingerprint: u64) -> Result<Journal, JournalError> {
-        let journal = Journal {
+        let mut journal = Journal {
             path: path.to_path_buf(),
             fingerprint,
             entries: Vec::new(),
             quarantines: Vec::new(),
+            committed: 0,
+            file: None,
         };
-        journal.persist()?;
+        journal.rewrite()?;
         Ok(journal)
     }
 
-    /// Load an existing journal from `path`.
+    /// Load an existing journal from `path`. A last line without its
+    /// newline never committed (a crash cut its append short) and is
+    /// ignored; the file itself is not touched.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] if the file cannot be read,
-    /// [`JournalError::Parse`] if any line is not valid journal content.
+    /// [`JournalError::Parse`] if any newline-terminated line is not
+    /// valid journal content.
     pub fn load(path: &Path) -> Result<Journal, JournalError> {
         // Line by line: holding the whole file at once would only add its
         // size to the resuming process's peak memory.
-        let mut lines = BufReader::new(fs::File::open(path)?).lines().enumerate();
-        let (_, header) = lines.next().ok_or(JournalError::Parse {
-            line: 1,
-            message: "empty file".to_string(),
-        })?;
-        let JournalHeader { fingerprint } =
-            codec::decode(&header?).map_err(|message| JournalError::Parse { line: 1, message })?;
+        let mut reader = BufReader::new(fs::File::open(path)?);
+        let mut line = Vec::new();
+        let mut committed = 0;
+        let mut fingerprint = None;
         let mut entries = Vec::new();
         let mut quarantines = Vec::new();
-        for (i, line) in lines {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        for number in 1.. {
+            line.clear();
+            let read = reader.read_until(b'\n', &mut line)?;
+            if line.pop() != Some(b'\n') {
+                break;
             }
+            committed += read as u64;
             let parse_err = |message| JournalError::Parse {
-                line: i + 1,
+                line: number,
                 message,
             };
-            let value = json::parse(&line).map_err(|e| parse_err(e.to_string()))?;
+            let text = std::str::from_utf8(&line).map_err(|e| parse_err(e.to_string()))?;
+            if fingerprint.is_none() {
+                let JournalHeader { fingerprint: found } =
+                    codec::decode(text).map_err(parse_err)?;
+                fingerprint = Some(found);
+                continue;
+            }
+            if text.trim().is_empty() {
+                continue;
+            }
+            let value = json::parse(text).map_err(|e| parse_err(e.to_string()))?;
             if value.get("quarantined").is_some() {
                 quarantines.push(QuarantineRecord::read(&value).map_err(parse_err)?);
             } else {
                 entries.push(JournalEntry::read(&value).map_err(parse_err)?);
             }
         }
+        let fingerprint = fingerprint.ok_or(JournalError::Parse {
+            line: 1,
+            message: "no complete header line".to_string(),
+        })?;
         Ok(Journal {
             path: path.to_path_buf(),
             fingerprint,
             entries,
             quarantines,
+            committed,
+            file: None,
         })
     }
 
@@ -211,28 +241,30 @@ impl Journal {
         &self.entries
     }
 
-    /// Record a completed cell and atomically persist the whole journal.
+    /// Record a completed cell: append its line and sync it to disk.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the rewrite fails (the entry is still
+    /// [`JournalError::Io`] if the append fails (the entry is still
     /// retained in memory).
     pub fn record(&mut self, entry: JournalEntry) -> Result<(), JournalError> {
+        let appended = self.append(&entry);
         self.entries.push(entry);
-        self.persist()
+        appended
     }
 
-    /// Record a quarantine verdict and atomically persist the whole
-    /// journal. Quarantined cells never satisfy [`Journal::lookup`], so a
-    /// resumed run still re-attempts them.
+    /// Record a quarantine verdict: append its line and sync it to disk.
+    /// Quarantined cells never satisfy [`Journal::lookup`], so a resumed
+    /// run still re-attempts them.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the rewrite fails (the record is still
+    /// [`JournalError::Io`] if the append fails (the record is still
     /// retained in memory).
     pub fn record_quarantine(&mut self, record: QuarantineRecord) -> Result<(), JournalError> {
+        let appended = self.append(&record);
         self.quarantines.push(record);
-        self.persist()
+        appended
     }
 
     /// The quarantine verdicts on record, in recording order.
@@ -240,16 +272,50 @@ impl Journal {
         &self.quarantines
     }
 
-    /// Drop the quarantine records (a resuming run re-attempts those
-    /// cells and records its own verdicts; stale ones would misdescribe
-    /// the resumed run).
-    pub fn clear_quarantines(&mut self) {
+    /// Drop the quarantine records, from memory and from the file (a
+    /// resuming run re-attempts those cells and records its own
+    /// verdicts; stale ones would misdescribe the resumed run). A journal
+    /// that holds none is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] if the file cannot be rewritten.
+    pub fn clear_quarantines(&mut self) -> Result<(), JournalError> {
+        if self.quarantines.is_empty() {
+            return Ok(());
+        }
         self.quarantines.clear();
+        self.rewrite()
     }
 
-    /// Rewrite the journal via tmp-then-rename so the on-disk file is
-    /// replaced atomically.
-    fn persist(&self) -> Result<(), JournalError> {
+    /// Append `record`'s line, newline last: the newline commits it.
+    fn append(&mut self, record: &impl Record) -> Result<(), JournalError> {
+        let mut line = codec::encode(record);
+        line.push('\n');
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => {
+                let (file, whole) = open_for_append(&self.path, self.committed)?;
+                self.committed = whole;
+                file
+            }
+        };
+        let file = self.file.insert(file);
+        let written = file
+            .write_all(line.as_bytes())
+            .and_then(|()| file.sync_data());
+        match written {
+            Ok(()) => self.committed += line.len() as u64,
+            // The failed write may have left part of the line behind;
+            // reopening cuts it off before the next append.
+            Err(_) => self.file = None,
+        }
+        written.map_err(JournalError::from)
+    }
+
+    /// Write the whole journal to a `.tmp` sibling, sync it and rename it
+    /// over the real path.
+    fn rewrite(&mut self) -> Result<(), JournalError> {
         let mut text = String::new();
         let header = JournalHeader {
             fingerprint: self.fingerprint,
@@ -273,14 +339,45 @@ impl Journal {
                 .with_file_name(format!("{}.tmp", name.to_string_lossy())),
             None => self.path.with_extension("tmp"),
         };
+        self.file = None;
         {
             let mut file = fs::File::create(&tmp)?;
             file.write_all(text.as_bytes())?;
             file.sync_all()?;
         }
         fs::rename(&tmp, &self.path)?;
+        // The rename survives a crash only once its directory is synced.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        fs::File::open(dir)?.sync_all()?;
+        self.committed = text.len() as u64;
         Ok(())
     }
+}
+
+/// Open the journal at `path` for appends, first truncating a torn tail:
+/// the bytes after its last newline, which only a crash mid-append
+/// leaves. Its first `committed` bytes are known to be whole lines and
+/// are not read again. Returns the file and the length of its whole
+/// lines.
+///
+/// Every append goes to the end of the file (`O_APPEND`), and whole
+/// lines another process appended since `committed` are kept: a fleet
+/// standby appends to the base journal while the primary it watched may
+/// still be sealing it.
+fn open_for_append(path: &Path, committed: u64) -> io::Result<(fs::File, u64)> {
+    let mut file = fs::OpenOptions::new().read(true).append(true).open(path)?;
+    file.seek(SeekFrom::Start(committed))?;
+    let mut tail = Vec::new();
+    file.read_to_end(&mut tail)?;
+    let whole = tail.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let len = committed + whole as u64;
+    if whole < tail.len() {
+        file.set_len(len)?;
+    }
+    Ok((file, len))
 }
 
 /// The per-worker journal path: `<base>.w<id>` next to the base
@@ -584,8 +681,147 @@ mod tests {
             "a quarantined cell must be re-attempted on resume"
         );
         assert!(loaded.is_empty(), "no completed cells on record");
-        loaded.clear_quarantines();
+        loaded.clear_quarantines().unwrap();
         assert!(loaded.quarantines().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn temp_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("chopin-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    /// A journal with two committed cells and half of a third: the torn
+    /// tail a crash mid-append leaves.
+    fn torn_journal(name: &str) -> (PathBuf, String) {
+        let path = temp_path(name);
+        let mut journal = Journal::create(&path, 11).unwrap();
+        journal.record(entry("fop", 2.0)).unwrap();
+        journal.record(entry("fop", 3.0)).unwrap();
+        let whole = std::fs::read_to_string(&path).unwrap();
+        let third = codec::encode(&entry("fop", 4.0));
+        let torn = format!("{whole}{}", &third[..third.len() / 2]);
+        std::fs::write(&path, &torn).unwrap();
+        (path, whole)
+    }
+
+    #[test]
+    fn a_torn_last_line_is_ignored_and_every_whole_line_loads() {
+        let (path, _) = torn_journal("torn_load.journal");
+        let loaded = Journal::load(&path).unwrap();
+        assert_eq!(loaded.fingerprint(), 11);
+        assert_eq!(loaded.len(), 2);
+        for factor in [2.0, 3.0] {
+            let key = entry("fop", factor).key;
+            assert!(loaded.lookup(&key).is_some(), "fop at {factor}x loads");
+        }
+        assert!(loaded.lookup(&entry("fop", 4.0).key).is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_first_append_truncates_a_torn_tail() {
+        let (path, whole) = torn_journal("torn_append.journal");
+        let mut loaded = Journal::load(&path).unwrap();
+        assert!(
+            std::fs::read_to_string(&path).unwrap().len() > whole.len(),
+            "loading never writes"
+        );
+        loaded.record(entry("pmd", 2.0)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let appended = codec::encode(&entry("pmd", 2.0));
+        assert_eq!(text, format!("{whole}{appended}\n"));
+        let reloaded = Journal::load(&path).unwrap();
+        assert_eq!(reloaded.len(), 3);
+        assert!(reloaded.lookup(&entry("pmd", 2.0).key).is_some());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A fleet standby may append to the base journal while the primary
+    /// still seals it: neither writer may cut or overwrite the other's
+    /// whole lines.
+    #[test]
+    fn two_writers_appending_to_one_journal_keep_every_whole_line() {
+        let path = temp_path("two_writers.journal");
+        let mut primary = Journal::create(&path, 3).unwrap();
+        primary.record(entry("fop", 2.0)).unwrap();
+        let mut standby = Journal::load(&path).unwrap();
+        primary.record(entry("fop", 3.0)).unwrap();
+        standby.record(entry("pmd", 2.0)).unwrap();
+        primary.record(entry("fop", 4.0)).unwrap();
+        let reloaded = Journal::load(&path).unwrap();
+        let keys: Vec<(&str, f64)> = reloaded
+            .entries()
+            .iter()
+            .map(|e| (e.key.benchmark.as_str(), e.key.heap_factor))
+            .collect();
+        assert_eq!(
+            keys,
+            [("fop", 2.0), ("fop", 3.0), ("pmd", 2.0), ("fop", 4.0)]
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_newline_terminated_corrupt_line_is_still_a_parse_error() {
+        let (path, whole) = torn_journal("torn_corrupt.journal");
+        std::fs::write(&path, format!("{whole}{{\"benchmark\":\n")).unwrap();
+        assert!(matches!(
+            Journal::load(&path),
+            Err(JournalError::Parse { line: 4, .. })
+        ));
+        // Without its newline the same bytes are a torn tail.
+        std::fs::write(&path, format!("{whole}{{\"benchmark\":")).unwrap();
+        assert_eq!(Journal::load(&path).unwrap().len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resuming_drops_quarantine_lines_from_the_file() {
+        let path = temp_path("resume_quarantines.journal");
+        let mut journal = Journal::create(&path, 5).unwrap();
+        journal.record(entry("fop", 2.0)).unwrap();
+        journal
+            .record_quarantine(QuarantineRecord {
+                key: entry("fop", 3.0).key,
+                attempts: 2,
+                reason: QuarantineReason::OomKilled,
+            })
+            .unwrap();
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("quarantined"));
+
+        let mut resumed = crate::supervisor::open_journal(&path, 5, true).unwrap();
+        assert!(resumed.quarantines().is_empty());
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("quarantined"), "{text}");
+        assert_eq!(text.lines().count(), 2, "header and one cell: {text}");
+        resumed.record(entry("fop", 3.0)).unwrap();
+        let reloaded = Journal::load(&path).unwrap();
+        assert_eq!((reloaded.len(), reloaded.quarantines().len()), (2, 0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resuming_a_complete_journal_leaves_the_file_untouched() {
+        let path = temp_path("resume_untouched.journal");
+        let mut journal = Journal::create(&path, 5).unwrap();
+        journal.record(entry("fop", 2.0)).unwrap();
+        let before = std::fs::metadata(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let resumed = crate::supervisor::open_journal(&path, 5, true).unwrap();
+        assert_eq!(resumed.len(), 1);
+        let after = std::fs::metadata(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        assert_eq!(before.modified().unwrap(), after.modified().unwrap());
+        #[cfg(unix)]
+        {
+            // A rewrite would rename a new file over the path.
+            use std::os::unix::fs::MetadataExt;
+            assert_eq!(before.ino(), after.ino(), "the file was replaced");
+        }
         std::fs::remove_file(&path).ok();
     }
 

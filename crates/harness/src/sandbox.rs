@@ -698,8 +698,8 @@ mod tests {
         );
         assert_eq!(
             runner.fingerprint(),
-            format!("{plan:?}+hard:{hard:?}"),
-            "the runner fingerprint existing journals carry"
+            format!("timed-iteration{plan:?}+hard:{hard:?}"),
+            "the runner fingerprint journals carry"
         );
         assert!(runner.handles_deadline());
     }

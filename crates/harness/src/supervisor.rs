@@ -1047,8 +1047,12 @@ impl SuiteSupervisor {
 
 /// Open the base journal at `path`: with `resume`, reload an existing one
 /// (refusing a different configuration's fingerprint, and dropping stale
-/// quarantine records — this run re-attempts those cells and records its
-/// own verdicts); otherwise, or when there is none yet, start it fresh.
+/// quarantine records from memory and file — this run re-attempts those
+/// cells and records its own verdicts); otherwise, or when there is none
+/// yet, start it fresh. A reloaded journal is rewritten only to drop
+/// quarantine lines, and its first append truncates any torn last line
+/// a crash left, so resuming a complete journal without quarantine
+/// lines writes nothing.
 pub(crate) fn open_journal(
     path: &Path,
     fingerprint: u64,
@@ -1064,7 +1068,7 @@ pub(crate) fn open_journal(
             found: loaded.fingerprint(),
         });
     }
-    loaded.clear_quarantines();
+    loaded.clear_quarantines()?;
     Ok(loaded)
 }
 

@@ -147,9 +147,9 @@ fn resumed_count(stderr: &str) -> u64 {
 }
 
 /// The journal's crash contract, as a user meets it: SIGKILL `runbms`
-/// mid-sweep, at any point of a journal write, and `--resume` prints
-/// the uninterrupted run's CSV byte for byte. A kill may leave the
-/// journal's `.tmp` sibling behind; resume must not care.
+/// mid-sweep, at any point of a journal append, and `--resume` prints
+/// the uninterrupted run's CSV byte for byte. A kill may leave a torn
+/// last line behind; resume must not care.
 #[cfg(unix)]
 #[test]
 fn sigkilled_journalled_sweep_resumes_to_the_uninterrupted_csv() {
@@ -158,9 +158,16 @@ fn sigkilled_journalled_sweep_resumes_to_the_uninterrupted_csv() {
     use std::time::Duration;
 
     const KILL_AT_CELLS: usize = 10;
-    // 4 benchmarks × 5 collectors × 11 heap factors: long enough that
-    // the kill lands well before the last cell.
-    let matrix = ["-b", "fop,lusearch,h2,xalan", "--isolation", "thread"];
+    // 4 benchmarks × 5 collectors × 11 heap factors at 10 invocations:
+    // long enough that the kill lands well before the last cell.
+    let matrix = [
+        "-b",
+        "fop,lusearch,h2,xalan",
+        "--invocations",
+        "10",
+        "--isolation",
+        "thread",
+    ];
     let runbms = || Command::new(env!("CARGO_BIN_EXE_runbms"));
     let journal_path = temp_journal("sigkill");
     let _ = std::fs::remove_file(&journal_path);
@@ -180,11 +187,11 @@ fn sigkilled_journalled_sweep_resumes_to_the_uninterrupted_csv() {
         .stderr(Stdio::null())
         .spawn()
         .expect("runbms spawns");
-    // Each line after the header is one journalled cell; the file is
-    // replaced by rename, so every read sees a whole journal.
+    // Each newline-terminated line after the header is one journalled
+    // cell; a read may catch the last line mid-append, uncommitted.
     let journalled = || {
         std::fs::read_to_string(&journal_path)
-            .map(|text| text.lines().count().saturating_sub(1))
+            .map(|text| text.matches('\n').count().saturating_sub(1))
             .unwrap_or(0)
     };
     while journalled() < KILL_AT_CELLS {
@@ -247,6 +254,59 @@ fn resume_refuses_a_journal_from_a_different_configuration() {
     assert!(
         matches!(err, SuperviseError::JournalMismatch { .. }),
         "{err}"
+    );
+    let _ = std::fs::remove_file(&journal_path);
+}
+
+/// A journal whose infeasible reasons came from the first failed
+/// iteration, warm-ups included, carries the runner recipe without the
+/// timed-iteration rule. `runbms --resume` refuses it after the CSV
+/// header, as any foreign fingerprint, and leaves it as it was.
+#[test]
+fn resume_refuses_a_journal_written_before_the_timed_iteration_decided() {
+    use chopin_harness::journal::Journal;
+    use std::process::Command;
+
+    let config = SweepConfig::quick();
+    let journal_path = temp_journal("warm-up-rule");
+    let journal = journal_path.to_str().expect("utf-8 temp path");
+    let resume = || {
+        Command::new(env!("CARGO_BIN_EXE_runbms"))
+            .args(["-b", "fop", "--quick", "--isolation", "thread"])
+            .args(["--journal", journal, "--resume"])
+            .output()
+            .expect("runbms spawns")
+    };
+
+    let old_recipe = chopin_analyzer::sweep_fingerprint(&["fop"], &config, "");
+    Journal::create(&journal_path, old_recipe).expect("journal header written");
+    let before = std::fs::read(&journal_path).expect("journal readable");
+    let refused = resume();
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&refused.stdout)
+            .lines()
+            .collect::<Vec<_>>(),
+        [chopin_analyzer::provenance::CSV_HEADER],
+        "nothing but the CSV header is printed"
+    );
+    assert!(stderr.contains("does not match"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&journal_path).expect("journal readable"),
+        before
+    );
+
+    // The same header under today's recipe resumes.
+    let runner = chopin_analyzer::runner_fingerprint(None, None);
+    let recipe = chopin_analyzer::sweep_fingerprint(&["fop"], &config, &runner);
+    assert_ne!(recipe, old_recipe);
+    Journal::create(&journal_path, recipe).expect("journal header written");
+    let resumed = resume();
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
     );
     let _ = std::fs::remove_file(&journal_path);
 }

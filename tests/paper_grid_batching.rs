@@ -11,9 +11,13 @@
 //! wall minus STW, the degenerate count and the pause histogram (every
 //! bucket, count, sum and max) exact; task clock and task clock minus STW
 //! CPU within a relative [`TASK_RTOL`].
+//!
+//! The same loop checks the sweep's timed-only entry: at seed 1 every
+//! cell's `run_timed()` equals `run()`'s timed iteration exactly, and the
+//! two agree on whether the cell is feasible.
 
 use chopin::core::sweep::PAPER_HEAP_FACTORS;
-use chopin::core::{BenchmarkRunner, Suite};
+use chopin::core::{BenchmarkRunner, IterationSet, Suite};
 use chopin::runtime::collector::CollectorKind;
 use chopin::runtime::result::RunResult;
 use chopin::runtime::time::SimDuration;
@@ -95,13 +99,18 @@ fn disagreement(batched: &RunResult, stepwise: &RunResult) -> Option<String> {
 /// Compare every iteration of `runner`'s invocation with and without the
 /// unreachable plan. An iteration that did not batch must be bit-identical
 /// to its stepwise run; infeasible cells must fail the same way on both.
-fn check(label: &str, runner: BenchmarkRunner, mismatches: &mut Vec<String>) {
+/// Returns the batched invocation.
+fn check(
+    label: &str,
+    runner: BenchmarkRunner,
+    mismatches: &mut Vec<String>,
+) -> Result<IterationSet, String> {
     let batched = runner.clone().run().map_err(|e| e.to_string());
     let stepwise = runner
         .faults(unreachable_plan())
         .run()
         .map_err(|e| e.to_string());
-    match (batched, stepwise) {
+    match (&batched, stepwise) {
         (Ok(b), Ok(s)) => {
             for (i, (b, s)) in b.iterations().iter().zip(s.iterations()).enumerate() {
                 // A batch replays pauses without recording them one by one.
@@ -116,15 +125,36 @@ fn check(label: &str, runner: BenchmarkRunner, mismatches: &mut Vec<String>) {
                 }
             }
         }
-        (Err(b), Err(s)) if b == s => {}
+        (Err(b), Err(s)) if *b == s => {}
         (b, s) => mismatches.push(format!("{label}: {b:?} vs {s:?}")),
+    }
+    batched
+}
+
+/// Compare `runner`'s timed-only run with the timed iteration of its
+/// full invocation `full`: equal when both run, and infeasible together.
+fn check_timed_only(
+    label: &str,
+    runner: &BenchmarkRunner,
+    full: &Result<IterationSet, String>,
+    mismatches: &mut Vec<String>,
+) {
+    match (runner.run_timed(), full) {
+        (Ok(lone), Ok(full)) if lone == *full.timed() => {}
+        (Ok(_), Ok(_)) => mismatches.push(format!("{label}: timed-only run differs")),
+        (Err(_), Err(_)) => {}
+        (lone, full) => mismatches.push(format!(
+            "{label}: feasibility differs, timed-only {:?} vs full {:?}",
+            lone.err(),
+            full.as_ref().err()
+        )),
     }
 }
 
 fn assert_none(mismatches: &[String]) {
     assert!(
         mismatches.is_empty(),
-        "{} batched runs leave the tolerance around stepwise, e.g.:\n{}",
+        "{} runs disagree with their reference, e.g.:\n{}",
         mismatches.len(),
         mismatches[..mismatches.len().min(10)].join("\n")
     );
@@ -138,8 +168,13 @@ fn every_paper_grid_cell_matches_its_stepwise_run() {
         for collector in CollectorKind::ALL {
             for factor in PAPER_HEAP_FACTORS {
                 let label = format!("{}/{collector}/{factor}x", bench.name());
-                let runner = bench.runner().collector(collector).heap_factor(factor);
-                check(&label, runner.seed(1), &mut mismatches);
+                let runner = bench
+                    .runner()
+                    .collector(collector)
+                    .heap_factor(factor)
+                    .seed(1);
+                let full = check(&label, runner.clone(), &mut mismatches);
+                check_timed_only(&label, &runner, &full, &mut mismatches);
             }
         }
     }
@@ -158,7 +193,7 @@ fn lusearch_g1_at_the_minimum_heap_matches_stepwise_at_every_seed() {
             .collector(CollectorKind::G1)
             .heap_factor(1.0)
             .seed(seed);
-        check(
+        let _ = check(
             &format!("lusearch/G1/1x seed {seed}"),
             runner,
             &mut mismatches,
