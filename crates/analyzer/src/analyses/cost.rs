@@ -10,7 +10,8 @@
 //! without a crash-safe journal risks losing everything to a single
 //! interruption (a warning).
 
-use crate::ir::PlanIR;
+use crate::ir::{BenchmarkIR, PlanIR};
+use chopin_core::sweep::SweepConfig;
 use chopin_lint::Diagnostic;
 
 /// Optimistic ceiling on simulator speed, in simulated seconds per real
@@ -21,18 +22,36 @@ pub const SIM_RATE_CEILING: f64 = 1e6;
 /// Real seconds in the unjournalled-sweep warning threshold (24 hours).
 const JOURNAL_THRESHOLD_S: f64 = 86_400.0;
 
+/// Certain lower bound on one sweep cell's real cost, in seconds: its
+/// invocations, each simulating only the timed iteration, at the
+/// optimistic [`SIM_RATE_CEILING`]. Rules R808, R809 and R1202 judge
+/// it, and the process sandbox scales it into its RLIMIT_CPU backstop.
+pub fn cell_cost_bound_s(benchmark: &BenchmarkIR, config: &SweepConfig) -> f64 {
+    f64::from(config.invocations) * benchmark.est_timed_iteration_s(config.iterations)
+        / SIM_RATE_CEILING
+}
+
+/// [`cell_cost_bound_s`] of each of the plan's benchmarks, indexed like
+/// [`PlanIR::benchmarks`]: every cell of a benchmark costs the same.
+pub(crate) fn cell_cost_bounds_s(plan: &PlanIR) -> Vec<f64> {
+    plan.benchmarks
+        .iter()
+        .map(|b| cell_cost_bound_s(b, &plan.config))
+        .collect()
+}
+
 /// Run the cost-model analysis.
 pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
     let cells = plan.cells();
+    let bounds = cell_cost_bounds_s(plan);
     let mut total_real_s = 0.0;
     let mut worst: Option<(usize, f64)> = None;
     for (i, cell) in cells.iter().enumerate() {
         if !cell.feasible {
             continue;
         }
-        let cell_real_s =
-            f64::from(plan.config.invocations) * cell.est_invocation_s / SIM_RATE_CEILING;
+        let cell_real_s = bounds[cell.benchmark];
         total_real_s += cell_real_s;
         if worst.is_none_or(|(_, w)| cell_real_s > w) {
             worst = Some((i, cell_real_s));

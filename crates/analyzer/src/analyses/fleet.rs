@@ -32,7 +32,7 @@
 //!   merged journal, so `--fleet-standby` (modelled as
 //!   [`PlanIR::standby`]) requires the run to be journalled.
 
-use crate::analyses::cost::SIM_RATE_CEILING;
+use crate::analyses::cost::{cell_cost_bounds_s, SIM_RATE_CEILING};
 use crate::ir::PlanIR;
 use chopin_fleet::MAX_FLEET_WORKERS;
 use chopin_lint::Diagnostic;
@@ -102,15 +102,11 @@ pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
         );
     }
 
+    let bounds = cell_cost_bounds_s(plan);
     let worst = cells
         .iter()
         .filter(|c| c.feasible)
-        .map(|c| {
-            (
-                c,
-                f64::from(plan.config.invocations) * c.est_invocation_s / SIM_RATE_CEILING,
-            )
-        })
+        .map(|c| (c, bounds[c.benchmark]))
         .max_by(|(_, a), (_, b)| a.total_cmp(b));
     if let Some((cell, cell_real_s)) = worst {
         let deadline_s = fleet.deadline_ms() as f64 / 1e3;

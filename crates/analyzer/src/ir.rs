@@ -16,7 +16,7 @@ use chopin_faults::{FaultPlan, HardFaultPlan, NetFaultPlan, SupervisorPolicy};
 use chopin_fleet::FleetPlan;
 use chopin_runtime::collector::CollectorKind;
 use chopin_sandbox::{IsolationMode, SandboxPolicy};
-use chopin_workloads::WorkloadProfile;
+use chopin_workloads::{SizeClass, WorkloadProfile};
 
 /// Which experiment methodology the plan drives — the analyses differ:
 /// e.g. warmup sufficiency applies to timed-iteration methodologies, and
@@ -83,12 +83,42 @@ impl BenchmarkIR {
         }
     }
 
+    /// Resolve `profile`'s facts at size class `size`.
+    ///
+    /// # Errors
+    ///
+    /// The profile publishes no minimum heap for `size`.
+    pub fn from_profile(profile: &WorkloadProfile, size: SizeClass) -> Result<BenchmarkIR, String> {
+        let min_heap_bytes = profile.min_heap_bytes(size).ok_or_else(|| {
+            format!(
+                "{}: no published minimum heap for size {size:?}",
+                profile.name
+            )
+        })?;
+        Ok(BenchmarkIR {
+            name: profile.name.to_string(),
+            min_heap_bytes,
+            inflation: profile.uncompressed_inflation(),
+            pwu: profile.warmup_iterations,
+            est_iteration_s: profile.derived_exec_time_s(),
+            latency_sensitive: profile.is_latency_sensitive(),
+        })
+    }
+
     /// Estimated simulated seconds of one invocation of `iterations`
-    /// iterations, warmup multipliers included.
+    /// iterations, warmup multipliers included: how far a whole
+    /// invocation's simulated clock can reach.
     pub fn est_invocation_s(&self, iterations: u32) -> f64 {
         (0..iterations)
             .map(|i| warmup_scale(i, self.pwu) * self.est_iteration_s)
             .sum()
+    }
+
+    /// Estimated simulated seconds of the one iteration a sweep cell
+    /// simulates per invocation: the timed iteration, `iterations − 1`,
+    /// with its warmup multiplier (DESIGN.md D6).
+    pub fn est_timed_iteration_s(&self, iterations: u32) -> f64 {
+        warmup_scale(iterations.saturating_sub(1), self.pwu) * self.est_iteration_s
     }
 }
 
@@ -179,23 +209,10 @@ impl PlanIR {
         policy: SupervisorPolicy,
         journalled: bool,
     ) -> Result<PlanIR, String> {
-        let mut benchmarks = Vec::with_capacity(profiles.len());
-        for p in profiles {
-            let min_heap_bytes = p.min_heap_bytes(config.size).ok_or_else(|| {
-                format!(
-                    "{}: no published minimum heap for size {:?}",
-                    p.name, config.size
-                )
-            })?;
-            benchmarks.push(BenchmarkIR {
-                name: p.name.to_string(),
-                min_heap_bytes,
-                inflation: p.uncompressed_inflation(),
-                pwu: p.warmup_iterations,
-                est_iteration_s: p.derived_exec_time_s(),
-                latency_sensitive: p.is_latency_sensitive(),
-            });
-        }
+        let benchmarks = profiles
+            .iter()
+            .map(|p| BenchmarkIR::from_profile(p, config.size))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(PlanIR {
             name: name.into(),
             methodology,
@@ -352,6 +369,16 @@ mod tests {
             .find(|c| c.benchmark == 1 && c.collector == CollectorKind::Zgc && c.heap_factor == 4.0)
             .unwrap();
         assert!(biojava_zgc_big.feasible);
+    }
+
+    #[test]
+    fn a_cell_is_costed_by_its_timed_iteration_alone() {
+        let p = plan(SweepConfig::quick());
+        let b = &p.benchmarks[0];
+        let timed = b.est_timed_iteration_s(5);
+        assert_eq!(timed, warmup_scale(4, b.pwu) * b.est_iteration_s);
+        assert!(timed < b.est_invocation_s(5) / 5.0, "warm-ups cost more");
+        assert_eq!(b.est_timed_iteration_s(1), b.est_invocation_s(1));
     }
 
     #[test]

@@ -60,9 +60,14 @@ fn collector_field(obj: &JsonValue, key: &str) -> Result<CollectorKind, String> 
     obj.label_field(key, |label| label.parse().ok())
 }
 
+/// Read a journal by the journal's own rules: the newline commits a
+/// line, so a last line without one (an append a crash cut short) is
+/// ignored, and a quarantine record is a verdict, not a measurement, so
+/// its cell counts as missing data.
 fn parse_journal(text: &str) -> Result<Artifact, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or("empty journal")?;
+    let committed = &text[..text.rfind('\n').map_or(0, |end| end + 1)];
+    let mut lines = committed.lines().enumerate();
+    let (_, header) = lines.next().ok_or("no complete header line")?;
     let obj = json::parse(header).map_err(|e| format!("line 1: {e}"))?;
     let tag = obj
         .str_field("journal")
@@ -84,6 +89,9 @@ fn parse_journal(text: &str) -> Result<Artifact, String> {
         }
         let entry = (|| -> Result<(), String> {
             let obj = json::parse(line).map_err(|e| e.to_string())?;
+            if obj.get("quarantined").is_some() {
+                return Ok(());
+            }
             let benchmark = obj.str_field("benchmark")?.to_string();
             let collector = collector_field(&obj, "collector")?;
             let heap_factor = obj.f64_field("heap_factor")?;

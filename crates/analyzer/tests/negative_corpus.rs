@@ -2,6 +2,7 @@
 //! rule, asserting the exact rule ID fires (and, for the errors, that the
 //! report would fail the gate).
 
+use chopin_analyzer::analyses::cost::{cell_cost_bound_s, SIM_RATE_CEILING};
 use chopin_analyzer::{analyze, analyze_artifact, Methodology, PlanIR};
 use chopin_core::sweep::SweepConfig;
 use chopin_faults::{FaultKind, FaultPlan, SupervisorPolicy};
@@ -277,6 +278,42 @@ fn r808_deadline_violating_plan() {
 }
 
 #[test]
+fn r808_costs_a_cell_by_its_timed_iteration_alone() {
+    // A deadline between the timed iteration's bound and the bound of
+    // all five iterations: a sweep cell simulates only the timed one
+    // per invocation, so the plan runs and R808 stays silent.
+    let config = SweepConfig {
+        invocations: 1_000_000,
+        ..small_config()
+    };
+    let plan_with = |cell_deadline_ms| {
+        compile(
+            &["fop"],
+            Methodology::Sweep,
+            config.clone(),
+            None,
+            SupervisorPolicy {
+                cell_deadline_ms,
+                ..SupervisorPolicy::default()
+            },
+            false,
+        )
+    };
+    let fop = &plan_with(None).benchmarks[0];
+    let timed_ms = cell_cost_bound_s(fop, &config) * 1e3;
+    let summed_ms = f64::from(config.invocations) * fop.est_invocation_s(config.iterations)
+        / SIM_RATE_CEILING
+        * 1e3;
+    let deadline_ms = ((timed_ms + summed_ms) / 2.0) as u64;
+    assert!(
+        timed_ms < deadline_ms as f64 && (deadline_ms as f64) < summed_ms,
+        "{timed_ms} ms < {deadline_ms} ms < {summed_ms} ms"
+    );
+    let report = analyze(&plan_with(Some(deadline_ms)));
+    assert!(!ids(&report).contains(&"R808"), "{}", report.render_table());
+}
+
+#[test]
 fn r809_unjournalled_marathon_warns_and_journalling_silences_it() {
     let config = SweepConfig {
         collectors: CollectorKind::ALL.to_vec(),
@@ -405,6 +442,48 @@ fn r813_incomplete_artifact_warns() {
         .expect("R813 fires");
     assert_eq!(r813.severity, Severity::Warn);
     assert!(r813.hint.as_deref().unwrap_or("").contains("resume"));
+}
+
+/// A journal of `sane_plan()`: its header, then `lines`.
+fn sane_journal(lines: &[&str]) -> String {
+    let mut journal = format!(
+        "{{\"journal\":\"chopin-sweep\",\"version\":1,\"fingerprint\":\"{:016x}\"}}\n",
+        sane_plan().resume_fingerprint()
+    );
+    for line in lines {
+        journal.push_str(line);
+    }
+    journal
+}
+
+const SANE_ENTRY: &str = "{\"benchmark\":\"fop\",\"collector\":\"G1\",\"heap_factor\":2.0,\
+    \"samples\":[{\"collector\":\"G1\",\"heap_factor\":2.0,\"wall_s\":1.0,\"task_s\":2.0,\
+    \"wall_distillable_s\":0.9,\"task_distillable_s\":1.8}],\"infeasible\":null}\n";
+
+#[test]
+fn a_journal_s_quarantine_lines_are_missing_data_not_unreadable() {
+    let quarantine = "{\"quarantined\":{\"benchmark\":\"fop\",\"collector\":\"G1\",\
+        \"heap_factor\":2.0},\"attempts\":3,\"reason\":{\"kind\":\"signalled\",\"signal\":9}}\n";
+    let report = analyze_artifact(&sane_plan(), &sane_journal(&[quarantine]));
+    assert_eq!(ids(&report), vec!["R813"], "{}", report.render_table());
+    assert!(!report.has_errors());
+
+    let report = analyze_artifact(&sane_plan(), &sane_journal(&[quarantine, SANE_ENTRY]));
+    assert!(report.diagnostics.is_empty(), "{}", report.render_table());
+}
+
+#[test]
+fn a_journal_s_torn_last_line_is_ignored() {
+    // Half an append after a committed entry: never committed, ignored.
+    let torn = &SANE_ENTRY[..SANE_ENTRY.len() / 2];
+    let report = analyze_artifact(&sane_plan(), &sane_journal(&[SANE_ENTRY, torn]));
+    assert!(report.diagnostics.is_empty(), "{}", report.render_table());
+
+    // A whole line still lacking its newline did not commit either: the
+    // cell is missing, not unreadable.
+    let uncommitted = SANE_ENTRY.trim_end_matches('\n');
+    let report = analyze_artifact(&sane_plan(), &sane_journal(&[uncommitted]));
+    assert_eq!(ids(&report), vec!["R813"], "{}", report.render_table());
 }
 
 #[test]

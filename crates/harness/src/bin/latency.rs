@@ -69,7 +69,7 @@ fn main() {
     }
     match chopin_harness::sandbox::isolation_from_args(&args) {
         // latency has no per-cell supervisor path: isolate the whole run
-        // in one sandboxed child instead of one child per cell.
+        // in one sandboxed child instead of on per-cell workers.
         Ok(chopin_harness::IsolationMode::Process) => {
             std::process::exit(chopin_harness::sandbox::reexec_isolated());
         }

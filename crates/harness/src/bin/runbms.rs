@@ -23,12 +23,13 @@
 //! results are still printed). A malformed flag or an unknown benchmark
 //! exits 2.
 //!
-//! `--isolation process` moves the isolation boundary from a thread to a
-//! sandboxed child OS process per cell (heartbeats, derived
+//! `--isolation process` moves the isolation boundary from a thread to
+//! sandboxed worker processes, one per scheduler thread, each running
+//! cell after cell (heartbeats, per-cell derived soft
 //! RLIMIT_AS/RLIMIT_CPU; `--heartbeat-ms`, `--rlimit-as-mb`,
 //! `--rlimit-cpu-s` to override), so cells that SIGSEGV, get OOM-killed
 //! or wedge are quarantined with their crash taxonomy instead of taking
-//! the sweep down. `--hard-faults kill|abort|oom[:SEED[:STRIDE]]`
+//! the sweep down; stderr reports the workers spawned. `--hard-faults kill|abort|oom[:SEED[:STRIDE]]`
 //! injects real process deaths into deterministic victim cells (process
 //! isolation required, rule R903); `--crash-reports FILE` writes one
 //! JSONL record per hard child failure.

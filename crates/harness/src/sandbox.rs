@@ -1,23 +1,30 @@
 //! Process-isolated cell execution: the harness side of `chopin-sandbox`.
 //!
-//! Under `--isolation process` every sweep cell runs in a child OS
-//! process instead of a worker thread. The pieces living here:
+//! Under `--isolation process` every sweep cell runs in a sandboxed
+//! worker process instead of on a worker thread. Each scheduler thread
+//! keeps at most one persistent worker busy, which runs one cell after
+//! another; a cell's independence comes from its seed, not from a fresh
+//! process. The pieces living here:
 //!
-//! * [`worker_entry`] — the child half. Every binary calls it first thing
-//!   in `main`; when the process was spawned as a sandbox worker it
-//!   decodes the cell request from stdin, runs the cell on the in-process
-//!   [`SweepCellRunner`] itself, and reports the outcome over the framed
-//!   stdout protocol.
-//! * [`ProcessCellRunner`] — the parent half: a [`CellRunner`] that
-//!   marshals each cell into a sandboxed child, derives per-cell
-//!   resource limits (RLIMIT_AS from the cell's heap, RLIMIT_CPU from the
-//!   analyzer's R808 cost bound), and classifies every child ending into
-//!   the crash taxonomy the supervisor quarantines by.
+//! * [`worker_entry`] — the worker half. Every binary calls it first
+//!   thing in `main`; when the process was spawned as a sandbox worker
+//!   it serves cell requests from stdin until stdin closes: it decodes
+//!   each, runs the cell on the in-process [`SweepCellRunner`] itself,
+//!   and reports the outcome over the framed stdout protocol.
+//! * [`ProcessCellRunner`] — the parent half: a [`CellRunner`] that keeps
+//!   the idle workers, spawns one when none is idle, marshals each cell
+//!   into a worker with its own resource limits (RLIMIT_AS from the
+//!   cell's heap, RLIMIT_CPU from the analyzer's R808 cost bound), and
+//!   classifies every ending into the crash taxonomy the supervisor
+//!   quarantines by. A worker that dies is charged to the one cell it
+//!   was running and replaced; one found dead while idle is replaced
+//!   without charging anyone.
 //! * Hard-fault injection (`--hard-faults kill|abort|oom`): the parent
 //!   decides victim cells deterministically
 //!   ([`HardFaultPlan::is_victim`]) and ships only the death directive to
-//!   the child, so victim selection is identical across attempts,
-//!   backends and hosts.
+//!   the worker, so victim selection is identical across attempts,
+//!   backends and hosts. A victim never answers, so its death can never
+//!   land on the next cell.
 //! * [`CrashReport`] — one JSONL record per hard child failure
 //!   (`--crash-reports FILE`), the artifact CI uploads from chaos runs.
 //! * [`reexec_isolated`] — whole-run isolation for the binaries without a
@@ -35,16 +42,17 @@ use crate::codec::{self, Record};
 use crate::supervisor::{
     lock, Cell, CellFailure, CellOutcome, CellRunner, QuarantineReason, SweepCellRunner,
 };
-use chopin_analyzer::analyses::cost::SIM_RATE_CEILING;
-use chopin_core::iteration::warmup_scale;
+use chopin_analyzer::analyses::cost::cell_cost_bound_s;
+use chopin_analyzer::BenchmarkIR;
 use chopin_core::sweep::SweepConfig;
 use chopin_faults::{parse_hard_flag, FaultPlan, HardFaultKind, HardFaultPlan};
 use chopin_obs::metrics::sandbox_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_sandbox::parent::RequestLimits;
 use chopin_sandbox::policy::{derived_rlimit_cpu_s, required_rlimit_as};
-use chopin_sandbox::{ChildOutcome, ChildReport, SandboxPolicy, SandboxPool};
+use chopin_sandbox::{ChildOutcome, ChildReport, SandboxPolicy, SandboxPool, Session};
 use chopin_workloads::{SizeClass, WorkloadProfile};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -194,50 +202,61 @@ impl CellRequest {
 fn handle_request(request: &str) -> Result<String, String> {
     let req: CellRequest =
         codec::decode(request).map_err(|e| format!("unreadable cell request: {e}"))?;
-    if let Some((kind, delay_ms)) = req.hard {
-        schedule_death(kind, delay_ms);
+    let Some((kind, delay_ms)) = req.hard else {
+        let outcome = req.run().map_err(|failure| match failure {
+            CellFailure::Transient(message) => message,
+            CellFailure::Crash(reason) => reason.to_string(),
+        })?;
+        return Ok(codec::encode(&outcome));
+    };
+    // A victim never answers and never returns to the serve loop, on any
+    // path (outcome, error or panic): if the cell outran the scheduled
+    // death, park until it fires, so the death cannot land on the next
+    // cell and the victim set stays exactly the set the plan selected,
+    // independent of cell speed.
+    schedule_death(kind, delay_ms);
+    let _ = catch_unwind(AssertUnwindSafe(|| req.run()));
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
     }
-    let outcome = req.run().map_err(|failure| match failure {
-        CellFailure::Transient(message) => message,
-        CellFailure::Crash(reason) => reason.to_string(),
-    })?;
-    if req.hard.is_some() {
-        // A victim never answers: if the cell outran the scheduled death,
-        // park until it fires so the victim set stays exactly the set the
-        // plan selected, independent of cell speed.
-        loop {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-    Ok(codec::encode(&outcome))
 }
 
 /// Inject the scheduled death: after `delay_ms` the process dies the way
 /// the plan says, from a thread of its own so the cell is genuinely
-/// mid-execution when it happens.
+/// mid-execution when it happens. A worker that cannot start that thread
+/// (an `oom` victim's address-space limit may already be spent) dies
+/// the same way at once.
 fn schedule_death(kind: HardFaultKind, delay_ms: u64) {
-    std::thread::spawn(move || {
+    let scheduled = std::thread::Builder::new().spawn(move || {
         std::thread::sleep(Duration::from_millis(delay_ms));
-        match kind {
-            HardFaultKind::Kill => {
-                chopin_sandbox::limits::die_by_signal(chopin_sandbox::limits::SIGKILL)
-            }
-            HardFaultKind::Abort => std::process::abort(),
-            HardFaultKind::OomBlowup => {
-                // Hoard touched memory until the RLIMIT_AS backstop fires;
-                // the allocator aborts with its out-of-memory message,
-                // which is exactly what the parent classifies as OomKilled.
-                let mut hoard: Vec<Vec<u8>> = Vec::new();
-                loop {
-                    let mut chunk = vec![0u8; 32 << 20];
-                    for byte in chunk.iter_mut().step_by(4096) {
-                        *byte = 1;
-                    }
-                    hoard.push(chunk);
+        die(kind)
+    });
+    if scheduled.is_err() {
+        die(kind);
+    }
+}
+
+/// Die the way `kind` says.
+fn die(kind: HardFaultKind) -> ! {
+    match kind {
+        HardFaultKind::Kill => {
+            chopin_sandbox::limits::die_by_signal(chopin_sandbox::limits::SIGKILL)
+        }
+        HardFaultKind::Abort => std::process::abort(),
+        HardFaultKind::OomBlowup => {
+            // Hoard touched memory until the RLIMIT_AS backstop fires;
+            // the allocator aborts with its out-of-memory message, which
+            // is exactly what the parent classifies as OomKilled.
+            let mut hoard: Vec<Vec<u8>> = Vec::new();
+            loop {
+                let mut chunk = vec![0u8; 32 << 20];
+                for byte in chunk.iter_mut().step_by(4096) {
+                    *byte = 1;
                 }
+                hoard.push(chunk);
             }
         }
-    });
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -260,11 +279,13 @@ pub struct CrashReport {
     pub exit_code: Option<i32>,
     /// Terminating signal, when the child died to one.
     pub signal: Option<i32>,
-    /// Milliseconds after spawn of the last heartbeat, if any arrived.
+    /// Milliseconds after the cell's request of the last heartbeat, if
+    /// any arrived.
     pub last_heartbeat_ms: Option<u64>,
-    /// Peak resident set sampled from procfs, bytes.
+    /// The worker's lifetime peak resident set (VmHWM), bytes: it may
+    /// have run other cells before this one.
     pub peak_rss_bytes: Option<u64>,
-    /// Child lifetime, wall milliseconds.
+    /// Wall milliseconds from the cell's request to the worker's death.
     pub wall_ms: u64,
 }
 
@@ -295,16 +316,19 @@ struct SandboxStats {
     peak_rss_max_bytes: u64,
 }
 
-/// The process-isolation [`CellRunner`]: every cell in a sandboxed child,
-/// hard endings classified into the crash taxonomy the supervisor
-/// quarantines by.
+/// The process-isolation [`CellRunner`]: every cell in a persistent
+/// sandboxed worker, hard endings classified into the crash taxonomy the
+/// supervisor quarantines by. It never holds more workers than cells run
+/// at once: one per scheduler thread.
 #[derive(Debug)]
 pub struct ProcessCellRunner {
-    exe: PathBuf,
+    pool: SandboxPool,
     policy: SandboxPolicy,
     deadline_ms: Option<u64>,
     faults: Option<FaultPlan>,
     hard: Option<HardFaultPlan>,
+    /// Workers between cells.
+    idle: Mutex<Vec<Session>>,
     stats: Mutex<SandboxStats>,
     reports: Mutex<Vec<CrashReport>>,
 }
@@ -312,7 +336,7 @@ pub struct ProcessCellRunner {
 impl ProcessCellRunner {
     /// A runner spawning `exe` (normally the current executable, whose
     /// `main` calls [`worker_entry`]) under `policy`, with the
-    /// supervisor's per-cell deadline enforced child-side.
+    /// supervisor's per-cell deadline enforced by the parent.
     pub fn new(
         exe: PathBuf,
         policy: SandboxPolicy,
@@ -321,20 +345,47 @@ impl ProcessCellRunner {
         hard: Option<HardFaultPlan>,
     ) -> ProcessCellRunner {
         ProcessCellRunner {
-            exe,
+            pool: SandboxPool::new(exe, policy).with_deadline_ms(deadline_ms),
             policy,
             deadline_ms,
             faults: faults.filter(|p| !p.is_empty()),
             hard,
+            idle: Mutex::new(Vec::new()),
             stats: Mutex::new(SandboxStats::default()),
             reports: Mutex::new(Vec::new()),
         }
     }
 
+    /// An idle worker that is still alive, or a fresh one when none is.
+    /// A worker found dead while idle is reaped and replaced here, before
+    /// any request is written to it, so no cell is charged for it.
+    fn checkout(&self) -> Result<Session, ChildReport> {
+        loop {
+            let Some(mut worker) = lock(&self.idle).pop() else {
+                break;
+            };
+            if worker.is_alive() {
+                return Ok(worker);
+            }
+        }
+        lock(&self.stats).spawns += 1;
+        self.pool.spawn()
+    }
+
+    /// Close and reap every idle worker. Call once no cell is running:
+    /// a worker busy with a cell is not idle, and is not closed.
+    pub fn close_workers(&self) {
+        let idle = std::mem::take(&mut *lock(&self.idle));
+        for mut worker in idle {
+            worker.close();
+        }
+    }
+
     /// Derive this cell's resource limits: explicit policy overrides win;
     /// otherwise RLIMIT_AS covers the cell's collector-adjusted heap plus
-    /// the worker base, and RLIMIT_CPU scales the analyzer's R808 cost
-    /// lower bound (capped just above the cell deadline when one exists).
+    /// the worker base, and the RLIMIT_CPU budget scales the analyzer's
+    /// R808 cost lower bound (capped just above the cell deadline when
+    /// one exists).
     /// `oom` victims instead get [`OOM_VICTIM_RLIMIT_AS`] so the injected
     /// blow-up trips the backstop quickly.
     fn derive_limits(
@@ -344,10 +395,8 @@ impl ProcessCellRunner {
         config: &SweepConfig,
         victim: Option<&HardFaultPlan>,
     ) -> RequestLimits {
-        let est_invocation_s: f64 = (0..config.iterations)
-            .map(|i| warmup_scale(i, profile.warmup_iterations) * profile.derived_exec_time_s())
-            .sum();
-        let cost_bound_s = f64::from(config.invocations) * est_invocation_s / SIM_RATE_CEILING;
+        let cost_bound_s = BenchmarkIR::from_profile(profile, config.size)
+            .map_or(0.0, |benchmark| cell_cost_bound_s(&benchmark, config));
         let rlimit_cpu_s = self
             .policy
             .rlimit_cpu_s
@@ -373,7 +422,6 @@ impl ProcessCellRunner {
 
     fn absorb(&self, cell: &Cell, report: &ChildReport) {
         let mut stats = lock(&self.stats);
-        stats.spawns += 1;
         stats.heartbeats += report.heartbeats;
         if let Some(beat_ms) = report.last_heartbeat_ms {
             stats
@@ -459,9 +507,16 @@ impl CellRunner for ProcessCellRunner {
             hard: victim.map(|v| (v.kind, v.delay_ms)),
         });
         let limits = self.derive_limits(profile, cell, config, victim);
-        let pool =
-            SandboxPool::new(self.exe.clone(), self.policy).with_deadline_ms(self.deadline_ms);
-        let report = pool.run(&request, limits);
+        let report = match self.checkout() {
+            Ok(mut worker) => {
+                let report = worker.serve(&request, limits);
+                if worker.is_alive() {
+                    lock(&self.idle).push(worker);
+                }
+                report
+            }
+            Err(report) => report,
+        };
         self.absorb(cell, &report);
         match report.outcome {
             ChildOutcome::Completed(payload) => codec::decode(&payload)

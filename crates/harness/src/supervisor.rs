@@ -27,12 +27,16 @@
 //!   a fresh one. Completed cells are journalled atomically
 //!   ([`crate::journal`]) as they finish.
 //! * `--isolation process` — the same loop, each attempt in a sandboxed
-//!   child ([`crate::sandbox`]): cells that SIGSEGV, get SIGKILLed, blow
-//!   their address-space limit or stop heartbeating are quarantined as
-//!   [`QuarantineReason::Signalled`], [`QuarantineReason::OomKilled`] or
+//!   worker process ([`crate::sandbox`]), at most one per scheduler
+//!   thread, each serving one cell after another: cells that SIGSEGV,
+//!   get SIGKILLed, blow their address-space limit or stop heartbeating
+//!   are quarantined as [`QuarantineReason::Signalled`],
+//!   [`QuarantineReason::OomKilled`] or
 //!   [`QuarantineReason::HeartbeatLost`] instead of taking the sweep
-//!   down. Hard-fault injection (`--hard-faults`) requires this backend
-//!   and is rejected up front under threads (rule R903).
+//!   down; the dead worker is replaced. Every worker is closed and
+//!   reaped before [`SuiteSupervisor::run`] returns. Hard-fault injection
+//!   (`--hard-faults`) requires this backend and is rejected up front
+//!   under threads (rule R903).
 //! * `--fleet N` — leases cross a TCP socket to worker processes
 //!   ([`crate::fleet`]), which journal into per-worker shards.
 //!
@@ -165,7 +169,7 @@ impl From<String> for CellFailure {
 
 /// Executes one cell. The default implementation ([`SweepCellRunner`])
 /// runs the sweep's invocation loop in this process; the process backend
-/// ([`ProcessCellRunner`]) marshals the cell into a sandboxed child; and
+/// ([`ProcessCellRunner`]) marshals the cell into a sandboxed worker; and
 /// chaos tests substitute runners that panic, hang or fail on schedule.
 pub trait CellRunner: Send + Sync {
     /// Run every invocation of `cell` and return the outcome.
@@ -940,6 +944,7 @@ impl SuiteSupervisor {
                     crash_reports: Vec::new(),
                 };
                 if let Some(process) = process_runner {
+                    process.close_workers();
                     process.merge_metrics(&mut drained.metrics);
                     drained.crash_reports = process.take_reports();
                 }

@@ -11,15 +11,27 @@
 //! 3. Resuming the same stormed sweep from its journal replays the
 //!    survivors from disk and reproduces the final CSV exactly; the
 //!    journal carries the victims' crash taxonomy.
+//! 4. Workers are reused safely: a victim whose cell errors still never
+//!    answers, a worker killed while idle is replaced without charging a
+//!    cell, and `runbms` leaves no worker behind, whether it exits or is
+//!    SIGKILLed mid-sweep.
 
 use chopin_core::sweep::{SweepConfig, SweepResult};
 use chopin_faults::{HardFaultKind, HardFaultPlan, SupervisorPolicy};
-use chopin_harness::supervisor::{QuarantineReason, SuiteSupervisor};
+use chopin_harness::sandbox::ProcessCellRunner;
+use chopin_harness::supervisor::{Cell, CellRunner, QuarantineReason, SuiteSupervisor};
 use chopin_harness::IsolationMode;
+use chopin_obs::MetricsRegistry;
 use chopin_runtime::collector::CollectorKind;
+use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::SIGKILL;
+use chopin_sandbox::parent::RequestLimits;
+use chopin_sandbox::{ChildOutcome, SandboxPolicy, SandboxPool};
 use chopin_workloads::SizeClass;
+use std::os::unix::process::CommandExt;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("chopin-sandbox-{tag}-{}", std::process::id()))
@@ -120,10 +132,14 @@ fn clean_process_run_matches_thread_run() -> String {
         .run(&profiles, &config)
         .expect("process run is valid");
     assert!(process.is_clean(), "{}", process.quarantine_summary());
-    assert_eq!(
-        process.metrics.counter("sandbox.spawns"),
-        4 * profiles.len() as u64,
-        "one child per cell"
+    let cells = 4 * profiles.len();
+    let schedulers = std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(cells) as u64;
+    let spawns = process.metrics.counter("sandbox.spawns");
+    assert!(
+        (1..=schedulers).contains(&spawns),
+        "{spawns} workers for {cells} cells: at most one per scheduler thread ({schedulers})"
     );
 
     let reference = render_csv(&thread.results, |_, _, _| true);
@@ -275,6 +291,161 @@ fn resume_after_storm_reproduces_the_csv() {
     eprintln!("scenario 3 ok: resume reproduces the stormed CSV");
 }
 
+/// Scenario 4a: a victim whose cell returns an error still never
+/// answers: it parks until its scheduled death, so the death cannot land
+/// on whatever cell the worker would have served next.
+fn a_victim_whose_cell_errs_never_answers() {
+    let exe = std::env::current_exe().expect("current_exe");
+    let pool = SandboxPool::new(exe, SandboxPolicy::default()).with_deadline_ms(Some(60_000));
+    // No such benchmark: the cell fails at once, long before the death.
+    let request = r#"{"benchmark":"no-such-benchmark","collector":"G1","heap_factor":2.0,"invocations":1,"iterations":1,"size":"default","faults":null,"hard":{"kind":"kill","delay_ms":"50"}}"#;
+    let mut worker = pool.spawn().expect("worker spawns");
+    let report = worker.serve(request, RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Signalled { signal: SIGKILL },
+        "stderr: {}",
+        report.stderr_tail
+    );
+    assert!(
+        !worker.is_alive(),
+        "the victim's worker serves nothing more"
+    );
+    let bare = request.replace(r#"{"kind":"kill","delay_ms":"50"}"#, "null");
+    let report = pool.run(&bare, RequestLimits::default());
+    assert!(
+        matches!(&report.outcome, ChildOutcome::Failed(m) if m.contains("no-such-benchmark")),
+        "without the death directive the same cell answers its error: {:?}",
+        report.outcome
+    );
+    eprintln!("scenario 4a ok: an erring victim still dies, unanswered");
+}
+
+/// Live (non-zombie) processes whose `/proc/<pid>/stat` field `field`
+/// (counted after the command name: 1 = ppid, 2 = pgrp) is `value`.
+fn live_processes(field: usize, value: u32) -> Vec<u32> {
+    let Ok(proc_dir) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    proc_dir
+        .filter_map(|entry| entry.ok()?.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|pid| {
+            let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
+                return false;
+            };
+            let Some(close) = stat.rfind(')') else {
+                return false;
+            };
+            let mut fields = stat[close + 1..].split_whitespace();
+            let state = fields.next();
+            let matched = fields.nth(field - 1).and_then(|f| f.parse::<u32>().ok());
+            matched == Some(value) && state != Some("Z")
+        })
+        .collect()
+}
+
+/// Wait up to 10 s for `done`, polling every few milliseconds.
+fn eventually(mut done: impl FnMut() -> bool) -> bool {
+    let waiting = WallSpan::begin();
+    while waiting.elapsed() < Duration::from_secs(10) {
+        if done() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    done()
+}
+
+/// Scenario 4b: a worker found dead between cells is replaced before the
+/// next request is written to it, and no cell is charged for its death.
+fn a_worker_killed_while_idle_is_replaced_without_charge() {
+    let runner = ProcessCellRunner::new(
+        std::env::current_exe().expect("current_exe"),
+        SandboxPolicy::default(),
+        Some(60_000),
+        None,
+        None,
+    );
+    let profile = chopin_workloads::suite::by_name("fop").expect("suite benchmark");
+    let cell = Cell {
+        benchmark: "fop".to_string(),
+        collector: CollectorKind::G1,
+        heap_factor: 2.0,
+    };
+    let config = small_config();
+    let first = runner
+        .run_cell(&profile, &cell, &config)
+        .expect("the first cell completes");
+    let me = std::process::id();
+    let workers = live_processes(1, me);
+    assert_eq!(workers.len(), 1, "one idle worker: {workers:?}");
+    let killed = Command::new("kill")
+        .args(["-KILL", &workers[0].to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(killed.success());
+    assert!(eventually(|| live_processes(1, me).is_empty()));
+
+    let second = runner
+        .run_cell(&profile, &cell, &config)
+        .expect("the next cell runs in a fresh worker");
+    assert_eq!(second, first, "the same cell, the same outcome");
+    assert!(runner.take_reports().is_empty(), "no cell was charged");
+    let mut metrics = MetricsRegistry::new();
+    runner.merge_metrics(&mut metrics);
+    assert_eq!(metrics.counter("sandbox.spawns"), 2);
+    assert_eq!(metrics.counter("sandbox.exits.signalled"), 0);
+    runner.close_workers();
+    assert!(
+        live_processes(1, me).is_empty(),
+        "closed workers are reaped"
+    );
+    eprintln!("scenario 4b ok: an idle worker's death charges no cell");
+}
+
+/// Scenario 4c: `runbms` closes and reaps its workers before it exits;
+/// SIGKILLed mid-sweep, it leaves workers that exit once their stdin
+/// closes.
+fn runbms_leaves_no_worker_behind() {
+    let runbms = env!("CARGO_BIN_EXE_runbms");
+    let mut child = Command::new(runbms)
+        .args(["-b", "fop", "--quick", "--isolation", "process"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .process_group(0)
+        .spawn()
+        .expect("runbms spawns");
+    let group = child.id();
+    let status = child.wait().expect("runbms exits");
+    assert!(status.success(), "runbms exited with {status}");
+    assert!(
+        live_processes(2, group).is_empty(),
+        "workers outlived runbms: {:?}",
+        live_processes(2, group)
+    );
+
+    let mut child = Command::new(runbms)
+        .args(["-b", "all", "--invocations", "10", "--isolation", "process"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .process_group(0)
+        .spawn()
+        .expect("runbms spawns");
+    let group = child.id();
+    assert!(
+        eventually(|| live_processes(2, group).len() >= 2),
+        "runbms never started a worker"
+    );
+    child.kill().expect("SIGKILL runbms");
+    child.wait().expect("runbms reaped");
+    assert!(
+        eventually(|| live_processes(2, group).is_empty()),
+        "workers outlived their SIGKILLed parent: {:?}",
+        live_processes(2, group)
+    );
+    eprintln!("scenario 4c ok: no worker outlives runbms");
+}
+
 fn main() {
     // Must run before anything else: the sandboxed children ARE this
     // binary, re-entered with the worker environment set.
@@ -286,5 +457,10 @@ fn main() {
     let reference_csv = clean_process_run_matches_thread_run();
     sigkill_storm_quarantines_victims_and_preserves_survivors(&reference_csv);
     resume_after_storm_reproduces_the_csv();
+    a_victim_whose_cell_errs_never_answers();
+    #[cfg(target_os = "linux")]
+    a_worker_killed_while_idle_is_replaced_without_charge();
+    #[cfg(target_os = "linux")]
+    runbms_leaves_no_worker_behind();
     println!("sandbox integration: all scenarios ok");
 }

@@ -18,24 +18,26 @@ use std::collections::BTreeMap;
 /// runner) and the consuming side (reports, dashboards, tests) spelling
 /// the names identically.
 pub mod sandbox_metrics {
-    /// Counter: worker children spawned.
+    /// Counter: worker processes spawned: at most one per scheduler
+    /// thread, plus one for each dead worker replaced.
     pub const SPAWNS: &str = "sandbox.spawns";
-    /// Counter: children killed by the wall-clock deadline watchdog.
+    /// Counter: workers killed by the wall-clock deadline watchdog.
     pub const KILLS_DEADLINE: &str = "sandbox.kills.deadline";
-    /// Counter: children killed after going silent past the heartbeat
-    /// budget.
+    /// Counter: workers killed after going silent past the heartbeat
+    /// budget mid-cell.
     pub const KILLS_HEARTBEAT: &str = "sandbox.kills.heartbeat";
-    /// Counter: children that died to a signal they did not survive
+    /// Counter: workers that died to a signal they did not survive
     /// (SIGSEGV, SIGABRT, SIGKILL, ...).
     pub const SIGNALLED: &str = "sandbox.exits.signalled";
-    /// Counter: children OOM-killed by the RLIMIT_AS backstop.
+    /// Counter: workers OOM-killed by the RLIMIT_AS backstop.
     pub const OOM_KILLED: &str = "sandbox.oom_killed";
-    /// Counter: heartbeats received across all children.
+    /// Counter: heartbeats received across all workers.
     pub const HEARTBEATS: &str = "sandbox.heartbeats";
-    /// Histogram: observed gap between child spawn and its last
-    /// heartbeat, in nanoseconds.
+    /// Histogram: per cell that heard a heartbeat, the gap from its last
+    /// heartbeat to the cell's end, in nanoseconds.
     pub const HEARTBEAT_GAP_NS: &str = "sandbox.heartbeat_gap_ns";
-    /// Gauge: largest per-cell peak RSS observed, in bytes.
+    /// Gauge: largest worker peak RSS (lifetime VmHWM) observed, in
+    /// bytes.
     pub const PEAK_RSS_MAX_BYTES: &str = "sandbox.peak_rss.max_bytes";
 }
 

@@ -1,11 +1,14 @@
 //! Resource limits, peak-RSS accounting and self-inflicted signals.
 //!
 //! The workspace forbids `unsafe` everywhere else; this module is the one
-//! sanctioned exception, kept to two minimal libc calls (`setrlimit`,
-//! `raise`) declared by hand — std already links libc on Unix, so no
-//! external crate is needed. Everything exported is a safe wrapper; on
-//! non-Unix platforms the wrappers report the limit as unsupported and
-//! callers fall back to thread-mode isolation.
+//! sanctioned exception, kept to four minimal libc calls (`getrlimit`,
+//! `setrlimit`, `clock_gettime`, `raise`) declared by hand — std already
+//! links libc on Unix, so no external crate is needed. Everything
+//! exported is a safe wrapper; on non-Unix platforms the wrappers report
+//! the limit as unsupported and callers fall back to thread-mode
+//! isolation. A sandbox worker sets only its *soft* limits, once per
+//! request, and never lowers the hard ones, so a later request can raise
+//! them again.
 
 /// SIGABRT: abnormal termination (Rust's `abort`, failed allocations).
 pub const SIGABRT: i32 = 6;
@@ -34,51 +37,91 @@ pub fn signal_name(signal: i32) -> &'static str {
 pub const OOM_STDERR_MARKER: &str = "memory allocation of";
 
 #[cfg(unix)]
-// The workspace-wide unsafe ban (R1005) stops at this module: setrlimit
-// has no safe std wrapper, so the sandbox declares the libc binding
-// itself and keeps the unsafe surface to these few lines.
+// The workspace-wide unsafe ban (R1005) stops at this module: getrlimit,
+// setrlimit and clock_gettime have no safe std wrapper, so the sandbox
+// declares the libc bindings itself and keeps the unsafe surface to
+// these few lines.
 #[allow(unsafe_code)]
 mod ffi {
     //! Hand-declared libc bindings (std links libc on every Unix target).
 
+    use std::os::raw::c_long;
+    use std::time::Duration;
+
     #[repr(C)]
-    pub struct RLimit {
-        pub cur: u64,
-        pub max: u64,
+    struct RLimit {
+        cur: u64,
+        max: u64,
+    }
+
+    #[repr(C)]
+    struct Timespec {
+        sec: c_long,
+        nsec: c_long,
     }
 
     extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
         fn raise(sig: i32) -> i32;
     }
 
-    /// Resource numbers differ per kernel; cover the targets std supports
-    /// that this workspace plausibly runs on.
+    /// Resource and clock numbers differ per kernel; cover the targets
+    /// std supports that this workspace plausibly runs on.
     #[cfg(any(target_os = "linux", target_os = "android"))]
     pub const RLIMIT_CPU: i32 = 0;
     #[cfg(any(target_os = "linux", target_os = "android"))]
     pub const RLIMIT_AS: i32 = 9;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
     pub const RLIMIT_CPU: i32 = 0;
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
     pub const RLIMIT_AS: i32 = 5;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 12;
 
-    pub fn set_rlimit(resource: i32, value: u64) -> Result<(), String> {
-        let lim = RLimit {
-            cur: value,
-            max: value,
-        };
-        // SAFETY: `lim` is a valid, live `struct rlimit`; setrlimit only
-        // reads through the pointer for the duration of the call.
-        let rc = unsafe { setrlimit(resource, &lim) };
-        if rc == 0 {
-            Ok(())
-        } else {
-            Err(format!(
-                "setrlimit(resource {resource}, {value}) failed with {}",
+    /// Set the soft limit of `resource` to `value`, capped at the hard
+    /// limit, or back to the hard limit for `None`. The hard limit is
+    /// left alone, so a later call can raise the soft limit again.
+    pub fn set_soft_limit(resource: i32, value: Option<u64>) -> Result<(), String> {
+        let mut lim = RLimit { cur: 0, max: 0 };
+        // SAFETY: `lim` is a valid, live `struct rlimit`; getrlimit only
+        // writes through the pointer for the duration of the call.
+        if unsafe { getrlimit(resource, &mut lim) } != 0 {
+            return Err(format!(
+                "getrlimit(resource {resource}) failed with {}",
                 std::io::Error::last_os_error()
-            ))
+            ));
         }
+        lim.cur = value.map_or(lim.max, |v| v.min(lim.max));
+        // SAFETY: as above; setrlimit only reads through the pointer.
+        if unsafe { setrlimit(resource, &lim) } != 0 {
+            return Err(format!(
+                "setrlimit(resource {resource}, soft {}) failed with {}",
+                lim.cur,
+                std::io::Error::last_os_error()
+            ));
+        }
+        Ok(())
+    }
+
+    /// CPU time this process has used, all threads, user and system.
+    pub fn process_cpu_time() -> Result<Duration, String> {
+        let mut tp = Timespec { sec: 0, nsec: 0 };
+        // SAFETY: `tp` is a valid, live `struct timespec`; clock_gettime
+        // only writes through the pointer for the duration of the call.
+        if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut tp) } != 0 {
+            return Err(format!(
+                "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed with {}",
+                std::io::Error::last_os_error()
+            ));
+        }
+        Ok(Duration::new(
+            tp.sec.max(0) as u64,
+            tp.nsec.clamp(0, 999_999_999) as u32,
+        ))
     }
 
     pub fn raise_signal(sig: i32) -> Result<(), String> {
@@ -93,11 +136,12 @@ mod ffi {
     }
 }
 
-/// Cap the process's address space (RLIMIT_AS) to `bytes`.
-pub fn apply_rlimit_as(bytes: u64) -> Result<(), String> {
+/// Set this process's soft address-space limit (RLIMIT_AS) to `bytes`,
+/// or back to its hard limit for `None`.
+pub fn set_soft_rlimit_as(bytes: Option<u64>) -> Result<(), String> {
     #[cfg(unix)]
     {
-        ffi::set_rlimit(ffi::RLIMIT_AS, bytes)
+        ffi::set_soft_limit(ffi::RLIMIT_AS, bytes)
     }
     #[cfg(not(unix))]
     {
@@ -106,15 +150,27 @@ pub fn apply_rlimit_as(bytes: u64) -> Result<(), String> {
     }
 }
 
-/// Cap the process's CPU time (RLIMIT_CPU) to `seconds`.
-pub fn apply_rlimit_cpu(seconds: u64) -> Result<(), String> {
+/// Give this process `budget_s` more CPU seconds: set its soft RLIMIT_CPU
+/// to the CPU time it has used so far, rounded up to a whole second,
+/// plus `budget_s`, or back to its hard limit for `None`. Because the
+/// limit is rebased on every call, unused budget never carries over to
+/// the next request, and used time never eats into it.
+pub fn set_soft_rlimit_cpu(budget_s: Option<u64>) -> Result<(), String> {
     #[cfg(unix)]
     {
-        ffi::set_rlimit(ffi::RLIMIT_CPU, seconds)
+        let soft = match budget_s {
+            Some(budget) => {
+                let used = ffi::process_cpu_time()?;
+                let whole_s = used.as_secs() + u64::from(used.subsec_nanos() > 0);
+                Some(whole_s.saturating_add(budget))
+            }
+            None => None,
+        };
+        ffi::set_soft_limit(ffi::RLIMIT_CPU, soft)
     }
     #[cfg(not(unix))]
     {
-        let _ = seconds;
+        let _ = budget_s;
         Err("RLIMIT_CPU is not supported on this platform".to_string())
     }
 }
@@ -186,8 +242,12 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn an_absurdly_large_rlimit_is_accepted() {
-        // Setting a limit far above current usage must succeed and must
-        // not disturb the test process.
-        assert!(apply_rlimit_as(u64::MAX / 2).is_ok());
+        // A soft limit far above current usage (capped at the hard one)
+        // and a generous CPU budget must not disturb the test process,
+        // and `None` puts both back at their hard limits.
+        assert!(set_soft_rlimit_as(Some(u64::MAX / 2)).is_ok());
+        assert!(set_soft_rlimit_cpu(Some(1 << 20)).is_ok());
+        assert!(set_soft_rlimit_as(None).is_ok());
+        assert!(set_soft_rlimit_cpu(None).is_ok());
     }
 }

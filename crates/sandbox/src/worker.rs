@@ -1,89 +1,103 @@
-//! The child side of the sandbox: request intake, resource limits,
-//! heartbeats and framed result reporting.
+//! The child side of the sandbox: a serve loop that takes one request
+//! after another from stdin, applies each request's resource limits,
+//! heartbeats while it runs, and reports each result as framed lines.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::limits;
-use crate::protocol::{self, Frame};
+use crate::protocol::{self, Frame, RequestLimits};
 
 /// Run the sandbox worker protocol if this process was spawned as a
 /// worker; return immediately otherwise.
 ///
 /// Call this first thing in `main`, before argument parsing — a worker
 /// invocation never reaches the rest of the binary. In worker mode the
-/// function:
+/// function starts a heartbeat thread, then serves requests until stdin
+/// closes, and exits. For each request line it:
 ///
-/// 1. applies RLIMIT_AS / RLIMIT_CPU from the environment (failures are
-///    reported on stderr but do not abort the cell: an unlimited worker
-///    is still a correct worker),
-/// 2. reads the entire request from stdin,
-/// 3. starts a heartbeat thread printing [`Frame::Heartbeat`] lines at
-///    the configured interval,
-/// 4. runs `handler` under `catch_unwind`,
-/// 5. prints its own peak RSS as an `@rss` frame, then the final
-///    `@ok` / `@err` / `@panic` frame, and exits.
+/// 1. sets the request's soft RLIMIT_AS and RLIMIT_CPU (see
+///    [`RequestLimits`]; failures are reported on stderr but do not
+///    abort the request: an unlimited worker is still a correct worker),
+/// 2. runs `handler` under `catch_unwind`, printing [`Frame::Heartbeat`]
+///    lines at the configured interval while it runs,
+/// 3. answers with its own peak RSS as an `@rss` frame, the final `@ok`
+///    / `@err` / `@panic` frame and `@end <seq>`, in one write.
 ///
-/// The handler's stdout discipline: it must not print to stdout (the
-/// protocol channel). Stray lines are ignored by the parent, but a line
-/// that happens to look like a frame would corrupt the result.
-pub fn maybe_worker<F>(handler: F)
+/// A line that is not a request is skipped. The handler's stdout
+/// discipline: it should not print to stdout (the protocol channel).
+/// The parent ignores stray lines and takes a final frame as an answer
+/// only when the worker commits it with `@end`, so a stray line can
+/// never become a result, but a stray `@rss` still raises the reported
+/// peak.
+pub fn maybe_worker<F>(mut handler: F)
 where
-    F: FnOnce(&str) -> Result<String, String>,
+    F: FnMut(&str) -> Result<String, String>,
 {
     if std::env::var(protocol::ENV_WORKER).as_deref() != Ok("1") {
         return;
     }
 
-    if let Some(bytes) = env_u64(protocol::ENV_RLIMIT_AS) {
-        if let Err(e) = limits::apply_rlimit_as(bytes) {
-            eprintln!("sandbox worker: {e}");
-        }
-    }
-    if let Some(seconds) = env_u64(protocol::ENV_RLIMIT_CPU) {
-        if let Err(e) = limits::apply_rlimit_cpu(seconds) {
-            eprintln!("sandbox worker: {e}");
-        }
-    }
-
-    let mut request = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut request) {
-        emit(&Frame::Err(format!(
-            "worker could not read its request: {e}"
-        )));
-        // srclint:allow(R1006, reason = "worker_entry IS the child process entry point; the parent reads the Err frame, not the exit code")
-        std::process::exit(0);
-    }
-
+    let in_flight = Arc::new(AtomicBool::new(false));
     let heartbeat_ms = env_u64(protocol::ENV_HEARTBEAT_MS).unwrap_or(100);
     let silenced = std::env::var(protocol::ENV_NO_HEARTBEAT).as_deref() == Ok("1");
     if heartbeat_ms > 0 && !silenced {
+        let in_flight = Arc::clone(&in_flight);
         std::thread::spawn(move || loop {
-            emit(&Frame::Heartbeat);
             std::thread::sleep(Duration::from_millis(heartbeat_ms));
+            if in_flight.load(Ordering::Relaxed) {
+                emit(&format!("{}\n", protocol::render(&Frame::Heartbeat)));
+            }
         });
     }
 
-    let frame = match catch_unwind(AssertUnwindSafe(|| handler(&request))) {
-        Ok(Ok(payload)) => Frame::Ok(payload),
-        Ok(Err(message)) => Frame::Err(message),
-        Err(payload) => Frame::Panic(panic_message(payload)),
-    };
-    if let Some(bytes) = limits::peak_rss_bytes("self") {
-        emit(&Frame::Rss(bytes));
+    for line in std::io::stdin().lock().lines() {
+        let Ok(line) = line else { break };
+        let Some(request) = protocol::parse_request(&line) else {
+            continue;
+        };
+        apply_limits(request.limits);
+        in_flight.store(true, Ordering::Relaxed);
+        let frame = match catch_unwind(AssertUnwindSafe(|| handler(&request.payload))) {
+            Ok(Ok(payload)) => Frame::Ok(payload),
+            Ok(Err(message)) => Frame::Err(message),
+            Err(payload) => Frame::Panic(panic_message(payload)),
+        };
+        in_flight.store(false, Ordering::Relaxed);
+        let mut answer = String::new();
+        if let Some(bytes) = limits::peak_rss_bytes("self") {
+            answer.push_str(&protocol::render(&Frame::Rss(bytes)));
+            answer.push('\n');
+        }
+        answer.push_str(&protocol::render(&frame));
+        answer.push('\n');
+        answer.push_str(&protocol::render(&Frame::End(request.seq)));
+        answer.push('\n');
+        emit(&answer);
     }
-    emit(&frame);
-    // srclint:allow(R1006, reason = "ends the child after its final frame; returning would re-run the caller's main and double-report")
+    // srclint:allow(R1006, reason = "ends the worker once stdin closes; returning would run the caller's main")
     std::process::exit(0);
 }
 
-/// Write one frame line atomically (a single locked `writeln!`) so
-/// heartbeats and the final result never interleave mid-line.
-fn emit(frame: &Frame) {
+/// Set the request's soft limits before its handler runs.
+fn apply_limits(limits: RequestLimits) {
+    if let Err(e) = limits::set_soft_rlimit_as(limits.rlimit_as_bytes) {
+        eprintln!("sandbox worker: {e}");
+    }
+    if let Err(e) = limits::set_soft_rlimit_cpu(limits.rlimit_cpu_s) {
+        eprintln!("sandbox worker: {e}");
+    }
+}
+
+/// Write newline-terminated frame lines with one locked write, so
+/// heartbeats and an answer never interleave.
+fn emit(lines: &str) {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let _ = writeln!(out, "{}", protocol::render(frame));
+    let _ = out.write_all(lines.as_bytes());
     let _ = out.flush();
 }
 

@@ -1,17 +1,19 @@
 //! End-to-end sandbox test: this binary spawns *itself* as the worker
 //! (the `maybe_worker` call at the top of `main` handles the child role)
 //! and asserts that every branch of the crash taxonomy is reachable and
-//! correctly classified.
+//! correctly classified, and that one worker serves many requests: each
+//! under its own limits, judged only while it is in flight.
 //!
 //! `harness = false`: the worker protocol needs to own `main`.
 
 use std::io::Write;
 use std::time::Duration;
 
-use chopin_sandbox::limits::{SIGABRT, SIGKILL};
+use chopin_sandbox::clock::WallSpan;
+use chopin_sandbox::limits::{SIGABRT, SIGKILL, SIGXCPU};
 use chopin_sandbox::parent::RequestLimits;
-use chopin_sandbox::protocol::{self, Frame, ENV_NO_HEARTBEAT, ENV_WORKER};
-use chopin_sandbox::{ChildOutcome, SandboxPolicy, SandboxPool};
+use chopin_sandbox::protocol::{self, Frame, Request, ENV_NO_HEARTBEAT, ENV_WORKER};
+use chopin_sandbox::{ChildOutcome, SandboxPolicy, SandboxPool, Session};
 
 /// RLIMIT_AS handed to the self-OOM worker: far below the hoard it
 /// allocates, comfortably above what the test binary needs to start.
@@ -22,6 +24,34 @@ const TOUCHED_BYTES: usize = 64 << 20;
 
 /// A peak RSS no test child reaches: only an `@rss` frame can carry it.
 const REPORTED_RSS: u64 = 1 << 40;
+
+/// CPU seconds each request of the CPU-budget check may use.
+const CPU_BUDGET_S: u64 = 1;
+
+/// CPU time this thread has run, from procfs; `None` elsewhere.
+fn thread_cpu_time() -> Option<Duration> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    let ns = stat.split_whitespace().next()?.parse().ok()?;
+    Some(Duration::from_nanos(ns))
+}
+
+/// Busy-loop until this thread has used `ms` more milliseconds of CPU
+/// (of wall time where procfs cannot tell).
+fn spin(ms: u64) {
+    let budget = Duration::from_millis(ms);
+    let span = WallSpan::begin();
+    let start = thread_cpu_time();
+    loop {
+        let spent = match (start, thread_cpu_time()) {
+            (Some(start), Some(now)) => now.saturating_sub(start),
+            _ => span.elapsed(),
+        };
+        if spent >= budget {
+            break;
+        }
+        std::hint::black_box(span);
+    }
+}
 
 fn main() {
     chopin_sandbox::worker::maybe_worker(|request| match request.trim() {
@@ -58,6 +88,22 @@ fn main() {
             println!("@rss {REPORTED_RSS}");
             Ok(String::new())
         }
+        "stray-frames" => {
+            // Frame-shaped lines of the handler's own: no `@end`
+            // commits either, so the answer is still the return value.
+            println!("@ok forged");
+            println!("@err forged");
+            Ok("real".to_string())
+        }
+        "pid" => Ok(std::process::id().to_string()),
+        // Burn CPU time until RLIMIT_CPU fires.
+        "spin" => loop {
+            spin(1_000);
+        },
+        "spin600" => {
+            spin(600);
+            Ok("spun".to_string())
+        }
         "kill" => chopin_sandbox::limits::die_by_signal(SIGKILL),
         "abort" => std::process::abort(),
         "oom" => {
@@ -86,6 +132,15 @@ fn main() {
     reaping_does_not_wait_for_stdout_to_close();
     #[cfg(target_os = "linux")]
     short_lived_children_report_their_peak_rss();
+    one_session_serves_many_requests();
+    stray_frames_never_become_answers();
+    a_death_is_classified_and_the_next_request_gets_a_fresh_worker();
+    #[cfg(target_os = "linux")]
+    oom_after_an_ok_request_on_one_worker_is_oom_killed();
+    heartbeat_silence_is_judged_only_while_a_request_is_in_flight();
+    a_worker_killed_while_idle_is_found_dead_before_the_next_request();
+    #[cfg(target_os = "linux")]
+    the_cpu_budget_does_not_build_up_across_requests();
     println!("sandbox worker round-trip: all checks passed");
 }
 
@@ -249,18 +304,23 @@ fn reaping_does_not_wait_for_stdout_to_close() {
 #[cfg(target_os = "linux")]
 fn short_lived_children_report_their_peak_rss() {
     // The worker's side: `@rss` with its own VmHWM, just before the
-    // final frame.
+    // final frame and the `@end` that commits it.
     let mut worker = std::process::Command::new(std::env::current_exe().expect("current_exe"))
         .env(ENV_WORKER, "1")
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("worker spawns");
+    let request = protocol::render_request(&Request {
+        seq: 1,
+        limits: RequestLimits::default(),
+        payload: "touch64".to_string(),
+    });
     worker
         .stdin
         .take()
         .expect("piped stdin")
-        .write_all(b"touch64")
+        .write_all(format!("{request}\n").as_bytes())
         .expect("request written");
     let output = worker.wait_with_output().expect("worker exits");
     let frames: Vec<Frame> = String::from_utf8_lossy(&output.stdout)
@@ -269,11 +329,11 @@ fn short_lived_children_report_their_peak_rss() {
         .filter(|frame| *frame != Frame::Heartbeat)
         .collect();
     match frames.as_slice() {
-        [Frame::Rss(bytes), Frame::Ok(_)] => assert!(
+        [Frame::Rss(bytes), Frame::Ok(_), Frame::End(1)] => assert!(
             *bytes >= TOUCHED_BYTES as u64,
             "the worker reported {bytes} B after touching {TOUCHED_BYTES} B"
         ),
-        other => panic!("expected `@rss` then `@ok`, got {other:?}"),
+        other => panic!("expected `@rss`, `@ok` then `@end 1`, got {other:?}"),
     }
 
     // The parent's side: the report keeps the largest `@rss`, whatever
@@ -295,4 +355,203 @@ fn short_lived_children_report_their_peak_rss() {
         "peak RSS {peak} B is below the {TOUCHED_BYTES} B the child touched"
     );
     println!("ok short_lived_children_report_their_peak_rss");
+}
+
+fn session(pool: &SandboxPool) -> Session {
+    match pool.spawn() {
+        Ok(session) => session,
+        Err(report) => panic!("worker did not spawn: {:?}", report.outcome),
+    }
+}
+
+fn one_session_serves_many_requests() {
+    let pool = pool(SandboxPolicy::default());
+    let mut worker = session(&pool);
+    let pid = worker.id().to_string();
+    for (request, expected) in [
+        ("pid", ChildOutcome::Completed(pid.clone())),
+        ("err", ChildOutcome::Failed("transient failure".to_string())),
+        (
+            "multiline",
+            ChildOutcome::Completed("line one\nline two".to_string()),
+        ),
+        (
+            "panic",
+            ChildOutcome::Panicked("worker panicked on purpose".to_string()),
+        ),
+        ("pid", ChildOutcome::Completed(pid.clone())),
+    ] {
+        let report = worker.serve(request, RequestLimits::default());
+        assert_eq!(report.outcome, expected, "stderr: {}", report.stderr_tail);
+        assert_eq!(report.exit_code, None, "the worker lives on");
+        assert!(worker.is_alive(), "the worker serves the next request");
+    }
+    let status = worker.close().expect("the closed worker is reaped");
+    assert_eq!(status.code(), Some(0), "the worker exits when stdin closes");
+    assert!(!worker.is_alive());
+    println!("ok one_session_serves_many_requests");
+}
+
+fn stray_frames_never_become_answers() {
+    let pool = pool(SandboxPolicy::default());
+    let mut worker = session(&pool);
+    let report = worker.serve("stray-frames", RequestLimits::default());
+    assert_eq!(report.outcome, ChildOutcome::Completed("real".to_string()));
+    let report = worker.serve("ok", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Completed("payload line".to_string())
+    );
+    println!("ok stray_frames_never_become_answers");
+}
+
+fn a_death_is_classified_and_the_next_request_gets_a_fresh_worker() {
+    let pool = pool(SandboxPolicy::default());
+    let mut worker = session(&pool);
+    let first_pid = worker.id();
+    let report = worker.serve("ok", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Completed("payload line".to_string())
+    );
+    let report = worker.serve("kill", RequestLimits::default());
+    assert_eq!(report.outcome, ChildOutcome::Signalled { signal: SIGKILL });
+    assert_eq!(report.signal, Some(SIGKILL));
+    assert!(!worker.is_alive(), "a dead worker serves nothing more");
+
+    let mut fresh = session(&pool);
+    assert_ne!(fresh.id(), first_pid);
+    let report = fresh.serve("pid", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Completed(fresh.id().to_string())
+    );
+    println!("ok a_death_is_classified_and_the_next_request_gets_a_fresh_worker");
+}
+
+#[cfg(target_os = "linux")]
+fn oom_after_an_ok_request_on_one_worker_is_oom_killed() {
+    // The worker first serves a request without limits and touches
+    // 64 MiB; the oom request then lowers its soft RLIMIT_AS.
+    let pool = pool(SandboxPolicy::default());
+    let mut worker = session(&pool);
+    let report = worker.serve("touch64", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Completed(TOUCHED_BYTES.to_string())
+    );
+    let report = worker.serve(
+        "oom",
+        RequestLimits {
+            rlimit_as_bytes: Some(OOM_RLIMIT_AS),
+            rlimit_cpu_s: None,
+        },
+    );
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::OomKilled,
+        "exit_code={:?} signal={:?} stderr: {}",
+        report.exit_code,
+        report.signal,
+        report.stderr_tail
+    );
+    assert!(
+        report.peak_rss_bytes.unwrap_or(0) >= TOUCHED_BYTES as u64,
+        "the report carries the worker's lifetime peak, read {:?}",
+        report.peak_rss_bytes
+    );
+    println!("ok oom_after_an_ok_request_on_one_worker_is_oom_killed");
+}
+
+fn heartbeat_silence_is_judged_only_while_a_request_is_in_flight() {
+    // A silent worker idles for several heartbeat budgets between two
+    // requests; only time in flight counts as silence.
+    let policy = SandboxPolicy {
+        heartbeat_interval_ms: 50,
+        heartbeat_grace: 2,
+        ..SandboxPolicy::default()
+    };
+    let pool = pool(policy).env(ENV_NO_HEARTBEAT, "1");
+    let mut worker = session(&pool);
+    for _ in 0..2 {
+        let report = worker.serve("ok", RequestLimits::default());
+        assert_eq!(
+            report.outcome,
+            ChildOutcome::Completed("payload line".to_string())
+        );
+        std::thread::sleep(Duration::from_millis(3 * policy.heartbeat_timeout_ms()));
+    }
+    let report = worker.serve("hang", RequestLimits::default());
+    assert!(
+        matches!(report.outcome, ChildOutcome::HeartbeatLost { silent_ms } if silent_ms < 1_000),
+        "silence counts from the request, got {:?}",
+        report.outcome
+    );
+    println!("ok heartbeat_silence_is_judged_only_while_a_request_is_in_flight");
+}
+
+fn a_worker_killed_while_idle_is_found_dead_before_the_next_request() {
+    let pool = pool(SandboxPolicy::default());
+    let mut worker = session(&pool);
+    let report = worker.serve("ok", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Completed("payload line".to_string())
+    );
+    let killed = std::process::Command::new("kill")
+        .args(["-KILL", &worker.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(killed.success());
+    let waiting = WallSpan::begin();
+    while worker.is_alive() {
+        assert!(
+            waiting.elapsed() < Duration::from_secs(5),
+            "a SIGKILLed worker still looks alive"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    println!("ok a_worker_killed_while_idle_is_found_dead_before_the_next_request");
+}
+
+#[cfg(target_os = "linux")]
+fn the_cpu_budget_does_not_build_up_across_requests() {
+    let pool = pool(SandboxPolicy::default());
+    let mut worker = session(&pool);
+    let budget = RequestLimits {
+        rlimit_as_bytes: None,
+        rlimit_cpu_s: Some(CPU_BUDGET_S),
+    };
+    // Two requests burn 1.2 s of CPU between them, more than one
+    // budget: each budget counts from its own request's start.
+    for _ in 0..2 {
+        let report = worker.serve("spin600", budget);
+        assert_eq!(
+            report.outcome,
+            ChildOutcome::Completed("spun".to_string()),
+            "stderr: {}",
+            report.stderr_tail
+        );
+    }
+    // A generous budget left unused does not carry over either: the
+    // next request still dies one budget (plus rounding) later.
+    let generous = RequestLimits {
+        rlimit_as_bytes: None,
+        rlimit_cpu_s: Some(3_600),
+    };
+    let report = worker.serve("ok", generous);
+    assert!(matches!(report.outcome, ChildOutcome::Completed(_)));
+    let report = worker.serve("spin", budget);
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Signalled { signal: SIGXCPU },
+        "stderr: {}",
+        report.stderr_tail
+    );
+    assert!(
+        report.wall_ms < 30_000,
+        "SIGXCPU came {} ms into a {CPU_BUDGET_S} s budget",
+        report.wall_ms
+    );
+    println!("ok the_cpu_budget_does_not_build_up_across_requests");
 }
