@@ -9,8 +9,11 @@
 # latency figures and pause tables ({base,head}-latency.txt), and the
 # outputs that read the workload profiles directly, the characterisation
 # table, the suite summary and Table 2 ({base,head}-characterize.txt,
-# -suite.txt, -table2.txt), and the LBO tables with the reason of every
-# infeasible cell ({base,head}-lbo.txt). It then runs interleaved BASE/HEAD pairs of
+# -suite.txt, -table2.txt), the LBO tables with the reason of every
+# infeasible cell ({base,head}-lbo.txt), and the hard-fault chaos summary
+# of `artifact chaos --isolation process --hard-faults kill`: cell counts,
+# retries, quarantines and crash-report count ({base,head}-chaos.txt). It
+# then runs interleaved BASE/HEAD pairs of
 # `sweepbench/run.sh` over all five workloads, appends each run's result
 # line to results/compare/runs.jsonl and hands the runs to
 # ci/bench_judge.py, which applies sweepbench/README.md's rules and
@@ -69,7 +72,7 @@ for side in base head; do
         cd "$out/$side"
         export CARGO_TARGET_DIR="$out/$side/target"
         cargo build --release --quiet --offline -p chopin-harness --bin runbms --bin latency \
-            --bin characterize --bin suite --bin nominal --bin lbo
+            --bin characterize --bin suite --bin nominal --bin lbo --bin artifact
         cargo bench --no-run --quiet --offline --manifest-path sweepbench/Cargo.toml --bench sweep
     ) > "$out/logs/build-$side.log" 2>&1 || fail "cannot build $side; see $out/logs/build-$side.log"
 done
@@ -94,6 +97,7 @@ for side in base head; do
     simulate "$side" -suite.txt suite
     simulate "$side" -table2.txt nominal --table2
     simulate "$side" -lbo.txt lbo
+    simulate "$side" -chaos.txt artifact chaos --isolation process --hard-faults kill
 done
 
 for ((pair = 0; pair < PAIRS; pair++)); do

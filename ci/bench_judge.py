@@ -26,8 +26,9 @@ from code layout alone. For each simulated output in DRIFT_OUTPUTS
 (each side's sequential paper grid in DIR/{base,head}.csv, its latency
 figures and pause tables in DIR/{base,head}-latency.txt, the
 characterisation table, suite summary and Table 2 in
-DIR/{base,head}-characterize.txt, -suite.txt and -table2.txt, and the
-LBO tables with each infeasible cell's reason in DIR/{base,head}-lbo.txt)
+DIR/{base,head}-characterize.txt, -suite.txt and -table2.txt, the
+LBO tables with each infeasible cell's reason in DIR/{base,head}-lbo.txt,
+and the hard-fault chaos summary in DIR/{base,head}-chaos.txt)
 the report also counts the lines that differ and shows up to ten as
 BASE -> HEAD;
 those sections never change the exit code. Exits 1 on any regressed row
@@ -54,6 +55,12 @@ DRIFT_OUTPUTS = (
     ("-suite.txt", "suite", "output", "suite output"),
     ("-table2.txt", "nominal --table2", "output", "Table 2 output"),
     ("-lbo.txt", "lbo", "output", "lbo output"),
+    (
+        "-chaos.txt",
+        "artifact chaos --isolation process --hard-faults kill",
+        "output",
+        "hard-fault chaos output",
+    ),
 )
 # A `resume` `sweep_s` move below this share of BASE's median has come
 # from code layout alone: one added call that a resume never executes

@@ -57,6 +57,7 @@ OUTPUT_SUFFIXES = {
     "suite": "-suite.txt",
     "table2": "-table2.txt",
     "lbo": "-lbo.txt",
+    "chaos": "-chaos.txt",
 }
 
 
@@ -169,6 +170,22 @@ class Rules(unittest.TestCase):
         code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), lbo=(base, base))
         self.assertEqual(code, 1, "an identical lbo output does not forgive a regression")
         self.assertIn("lbo output is missing", judged(runs(STEADY, STEADY))[1])
+
+    def test_hard_fault_chaos_drift_is_reported_but_never_fails_the_gate(self):
+        cells = "20 cell(s): 9 completed, 0 infeasible at small heaps, 11 quarantined, {} retries"
+        victim = "  fop / Serial / 4.00x after 3 attempt(s): killed by signal 9 (SIGKILL)"
+        base = [cells.format(22), "11 cell(s) quarantined:", victim, "33 crash report(s) collected"]
+        head = [cells.format(20), "11 cell(s) quarantined:", victim, "33 crash report(s) collected"]
+        code, report = judged(runs(STEADY, STEADY), chaos=(base, head))
+        self.assertEqual(code, 0)
+        command = "artifact chaos --isolation process --hard-faults kill"
+        self.assertIn(f"## Simulated output of `{command}`", report)
+        self.assertIn("1 of 4 output lines differ", report)
+        self.assertIn(f"- `{base[0]}` → `{head[0]}`", report)
+        code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), chaos=(base, base))
+        self.assertEqual(code, 1, "an identical chaos output does not forgive a regression")
+        self.assertIn("0 of 4 output lines differ", report)
+        self.assertIn("hard-fault chaos output is missing", judged(runs(STEADY, STEADY))[1])
 
     def test_a_small_resume_move_that_is_no_gain_is_noted_as_possibly_layout(self):
         def report(head, workload="resume", base=STEADY):

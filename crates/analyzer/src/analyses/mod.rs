@@ -8,9 +8,8 @@
 //!   simulated horizon (R806, R807).
 //! * [`cost`] — a cost model bounding sweep time against the supervisor's
 //!   deadlines and journalling posture (R808, R809).
-//! * [`sandbox`] — process-isolation configuration: rlimit coverage,
-//!   heartbeat-vs-deadline coherence, and hard-fault backend requirements
-//!   (R901, R902, R903).
+//! * [`sandbox`] — process-isolation configuration: heartbeat-vs-deadline
+//!   coherence and hard-fault backend requirements (R902, R903).
 //! * [`fleet`] — coordinator/worker sharding configuration: worker count
 //!   vs the cell matrix, lease deadlines vs the cost model, and
 //!   hard-fault/fleet isolation conflicts (R1201, R1202, R1203).

@@ -1,24 +1,19 @@
-//! Process-isolation configuration analysis (rules R901, R902, R903).
+//! Process-isolation configuration analysis (rules R902, R903).
 //!
-//! The sandbox derives its resource limits from the plan
-//! ([`chopin_sandbox::policy`]), so the analyzer can check a plan against
-//! *exactly* the limits the sandbox will apply:
+//! The sandbox derives every resource limit per cell and watches each
+//! worker with a fixed heartbeat ([`SandboxPolicy::default`]), so the
+//! analyzer checks a plan against *exactly* what the sandbox will do:
 //!
-//! * **R901** — an explicit RLIMIT_AS override below what some feasible
-//!   cell's heap needs guarantees that cell is OOM-killed by
-//!   configuration, not by chaos.
 //! * **R902** — a heartbeat timeout at or above the cell deadline can
 //!   never fire: the deadline watchdog always wins, so the wedge detector
-//!   the operator thinks they configured does not exist. Degenerate
-//!   sandbox tunables (zero interval/grace) fall under the same rule.
+//!   the operator thinks they have does not exist.
 //! * **R903** — hard faults kill the host process; under thread isolation
 //!   the first victim takes the whole sweep (and the journal's
 //!   crash-safety promise) down with it.
 
 use crate::ir::PlanIR;
 use chopin_lint::Diagnostic;
-use chopin_sandbox::policy::required_rlimit_as;
-use chopin_sandbox::IsolationMode;
+use chopin_sandbox::{IsolationMode, SandboxPolicy};
 
 /// Run the sandbox-configuration analysis.
 pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
@@ -41,67 +36,21 @@ pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
         return diagnostics;
     }
 
-    if let Some(limit) = plan.sandbox.rlimit_as_bytes {
-        let cells = plan.cells();
-        let worst = cells
-            .iter()
-            .filter(|c| c.feasible)
-            .max_by_key(|c| c.heap_bytes);
-        if let Some(cell) = worst {
-            let required = required_rlimit_as(cell.heap_bytes);
-            if limit < required {
-                let b = &plan.benchmarks[cell.benchmark];
-                diagnostics.push(
-                    Diagnostic::error(
-                        "R901",
-                        format!("{}:{}/{}", plan.location(), b.name, cell.collector),
-                        format!(
-                            "the explicit RLIMIT_AS override ({limit} bytes) is below the \
-                             {required} bytes this cell needs ({} bytes of heap at \
-                             {:.2}x plus the worker base): the sandbox will OOM-kill it \
-                             by configuration",
-                            cell.heap_bytes, cell.heap_factor
-                        ),
-                    )
-                    .with_hint(format!(
-                        "raise --rlimit-as-mb to at least {} or drop it to derive limits \
-                         per cell",
-                        required.div_ceil(1 << 20)
-                    )),
-                );
-            }
-        }
-    }
-
-    match plan.sandbox.validate() {
-        Err(e) => {
+    let timeout_ms = SandboxPolicy::default().heartbeat_timeout_ms();
+    if let Some(deadline_ms) = plan.policy.cell_deadline_ms {
+        if timeout_ms >= deadline_ms {
             diagnostics.push(
-                Diagnostic::error("R902", plan.location(), e.to_string())
-                    .with_hint("use positive --heartbeat-ms and sandbox grace values".to_string()),
+                Diagnostic::error(
+                    "R902",
+                    plan.location(),
+                    format!(
+                        "the heartbeat timeout ({timeout_ms}ms) is not below the \
+                         {deadline_ms}ms cell deadline: the deadline watchdog always \
+                         fires first, so wedged cells are never detected as such"
+                    ),
+                )
+                .with_hint(format!("raise --cell-deadline above {timeout_ms}ms")),
             );
-        }
-        Ok(()) => {
-            if let Some(deadline_ms) = plan.policy.cell_deadline_ms {
-                let timeout_ms = plan.sandbox.heartbeat_timeout_ms();
-                if timeout_ms >= deadline_ms {
-                    diagnostics.push(
-                        Diagnostic::error(
-                            "R902",
-                            plan.location(),
-                            format!(
-                                "the heartbeat timeout ({timeout_ms}ms) is not below the \
-                                 {deadline_ms}ms cell deadline: the deadline watchdog always \
-                                 fires first, so wedged cells are never detected as such"
-                            ),
-                        )
-                        .with_hint(
-                            "lower --heartbeat-ms (timeout = interval x grace) or raise \
-                             --cell-deadline"
-                                .to_string(),
-                        ),
-                    );
-                }
-            }
         }
     }
 
@@ -113,7 +62,6 @@ mod tests {
     use super::*;
     use chopin_core::sweep::SweepConfig;
     use chopin_faults::{HardFaultKind, HardFaultPlan, SupervisorPolicy};
-    use chopin_sandbox::SandboxPolicy;
     use chopin_workloads::suite;
 
     fn base_plan() -> PlanIR {
@@ -142,22 +90,13 @@ mod tests {
     }
 
     #[test]
-    fn r901_fires_when_the_override_cannot_hold_the_largest_cell() {
-        let plan = base_plan()
-            .with_isolation(IsolationMode::Process)
-            .with_sandbox(SandboxPolicy {
-                rlimit_as_bytes: Some(1 << 20),
-                ..SandboxPolicy::default()
-            });
-        assert_eq!(ids(&analyze(&plan)), vec!["R901"]);
-    }
-
-    #[test]
     fn r902_fires_when_the_heartbeat_cannot_beat_the_deadline() {
         let mut plan = base_plan().with_isolation(IsolationMode::Process);
         plan.policy.cell_deadline_ms = Some(500);
-        // Default timeout is 100ms x 10 = 1000ms >= 500ms deadline.
+        // The timeout is 100ms x 10 = 1000ms >= the 500ms deadline.
         assert_eq!(ids(&analyze(&plan)), vec!["R902"]);
+        plan.policy.cell_deadline_ms = Some(1_001);
+        assert!(analyze(&plan).is_empty());
     }
 
     #[test]

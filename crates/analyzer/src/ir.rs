@@ -15,7 +15,7 @@ use chopin_core::sweep::SweepConfig;
 use chopin_faults::{FaultPlan, HardFaultPlan, NetFaultPlan, SupervisorPolicy};
 use chopin_fleet::FleetPlan;
 use chopin_runtime::collector::CollectorKind;
-use chopin_sandbox::{IsolationMode, SandboxPolicy};
+use chopin_sandbox::IsolationMode;
 use chopin_workloads::{SizeClass, WorkloadProfile};
 
 /// Which experiment methodology the plan drives — the analyses differ:
@@ -166,9 +166,6 @@ pub struct PlanIR {
     /// are the same experiment on a different engine, and their journals
     /// are interchangeable.
     pub isolation: IsolationMode,
-    /// Sandbox tunables (heartbeat cadence, explicit rlimit overrides)
-    /// in effect when `isolation` is process.
-    pub sandbox: SandboxPolicy,
     /// The hard-fault plan (`--hard-faults`), if any. *Is* part of the
     /// resume fingerprint: a storm of process deaths changes which cells
     /// can complete, so its journal must not resume an undisturbed run.
@@ -222,7 +219,6 @@ impl PlanIR {
             policy,
             journalled,
             isolation: IsolationMode::default(),
-            sandbox: SandboxPolicy::default(),
             hard_faults: None,
             fleet: None,
             net_faults: None,
@@ -234,13 +230,6 @@ impl PlanIR {
     #[must_use]
     pub fn with_isolation(mut self, isolation: IsolationMode) -> Self {
         self.isolation = isolation;
-        self
-    }
-
-    /// Override the sandbox tunables.
-    #[must_use]
-    pub fn with_sandbox(mut self, sandbox: SandboxPolicy) -> Self {
-        self.sandbox = sandbox;
         self
     }
 

@@ -494,44 +494,8 @@ fn a_faithful_artifact_passes_provenance() {
 }
 
 #[test]
-fn r901_rlimit_override_below_the_largest_cell() {
-    use chopin_sandbox::{IsolationMode, SandboxPolicy};
-    let plan = compile(
-        &["fop"],
-        Methodology::Sweep,
-        SweepConfig {
-            iterations: 9,
-            ..small_config()
-        },
-        None,
-        SupervisorPolicy::default(),
-        false,
-    )
-    .with_isolation(IsolationMode::Process)
-    .with_sandbox(SandboxPolicy {
-        rlimit_as_bytes: Some(1 << 20), // 1 MiB: below any cell's heap + base
-        ..SandboxPolicy::default()
-    });
-    let report = analyze(&plan);
-    assert!(report.has_errors());
-    assert_eq!(ids(&report), vec!["R901"], "{}", report.render_table());
-    let r901 = report
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == "R901")
-        .unwrap();
-    assert!(
-        r901.hint
-            .as_deref()
-            .unwrap_or("")
-            .contains("--rlimit-as-mb"),
-        "R901 carries a fix-it hint"
-    );
-}
-
-#[test]
 fn r902_heartbeat_timeout_at_or_above_the_deadline() {
-    use chopin_sandbox::{IsolationMode, SandboxPolicy};
+    use chopin_sandbox::IsolationMode;
     let plan = compile(
         &["fop"],
         Methodology::Sweep,
@@ -541,17 +505,14 @@ fn r902_heartbeat_timeout_at_or_above_the_deadline() {
         },
         None,
         SupervisorPolicy {
-            cell_deadline_ms: Some(200),
+            // The fixed heartbeat timeout is 100ms x 10 = 1000ms: equal
+            // to the deadline, it can never fire first.
+            cell_deadline_ms: Some(1_000),
             ..SupervisorPolicy::default()
         },
         false,
     )
-    .with_isolation(IsolationMode::Process)
-    .with_sandbox(SandboxPolicy {
-        heartbeat_interval_ms: 100,
-        heartbeat_grace: 2, // timeout 200ms == deadline: can never fire first
-        ..SandboxPolicy::default()
-    });
+    .with_isolation(IsolationMode::Process);
     let report = analyze(&plan);
     assert!(report.has_errors());
     assert_eq!(ids(&report), vec!["R902"], "{}", report.render_table());
@@ -564,7 +525,7 @@ fn r902_heartbeat_timeout_at_or_above_the_deadline() {
         r902.hint
             .as_deref()
             .unwrap_or("")
-            .contains("--heartbeat-ms"),
+            .contains("--cell-deadline"),
         "R902 carries a fix-it hint"
     );
 }

@@ -263,7 +263,7 @@ impl<P: Ord + Clone + fmt::Debug, L: Fn(usize) -> String> Coordinator<P, L> {
         };
         let mut out = Vec::new();
         if coordinator.me.rescue_after_ms.is_none() {
-            coordinator.spawn_pool(&mut out);
+            coordinator.spawn_pool(0, &mut out);
         }
         (coordinator, out)
     }
@@ -642,17 +642,34 @@ impl<P: Ord + Clone + fmt::Debug, L: Fn(usize) -> String> Coordinator<P, L> {
         });
     }
 
-    fn spawn_pool(&mut self, out: &mut Vec<Output>) {
-        for slot in 0..self.config.plan.workers as usize {
-            let (worker, alive) = (slot as u64, true);
+    /// Spawn a slot per configured worker at `generation`, whose ids
+    /// (`slot + workers × generation`) its respawns continue from.
+    fn spawn_pool(&mut self, generation: u32, out: &mut Vec<Output>) {
+        let workers = self.config.plan.workers;
+        for slot in 0..workers as usize {
+            let worker = slot as u64 + u64::from(workers) * u64::from(generation);
             self.slots.push(Slot {
                 worker,
-                alive,
+                generation,
+                alive: true,
                 ..Slot::default()
             });
             self.counters.spawned += 1;
             out.push(Output::Spawn { slot, worker });
         }
+    }
+
+    /// The first generation whose ids no worker this incarnation has
+    /// seen used: a fresh worker truncates its id's shard, which must not
+    /// be one that may hold a completion not yet merged.
+    fn unused_generation(&self) -> u32 {
+        let workers = u64::from(self.config.plan.workers);
+        let seen = self
+            .liveness
+            .workers()
+            .filter(|&w| w < EXTERNAL_WORKER_BASE);
+        let generation = seen.map(|w| w / workers + 1).max().unwrap_or(0);
+        u32::try_from(generation).unwrap_or(u32::MAX)
     }
 
     fn tick(&mut self, now: u64, out: &mut Vec<Output>) {
@@ -707,10 +724,21 @@ impl<P: Ord + Clone + fmt::Debug, L: Fn(usize) -> String> Coordinator<P, L> {
                  pool of {}",
                 self.config.plan.workers
             )));
-            self.spawn_pool(out);
+            self.spawn_pool(0, out);
         }
         let workers_connected = self.peers.keys().any(|c| !self.standbys.contains(c));
         if self.rescue_at.is_none() && !workers_connected && !self.slots_alive() {
+            if self.slots.is_empty() {
+                // A successor that adopted every worker owns no slot, so
+                // no crash budget was spent: it spawns a pool of its own.
+                out.push(Output::Log(format!(
+                    "fleet: every adopted worker is gone; spawning a fresh pool of {}",
+                    self.config.plan.workers
+                )));
+                let generation = self.unused_generation();
+                self.spawn_pool(generation, out);
+                return;
+            }
             self.failed = true;
             out.push(Output::Failed(
                 "the fleet lost every worker (crash budgets exhausted) before the matrix \
@@ -956,6 +984,53 @@ mod tests {
         let out = c.step(Input::Tick, 2 * STANDBY_RESCUE_MS);
         assert!(
             !out.iter().any(|o| matches!(o, Output::Spawn { .. })),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn a_successor_that_loses_every_adopted_worker_spawns_a_fresh_pool() {
+        let (mut c, _) = machine(&FleetConfig::new(2), 2, Some(STANDBY_RESCUE_MS));
+        // Both workers the predecessor spawned reconnect, so the rescue
+        // window closes with no slot of the successor's own.
+        for worker in [0, 3] {
+            c.step(hello(worker, Some(worker), None), 1);
+        }
+        let out = c.step(Input::Eof(0), 2);
+        assert!(!out.iter().any(|o| matches!(o, Output::Spawn { .. })));
+        c.step(Input::Eof(3), 2);
+        let out = c.step(Input::Tick, 3);
+        assert!(
+            !out.iter().any(|o| matches!(o, Output::Failed(_))),
+            "{out:?}"
+        );
+        let spawned: Vec<&Output> = out
+            .iter()
+            .filter(|o| matches!(o, Output::Spawn { .. }))
+            .collect();
+        // Worker 3 is generation 1 of slot 1, so the pool takes
+        // generation 2: no fresh worker reuses an adopted id's shard.
+        assert_eq!(
+            spawned,
+            [
+                &Output::Spawn { slot: 0, worker: 4 },
+                &Output::Spawn { slot: 1, worker: 5 }
+            ]
+        );
+        assert_eq!(c.counters().spawned, 2);
+        assert!(c.slots_alive());
+        // A fresh worker's crash respawns into the next generation.
+        let out = c.step(
+            Input::Exited {
+                slot: 0,
+                worker: 4,
+                clean: false,
+                signal: Some(9),
+            },
+            4,
+        );
+        assert!(
+            out.contains(&Output::Spawn { slot: 0, worker: 6 }),
             "{out:?}"
         );
     }

@@ -97,6 +97,11 @@ impl Liveness {
         self.dead.remove(&worker);
     }
 
+    /// Every worker tracked or declared dead.
+    pub fn workers(&self) -> impl Iterator<Item = u64> + '_ {
+        self.last_seen.keys().chain(&self.dead).copied()
+    }
+
     /// How many workers are currently declared dead.
     #[must_use]
     pub fn dead_count(&self) -> usize {

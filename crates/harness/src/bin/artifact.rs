@@ -113,7 +113,7 @@ use chopin_faults::{FaultPlan, HardFaultKind, HardFaultPlan, NetFaultPlan};
 use chopin_fleet::{FleetConfig, WorkerStormPlan};
 use chopin_harness::cli::{check_flags, Args};
 use chopin_harness::obs::{
-    observe_benchmark, ObsOptions, DEFAULT_EVENTS_OUT, DEFAULT_TRACE_OUT, OBS_FLAGS,
+    export_obs, observe_benchmark, validate_obs, DEFAULT_EVENTS_OUT, DEFAULT_TRACE_OUT, OBS_FLAGS,
 };
 use chopin_harness::preflight;
 use chopin_harness::presets::Preset;
@@ -959,7 +959,7 @@ fn run_trace(args: &Args) -> i32 {
             return 2;
         }
     };
-    let opts = ObsOptions {
+    let opts = chopin_obs::ObsConfig {
         trace_out: Some(
             args.value("trace-out")
                 .unwrap_or(DEFAULT_TRACE_OUT)
@@ -971,7 +971,7 @@ fn run_trace(args: &Args) -> i32 {
                 .to_string(),
         ),
     };
-    if let Err(e) = opts.validate() {
+    if let Err(e) = validate_obs(&opts) {
         eprintln!("error: {e}");
         return 2;
     }
@@ -989,7 +989,7 @@ fn run_trace(args: &Args) -> i32 {
     }
     let trace = observed.trace();
     let json = trace.to_json();
-    let paths = match opts.export(Some(&trace), Some(&observed.recorder)) {
+    let paths = match export_obs(&opts, Some(&trace), Some(&observed.recorder)) {
         Ok(paths) => paths,
         Err(e) => {
             eprintln!("error: {e}");

@@ -30,7 +30,8 @@ use chopin_core::sweep::SweepConfig;
 use chopin_core::Suite;
 use chopin_harness::cli::{check_flags, Args};
 use chopin_harness::obs::{
-    add_spans_to_trace, observe_benchmark_with_faults, with_suffix, ObsOptions, OBS_FLAGS,
+    add_spans_to_trace, export_obs, obs_from_args, observe_benchmark_with_faults, validate_obs,
+    with_suffix, OBS_FLAGS,
 };
 use chopin_harness::output::ResultsDir;
 use chopin_harness::preflight;
@@ -79,8 +80,8 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let obs = ObsOptions::from_args(&args);
-    if let Err(e) = obs.validate() {
+    let obs = obs_from_args(&args);
+    if let Err(e) = validate_obs(&obs) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
@@ -162,7 +163,7 @@ fn main() {
             let collector = CollectorKind::Shenandoah;
             let factor = heaps.first().copied().unwrap_or(2.0);
             let per_bench = if benchmarks.len() > 1 {
-                chopin_harness::obs::ObsOptions {
+                chopin_obs::ObsConfig {
                     trace_out: obs.trace_out.as_deref().map(|p| with_suffix(p, bench)),
                     events_out: obs.events_out.as_deref().map(|p| with_suffix(p, bench)),
                 }
@@ -173,8 +174,7 @@ fn main() {
                 .and_then(|observed| {
                     let mut trace = observed.trace();
                     add_spans_to_trace(&mut trace, &experiment.spans);
-                    per_bench
-                        .export(Some(&trace), Some(&observed.recorder))
+                    export_obs(&per_bench, Some(&trace), Some(&observed.recorder))
                         .map_err(chopin_harness::ExperimentError::Io)
                 });
             match outcome {

@@ -38,7 +38,8 @@ use chopin_analyzer::Methodology;
 use chopin_core::lbo::Clock;
 use chopin_harness::cli::{check_flags, sweep_from_args, Args, GRID_FLAGS};
 use chopin_harness::obs::{
-    add_spans_to_trace, observe_benchmark_with_faults, ObsOptions, OBS_FLAGS,
+    add_spans_to_trace, export_obs, obs_from_args, observe_benchmark_with_faults, validate_obs,
+    OBS_FLAGS,
 };
 use chopin_harness::output::ResultsDir;
 use chopin_harness::supervisor::{supervisor_from_args, SCHEDULER_FLAGS};
@@ -74,8 +75,8 @@ fn main() {
     if let Some(code) = chopin_harness::fleet::maybe_connect(&args) {
         std::process::exit(code);
     }
-    let obs = ObsOptions::from_args(&args);
-    if let Err(e) = obs.validate() {
+    let obs = obs_from_args(&args);
+    if let Err(e) = validate_obs(&obs) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
@@ -163,7 +164,7 @@ fn main() {
             .and_then(|observed| {
                 let mut trace = observed.trace();
                 add_spans_to_trace(&mut trace, &experiment.spans);
-                obs.export(Some(&trace), Some(&observed.recorder))
+                export_obs(&obs, Some(&trace), Some(&observed.recorder))
                     .map_err(chopin_harness::ExperimentError::Io)
             });
         match outcome {

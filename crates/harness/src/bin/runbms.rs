@@ -24,12 +24,12 @@
 //! exits 2.
 //!
 //! `--isolation process` moves the isolation boundary from a thread to
-//! sandboxed worker processes, one per scheduler thread, each running
-//! cell after cell (heartbeats, per-cell derived soft
-//! RLIMIT_AS/RLIMIT_CPU; `--heartbeat-ms`, `--rlimit-as-mb`,
-//! `--rlimit-cpu-s` to override), so cells that SIGSEGV, get OOM-killed
-//! or wedge are quarantined with their crash taxonomy instead of taking
-//! the sweep down; stderr reports the workers spawned. `--hard-faults kill|abort|oom[:SEED[:STRIDE]]`
+//! sandboxed worker processes: each scheduler thread owns one, which
+//! runs cell after cell under a fixed heartbeat and soft
+//! RLIMIT_AS/RLIMIT_CPU limits derived per cell, so cells that SIGSEGV,
+//! get OOM-killed or wedge are quarantined with their crash taxonomy
+//! instead of taking the sweep down; stderr reports the workers
+//! spawned. `--hard-faults kill|abort|oom[:SEED[:STRIDE]]`
 //! injects real process deaths into deterministic victim cells (process
 //! isolation required, rule R903); `--crash-reports FILE` writes one
 //! JSONL record per hard child failure.
@@ -71,7 +71,8 @@ use chopin_core::sweep::{run_sweep, SweepConfig, SweepResult};
 use chopin_core::Suite;
 use chopin_harness::cli::{check_flags, sweep_from_args, Args, GRID_FLAGS};
 use chopin_harness::obs::{
-    add_spans_to_trace, observe_benchmark_with_faults, ObsOptions, SpanSink, OBS_FLAGS,
+    add_spans_to_trace, export_obs, obs_from_args, observe_benchmark_with_faults, validate_obs,
+    SpanSink, OBS_FLAGS,
 };
 use chopin_harness::supervisor::{
     supervision_requested, supervisor_from_args, SuiteSupervisor, SCHEDULER_FLAGS,
@@ -206,8 +207,8 @@ fn main() {
     if let Some(code) = chopin_harness::fleet::maybe_connect(&args) {
         std::process::exit(code);
     }
-    let obs = ObsOptions::from_args(&args);
-    if let Err(e) = obs.validate() {
+    let obs = obs_from_args(&args);
+    if let Err(e) = validate_obs(&obs) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
@@ -281,7 +282,7 @@ fn main() {
             Ok(observed) => {
                 let mut trace = observed.trace();
                 add_spans_to_trace(&mut trace, &sink.spans());
-                match obs.export(Some(&trace), Some(&observed.recorder)) {
+                match export_obs(&obs, Some(&trace), Some(&observed.recorder)) {
                     Ok(paths) => {
                         for p in paths {
                             eprintln!("runbms: wrote {}", p.display());

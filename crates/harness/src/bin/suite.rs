@@ -29,7 +29,9 @@ use chopin_analyzer::Methodology;
 use chopin_core::sweep::SweepConfig;
 use chopin_core::Suite;
 use chopin_harness::cli::{check_flags, Args};
-use chopin_harness::obs::{observe_benchmark_with_faults, with_suffix, ObsOptions, OBS_FLAGS};
+use chopin_harness::obs::{
+    export_obs, obs_from_args, observe_benchmark_with_faults, validate_obs, with_suffix, OBS_FLAGS,
+};
 use chopin_harness::plot::render_table;
 use chopin_harness::preflight;
 use chopin_harness::resolve_profiles;
@@ -62,8 +64,8 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let obs = ObsOptions::from_args(&args);
-    if let Err(e) = obs.validate() {
+    let obs = obs_from_args(&args);
+    if let Err(e) = validate_obs(&obs) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
@@ -126,7 +128,7 @@ fn main() {
             println!();
             if obs.enabled() {
                 let per_bench = if selected.len() > 1 {
-                    ObsOptions {
+                    chopin_obs::ObsConfig {
                         trace_out: obs.trace_out.as_deref().map(|p| with_suffix(p, name)),
                         events_out: obs.events_out.as_deref().map(|p| with_suffix(p, name)),
                     }
@@ -136,7 +138,7 @@ fn main() {
                 let outcome =
                     observe_benchmark_with_faults(name, CollectorKind::G1, 2.0, plan.as_ref())
                         .map_err(|e| e.to_string())
-                        .and_then(|o| per_bench.export(Some(&o.trace()), Some(&o.recorder)));
+                        .and_then(|o| export_obs(&per_bench, Some(&o.trace()), Some(&o.recorder)));
                 match outcome {
                     Ok(paths) => {
                         for p in paths {

@@ -68,9 +68,9 @@ pub use experiments::{
     heap_trace, nominal_table, pca_figure, resolve_profiles, table1, table2, ExperimentError,
     LatencyExperiment, LboExperiment,
 };
-pub use obs::{observe_benchmark, ObsOptions, ObservedRun, SpanSink};
+pub use obs::{observe_benchmark, ObservedRun, SpanSink};
 pub use presets::Preset;
-pub use sandbox::{worker_entry, CrashReport, IsolationMode, ProcessCellRunner};
+pub use sandbox::{worker_entry, CrashReport, IsolationMode};
 pub use supervisor::{
     CellFailure, QuarantineEntry, QuarantineReason, SuiteReport, SuiteSupervisor, SuperviseError,
 };

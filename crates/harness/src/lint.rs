@@ -43,7 +43,6 @@ pub fn lint_all() -> LintReport {
         &chopin_obs::ObsConfig {
             trace_out: Some(crate::obs::DEFAULT_TRACE_OUT.to_string()),
             events_out: Some(crate::obs::DEFAULT_EVENTS_OUT.to_string()),
-            ..chopin_obs::ObsConfig::default()
         },
     ));
     LintReport::new(diagnostics)

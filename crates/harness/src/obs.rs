@@ -33,77 +33,53 @@ pub const DEFAULT_TRACE_OUT: &str = "results/trace.json";
 /// Default path for `artifact trace` JSONL event output.
 pub const DEFAULT_EVENTS_OUT: &str = "results/events.jsonl";
 
-/// The flags [`ObsOptions::from_args`] reads.
+/// The flags [`obs_from_args`] reads.
 pub const OBS_FLAGS: [&str; 2] = ["trace-out", "events-out"];
 
-/// The observability flags shared by the harness binaries.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ObsOptions {
-    /// `--trace-out FILE`: write a Chrome-trace/Perfetto JSON document.
-    pub trace_out: Option<String>,
-    /// `--events-out FILE`: write the engine event stream as JSON Lines.
-    pub events_out: Option<String>,
+/// Read `--trace-out FILE` (a Chrome-trace/Perfetto JSON document) and
+/// `--events-out FILE` (the engine event stream as JSON Lines).
+pub fn obs_from_args(args: &Args) -> ObsConfig {
+    ObsConfig {
+        trace_out: args.value("trace-out").map(str::to_string),
+        events_out: args.value("events-out").map(str::to_string),
+    }
 }
 
-impl ObsOptions {
-    /// Read `--trace-out` and `--events-out` from parsed arguments.
-    pub fn from_args(args: &Args) -> ObsOptions {
-        ObsOptions {
-            trace_out: args.value("trace-out").map(str::to_string),
-            events_out: args.value("events-out").map(str::to_string),
-        }
+/// Validate the outputs with the linter's R601 (paths must be
+/// writable-shaped), so a typo'd `--trace-out results/` fails before
+/// the sweep runs instead of after.
+///
+/// # Errors
+///
+/// Returns the first diagnostic's message.
+pub fn validate_obs(config: &ObsConfig) -> Result<(), String> {
+    let diags = chopin_lint::lint_obs_config("cli", config);
+    match diags.first() {
+        None => Ok(()),
+        Some(d) => Err(format!("{}: {}", d.rule, d.message)),
     }
+}
 
-    /// Whether any output was requested.
-    pub fn enabled(&self) -> bool {
-        self.trace_out.is_some() || self.events_out.is_some()
+/// Write the requested outputs: the trace document (when `--trace-out`
+/// was given) and the recorder's JSONL (when `--events-out` was).
+/// Returns the paths written.
+///
+/// # Errors
+///
+/// Returns any I/O error, tagged with the offending path.
+pub fn export_obs(
+    config: &ObsConfig,
+    trace: Option<&ChromeTrace>,
+    recorder: Option<&EventRecorder>,
+) -> Result<Vec<PathBuf>, String> {
+    let mut written = Vec::new();
+    if let (Some(path), Some(trace)) = (&config.trace_out, trace) {
+        written.push(write_text(path, &trace.to_json())?);
     }
-
-    /// The equivalent [`ObsConfig`] (for static validation).
-    pub fn to_config(&self) -> ObsConfig {
-        ObsConfig {
-            trace_out: self.trace_out.clone(),
-            events_out: self.events_out.clone(),
-            ..ObsConfig::default()
-        }
+    if let (Some(path), Some(recorder)) = (&config.events_out, recorder) {
+        written.push(write_text(path, &recorder.to_jsonl())?);
     }
-
-    /// Validate the options with the linter's R6xx rules (paths must be
-    /// writable-shaped), so a typo'd `--trace-out results/` fails before
-    /// the sweep runs instead of after.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first diagnostic's message.
-    pub fn validate(&self) -> Result<(), String> {
-        let diags = chopin_lint::lint_obs_config("cli", &self.to_config());
-        match diags.first() {
-            None => Ok(()),
-            Some(d) => Err(format!("{}: {}", d.rule, d.message)),
-        }
-    }
-
-    /// Write the requested outputs: the trace document (when `--trace-out`
-    /// was given) and the recorder's JSONL (when `--events-out` was).
-    /// Returns the paths written.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error, tagged with the offending path.
-    pub fn export(
-        &self,
-        trace: Option<&ChromeTrace>,
-        recorder: Option<&EventRecorder>,
-    ) -> Result<Vec<PathBuf>, String> {
-        let mut written = Vec::new();
-        if let (Some(path), Some(trace)) = (&self.trace_out, trace) {
-            written.push(write_text(path, &trace.to_json())?);
-        }
-        if let (Some(path), Some(recorder)) = (&self.events_out, recorder) {
-            written.push(write_text(path, &recorder.to_jsonl())?);
-        }
-        Ok(written)
-    }
+    Ok(written)
 }
 
 /// Write `contents` to `path`, creating parent directories on demand.
@@ -296,18 +272,18 @@ mod tests {
     #[test]
     fn options_parse_and_validate() {
         let args = Args::parse(["--trace-out", "out/t.json", "--events-out", "out/e.jsonl"]);
-        let opts = ObsOptions::from_args(&args);
-        assert!(opts.enabled());
-        assert_eq!(opts.trace_out.as_deref(), Some("out/t.json"));
-        assert!(opts.validate().is_ok());
+        let config = obs_from_args(&args);
+        assert!(config.enabled());
+        assert_eq!(config.trace_out.as_deref(), Some("out/t.json"));
+        assert!(validate_obs(&config).is_ok());
 
-        let bad = ObsOptions {
+        let bad = ObsConfig {
             trace_out: Some("out/".into()),
             events_out: None,
         };
-        let err = bad.validate().unwrap_err();
+        let err = validate_obs(&bad).unwrap_err();
         assert!(err.starts_with("R601"), "{err}");
-        assert!(!ObsOptions::default().enabled());
+        assert!(!obs_from_args(&Args::parse(Vec::<String>::new())).enabled());
     }
 
     #[test]

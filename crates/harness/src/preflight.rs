@@ -17,7 +17,7 @@
 
 use crate::cli::Args;
 use crate::experiments::resolve_profiles;
-use crate::sandbox::{hard_plan_from_args, isolation_from_args, sandbox_policy_from_args};
+use crate::sandbox::{hard_plan_from_args, isolation_from_args};
 use crate::supervisor::{plan_from_args, policy_from_args, supervision_requested};
 use chopin_analyzer::{demo, Methodology, PlanIR};
 use chopin_core::sweep::SweepConfig;
@@ -53,9 +53,8 @@ fn whole_suite() -> Vec<String> {
 /// through the scheduler (always for an LBO plan; for a sweep only when
 /// supervision is requested; no watchdog otherwise), journalling from
 /// `--journal`,
-/// the isolation backend from `--isolation`, the sandbox policy from
-/// `--heartbeat-ms`/`--rlimit-as-mb`/`--rlimit-cpu-s` and hard faults
-/// from `--hard-faults`, the fleet shape from
+/// the isolation backend from `--isolation` and hard faults from
+/// `--hard-faults`, the fleet shape from
 /// `--fleet`/`--lease-deadline`, the net-fault shim from `--net-faults`
 /// and the standby registration from `--fleet-standby` — so the R90x
 /// sandbox, R120x fleet and R140x partition-tolerance analyses see
@@ -102,7 +101,6 @@ pub fn plan_for_args(
         args.has("journal") || args.has("resume"),
     )?
     .with_isolation(isolation_from_args(args)?)
-    .with_sandbox(sandbox_policy_from_args(args)?)
     .with_hard_faults(hard_plan_from_args(args)?)
     .with_fleet(fleet_plan)
     .with_net_faults(net_faults)
@@ -466,26 +464,6 @@ mod tests {
             assert!(
                 !report.diagnostics.iter().any(|d| d.rule == "R903"),
                 "process isolation satisfies R903:\n{}",
-                report.render_table()
-            );
-        }
-
-        // An undersized explicit RLIMIT_AS override trips R901.
-        let args = Args::parse(["--isolation", "process", "--rlimit-as-mb", "1"]);
-        let plan = plan_for_args(
-            "runbms",
-            Methodology::Sweep,
-            &["fop".to_string()],
-            &SweepConfig::quick(),
-            &args,
-        )
-        .expect("compiles");
-        assert_eq!(plan.sandbox.rlimit_as_bytes, Some(1 << 20));
-        if chopin_sandbox::supported() {
-            let report = preflight_report(&plan);
-            assert!(
-                report.diagnostics.iter().any(|d| d.rule == "R901"),
-                "a 1 MiB RLIMIT_AS cannot cover any cell:\n{}",
                 report.render_table()
             );
         }

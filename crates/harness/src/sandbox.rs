@@ -2,23 +2,25 @@
 //!
 //! Under `--isolation process` every sweep cell runs in a sandboxed
 //! worker process instead of on a worker thread. Each scheduler thread
-//! keeps at most one persistent worker busy, which runs one cell after
-//! another; a cell's independence comes from its seed, not from a fresh
-//! process. The pieces living here:
+//! owns one persistent worker, which runs one cell after another; a
+//! cell's independence comes from its seed, not from a fresh process.
+//! The pieces living here:
 //!
 //! * [`worker_entry`] — the worker half. Every binary calls it first
 //!   thing in `main`; when the process was spawned as a sandbox worker
 //!   it serves cell requests from stdin until stdin closes: it decodes
 //!   each, runs the cell on the in-process [`SweepCellRunner`] itself,
 //!   and reports the outcome over the framed stdout protocol.
-//! * [`ProcessCellRunner`] — the parent half: a [`CellRunner`] that keeps
-//!   the idle workers, spawns one when none is idle, marshals each cell
-//!   into a worker with its own resource limits (RLIMIT_AS from the
-//!   cell's heap, RLIMIT_CPU from the analyzer's R808 cost bound), and
-//!   classifies every ending into the crash taxonomy the supervisor
-//!   quarantines by. A worker that dies is charged to the one cell it
-//!   was running and replaced; one found dead while idle is replaced
-//!   without charging anyone.
+//! * [`ProcessBackend`] — the parent half. Each scheduler thread owns
+//!   one [`CellWorker`] from it: a persistent worker it spawns on its
+//!   first cell and serves its cells on directly, each with its own
+//!   resource limits (RLIMIT_AS from the cell's heap, RLIMIT_CPU from the
+//!   analyzer's R808 cost bound), classifying every ending into the
+//!   crash taxonomy the supervisor quarantines by. A worker that dies is
+//!   charged to the one cell it was running and replaced; one found dead
+//!   between cells is replaced without charging anyone. The worker's
+//!   counters and crash reports come back as a [`SandboxTally`] when the
+//!   thread closes it.
 //! * Hard-fault injection (`--hard-faults kill|abort|oom`): the parent
 //!   decides victim cells deterministically
 //!   ([`HardFaultPlan::is_victim`]) and ships only the death directive to
@@ -40,7 +42,7 @@
 use crate::cli::Args;
 use crate::codec::{self, Record};
 use crate::supervisor::{
-    lock, Cell, CellFailure, CellOutcome, CellRunner, QuarantineReason, SweepCellRunner,
+    Cell, CellFailure, CellOutcome, CellRunner, QuarantineReason, SweepCellRunner,
 };
 use chopin_analyzer::analyses::cost::cell_cost_bound_s;
 use chopin_analyzer::BenchmarkIR;
@@ -54,7 +56,6 @@ use chopin_sandbox::{ChildOutcome, ChildReport, SandboxPolicy, SandboxPool, Sess
 use chopin_workloads::{SizeClass, WorkloadProfile};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Duration;
 
 pub use chopin_sandbox::IsolationMode;
@@ -87,31 +88,6 @@ pub fn isolation_from_args(args: &Args) -> Result<IsolationMode, String> {
     Ok(mode)
 }
 
-/// Build a [`SandboxPolicy`] from `--heartbeat-ms MS`, `--rlimit-as-mb
-/// MB` and `--rlimit-cpu-s S`, starting from the defaults (absent
-/// override flags leave limits derived per cell).
-///
-/// # Errors
-///
-/// An unparsable value, or a policy that fails
-/// [`SandboxPolicy::validate`].
-pub fn sandbox_policy_from_args(args: &Args) -> Result<SandboxPolicy, String> {
-    let mut policy = SandboxPolicy::default();
-    policy.heartbeat_interval_ms = args
-        .get_or("heartbeat-ms", policy.heartbeat_interval_ms)
-        .map_err(|e| e.to_string())?;
-    if args.has("rlimit-as-mb") {
-        let mb: u64 = args.get_or("rlimit-as-mb", 0).map_err(|e| e.to_string())?;
-        policy.rlimit_as_bytes = Some(mb << 20);
-    }
-    if args.has("rlimit-cpu-s") {
-        let s: u64 = args.get_or("rlimit-cpu-s", 0).map_err(|e| e.to_string())?;
-        policy.rlimit_cpu_s = Some(s);
-    }
-    policy.validate().map_err(|e| e.to_string())?;
-    Ok(policy)
-}
-
 /// Parse `--hard-faults KIND[:SEED[:STRIDE]]` into a plan, if present.
 ///
 /// # Errors
@@ -129,8 +105,8 @@ pub fn hard_plan_from_args(args: &Args) -> Result<Option<HardFaultPlan>, String>
 }
 
 /// Apply the isolation-family flags to a supervisor: `--isolation`,
-/// `--heartbeat-ms`/`--rlimit-as-mb`/`--rlimit-cpu-s`, `--hard-faults`
-/// and `--crash-reports`. The shared wiring for every supervised binary.
+/// `--hard-faults` and `--crash-reports`. The shared wiring for every
+/// supervised binary.
 ///
 /// # Errors
 ///
@@ -141,7 +117,6 @@ pub fn configure_isolation(
 ) -> Result<crate::supervisor::SuiteSupervisor, String> {
     let mut supervisor = supervisor
         .with_isolation(isolation_from_args(args)?)
-        .with_sandbox(sandbox_policy_from_args(args)?)
         .with_hard_faults(hard_plan_from_args(args)?);
     if let Some(path) = args.value("crash-reports") {
         supervisor = supervisor.with_crash_reports(path);
@@ -260,7 +235,7 @@ fn die(kind: HardFaultKind) -> ! {
 }
 
 // ---------------------------------------------------------------------
-// The parent side: the process-isolation CellRunner.
+// The parent side: each scheduler thread's own sandboxed worker.
 // ---------------------------------------------------------------------
 
 /// One hard child failure, flattened for the crash-report JSONL file the
@@ -304,88 +279,56 @@ pub fn write_crash_reports(path: &Path, reports: &[CrashReport]) -> std::io::Res
     std::fs::write(path, text)
 }
 
-#[derive(Debug, Default)]
-struct SandboxStats {
-    spawns: u64,
-    kills_deadline: u64,
-    kills_heartbeat: u64,
-    signalled: u64,
-    oom_killed: u64,
-    heartbeats: u64,
-    heartbeat_gaps_ns: Vec<u64>,
-    peak_rss_max_bytes: u64,
-}
-
-/// The process-isolation [`CellRunner`]: every cell in a persistent
-/// sandboxed worker, hard endings classified into the crash taxonomy the
-/// supervisor quarantines by. It never holds more workers than cells run
-/// at once: one per scheduler thread.
+/// What the process backend runs every cell with: the worker executable,
+/// the cell deadline each worker enforces, and the fault plans shipped
+/// with each cell. Every scheduler thread runs its cells on a
+/// [`CellWorker`] of its own ([`ProcessBackend::worker`]).
 #[derive(Debug)]
-pub struct ProcessCellRunner {
+pub struct ProcessBackend {
     pool: SandboxPool,
-    policy: SandboxPolicy,
     deadline_ms: Option<u64>,
     faults: Option<FaultPlan>,
     hard: Option<HardFaultPlan>,
-    /// Workers between cells.
-    idle: Mutex<Vec<Session>>,
-    stats: Mutex<SandboxStats>,
-    reports: Mutex<Vec<CrashReport>>,
 }
 
-impl ProcessCellRunner {
-    /// A runner spawning `exe` (normally the current executable, whose
-    /// `main` calls [`worker_entry`]) under `policy`, with the
-    /// supervisor's per-cell deadline enforced by the parent.
+impl ProcessBackend {
+    /// A backend spawning `exe` (normally the current executable, whose
+    /// `main` calls [`worker_entry`]) as its workers, each killing a
+    /// cell that outlives `deadline_ms`.
     pub fn new(
         exe: PathBuf,
-        policy: SandboxPolicy,
         deadline_ms: Option<u64>,
         faults: Option<FaultPlan>,
         hard: Option<HardFaultPlan>,
-    ) -> ProcessCellRunner {
-        ProcessCellRunner {
-            pool: SandboxPool::new(exe, policy).with_deadline_ms(deadline_ms),
-            policy,
+    ) -> ProcessBackend {
+        ProcessBackend {
+            pool: SandboxPool::new(exe, SandboxPolicy::default()).with_deadline_ms(deadline_ms),
             deadline_ms,
             faults: faults.filter(|p| !p.is_empty()),
             hard,
-            idle: Mutex::new(Vec::new()),
-            stats: Mutex::new(SandboxStats::default()),
-            reports: Mutex::new(Vec::new()),
         }
     }
 
-    /// An idle worker that is still alive, or a fresh one when none is.
-    /// A worker found dead while idle is reaped and replaced here, before
-    /// any request is written to it, so no cell is charged for it.
-    fn checkout(&self) -> Result<Session, ChildReport> {
-        loop {
-            let Some(mut worker) = lock(&self.idle).pop() else {
-                break;
-            };
-            if worker.is_alive() {
-                return Ok(worker);
-            }
-        }
-        lock(&self.stats).spawns += 1;
-        self.pool.spawn()
+    /// Extra material for the resume fingerprint: the fault plans every
+    /// cell runs under.
+    pub fn fingerprint(&self) -> String {
+        chopin_analyzer::runner_fingerprint(self.faults.as_ref(), self.hard.as_ref())
     }
 
-    /// Close and reap every idle worker. Call once no cell is running:
-    /// a worker busy with a cell is not idle, and is not closed.
-    pub fn close_workers(&self) {
-        let idle = std::mem::take(&mut *lock(&self.idle));
-        for mut worker in idle {
-            worker.close();
+    /// A worker for one scheduler thread. It spawns its process on its
+    /// first cell.
+    pub fn worker(&self) -> CellWorker<'_> {
+        CellWorker {
+            backend: self,
+            session: None,
+            tally: SandboxTally::default(),
         }
     }
 
-    /// Derive this cell's resource limits: explicit policy overrides win;
-    /// otherwise RLIMIT_AS covers the cell's collector-adjusted heap plus
-    /// the worker base, and the RLIMIT_CPU budget scales the analyzer's
-    /// R808 cost lower bound (capped just above the cell deadline when
-    /// one exists).
+    /// Derive this cell's resource limits: RLIMIT_AS covers the cell's
+    /// collector-adjusted heap plus the worker base, and the RLIMIT_CPU
+    /// budget scales the analyzer's R808 cost lower bound (capped just
+    /// above the cell deadline when one exists).
     /// `oom` victims instead get [`OOM_VICTIM_RLIMIT_AS`] so the injected
     /// blow-up trips the backstop quickly.
     fn derive_limits(
@@ -397,101 +340,52 @@ impl ProcessCellRunner {
     ) -> RequestLimits {
         let cost_bound_s = BenchmarkIR::from_profile(profile, config.size)
             .map_or(0.0, |benchmark| cell_cost_bound_s(&benchmark, config));
-        let rlimit_cpu_s = self
-            .policy
-            .rlimit_cpu_s
-            .or(Some(derived_rlimit_cpu_s(cost_bound_s, self.deadline_ms)));
+        let rlimit_cpu_s = Some(derived_rlimit_cpu_s(cost_bound_s, self.deadline_ms));
         if victim.is_some_and(|v| v.kind == HardFaultKind::OomBlowup) {
             return RequestLimits {
                 rlimit_as_bytes: Some(OOM_VICTIM_RLIMIT_AS),
                 rlimit_cpu_s,
             };
         }
-        let rlimit_as_bytes = self.policy.rlimit_as_bytes.or_else(|| {
-            profile.min_heap_bytes(config.size).map(|min| {
-                let heap = (min as f64 * cell.heap_factor * profile.uncompressed_inflation()).ceil()
-                    as u64;
-                required_rlimit_as(heap)
-            })
+        let rlimit_as_bytes = profile.min_heap_bytes(config.size).map(|min| {
+            let heap = (min as f64 * cell.heap_factor * profile.uncompressed_inflation()).ceil();
+            required_rlimit_as(heap as u64)
         });
         RequestLimits {
             rlimit_as_bytes,
             rlimit_cpu_s,
         }
     }
-
-    fn absorb(&self, cell: &Cell, report: &ChildReport) {
-        let mut stats = lock(&self.stats);
-        stats.heartbeats += report.heartbeats;
-        if let Some(beat_ms) = report.last_heartbeat_ms {
-            stats
-                .heartbeat_gaps_ns
-                .push(report.wall_ms.saturating_sub(beat_ms) * 1_000_000);
-        }
-        if let Some(rss) = report.peak_rss_bytes {
-            stats.peak_rss_max_bytes = stats.peak_rss_max_bytes.max(rss);
-        }
-        match &report.outcome {
-            ChildOutcome::DeadlineExceeded { .. } => stats.kills_deadline += 1,
-            ChildOutcome::HeartbeatLost { .. } => stats.kills_heartbeat += 1,
-            ChildOutcome::OomKilled => stats.oom_killed += 1,
-            ChildOutcome::Signalled { .. } => stats.signalled += 1,
-            _ => {}
-        }
-        drop(stats);
-        if !matches!(
-            report.outcome,
-            ChildOutcome::Completed(_) | ChildOutcome::Failed(_)
-        ) {
-            lock(&self.reports).push(CrashReport {
-                benchmark: cell.benchmark.clone(),
-                collector: cell.collector.to_string(),
-                heap_factor: cell.heap_factor,
-                outcome: report.outcome.label().to_string(),
-                exit_code: report.exit_code,
-                signal: report.signal,
-                last_heartbeat_ms: report.last_heartbeat_ms,
-                peak_rss_bytes: report.peak_rss_bytes,
-                wall_ms: report.wall_ms,
-            });
-        }
-    }
-
-    /// Fold the sandbox counters into `metrics` under the
-    /// [`sandbox_metrics`] names.
-    pub fn merge_metrics(&self, metrics: &mut MetricsRegistry) {
-        let stats = lock(&self.stats);
-        metrics.inc(sandbox_metrics::SPAWNS, stats.spawns);
-        metrics.inc(sandbox_metrics::KILLS_DEADLINE, stats.kills_deadline);
-        metrics.inc(sandbox_metrics::KILLS_HEARTBEAT, stats.kills_heartbeat);
-        metrics.inc(sandbox_metrics::SIGNALLED, stats.signalled);
-        metrics.inc(sandbox_metrics::OOM_KILLED, stats.oom_killed);
-        metrics.inc(sandbox_metrics::HEARTBEATS, stats.heartbeats);
-        for &gap in &stats.heartbeat_gaps_ns {
-            metrics.observe(sandbox_metrics::HEARTBEAT_GAP_NS, gap);
-        }
-        if stats.peak_rss_max_bytes > 0 {
-            metrics.set_gauge(
-                sandbox_metrics::PEAK_RSS_MAX_BYTES,
-                stats.peak_rss_max_bytes as f64,
-            );
-        }
-    }
-
-    /// Drain the crash reports accumulated so far.
-    pub fn take_reports(&self) -> Vec<CrashReport> {
-        std::mem::take(&mut lock(&self.reports))
-    }
 }
 
-impl CellRunner for ProcessCellRunner {
-    fn run_cell(
-        &self,
+/// One scheduler thread's sandboxed worker: spawned on the thread's
+/// first cell, serving one cell after another, and replaced when it
+/// dies. A worker that dies mid-cell is charged to that one cell; one
+/// found dead between cells is replaced before any request is written
+/// to it, so no cell is charged for it.
+#[derive(Debug)]
+pub struct CellWorker<'a> {
+    backend: &'a ProcessBackend,
+    session: Option<Session>,
+    tally: SandboxTally,
+}
+
+impl CellWorker<'_> {
+    /// Run every invocation of `cell` in the worker, classifying a hard
+    /// ending into the crash taxonomy the supervisor quarantines by.
+    ///
+    /// # Errors
+    ///
+    /// A [`CellFailure`]: transient for a spawn failure, an error the
+    /// cell reported or a garbled payload; a crash for a worker death.
+    pub fn run_cell(
+        &mut self,
         profile: &WorkloadProfile,
         cell: &Cell,
         config: &SweepConfig,
     ) -> Result<CellOutcome, CellFailure> {
-        let victim = self.hard.as_ref().filter(|h| {
+        let backend = self.backend;
+        let victim = backend.hard.as_ref().filter(|h| {
             h.is_victim(
                 &cell.benchmark,
                 &cell.collector.to_string(),
@@ -503,21 +397,12 @@ impl CellRunner for ProcessCellRunner {
             invocations: config.invocations,
             iterations: config.iterations,
             size: config.size,
-            faults: self.faults.clone(),
+            faults: backend.faults.clone(),
             hard: victim.map(|v| (v.kind, v.delay_ms)),
         });
-        let limits = self.derive_limits(profile, cell, config, victim);
-        let report = match self.checkout() {
-            Ok(mut worker) => {
-                let report = worker.serve(&request, limits);
-                if worker.is_alive() {
-                    lock(&self.idle).push(worker);
-                }
-                report
-            }
-            Err(report) => report,
-        };
-        self.absorb(cell, &report);
+        let limits = backend.derive_limits(profile, cell, config, victim);
+        let report = self.serve(&request, limits);
+        self.tally.absorb(cell, &report);
         match report.outcome {
             ChildOutcome::Completed(payload) => codec::decode(&payload)
                 .map_err(|e| CellFailure::Transient(format!("worker payload: {e}"))),
@@ -543,12 +428,113 @@ impl CellRunner for ProcessCellRunner {
         }
     }
 
-    fn fingerprint(&self) -> String {
-        chopin_analyzer::runner_fingerprint(self.faults.as_ref(), self.hard.as_ref())
+    /// Serve one request on the worker, spawning a fresh one when there
+    /// is none or the last one died. The session is held only while it
+    /// is alive, so one that a panic unwinds through is closed and
+    /// reaped.
+    fn serve(&mut self, request: &str, limits: RequestLimits) -> ChildReport {
+        let alive = self.session.as_mut().is_some_and(Session::is_alive);
+        let mut session = match self.session.take() {
+            Some(session) if alive => session,
+            _ => {
+                self.tally.spawns += 1;
+                match self.backend.pool.spawn() {
+                    Ok(session) => session,
+                    Err(report) => return report,
+                }
+            }
+        };
+        let report = session.serve(request, limits);
+        if session.is_alive() {
+            self.session = Some(session);
+        }
+        report
     }
 
-    fn handles_deadline(&self) -> bool {
-        true
+    /// Close and reap the worker, and hand back what it saw.
+    pub fn close(mut self) -> SandboxTally {
+        if let Some(mut session) = self.session.take() {
+            session.close();
+        }
+        self.tally
+    }
+}
+
+/// What one [`CellWorker`] saw: the `sandbox.*` counters and one crash
+/// report per hard worker death. The supervisor folds every scheduler
+/// thread's tally once, after the sweep drains ([`SandboxTally::fold`]).
+#[derive(Debug, Default)]
+pub struct SandboxTally {
+    spawns: u64,
+    kills_deadline: u64,
+    kills_heartbeat: u64,
+    signalled: u64,
+    oom_killed: u64,
+    heartbeats: u64,
+    heartbeat_gaps_ns: Vec<u64>,
+    peak_rss_max_bytes: u64,
+    reports: Vec<CrashReport>,
+}
+
+impl SandboxTally {
+    fn absorb(&mut self, cell: &Cell, report: &ChildReport) {
+        self.heartbeats += report.heartbeats;
+        if let Some(beat_ms) = report.last_heartbeat_ms {
+            self.heartbeat_gaps_ns
+                .push(report.wall_ms.saturating_sub(beat_ms) * 1_000_000);
+        }
+        if let Some(rss) = report.peak_rss_bytes {
+            self.peak_rss_max_bytes = self.peak_rss_max_bytes.max(rss);
+        }
+        match &report.outcome {
+            ChildOutcome::DeadlineExceeded { .. } => self.kills_deadline += 1,
+            ChildOutcome::HeartbeatLost { .. } => self.kills_heartbeat += 1,
+            ChildOutcome::OomKilled => self.oom_killed += 1,
+            ChildOutcome::Signalled { .. } => self.signalled += 1,
+            ChildOutcome::Completed(_) | ChildOutcome::Failed(_) => return,
+            ChildOutcome::Panicked(_) | ChildOutcome::SpawnFailed(_) => {}
+        }
+        self.reports.push(CrashReport {
+            benchmark: cell.benchmark.clone(),
+            collector: cell.collector.to_string(),
+            heap_factor: cell.heap_factor,
+            outcome: report.outcome.label().to_string(),
+            exit_code: report.exit_code,
+            signal: report.signal,
+            last_heartbeat_ms: report.last_heartbeat_ms,
+            peak_rss_bytes: report.peak_rss_bytes,
+            wall_ms: report.wall_ms,
+        });
+    }
+
+    /// Fold `tallies` into `metrics` under the [`sandbox_metrics`] names
+    /// and return their crash reports.
+    pub fn fold(
+        tallies: impl IntoIterator<Item = SandboxTally>,
+        metrics: &mut MetricsRegistry,
+    ) -> Vec<CrashReport> {
+        let mut reports = Vec::new();
+        let mut peak_rss_max_bytes = 0;
+        for tally in tallies {
+            metrics.inc(sandbox_metrics::SPAWNS, tally.spawns);
+            metrics.inc(sandbox_metrics::KILLS_DEADLINE, tally.kills_deadline);
+            metrics.inc(sandbox_metrics::KILLS_HEARTBEAT, tally.kills_heartbeat);
+            metrics.inc(sandbox_metrics::SIGNALLED, tally.signalled);
+            metrics.inc(sandbox_metrics::OOM_KILLED, tally.oom_killed);
+            metrics.inc(sandbox_metrics::HEARTBEATS, tally.heartbeats);
+            for gap in tally.heartbeat_gaps_ns {
+                metrics.observe(sandbox_metrics::HEARTBEAT_GAP_NS, gap);
+            }
+            peak_rss_max_bytes = peak_rss_max_bytes.max(tally.peak_rss_max_bytes);
+            reports.extend(tally.reports);
+        }
+        if peak_rss_max_bytes > 0 {
+            metrics.set_gauge(
+                sandbox_metrics::PEAK_RSS_MAX_BYTES,
+                peak_rss_max_bytes as f64,
+            );
+        }
+        reports
     }
 }
 
@@ -698,14 +684,8 @@ mod tests {
             heap_factor: 2.0,
         };
         let config = SweepConfig::quick();
-        let runner = ProcessCellRunner::new(
-            PathBuf::from("/bin/true"),
-            SandboxPolicy::default(),
-            Some(60_000),
-            None,
-            None,
-        );
-        let limits = runner.derive_limits(&profile, &cell, &config, None);
+        let backend = ProcessBackend::new(PathBuf::from("/bin/true"), Some(60_000), None, None);
+        let limits = backend.derive_limits(&profile, &cell, &config, None);
         let min = profile.min_heap_bytes(config.size).unwrap();
         assert!(
             limits.rlimit_as_bytes.unwrap() > chopin_sandbox::policy::CHILD_BASE_BYTES + min,
@@ -713,26 +693,11 @@ mod tests {
         );
         assert!(limits.rlimit_cpu_s.unwrap() >= chopin_sandbox::policy::MIN_RLIMIT_CPU_S);
 
-        // An oom victim gets the small backstop limit instead.
+        // An oom victim's small backstop limit wins over derivation.
         let oom = HardFaultPlan::new(HardFaultKind::OomBlowup, DEFAULT_HARD_SEED);
-        let limits = runner.derive_limits(&profile, &cell, &config, Some(&oom));
-        assert_eq!(limits.rlimit_as_bytes, Some(OOM_VICTIM_RLIMIT_AS));
-
-        // Explicit policy overrides win over derivation.
-        let runner = ProcessCellRunner::new(
-            PathBuf::from("/bin/true"),
-            SandboxPolicy {
-                rlimit_as_bytes: Some(123 << 20),
-                rlimit_cpu_s: Some(77),
-                ..SandboxPolicy::default()
-            },
-            None,
-            None,
-            None,
-        );
-        let limits = runner.derive_limits(&profile, &cell, &config, None);
-        assert_eq!(limits.rlimit_as_bytes, Some(123 << 20));
-        assert_eq!(limits.rlimit_cpu_s, Some(77));
+        let victim = backend.derive_limits(&profile, &cell, &config, Some(&oom));
+        assert_eq!(victim.rlimit_as_bytes, Some(OOM_VICTIM_RLIMIT_AS));
+        assert_eq!(victim.rlimit_cpu_s, limits.rlimit_cpu_s);
     }
 
     #[test]
@@ -744,19 +709,17 @@ mod tests {
         )
         .unwrap();
         let hard = HardFaultPlan::new(HardFaultKind::Kill, DEFAULT_HARD_SEED);
-        let runner = ProcessCellRunner::new(
+        let backend = ProcessBackend::new(
             PathBuf::from("/bin/true"),
-            SandboxPolicy::default(),
             None,
             Some(plan.clone()),
             Some(hard),
         );
         assert_eq!(
-            runner.fingerprint(),
+            backend.fingerprint(),
             format!("timed-iteration{plan:?}+hard:{hard:?}"),
             "the runner fingerprint journals carry"
         );
-        assert!(runner.handles_deadline());
     }
 
     #[test]
@@ -776,20 +739,6 @@ mod tests {
         );
         assert!(isolation_from_args(&Args::parse(["--isolation", "vm"])).is_err());
 
-        let args = Args::parse([
-            "--heartbeat-ms",
-            "50",
-            "--rlimit-as-mb",
-            "2048",
-            "--rlimit-cpu-s",
-            "9",
-        ]);
-        let policy = sandbox_policy_from_args(&args).unwrap();
-        assert_eq!(policy.heartbeat_interval_ms, 50);
-        assert_eq!(policy.rlimit_as_bytes, Some(2048 << 20));
-        assert_eq!(policy.rlimit_cpu_s, Some(9));
-        assert!(sandbox_policy_from_args(&Args::parse(["--heartbeat-ms", "0"])).is_err());
-
         let plan = hard_plan_from_args(&Args::parse(["--hard-faults", "kill:9:3"]))
             .unwrap()
             .unwrap();
@@ -800,6 +749,15 @@ mod tests {
             .unwrap()
             .is_none());
         assert!(hard_plan_from_args(&Args::parse(["--hard-faults", "segv"])).is_err());
+
+        // The sandbox family wires into the supervisor, and an unusable
+        // value refuses the run.
+        let supervisor = crate::supervisor::SuiteSupervisor::new(Default::default());
+        let args = Args::parse(["--isolation", "process", "--hard-faults", "kill"]);
+        assert!(configure_isolation(supervisor, &args).is_ok());
+        let supervisor = crate::supervisor::SuiteSupervisor::new(Default::default());
+        let args = Args::parse(["--hard-faults", "segv"]);
+        assert!(configure_isolation(supervisor, &args).is_err());
     }
 
     #[test]

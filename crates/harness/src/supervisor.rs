@@ -26,15 +26,17 @@
 //!   deadline; an attempt thread abandoned at a deadline is replaced by
 //!   a fresh one. Completed cells are journalled atomically
 //!   ([`crate::journal`]) as they finish.
-//! * `--isolation process` — the same loop, each attempt in a sandboxed
-//!   worker process ([`crate::sandbox`]), at most one per scheduler
-//!   thread, each serving one cell after another: cells that SIGSEGV,
-//!   get SIGKILLed, blow their address-space limit or stop heartbeating
-//!   are quarantined as [`QuarantineReason::Signalled`],
-//!   [`QuarantineReason::OomKilled`] or
-//!   [`QuarantineReason::HeartbeatLost`] instead of taking the sweep
-//!   down; the dead worker is replaced. Every worker is closed and
-//!   reaped before [`SuiteSupervisor::run`] returns. Hard-fault injection
+//! * `--isolation process` — the same loop, but each scheduler thread
+//!   owns one sandboxed worker process ([`crate::sandbox::CellWorker`]),
+//!   spawned on its first cell, and serves its attempts on it directly:
+//!   the worker's session enforces the cell deadline and the heartbeat,
+//!   so no attempt thread is needed. Cells that SIGSEGV, get SIGKILLed,
+//!   blow their address-space limit or stop heartbeating are quarantined
+//!   as [`QuarantineReason::Signalled`], [`QuarantineReason::OomKilled`]
+//!   or [`QuarantineReason::HeartbeatLost`] instead of taking the sweep
+//!   down; the dead worker is replaced. Each thread closes and reaps its
+//!   worker when its loop ends and hands back the worker's counters and
+//!   crash reports, which are folded once. Hard-fault injection
 //!   (`--hard-faults`) requires this backend and is rejected up front
 //!   under threads (rule R903).
 //! * `--fleet N` — leases cross a TCP socket to worker processes
@@ -48,7 +50,7 @@ use crate::codec::{self, decode_reason};
 use crate::journal::{
     sibling_worker_journals, CellProvenance, Journal, JournalEntry, JournalError, QuarantineRecord,
 };
-use crate::sandbox::{write_crash_reports, CrashReport, ProcessCellRunner};
+use crate::sandbox::{write_crash_reports, CellWorker, CrashReport, ProcessBackend, SandboxTally};
 use chopin_core::lbo::RunSample;
 use chopin_core::sweep::{SweepConfig, SweepFailure, SweepResult};
 use chopin_faults::{FaultPlan, HardFaultPlan, PolicyError, SupervisorPolicy};
@@ -60,7 +62,7 @@ use chopin_obs::MetricsRegistry;
 use chopin_runtime::collector::CollectorKind;
 use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::signal_name;
-use chopin_sandbox::{IsolationMode, SandboxPolicy};
+use chopin_sandbox::IsolationMode;
 use chopin_workloads::WorkloadProfile;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -167,10 +169,10 @@ impl From<String> for CellFailure {
     }
 }
 
-/// Executes one cell. The default implementation ([`SweepCellRunner`])
-/// runs the sweep's invocation loop in this process; the process backend
-/// ([`ProcessCellRunner`]) marshals the cell into a sandboxed worker; and
-/// chaos tests substitute runners that panic, hang or fail on schedule.
+/// Executes one cell under thread isolation. The default implementation
+/// ([`SweepCellRunner`]) runs the sweep's invocation loop in this
+/// process; chaos tests substitute runners that panic, hang or fail on
+/// schedule.
 pub trait CellRunner: Send + Sync {
     /// Run every invocation of `cell` and return the outcome.
     ///
@@ -190,13 +192,6 @@ pub trait CellRunner: Send + Sync {
     /// be resumed from.
     fn fingerprint(&self) -> String {
         String::new()
-    }
-
-    /// Whether the runner enforces the cell deadline itself (the process
-    /// backend kills children at the deadline); when true the supervisor
-    /// waits without its own watchdog instead of double-timing.
-    fn handles_deadline(&self) -> bool {
-        false
     }
 }
 
@@ -401,7 +396,7 @@ impl From<JournalError> for SuperviseError {
 /// one of them there, pointing at the binaries that take them;
 /// `--faults` and `--isolation`, which those two honour on their own
 /// terms, are not on the list.
-pub const SCHEDULER_FLAGS: [&str; 19] = [
+pub const SCHEDULER_FLAGS: [&str; 16] = [
     "journal",
     "resume",
     "cell-deadline",
@@ -409,9 +404,6 @@ pub const SCHEDULER_FLAGS: [&str; 19] = [
     "backoff-ms",
     "hard-faults",
     "crash-reports",
-    "heartbeat-ms",
-    "rlimit-as-mb",
-    "rlimit-cpu-s",
     "fleet",
     "fleet-connect",
     "lease-deadline",
@@ -577,6 +569,16 @@ pub(crate) fn settle(payload: AttemptPayload) -> Result<CellOutcome, QuarantineR
     }
 }
 
+/// How one scheduler thread runs the attempts it is granted.
+enum Executor<'a> {
+    /// Thread isolation: on the thread's attempt thread, waited on within
+    /// the cell deadline.
+    Thread(Option<AttemptThread>),
+    /// Process isolation: on the thread's own sandboxed worker, whose
+    /// session enforces the deadline and the heartbeat.
+    Process(Box<CellWorker<'a>>),
+}
+
 /// What every attempt of one local run shares: the runner, the profiles,
 /// the schedule and the sweep configuration. Attempt threads outlive
 /// the scheduler's borrows when abandoned, so they hold it by `Arc`.
@@ -619,11 +621,9 @@ impl AttemptThread {
 }
 
 /// Run one attempt of schedule cell `idx` on `thread` (spawning it when
-/// there is none) and wait for the reply within the cell deadline, or
-/// without one when the runner enforces it itself
-/// ([`CellRunner::handles_deadline`]). A blown deadline abandons the
-/// attempt thread, as does its vanishing; the next attempt then gets a
-/// fresh one.
+/// there is none) and wait for the reply within the cell deadline. A
+/// blown deadline abandons the attempt thread, as does its vanishing;
+/// the next attempt then gets a fresh one.
 fn run_attempt(
     work: &Arc<AttemptWork>,
     thread: &mut Option<AttemptThread>,
@@ -631,14 +631,9 @@ fn run_attempt(
     deadline_ms: Option<u64>,
     clock: &dyn SupervisorClock,
 ) -> Result<CellOutcome, QuarantineReason> {
-    let budget = if work.runner.handles_deadline() {
-        None
-    } else {
-        deadline_ms.map(Duration::from_millis)
-    };
     let attempt = thread.get_or_insert_with(|| AttemptThread::spawn(work));
     let reply = match attempt.cells.send(idx) {
-        Ok(()) => clock.recv(&attempt.replies, budget),
+        Ok(()) => clock.recv(&attempt.replies, deadline_ms.map(Duration::from_millis)),
         Err(_) => Err(mpsc::RecvTimeoutError::Disconnected),
     };
     if reply.is_err() {
@@ -680,7 +675,6 @@ pub struct SuiteSupervisor {
     runner: Arc<dyn CellRunner>,
     faults: Option<FaultPlan>,
     isolation: IsolationMode,
-    sandbox: SandboxPolicy,
     hard_faults: Option<HardFaultPlan>,
     fleet: Option<FleetConfig>,
     crash_reports_path: Option<PathBuf>,
@@ -691,14 +685,13 @@ pub struct SuiteSupervisor {
 
 impl SuiteSupervisor {
     /// A supervisor running real benchmark cells under `policy`, thread
-    /// isolation, the default sandbox policy and the real clock.
+    /// isolation and the real clock.
     pub fn new(policy: SupervisorPolicy) -> SuiteSupervisor {
         SuiteSupervisor {
             policy,
             runner: Arc::new(SweepCellRunner::new()),
             faults: None,
             isolation: IsolationMode::Thread,
-            sandbox: SandboxPolicy::default(),
             hard_faults: None,
             fleet: None,
             crash_reports_path: None,
@@ -716,7 +709,8 @@ impl SuiteSupervisor {
         self
     }
 
-    /// Substitute the cell runner (chaos tests).
+    /// Substitute the cell runner (chaos tests). Only thread isolation
+    /// runs it: sandboxed workers run the sweep's own runner.
     #[must_use]
     pub fn with_runner(mut self, runner: Arc<dyn CellRunner>) -> SuiteSupervisor {
         self.runner = runner;
@@ -727,14 +721,6 @@ impl SuiteSupervisor {
     #[must_use]
     pub fn with_isolation(mut self, isolation: IsolationMode) -> SuiteSupervisor {
         self.isolation = isolation;
-        self
-    }
-
-    /// Configure the process sandbox (heartbeat cadence, rlimit
-    /// overrides). Only consulted under process isolation.
-    #[must_use]
-    pub fn with_sandbox(mut self, sandbox: SandboxPolicy) -> SuiteSupervisor {
-        self.sandbox = sandbox;
         self
     }
 
@@ -795,43 +781,29 @@ impl SuiteSupervisor {
     }
 }
 
-/// The runner driving every cell, paired with a concrete handle to the
-/// process backend (when active) for its crash reports and counters.
-type EffectiveRunner = (Arc<dyn CellRunner>, Option<Arc<ProcessCellRunner>>);
-
 impl SuiteSupervisor {
-    /// Resolve the effective cell runner for the configured isolation
-    /// mode, keeping a concrete handle to the process backend for its
-    /// crash reports and sandbox counters.
-    fn effective_runner(&self) -> Result<EffectiveRunner, SuperviseError> {
+    /// The process backend when cells run in sandboxed workers, or
+    /// `None` under thread isolation.
+    fn process_backend(&self) -> Result<Option<ProcessBackend>, SuperviseError> {
         match self.isolation {
-            IsolationMode::Thread => {
-                if self.hard_faults.is_some() {
-                    return Err(SuperviseError::Isolation(
-                        "hard-fault injection requires --isolation process: under thread \
-                         isolation the first victim kills the whole sweep (rule R903)"
-                            .to_string(),
-                    ));
-                }
-                Ok((Arc::clone(&self.runner), None))
-            }
+            IsolationMode::Thread if self.hard_faults.is_some() => Err(SuperviseError::Isolation(
+                "hard-fault injection requires --isolation process: under thread \
+                     isolation the first victim kills the whole sweep (rule R903)"
+                    .to_string(),
+            )),
+            IsolationMode::Thread => Ok(None),
             IsolationMode::Process => {
-                self.sandbox
-                    .validate()
-                    .map_err(|e| SuperviseError::Isolation(e.to_string()))?;
                 let exe = std::env::current_exe().map_err(|e| {
                     SuperviseError::Isolation(format!(
                         "process isolation cannot resolve the worker executable: {e}"
                     ))
                 })?;
-                let process = Arc::new(ProcessCellRunner::new(
+                Ok(Some(ProcessBackend::new(
                     exe,
-                    self.sandbox,
                     self.policy.cell_deadline_ms,
                     self.faults.clone(),
                     self.hard_faults,
-                ));
-                Ok((Arc::clone(&process) as Arc<dyn CellRunner>, Some(process)))
+                )))
             }
         }
     }
@@ -840,7 +812,7 @@ impl SuiteSupervisor {
         &self,
         profiles: &[WorkloadProfile],
         config: &SweepConfig,
-        runner: &dyn CellRunner,
+        process: Option<&ProcessBackend>,
     ) -> u64 {
         // The canonical recipe lives in chopin-analyzer so the static
         // pre-flight pass predicts the exact same value. The isolation
@@ -848,7 +820,8 @@ impl SuiteSupervisor {
         // runs of the same experiment produce identical journals, so a
         // sweep may be resumed across backends.
         let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
-        chopin_analyzer::sweep_fingerprint(&names, config, &runner.fingerprint())
+        let runner = process.map_or_else(|| self.runner.fingerprint(), ProcessBackend::fingerprint);
+        chopin_analyzer::sweep_fingerprint(&names, config, &runner)
     }
 
     /// Run the supervised suite: every cell of `profiles` × the sweep
@@ -874,8 +847,8 @@ impl SuiteSupervisor {
                     .to_string(),
             ));
         }
-        let (runner, process_runner) = self.effective_runner()?;
-        let fingerprint = self.fingerprint(profiles, config, runner.as_ref());
+        let process = self.process_backend()?;
+        let fingerprint = self.fingerprint(profiles, config, process.as_ref());
 
         let standby = self.fleet.as_ref().is_some_and(|f| f.standby_of.is_some());
         let mut journal = match &self.journal_path {
@@ -935,20 +908,16 @@ impl SuiteSupervisor {
                 metrics,
             })?,
             None => {
-                let (table, journal) =
-                    self.drain_locally(&runner, profiles, config, &cells, table, journal);
-                let mut drained = Drained {
+                let (table, journal, tallies) =
+                    self.drain_locally(process.as_ref(), profiles, config, &cells, table, journal);
+                let mut metrics = metrics;
+                let crash_reports = SandboxTally::fold(tallies, &mut metrics);
+                Drained {
                     table,
                     journal,
                     metrics,
-                    crash_reports: Vec::new(),
-                };
-                if let Some(process) = process_runner {
-                    process.close_workers();
-                    process.merge_metrics(&mut drained.metrics);
-                    drained.crash_reports = process.take_reports();
+                    crash_reports,
                 }
-                drained
             }
         };
         Ok(assemble_report(
@@ -961,22 +930,24 @@ impl SuiteSupervisor {
     }
 
     /// Drain the table in this process: `min(nproc, cells)` scheduler
-    /// threads each loop grant → [`run_attempt`] on their own attempt
-    /// thread → complete or fail, journalling every completion as it
-    /// lands. Retries wait out the table's backoff on the supervisor
-    /// clock. Each thread stops once no cell is pending: a failed cell is
-    /// requeued by the thread that failed it, which keeps asking.
+    /// threads each loop grant → attempt → complete or fail, journalling
+    /// every completion as it lands. An attempt runs on the thread's
+    /// attempt thread ([`run_attempt`]), or, given a process backend, on
+    /// the thread's own sandboxed worker. Retries wait out the table's
+    /// backoff on the supervisor clock. Each thread stops once no cell is
+    /// pending: a failed cell is requeued by the thread that failed it,
+    /// which keeps asking. Returns every thread's sandbox tally.
     fn drain_locally(
         &self,
-        runner: &Arc<dyn CellRunner>,
+        process: Option<&ProcessBackend>,
         profiles: &[WorkloadProfile],
         config: &SweepConfig,
         cells: &[(usize, Cell)],
         table: CellTable,
         journal: Option<Journal>,
-    ) -> (CellTable, Option<Journal>) {
+    ) -> (CellTable, Option<Journal>, Vec<SandboxTally>) {
         let work = Arc::new(AttemptWork {
-            runner: Arc::clone(runner),
+            runner: Arc::clone(&self.runner),
             profiles: profiles.to_vec(),
             cells: cells.to_vec(),
             config: config.clone(),
@@ -984,7 +955,10 @@ impl SuiteSupervisor {
         let table = Mutex::new(table);
         let journal = Mutex::new(journal);
         let serve = |worker: u64| {
-            let mut attempts = None;
+            let mut executor = match process {
+                Some(backend) => Executor::Process(Box::new(backend.worker())),
+                None => Executor::Thread(None),
+            };
             loop {
                 let grant = {
                     let mut table = lock(&table);
@@ -1001,13 +975,22 @@ impl SuiteSupervisor {
                     }
                     Grant::Drain => break,
                 };
-                match run_attempt(
-                    &work,
-                    &mut attempts,
-                    lease.cell,
-                    self.policy.cell_deadline_ms,
-                    self.clock.as_ref(),
-                ) {
+                let attempt = match &mut executor {
+                    Executor::Thread(attempts) => run_attempt(
+                        &work,
+                        attempts,
+                        lease.cell,
+                        self.policy.cell_deadline_ms,
+                        self.clock.as_ref(),
+                    ),
+                    Executor::Process(sandboxed) => {
+                        let (pi, cell) = &cells[lease.cell];
+                        settle(catch_unwind(AssertUnwindSafe(|| {
+                            sandboxed.run_cell(&profiles[*pi], cell, config)
+                        })))
+                    }
+                };
+                match attempt {
                     Ok(outcome) => {
                         if let Some(j) = lock(&journal).as_mut() {
                             // A journal write failure must not lose the
@@ -1027,6 +1010,10 @@ impl SuiteSupervisor {
                     }
                 }
             }
+            match executor {
+                Executor::Process(sandboxed) => Some(sandboxed.close()),
+                Executor::Thread(_) => None,
+            }
         };
         // A complete resume leaves nothing pending: start no threads.
         let workers = if lock(&table).has_pending() {
@@ -1037,15 +1024,18 @@ impl SuiteSupervisor {
         } else {
             0
         };
-        std::thread::scope(|scope| {
+        let tallies = std::thread::scope(|scope| {
             let serve = &serve;
-            for worker in 0..workers as u64 {
-                scope.spawn(move || serve(worker));
-            }
+            let threads: Vec<_> = (0..workers as u64)
+                .map(|worker| scope.spawn(move || serve(worker)))
+                .collect();
+            let joined = threads.into_iter().map(|thread| thread.join());
+            joined.filter_map(|tally| tally.ok().flatten()).collect()
         });
         (
             table.into_inner().unwrap_or_else(PoisonError::into_inner),
             journal.into_inner().unwrap_or_else(PoisonError::into_inner),
+            tallies,
         )
     }
 }

@@ -4,8 +4,9 @@
 //! with the pre-flight gate bypassed, `latency` and `suite`, which have
 //! no sweep-scheduler path, refuse the scheduler's flags outright, a
 //! malformed heap factor, a zero or malformed count or an unknown
-//! benchmark is a usage error, and `runbms` writes its trace and event
-//! stream on the scheduler path too.
+//! benchmark is a usage error, the removed sandbox override flags are
+//! unknown, and `runbms` writes its trace and event stream on the
+//! scheduler path too.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -65,6 +66,29 @@ fn runbms_refuses_a_misspelt_journal_flag() {
         "jounral",
     );
     assert!(!dir.join("J").exists(), "no journal is written");
+}
+
+#[test]
+fn runbms_and_lbo_refuse_the_removed_sandbox_override_flags() {
+    // Sandbox limits are derived per cell and the heartbeat is fixed;
+    // the flags that once overrode them are unknown now.
+    for bin in ["runbms", "lbo"] {
+        for (flag, value) in [
+            ("rlimit-as-mb", "4096"),
+            ("rlimit-cpu-s", "60"),
+            ("heartbeat-ms", "50"),
+        ] {
+            let args = ["-b", "fop", "--quick", "--isolation", "process"];
+            let out = run(bin, &[&args[..], &[&format!("--{flag}"), value]].concat());
+            let stderr = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(2), "{bin} --{flag}: {stderr}");
+            assert!(
+                stderr.contains(&format!("unknown flag --{flag}")),
+                "{bin} names --{flag} as unknown: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{bin} --{flag} printed output");
+        }
+    }
 }
 
 #[test]

@@ -12,14 +12,14 @@
 //!    survivors from disk and reproduces the final CSV exactly; the
 //!    journal carries the victims' crash taxonomy.
 //! 4. Workers are reused safely: a victim whose cell errors still never
-//!    answers, a worker killed while idle is replaced without charging a
-//!    cell, and `runbms` leaves no worker behind, whether it exits or is
-//!    SIGKILLed mid-sweep.
+//!    answers, a scheduler thread's worker killed while idle is replaced
+//!    without charging a cell, and `runbms` leaves no worker behind,
+//!    whether it exits or is SIGKILLed mid-sweep.
 
 use chopin_core::sweep::{SweepConfig, SweepResult};
 use chopin_faults::{HardFaultKind, HardFaultPlan, SupervisorPolicy};
-use chopin_harness::sandbox::ProcessCellRunner;
-use chopin_harness::supervisor::{Cell, CellRunner, QuarantineReason, SuiteSupervisor};
+use chopin_harness::sandbox::{ProcessBackend, SandboxTally};
+use chopin_harness::supervisor::{Cell, QuarantineReason, SuiteSupervisor};
 use chopin_harness::IsolationMode;
 use chopin_obs::MetricsRegistry;
 use chopin_runtime::collector::CollectorKind;
@@ -356,16 +356,17 @@ fn eventually(mut done: impl FnMut() -> bool) -> bool {
     done()
 }
 
-/// Scenario 4b: a worker found dead between cells is replaced before the
-/// next request is written to it, and no cell is charged for its death.
+/// Scenario 4b: a scheduler thread's worker found dead between cells is
+/// replaced before the next request is written to it, and no cell is
+/// charged for its death.
 fn a_worker_killed_while_idle_is_replaced_without_charge() {
-    let runner = ProcessCellRunner::new(
+    let backend = ProcessBackend::new(
         std::env::current_exe().expect("current_exe"),
-        SandboxPolicy::default(),
         Some(60_000),
         None,
         None,
     );
+    let mut worker = backend.worker();
     let profile = chopin_workloads::suite::by_name("fop").expect("suite benchmark");
     let cell = Cell {
         benchmark: "fop".to_string(),
@@ -373,7 +374,7 @@ fn a_worker_killed_while_idle_is_replaced_without_charge() {
         heap_factor: 2.0,
     };
     let config = small_config();
-    let first = runner
+    let first = worker
         .run_cell(&profile, &cell, &config)
         .expect("the first cell completes");
     let me = std::process::id();
@@ -386,20 +387,21 @@ fn a_worker_killed_while_idle_is_replaced_without_charge() {
     assert!(killed.success());
     assert!(eventually(|| live_processes(1, me).is_empty()));
 
-    let second = runner
+    let second = worker
         .run_cell(&profile, &cell, &config)
         .expect("the next cell runs in a fresh worker");
     assert_eq!(second, first, "the same cell, the same outcome");
-    assert!(runner.take_reports().is_empty(), "no cell was charged");
-    let mut metrics = MetricsRegistry::new();
-    runner.merge_metrics(&mut metrics);
-    assert_eq!(metrics.counter("sandbox.spawns"), 2);
-    assert_eq!(metrics.counter("sandbox.exits.signalled"), 0);
-    runner.close_workers();
+    assert_eq!(live_processes(1, me).len(), 1, "one live worker");
+    let tally = worker.close();
     assert!(
         live_processes(1, me).is_empty(),
-        "closed workers are reaped"
+        "a closed worker is reaped"
     );
+    let mut metrics = MetricsRegistry::new();
+    let reports = SandboxTally::fold([tally], &mut metrics);
+    assert!(reports.is_empty(), "no cell was charged");
+    assert_eq!(metrics.counter("sandbox.spawns"), 2);
+    assert_eq!(metrics.counter("sandbox.exits.signalled"), 0);
     eprintln!("scenario 4b ok: an idle worker's death charges no cell");
 }
 

@@ -24,8 +24,8 @@
 //! * **R4xx** — methodology sanity: smoothing windows, LBO grids,
 //!   percentile configurations ([`rules::methodology`]).
 //! * **R5xx** — suite-registry invariants ([`rules::registry`]).
-//! * **R6xx** — observability configuration: export paths, event-ring
-//!   capacity, pause-histogram bounds ([`rules::obs`]).
+//! * **R6xx** — observability configuration: export paths
+//!   ([`rules::obs`]).
 //! * **R7xx** — fault-injection validity: seeded plans, bounded
 //!   magnitudes, in-horizon windows, sane supervisor budgets
 //!   ([`rules::faults`]).

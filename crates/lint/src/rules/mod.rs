@@ -67,7 +67,7 @@ pub struct RuleDef {
 /// Every rule the linter implements, in id order. Rendered by
 /// `artifact lint --rules` and kept in sync with the rule modules by the
 /// crate's tests.
-pub const RULES: [RuleDef; 72] = [
+pub const RULES: [RuleDef; 69] = [
     RuleDef {
         id: "R101",
         severity: Severity::Error,
@@ -194,16 +194,6 @@ pub const RULES: [RuleDef; 72] = [
         summary: "trace/event export paths are writable-shaped files, not directories",
     },
     RuleDef {
-        id: "R602",
-        severity: Severity::Error,
-        summary: "the event ring capacity is positive",
-    },
-    RuleDef {
-        id: "R603",
-        severity: Severity::Error,
-        summary: "pause-histogram bucket bounds are positive and strictly increasing",
-    },
-    RuleDef {
         id: "R701",
         severity: Severity::Error,
         summary: "non-empty fault plans carry a non-zero seed (reproducible chaos)",
@@ -289,14 +279,9 @@ pub const RULES: [RuleDef; 72] = [
         summary: "artifacts cover every feasible planned cell (incomplete runs are resumable, not publishable)",
     },
     RuleDef {
-        id: "R901",
-        severity: Severity::Error,
-        summary: "an explicit sandbox RLIMIT_AS override must cover every feasible cell's heap plus the worker base (fix: raise --rlimit-as-mb or drop it to derive limits per cell)",
-    },
-    RuleDef {
         id: "R902",
         severity: Severity::Error,
-        summary: "the sandbox heartbeat timeout (interval x grace) must fire before the cell deadline, or wedged cells are never detected (fix: lower --heartbeat-ms or raise --cell-deadline)",
+        summary: "the sandbox heartbeat timeout (100ms x 10) must fire before the cell deadline, or wedged cells are never detected (fix: raise --cell-deadline)",
     },
     RuleDef {
         id: "R903",

@@ -1,10 +1,7 @@
-//! R6xx: observability configuration validity — export paths, event-ring
-//! capacity and pause-histogram bucket bounds.
+//! R6xx: observability configuration validity — export paths.
 //!
-//! A bad observability configuration fails *after* the simulation has run
-//! (an unwritable trace path) or silently degrades the data (a zero-sized
-//! ring, non-monotone histogram buckets). These rules reject it before a
-//! single slice executes.
+//! A bad export path fails *after* the simulation has run. R601 rejects
+//! it before a single slice executes.
 
 use crate::diagnostic::Diagnostic;
 use chopin_obs::ObsConfig;
@@ -48,8 +45,7 @@ fn lint_output_path(name: &str, flag: &str, path: &str) -> Vec<Diagnostic> {
 }
 
 /// Lint one observability configuration: R601 (export paths are
-/// writable-shaped), R602 (ring capacity is positive), R603 (histogram
-/// bounds are positive, finite in count, strictly increasing).
+/// writable-shaped).
 ///
 /// # Examples
 ///
@@ -57,71 +53,16 @@ fn lint_output_path(name: &str, flag: &str, path: &str) -> Vec<Diagnostic> {
 /// use chopin_obs::ObsConfig;
 ///
 /// assert!(chopin_lint::lint_obs_config("default", &ObsConfig::default()).is_empty());
-/// let bad = ObsConfig { ring_capacity: 0, ..ObsConfig::default() };
+/// let bad = ObsConfig { trace_out: Some("out/".to_string()), ..ObsConfig::default() };
 /// assert!(!chopin_lint::lint_obs_config("bad", &bad).is_empty());
 /// ```
 pub fn lint_obs_config(name: &str, config: &ObsConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-
-    // R601: output paths.
     if let Some(path) = &config.events_out {
         out.extend(lint_output_path(name, "--events-out", path));
     }
     if let Some(path) = &config.trace_out {
         out.extend(lint_output_path(name, "--trace-out", path));
-    }
-
-    // R602: ring capacity.
-    if config.ring_capacity == 0 {
-        out.push(
-            Diagnostic::error(
-                "R602",
-                format!("obs:{name}:ring"),
-                "event ring capacity is 0; every event would be dropped",
-            )
-            .with_hint("use a positive capacity (default 65536)"),
-        );
-    }
-
-    // R603: histogram bounds.
-    let bounds = &config.pause_histogram_bounds;
-    let loc = format!("obs:{name}:histogram");
-    if bounds.is_empty() {
-        out.push(
-            Diagnostic::error(
-                "R603",
-                loc.clone(),
-                "pause histogram has no bucket bounds; every pause lands in one overflow bucket \
-                 and quantiles collapse to the maximum",
-            )
-            .with_hint("use chopin_obs::default_pause_bounds()"),
-        );
-    }
-    if bounds.first().is_some_and(|&b| b == 0) {
-        out.push(
-            Diagnostic::error(
-                "R603",
-                loc.clone(),
-                "histogram bucket bound 0 is degenerate",
-            )
-            .with_hint("bounds must be positive nanosecond values"),
-        );
-    }
-    for w in bounds.windows(2) {
-        if w[0] >= w[1] {
-            out.push(
-                Diagnostic::error(
-                    "R603",
-                    loc,
-                    format!(
-                        "histogram bounds are not strictly increasing: {} then {}",
-                        w[0], w[1]
-                    ),
-                )
-                .with_hint("sort and deduplicate the bucket bounds"),
-            );
-            break;
-        }
     }
     out
 }
@@ -140,7 +81,6 @@ mod tests {
         let cfg = ObsConfig {
             events_out: Some("out/events.jsonl".to_string()),
             trace_out: Some("/tmp/trace.json".to_string()),
-            ..ObsConfig::default()
         };
         assert!(lint_obs_config("ok", &cfg).is_empty());
     }
@@ -156,32 +96,6 @@ mod tests {
             assert!(
                 diags.iter().any(|d| d.rule == "R601"),
                 "path {bad:?} should fire R601"
-            );
-        }
-    }
-
-    #[test]
-    fn r602_rejects_zero_capacity() {
-        let cfg = ObsConfig {
-            ring_capacity: 0,
-            ..ObsConfig::default()
-        };
-        let diags = lint_obs_config("bad", &cfg);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, "R602");
-    }
-
-    #[test]
-    fn r603_rejects_degenerate_bounds() {
-        for bad in [vec![], vec![0, 10], vec![10, 10, 20], vec![20, 10]] {
-            let cfg = ObsConfig {
-                pause_histogram_bounds: bad.clone(),
-                ..ObsConfig::default()
-            };
-            let diags = lint_obs_config("bad", &cfg);
-            assert!(
-                diags.iter().any(|d| d.rule == "R603"),
-                "bounds {bad:?} should fire R603"
             );
         }
     }

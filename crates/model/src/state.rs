@@ -677,7 +677,8 @@ impl ModelState {
     }
 
     /// The pump's poll: a `Tick` that the machine answers with anything
-    /// — expired leases swept, the drain, a give-up. Competes with frame
+    /// — expired leases swept, the drain, a give-up, a successor's fresh
+    /// pool. Competes with frame
     /// delivery at a lease's deadline instant, the `Done`-at-deadline
     /// race the lease table pins as order-independent.
     fn poll(&self, bounds: &Bounds) -> Option<(String, ModelState)> {
@@ -701,6 +702,15 @@ impl ModelState {
             // for the operator's `--resume`.
             s.coordinator_gone(false);
             return Some((format!("coordinator gives up: {why}"), s));
+        }
+        let spawned = s.spawn(&outputs, bounds);
+        if !spawned.is_empty() {
+            let ids: Vec<String> = spawned.iter().map(|w| format!("w{w}")).collect();
+            let label = format!(
+                "poll: every adopted worker is gone; the successor spawns {}",
+                ids.join(" ")
+            );
+            return Some((label, s));
         }
         Some((
             format!("poll timeout: {expired} lease(s) expired and requeued"),
@@ -1132,11 +1142,11 @@ mod tests {
     }
 
     #[test]
-    fn a_successor_that_loses_every_adopted_worker_gives_up() {
+    fn a_successor_that_loses_every_adopted_worker_spawns_a_pool() {
         // The successor owns no slots, so an adopted worker's death is
         // not respawned; with nobody left and the rescue window closed
-        // by the reconnect, the machine reports failure and the run is
-        // left for `--resume`.
+        // by the reconnect, it spawns a pool of its own on ids no
+        // adopted worker used, and the sweep carries on.
         let bounds = Bounds {
             workers: 1,
             cells: 1,
@@ -1151,8 +1161,12 @@ mod tests {
         let (label, s) = s.detect(0, &bounds);
         assert!(label.contains("not respawned"), "{label}");
         let (label, s) = s.poll(&bounds).unwrap();
-        assert!(label.contains("lost every worker"), "{label}");
-        assert!(s.coordinator.is_none() && !s.handoff);
+        assert!(label.contains("the successor spawns w1"), "{label}");
+        assert_eq!(s.slots[0], Slot::Idle { worker: 1 });
+        assert_eq!(s.shards[&1], Vec::new());
+        assert!(s.coordinator.as_ref().is_some_and(|c| c.slots_alive()));
+        assert!(crate::invariants::check(&s, &bounds).is_none());
+        assert!(!s.successors(&bounds, SeededBug::None).is_empty());
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Observability configuration, shared by the harness CLI and the lint
-//! rules that validate it.
+//! rule that validates it.
 
-use crate::metrics::default_pause_bounds;
-use crate::recorder::DEFAULT_RING_CAPACITY;
-
-/// Where and how a run's observability output is produced.
+/// Where a run's observability output goes.
 ///
 /// Built from the harness's `--events-out` / `--trace-out` flags; the
-/// defaults disable both exports. `chopin-lint`'s R6xx rules validate an
-/// instance before a run starts, so a misconfigured path or a degenerate
-/// histogram fails fast instead of after an hour of simulation.
+/// defaults disable both exports. `chopin-lint`'s R601 validates an
+/// instance before a run starts, so a misconfigured path fails fast
+/// instead of after an hour of simulation.
 ///
 /// # Examples
 ///
@@ -24,28 +21,12 @@ use crate::recorder::DEFAULT_RING_CAPACITY;
 /// };
 /// assert!(cfg.enabled());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsConfig {
     /// JSONL event-stream output path (`--events-out`), if any.
     pub events_out: Option<String>,
     /// Chrome-trace JSON output path (`--trace-out`), if any.
     pub trace_out: Option<String>,
-    /// Event-recorder ring capacity, in events.
-    pub ring_capacity: usize,
-    /// Upper bucket bounds for the pause-duration histogram, in
-    /// nanoseconds; must be strictly increasing and positive.
-    pub pause_histogram_bounds: Vec<u64>,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            events_out: None,
-            trace_out: None,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-            pause_histogram_bounds: default_pause_bounds(),
-        }
-    }
 }
 
 impl ObsConfig {
@@ -63,7 +44,6 @@ mod tests {
     fn default_is_disabled_but_well_formed() {
         let cfg = ObsConfig::default();
         assert!(!cfg.enabled());
-        assert!(cfg.ring_capacity > 0);
-        assert!(cfg.pause_histogram_bounds.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!((cfg.events_out, cfg.trace_out), (None, None));
     }
 }

@@ -2,8 +2,8 @@
 //! limit derivation.
 //!
 //! The derivation rules live here (rather than in the harness) so the
-//! static analyzer can check a plan against *exactly* the limits the
-//! sandbox will apply (rules R901/R902).
+//! static analyzer can check a plan against *exactly* what the sandbox
+//! will apply (rule R902).
 
 use std::fmt;
 use std::str::FromStr;
@@ -71,8 +71,7 @@ pub const MIN_RLIMIT_CPU_S: u64 = 5;
 pub const CPU_PESSIMISM: f64 = 1_000.0;
 
 /// Smallest address-space limit a worker needs for a cell with the given
-/// simulated heap size. This is the exact quantity rule R901 checks an
-/// explicit override against.
+/// simulated heap size: every cell's derived RLIMIT_AS.
 #[must_use]
 pub fn required_rlimit_as(cell_heap_bytes: u64) -> u64 {
     CHILD_BASE_BYTES.saturating_add(cell_heap_bytes)
@@ -100,8 +99,9 @@ pub fn derived_rlimit_cpu_s(cost_bound_s: f64, deadline_ms: Option<u64>) -> u64 
     }
 }
 
-/// Tunables for the sandbox: heartbeat cadence and optional explicit
-/// resource-limit overrides (when `None`, limits are derived per cell).
+/// The sandbox's heartbeat cadence. Resource limits are not configured
+/// here: each request carries its own, derived per cell
+/// ([`required_rlimit_as`], [`derived_rlimit_cpu_s`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SandboxPolicy {
     /// Interval between worker heartbeats, in milliseconds.
@@ -109,12 +109,6 @@ pub struct SandboxPolicy {
     /// How many consecutive missed heartbeat intervals the parent
     /// tolerates before declaring the child wedged and killing it.
     pub heartbeat_grace: u32,
-    /// Explicit RLIMIT_AS override in bytes. `None` derives
-    /// [`required_rlimit_as`] per cell.
-    pub rlimit_as_bytes: Option<u64>,
-    /// Explicit RLIMIT_CPU override in seconds. `None` derives
-    /// [`derived_rlimit_cpu_s`] per cell.
-    pub rlimit_cpu_s: Option<u64>,
 }
 
 impl Default for SandboxPolicy {
@@ -122,8 +116,6 @@ impl Default for SandboxPolicy {
         SandboxPolicy {
             heartbeat_interval_ms: 100,
             heartbeat_grace: 10,
-            rlimit_as_bytes: None,
-            rlimit_cpu_s: None,
         }
     }
 }
@@ -142,10 +134,9 @@ impl SandboxPolicy {
         Duration::from_millis(self.heartbeat_timeout_ms())
     }
 
-    /// Validate field ranges. Semantic checks against a concrete plan
-    /// (limits vs. required heap, timeout vs. deadline) are the
-    /// analyzer's job (R901/R902); this rejects values that make the
-    /// sandbox itself nonsensical.
+    /// Validate field ranges. The check of the timeout against a plan's
+    /// deadline is the analyzer's job (R902); this rejects values that
+    /// make the sandbox itself nonsensical.
     pub fn validate(&self) -> Result<(), SandboxPolicyError> {
         if self.heartbeat_interval_ms == 0 {
             return Err(SandboxPolicyError {
@@ -158,24 +149,6 @@ impl SandboxPolicy {
                 field: "heartbeat_grace",
                 reason: "must be positive: zero grace kills every child instantly".to_string(),
             });
-        }
-        if let Some(bytes) = self.rlimit_as_bytes {
-            if bytes == 0 {
-                return Err(SandboxPolicyError {
-                    field: "rlimit_as_bytes",
-                    reason: "must be positive: a zero address-space limit cannot even exec"
-                        .to_string(),
-                });
-            }
-        }
-        if let Some(secs) = self.rlimit_cpu_s {
-            if secs == 0 {
-                return Err(SandboxPolicyError {
-                    field: "rlimit_cpu_s",
-                    reason: "must be positive: a zero CPU budget kills every child instantly"
-                        .to_string(),
-                });
-            }
         }
         Ok(())
     }
@@ -232,20 +205,6 @@ mod tests {
                 },
                 "heartbeat_grace",
             ),
-            (
-                SandboxPolicy {
-                    rlimit_as_bytes: Some(0),
-                    ..SandboxPolicy::default()
-                },
-                "rlimit_as_bytes",
-            ),
-            (
-                SandboxPolicy {
-                    rlimit_cpu_s: Some(0),
-                    ..SandboxPolicy::default()
-                },
-                "rlimit_cpu_s",
-            ),
         ];
         for (p, field) in cases {
             assert_eq!(p.validate().unwrap_err().field, field);
@@ -257,7 +216,6 @@ mod tests {
         let p = SandboxPolicy {
             heartbeat_interval_ms: 50,
             heartbeat_grace: 4,
-            ..SandboxPolicy::default()
         };
         assert_eq!(p.heartbeat_timeout_ms(), 200);
     }

@@ -233,7 +233,6 @@ fn silent_workers_lose_their_heartbeat() {
     let policy = SandboxPolicy {
         heartbeat_interval_ms: 50,
         heartbeat_grace: 4,
-        ..SandboxPolicy::default()
     };
     let pool = pool(policy).env(ENV_NO_HEARTBEAT, "1");
     let report = pool.run("hang", RequestLimits::default());
@@ -469,7 +468,6 @@ fn heartbeat_silence_is_judged_only_while_a_request_is_in_flight() {
     let policy = SandboxPolicy {
         heartbeat_interval_ms: 50,
         heartbeat_grace: 2,
-        ..SandboxPolicy::default()
     };
     let pool = pool(policy).env(ENV_NO_HEARTBEAT, "1");
     let mut worker = session(&pool);
