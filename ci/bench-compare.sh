@@ -10,10 +10,12 @@
 # outputs that read the workload profiles directly, the characterisation
 # table, the suite summary and Table 2 ({base,head}-characterize.txt,
 # -suite.txt, -table2.txt), the LBO tables with the reason of every
-# infeasible cell ({base,head}-lbo.txt), and the hard-fault chaos summary
+# infeasible cell ({base,head}-lbo.txt), the hard-fault chaos summary
 # of `artifact chaos --isolation process --hard-faults kill`: cell counts,
-# retries, quarantines and crash-report count ({base,head}-chaos.txt). It
-# then runs interleaved BASE/HEAD pairs of
+# retries, quarantines and crash-report count ({base,head}-chaos.txt),
+# and the sorted lines of the journal that `runbms -b all --isolation
+# thread --journal J` writes ({base,head}-journal.txt). It then runs
+# interleaved BASE/HEAD pairs of
 # `sweepbench/run.sh` over all five workloads, appends each run's result
 # line to results/compare/runs.jsonl and hands the runs to
 # ci/bench_judge.py, which applies sweepbench/README.md's rules and
@@ -89,6 +91,18 @@ simulate() {
     }
 }
 
+# Write one side's journal lines, sorted: scheduler threads append them
+# in completion order. A failed run leaves no file.
+journal() {
+    local side=$1 journal="$out/logs/$side.journal"
+    if "$out/$side/target/release/runbms" -b all --isolation thread --journal "$journal" \
+        > /dev/null 2> "$out/logs/journal-$side.err"; then
+        sort "$journal" > "$out/$side-journal.txt"
+    else
+        echo "bench-compare: the $side journalled runbms run failed; see $out/logs/journal-$side.err" >&2
+    fi
+}
+
 for side in base head; do
     simulate "$side" .csv runbms -b all --invocations 10
     # Batching arms only at 1.0x, so the minimum heap is the one to show.
@@ -98,6 +112,7 @@ for side in base head; do
     simulate "$side" -table2.txt nominal --table2
     simulate "$side" -lbo.txt lbo
     simulate "$side" -chaos.txt artifact chaos --isolation process --hard-faults kill
+    journal "$side"
 done
 
 for ((pair = 0; pair < PAIRS; pair++)); do

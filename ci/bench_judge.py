@@ -28,7 +28,8 @@ figures and pause tables in DIR/{base,head}-latency.txt, the
 characterisation table, suite summary and Table 2 in
 DIR/{base,head}-characterize.txt, -suite.txt and -table2.txt, the
 LBO tables with each infeasible cell's reason in DIR/{base,head}-lbo.txt,
-and the hard-fault chaos summary in DIR/{base,head}-chaos.txt)
+the hard-fault chaos summary in DIR/{base,head}-chaos.txt, and the sorted
+lines of a journalled thread-mode run in DIR/{base,head}-journal.txt)
 the report also counts the lines that differ and shows up to ten as
 BASE -> HEAD;
 those sections never change the exit code. Exits 1 on any regressed row
@@ -60,6 +61,12 @@ DRIFT_OUTPUTS = (
         "artifact chaos --isolation process --hard-faults kill",
         "output",
         "hard-fault chaos output",
+    ),
+    (
+        "-journal.txt",
+        "runbms -b all --isolation thread --journal J",
+        "sorted journal",
+        "sorted journal",
     ),
 )
 # A `resume` `sweep_s` move below this share of BASE's median has come

@@ -58,6 +58,7 @@ OUTPUT_SUFFIXES = {
     "table2": "-table2.txt",
     "lbo": "-lbo.txt",
     "chaos": "-chaos.txt",
+    "journal": "-journal.txt",
 }
 
 
@@ -186,6 +187,21 @@ class Rules(unittest.TestCase):
         self.assertEqual(code, 1, "an identical chaos output does not forgive a regression")
         self.assertIn("0 of 4 output lines differ", report)
         self.assertIn("hard-fault chaos output is missing", judged(runs(STEADY, STEADY))[1])
+
+    def test_journal_drift_is_reported_but_never_fails_the_gate(self):
+        header = '{"journal":"chopin-sweep","version":1.0,"fingerprint":"5a1d0c8e0f6b2e41"}'
+        cell = '{{"benchmark":"fop","collector":"G1","heap_factor":{},"samples":[],"infeasible":null}}'
+        base = [cell.format("1.0"), cell.format("2.0"), header]
+        head = [cell.format("1.0"), cell.format("2.5"), header]
+        code, report = judged(runs(STEADY, STEADY), journal=(base, head))
+        self.assertEqual(code, 0)
+        self.assertIn("## Simulated output of `runbms -b all --isolation thread --journal J`", report)
+        self.assertIn("1 of 3 sorted journal lines differ", report)
+        self.assertIn(f"- `{base[1]}` → `{head[1]}`", report)
+        code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), journal=(base, base))
+        self.assertEqual(code, 1, "an identical journal does not forgive a regression")
+        self.assertIn("0 of 3 sorted journal lines differ", report)
+        self.assertIn("sorted journal is missing", judged(runs(STEADY, STEADY))[1])
 
     def test_a_small_resume_move_that_is_no_gain_is_noted_as_possibly_layout(self):
         def report(head, workload="resume", base=STEADY):

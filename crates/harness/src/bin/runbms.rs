@@ -20,8 +20,9 @@
 //! and then quarantined instead of killing the run, completed cells are
 //! journalled so `--resume` restarts where an interrupted suite stopped,
 //! and the exit code is 3 when any cell ended up quarantined (completed
-//! results are still printed). A malformed flag or an unknown benchmark
-//! exits 2.
+//! results are still printed). With `--journal`, stderr reports the
+//! records appended, the syncs and the failures of either. A malformed
+//! flag or an unknown benchmark exits 2.
 //!
 //! `--isolation process` moves the isolation boundary from a thread to
 //! sandboxed worker processes: each scheduler thread owns one, which
@@ -126,6 +127,7 @@ fn run_supervised(
     supervisor: &SuiteSupervisor,
     profiles: &[WorkloadProfile],
     sweep: &SweepConfig,
+    journalled: bool,
 ) -> i32 {
     let report = match supervisor.run(profiles, sweep) {
         Ok(r) => r,
@@ -145,6 +147,14 @@ fn run_supervised(
         report.metrics.counter("supervisor.cells.infeasible"),
         report.metrics.counter("supervisor.retries"),
     );
+    if journalled {
+        eprintln!(
+            "runbms: journal: {} record(s), {} sync(s), {} failed",
+            report.metrics.counter("supervisor.journal.records"),
+            report.metrics.counter("supervisor.journal.syncs"),
+            report.metrics.counter("supervisor.journal.errors"),
+        );
+    }
     if report.metrics.counter("fleet.workers.spawned") > 0 {
         eprintln!(
             "runbms: fleet: {} worker(s) spawned, {} death(s), {} slot(s) quarantined, \
@@ -246,7 +256,7 @@ fn main() {
     let code = match &supervisor {
         Some(supervisor) => {
             match sink.time("sweep", || {
-                run_supervised(&mut csv, supervisor, &profiles, &sweep)
+                run_supervised(&mut csv, supervisor, &profiles, &sweep, args.has("journal"))
             }) {
                 // The scheduler could not start: nothing ran to trace.
                 2 => exit(&mut csv, 2),

@@ -36,7 +36,9 @@
 
 use crate::cli::Args;
 use crate::codec;
-use crate::journal::{worker_journal_path, CellKey, CellProvenance, Journal, JournalEntry};
+use crate::journal::{
+    worker_journal_path, CellKey, CellProvenance, Journal, JournalEntry, JournalError,
+};
 use crate::sandbox::{status_signal, CellRequest, CrashReport};
 use crate::supervisor::{
     absorb_recovered, cell_seed, lock, open_journal, settle, Cell, CellOutcome, CellTable, Drained,
@@ -1112,6 +1114,8 @@ struct WorkerSession {
     storm: Option<WorkerStormPlan>,
     me: Option<u64>,
     journal: Option<Journal>,
+    /// Whether a failed shard create, append or sync has been reported.
+    journal_warned: bool,
     successor: Option<String>,
     leases_received: u32,
     pending: Option<FleetFrame>,
@@ -1123,6 +1127,30 @@ struct WorkerSession {
     /// not be shadowed by the dead id space.
     last_coord: u64,
     joined_once: bool,
+}
+
+impl WorkerSession {
+    /// Report a shard failure on the worker's inherited stderr, once per
+    /// process: the cells still reach the coordinator, but only its seal
+    /// journals them, so a coordinator crash before it re-runs them.
+    fn journal_failed(&mut self, e: &JournalError) {
+        if !self.journal_warned {
+            self.journal_warned = true;
+            eprintln!(
+                "fleet worker {}: journal shard failed ({e}); finished cells are journalled \
+                 only when the coordinator seals the base journal",
+                self.me.unwrap_or(0)
+            );
+        }
+    }
+
+    /// The drain barrier: every record of the shard is on disk before the
+    /// worker exits.
+    fn sync_journal(&mut self) {
+        if let Some(Err(e)) = self.journal.as_mut().map(Journal::sync) {
+            self.journal_failed(&e);
+        }
+    }
 }
 
 /// Why one coordinator connection ended.
@@ -1255,9 +1283,11 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                         // supposed to preserve.
                         if s.journal.is_none() {
                             let fp = u64::from_str_radix(&fingerprint, 16).unwrap_or(0);
-                            s.journal = base.and_then(|b| {
-                                Journal::create(&worker_journal_path(Path::new(&b), me), fp).ok()
-                            });
+                            let shard = base.map(|b| worker_journal_path(Path::new(&b), me));
+                            match shard.map(|path| Journal::create(&path, fp)).transpose() {
+                                Ok(journal) => s.journal = journal,
+                                Err(e) => s.journal_failed(&e),
+                            }
                         }
                         spawn_heartbeat(Arc::clone(&writer), me);
                         if !reack(&writer, &s.pending, me) {
@@ -1301,15 +1331,16 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                         let reply = match execute_lease(&payload) {
                             Ok((key, outcome)) => {
                                 let payload = codec::encode(&outcome);
-                                if let Some(j) = s.journal.as_mut() {
-                                    let _ = j.record(JournalEntry {
-                                        key,
-                                        record: outcome,
-                                        provenance: Some(CellProvenance {
-                                            attempt,
-                                            worker: me,
-                                        }),
-                                    });
+                                let entry = JournalEntry {
+                                    key,
+                                    record: outcome,
+                                    provenance: Some(CellProvenance {
+                                        attempt,
+                                        worker: me,
+                                    }),
+                                };
+                                if let Some(Err(e)) = s.journal.as_mut().map(|j| j.record(entry)) {
+                                    s.journal_failed(&e);
                                 }
                                 FleetFrame::Done {
                                     worker: me,
@@ -1366,7 +1397,10 @@ fn run_worker(
             _ => addr.to_string(),
         };
         match serve_coordinator(&target, &mut session, &mut attempts) {
-            ServeEnd::Drained => return 0,
+            ServeEnd::Drained => {
+                session.sync_journal();
+                return 0;
+            }
             ServeEnd::Rejected(reason) => {
                 eprintln!("error: fleet worker rejected by the coordinator: {reason}");
                 return 2;

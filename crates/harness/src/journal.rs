@@ -2,18 +2,31 @@
 //! lets an interrupted suite resume without redoing finished work.
 //!
 //! Every time a cell completes, its one line is appended to the open
-//! file and synced to disk. The trailing newline is the commit marker:
-//! [`Journal::load`] reads every newline-terminated line and ignores a
-//! last line without one, which only a crash mid-append leaves, so a
-//! crash can lose the newest cell but never corrupt the file. Before the
-//! first append to a file it loaded, a journal truncates such a torn
-//! tail, so the next record never glues itself onto it. Only
-//! [`Journal::create`] and a resume that drops stale quarantine lines
-//! write the whole file, to a `.tmp` sibling that is synced and renamed
-//! over the real path. The first line is a header carrying a fingerprint
-//! of the suite configuration; resume refuses a journal whose
-//! fingerprint does not match, because replaying cells from a different
-//! configuration would silently mix incompatible results.
+//! file with one `write(2)`, so the line is in the file when
+//! [`Journal::record`] returns and a killed process loses nothing it
+//! recorded. Syncs are group-committed: an append calls `sync_data` only
+//! when the previous sync is at least [`SYNC_EVERY`] old, so a burst of
+//! completions shares one sync instead of paying one each.
+//! [`Journal::sync`], which also runs on drop, is the barrier that leaves
+//! nothing unsynced; the supervisor runs it once recovered cells are
+//! absorbed (before a fleet worker may truncate its shard) and once the
+//! report is assembled (before any row is printed), and a fleet worker
+//! runs it when it drains. Only an OS crash can lose a record: one
+//! appended within [`SYNC_EVERY`] of the last sync, which no output has
+//! shown yet and which a resume re-runs.
+//!
+//! The trailing newline is the commit marker: [`Journal::load`] reads
+//! every newline-terminated line and ignores a last line without one,
+//! which only a crash mid-append leaves, so a crash can lose the newest
+//! cells but never corrupt the file. Before the first append to a file
+//! it loaded, a journal truncates such a torn tail, so the next record
+//! never glues itself onto it. Only [`Journal::create`] and a resume that
+//! drops stale quarantine lines write the whole file, to a `.tmp`
+//! sibling that is synced and renamed over the real path. The first line
+//! is a header carrying a fingerprint of the suite configuration; resume
+//! refuses a journal whose fingerprint does not match, because replaying
+//! cells from a different configuration would silently mix incompatible
+//! results.
 //!
 //! Every line is rendered and parsed by the one cell-record codec
 //! (`codec.rs`), which writes floats with `{:?}` so a parse restores
@@ -30,9 +43,15 @@
 use crate::codec::{self, JournalHeader, Record};
 use crate::supervisor::{Cell, CellOutcome, QuarantineReason};
 use chopin_obs::json;
+use chopin_sandbox::clock::WallSpan;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+/// An append syncs the file only when the previous sync is at least this
+/// old: the most an OS crash can lose is what was appended within it.
+pub const SYNC_EVERY: Duration = Duration::from_millis(5);
 
 /// Identity of one sweep cell: benchmark × collector × heap factor. The
 /// journal keys its lines by the supervisor's [`Cell`] itself.
@@ -118,6 +137,17 @@ impl From<std::io::Error> for JournalError {
 /// pre-flight pass can predict journal fingerprints exactly.
 pub use chopin_analyzer::fingerprint_of;
 
+/// What a journal has written since it was opened.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JournalStats {
+    /// Lines appended.
+    pub records: u64,
+    /// `sync_data` calls that put appended lines on disk.
+    pub syncs: u64,
+    /// Appends and syncs that failed.
+    pub errors: u64,
+}
+
 /// The crash-safe journal of completed sweep cells.
 #[derive(Debug)]
 pub struct Journal {
@@ -130,9 +160,30 @@ pub struct Journal {
     committed: u64,
     /// The file records append to, opened by the first append.
     file: Option<fs::File>,
+    /// Since the file was last known to be on disk: the last sync, or
+    /// the create or load.
+    synced: WallSpan,
+    /// Whether lines appended since then still wait for a sync.
+    unsynced: bool,
+    /// What [`Journal::stats`] reports.
+    stats: JournalStats,
 }
 
 impl Journal {
+    fn new(path: &Path, fingerprint: u64) -> Journal {
+        Journal {
+            path: path.to_path_buf(),
+            fingerprint,
+            entries: Vec::new(),
+            quarantines: Vec::new(),
+            committed: 0,
+            file: None,
+            synced: WallSpan::begin(),
+            unsynced: false,
+            stats: JournalStats::default(),
+        }
+    }
+
     /// Start a fresh journal at `path` (replacing any previous file) and
     /// persist the header.
     ///
@@ -140,14 +191,7 @@ impl Journal {
     ///
     /// [`JournalError::Io`] if the file cannot be written.
     pub fn create(path: &Path, fingerprint: u64) -> Result<Journal, JournalError> {
-        let mut journal = Journal {
-            path: path.to_path_buf(),
-            fingerprint,
-            entries: Vec::new(),
-            quarantines: Vec::new(),
-            committed: 0,
-            file: None,
-        };
+        let mut journal = Journal::new(path, fingerprint);
         journal.rewrite()?;
         Ok(journal)
     }
@@ -202,14 +246,11 @@ impl Journal {
             line: 1,
             message: "no complete header line".to_string(),
         })?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            fingerprint,
-            entries,
-            quarantines,
-            committed,
-            file: None,
-        })
+        let mut journal = Journal::new(path, fingerprint);
+        journal.entries = entries;
+        journal.quarantines = quarantines;
+        journal.committed = committed;
+        Ok(journal)
     }
 
     /// The configuration fingerprint this journal was created with.
@@ -241,30 +282,63 @@ impl Journal {
         &self.entries
     }
 
-    /// Record a completed cell: append its line and sync it to disk.
+    /// Record a completed cell: append its line, and sync the file if the
+    /// last sync is at least [`SYNC_EVERY`] old.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the append fails (the entry is still
-    /// retained in memory).
+    /// [`JournalError::Io`] if the append or the sync fails (the entry is
+    /// still retained in memory, and the failure is counted in
+    /// [`Journal::stats`]).
     pub fn record(&mut self, entry: JournalEntry) -> Result<(), JournalError> {
         let appended = self.append(&entry);
         self.entries.push(entry);
         appended
     }
 
-    /// Record a quarantine verdict: append its line and sync it to disk.
+    /// Record a quarantine verdict as [`Journal::record`] records a cell.
     /// Quarantined cells never satisfy [`Journal::lookup`], so a resumed
     /// run still re-attempts them.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the append fails (the record is still
-    /// retained in memory).
+    /// [`JournalError::Io`] if the append or the sync fails (the record
+    /// is still retained in memory, and the failure is counted in
+    /// [`Journal::stats`]).
     pub fn record_quarantine(&mut self, record: QuarantineRecord) -> Result<(), JournalError> {
         let appended = self.append(&record);
         self.quarantines.push(record);
         appended
+    }
+
+    /// The barrier: sync every line appended since the last sync. A
+    /// journal with none waiting does nothing. Dropping a journal runs it
+    /// too.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] if the sync fails (counted in
+    /// [`Journal::stats`]; the lines stay waiting for the next sync).
+    pub fn sync(&mut self) -> Result<(), JournalError> {
+        if !self.unsynced {
+            return Ok(());
+        }
+        let synced = self.open().and_then(|file| file.sync_data());
+        match synced {
+            Ok(()) => {
+                self.stats.syncs += 1;
+                self.unsynced = false;
+                self.synced = WallSpan::begin();
+            }
+            Err(_) => self.stats.errors += 1,
+        }
+        synced.map_err(JournalError::from)
+    }
+
+    /// What this journal has appended and synced, and how often either
+    /// failed.
+    pub fn stats(&self) -> JournalStats {
+        self.stats
     }
 
     /// The quarantine verdicts on record, in recording order.
@@ -288,10 +362,29 @@ impl Journal {
         self.rewrite()
     }
 
-    /// Append `record`'s line, newline last: the newline commits it.
+    /// Append `record`'s line with one write, newline last: the newline
+    /// commits it. Sync if the last sync is at least [`SYNC_EVERY`] old.
     fn append(&mut self, record: &impl Record) -> Result<(), JournalError> {
         let mut line = codec::encode(record);
         line.push('\n');
+        if let Err(e) = self.open().and_then(|file| file.write_all(line.as_bytes())) {
+            // The failed write may have left part of the line behind;
+            // reopening cuts it off before the next append.
+            self.file = None;
+            self.stats.errors += 1;
+            return Err(e.into());
+        }
+        self.committed += line.len() as u64;
+        self.stats.records += 1;
+        self.unsynced = true;
+        if self.synced.elapsed() >= SYNC_EVERY {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// The file appends go to, opened on first use.
+    fn open(&mut self) -> io::Result<&mut fs::File> {
         let file = match self.file.take() {
             Some(file) => file,
             None => {
@@ -300,17 +393,7 @@ impl Journal {
                 file
             }
         };
-        let file = self.file.insert(file);
-        let written = file
-            .write_all(line.as_bytes())
-            .and_then(|()| file.sync_data());
-        match written {
-            Ok(()) => self.committed += line.len() as u64,
-            // The failed write may have left part of the line behind;
-            // reopening cuts it off before the next append.
-            Err(_) => self.file = None,
-        }
-        written.map_err(JournalError::from)
+        Ok(self.file.insert(file))
     }
 
     /// Write the whole journal to a `.tmp` sibling, sync it and rename it
@@ -353,7 +436,19 @@ impl Journal {
         };
         fs::File::open(dir)?.sync_all()?;
         self.committed = text.len() as u64;
+        self.unsynced = false;
+        self.synced = WallSpan::begin();
         Ok(())
+    }
+}
+
+impl Drop for Journal {
+    /// The last barrier: nothing a journal appended waits unsynced once
+    /// it is gone. A failure here has no one left to report to.
+    fn drop(&mut self) {
+        let _ = self.sync();
+        #[cfg(test)]
+        tests::LAST_DROPPED.with(|last| last.set(Some(self.stats)));
     }
 }
 
@@ -423,6 +518,13 @@ mod tests {
     use super::*;
     use chopin_core::lbo::RunSample;
     use chopin_runtime::collector::CollectorKind;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The stats of the last journal this thread dropped, as its
+        /// drop left them.
+        pub(super) static LAST_DROPPED: Cell<Option<JournalStats>> = const { Cell::new(None) };
+    }
 
     fn sample(wall: f64) -> RunSample {
         RunSample {
@@ -836,5 +938,91 @@ mod tests {
     fn missing_file_is_an_io_error() {
         let err = Journal::load(Path::new("/nonexistent/dir/x.journal")).unwrap_err();
         assert!(matches!(err, JournalError::Io(_)));
+    }
+
+    #[test]
+    fn a_thousand_back_to_back_records_share_a_few_syncs_and_all_load() {
+        let path = temp_path("group_commit.journal");
+        let span = WallSpan::begin();
+        let mut journal = Journal::create(&path, 13).unwrap();
+        for i in 0..1_000 {
+            journal.record(entry("fop", 1.0 + f64::from(i))).unwrap();
+        }
+        let elapsed = span.elapsed();
+        let stats = journal.stats();
+        assert_eq!((stats.records, stats.errors), (1_000, 0));
+        // Each sync comes at least SYNC_EVERY after the create or the
+        // sync before it, where one per record would make 1,000.
+        let windows = elapsed.as_micros() / SYNC_EVERY.as_micros();
+        assert!(
+            u128::from(stats.syncs) <= windows,
+            "{} syncs in {elapsed:?}",
+            stats.syncs
+        );
+        drop(journal);
+        let loaded = Journal::load(&path).unwrap();
+        assert_eq!(loaded.len(), 1_000);
+        assert!(loaded.lookup(&entry("fop", 1_000.0).key).is_some());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Record until one append leaves its line waiting for a sync, and
+    /// return the sync count it left.
+    fn record_unsynced(journal: &mut Journal) -> u64 {
+        for i in 0..100 {
+            let before = journal.stats().syncs;
+            journal.record(entry("pmd", 1.0 + f64::from(i))).unwrap();
+            if journal.stats().syncs == before {
+                return before;
+            }
+        }
+        panic!("every one of 100 back-to-back records synced");
+    }
+
+    #[test]
+    fn sync_leaves_nothing_unsynced_and_drop_syncs() {
+        let path = temp_path("barrier.journal");
+        let mut journal = Journal::create(&path, 17).unwrap();
+        let syncs = record_unsynced(&mut journal);
+        journal.sync().unwrap();
+        assert_eq!(journal.stats().syncs, syncs + 1, "the barrier syncs");
+        journal.sync().unwrap();
+        assert_eq!(journal.stats().syncs, syncs + 1, "nothing was left");
+
+        let syncs = record_unsynced(&mut journal);
+        drop(journal);
+        let dropped = LAST_DROPPED.with(Cell::get).unwrap();
+        assert_eq!(dropped.syncs, syncs + 1, "the drop syncs");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_appends_are_counted_not_hidden() {
+        let path = temp_path("replaced_by_a_dir.journal");
+        let mut journal = Journal::create(&path, 19).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        for factor in [2.0, 3.0, 4.0] {
+            assert!(matches!(
+                journal.record(entry("fop", factor)),
+                Err(JournalError::Io(_))
+            ));
+        }
+        let quarantine = QuarantineRecord {
+            key: entry("fop", 5.0).key,
+            attempts: 1,
+            reason: QuarantineReason::OomKilled,
+        };
+        assert!(journal.record_quarantine(quarantine).is_err());
+        let failed = JournalStats {
+            records: 0,
+            syncs: 0,
+            errors: 4,
+        };
+        assert_eq!(journal.stats(), failed);
+        journal.sync().unwrap();
+        assert_eq!(journal.stats(), failed, "nothing was appended to sync");
+        assert_eq!(journal.len(), 3, "failed records stay in memory");
+        std::fs::remove_dir(&path).ok();
     }
 }

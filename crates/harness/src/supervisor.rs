@@ -24,8 +24,8 @@
 //!   grant → attempt → complete or fail. Each hands its attempts to one
 //!   long-lived attempt thread and waits for the reply within the cell
 //!   deadline; an attempt thread abandoned at a deadline is replaced by
-//!   a fresh one. Completed cells are journalled atomically
-//!   ([`crate::journal`]) as they finish.
+//!   a fresh one. Completed cells are journalled ([`crate::journal`])
+//!   as they finish.
 //! * `--isolation process` — the same loop, but each scheduler thread
 //!   owns one sandboxed worker process ([`crate::sandbox::CellWorker`]),
 //!   spawned on its first cell, and serves its attempts on it directly:
@@ -321,8 +321,10 @@ pub struct SuiteReport {
     pub crash_reports: Vec<CrashReport>,
     /// Supervision counters: `supervisor.cells`, `.cells.completed`,
     /// `.cells.resumed`, `.cells.infeasible`, `.cells.quarantined`,
-    /// `supervisor.retries` — plus the `sandbox.*` family under process
-    /// isolation.
+    /// `supervisor.retries`, the base journal's
+    /// `supervisor.journal.{records,syncs,errors}`
+    /// ([`JournalStats`](crate::journal::JournalStats)) —
+    /// plus the `sandbox.*` family under process isolation.
     pub metrics: MetricsRegistry,
 }
 
@@ -994,8 +996,9 @@ impl SuiteSupervisor {
                     Ok(outcome) => {
                         if let Some(j) = lock(&journal).as_mut() {
                             // A journal write failure must not lose the
-                            // computed outcome; the suite continues and
-                            // only resume fidelity degrades.
+                            // computed outcome: the suite continues, the
+                            // journal counts the failure for the report,
+                            // and only resume fidelity degrades.
                             let _ = j.record(JournalEntry {
                                 key: cells[lease.cell].1.clone(),
                                 record: outcome.clone(),
@@ -1161,10 +1164,10 @@ fn winner_entry(key: &Cell, attempt: u32, worker: u64, record: CellOutcome) -> J
 /// the lease table, merged by [`recover`] with the deterministic
 /// `(attempt, worker)` tiebreak (equal provenance falls through to the
 /// outcomes' rendered bytes, exactly as in the live merge). Winners
-/// missing from the base journal are persisted into it *now*, before any
-/// worker spawns: fleet workers truncate their own `.w<id>` files on
-/// startup, so a second coordinator crash must not be able to lose cells
-/// recovered from the first.
+/// missing from the base journal are persisted into it *now* and synced
+/// before this returns, so before any worker spawns: fleet workers
+/// truncate their own `.w<id>` files on startup, and a second coordinator
+/// crash must not be able to lose cells recovered from the first.
 ///
 /// Sibling shards whose fingerprint does not match the sweep are
 /// **rejected, loudly**: they are counted, named on stderr and surfaced
@@ -1206,10 +1209,16 @@ pub(crate) fn absorb_recovered(
         let w = r.winner;
         if let Some(j) = journal.as_mut().filter(|_| !r.in_base) {
             let key = &cells[w.cell].1;
+            // A failure is counted in the journal's stats for the report.
             let _ = j.record(winner_entry(key, w.attempt, w.worker, w.payload.clone()));
         }
         table.absorb(w.cell, w.attempt, w.worker, w.payload);
         stats.recovered += 1;
+    }
+    if let Some(j) = journal.as_mut() {
+        // The barrier: the winners persisted above reach the disk before
+        // any shard they came from can be truncated. A failure is counted.
+        let _ = j.sync();
     }
     stats
 }
@@ -1217,7 +1226,10 @@ pub(crate) fn absorb_recovered(
 /// Assemble the report from a drained table, in schedule order — the
 /// one assembly every isolation mode (and the fleet standby) shares.
 /// Completed winners the base journal lacks are appended to it, and
-/// quarantine verdicts are recorded with their decoded taxonomy.
+/// quarantine verdicts are recorded with their decoded taxonomy. The
+/// journal is synced before this returns, so every record is on disk
+/// before a caller prints a row, and its
+/// [`JournalStats`](crate::journal::JournalStats) join the metrics.
 pub(crate) fn assemble_report(
     profiles: &[WorkloadProfile],
     cells: &[(usize, Cell)],
@@ -1258,6 +1270,7 @@ pub(crate) fn assemble_report(
             })
             .collect();
         for entry in missing {
+            // A failure is counted in the journal's stats for the report.
             let _ = j.record(entry);
         }
     }
@@ -1297,6 +1310,7 @@ pub(crate) fn assemble_report(
                     reason: decode_reason(&reason),
                 };
                 if let Some(j) = journal.as_mut() {
+                    // A failure is counted in the journal's stats.
                     let _ = j.record_quarantine(QuarantineRecord {
                         key: cell.clone(),
                         attempts: entry.attempts,
@@ -1318,6 +1332,15 @@ pub(crate) fn assemble_report(
                 });
             }
         }
+    }
+
+    if let Some(j) = journal.as_mut() {
+        // The barrier before any row is printed; a failure is counted.
+        let _ = j.sync();
+        let stats = j.stats();
+        metrics.inc("supervisor.journal.records", stats.records);
+        metrics.inc("supervisor.journal.syncs", stats.syncs);
+        metrics.inc("supervisor.journal.errors", stats.errors);
     }
 
     if let Some(path) = crash_reports_path {
@@ -1560,6 +1583,117 @@ mod tests {
             }
             other => panic!("expected a completion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn absorbing_recovered_winners_returns_with_the_base_journal_synced() {
+        let fingerprint = 0xfeed_0002;
+        let base_path = scratch("absorb_synced.journal");
+        let _ = std::fs::remove_file(&base_path);
+        let prov = CellProvenance {
+            attempt: 1,
+            worker: 4,
+        };
+        let mut shard = Journal::create(&worker_journal_path(&base_path, 4), fingerprint).unwrap();
+        shard.record(entry("fop", 0.5, Some(prov))).unwrap();
+        drop(shard);
+
+        let cells = vec![(0usize, cell("fop"))];
+        let seeds: Vec<u64> = cells.iter().map(|(_, c)| cell_seed(c)).collect();
+        let mut table = CellTable::new(seeds, SupervisorPolicy::default(), 1_000);
+        let mut journal = Some(Journal::create(&base_path, fingerprint).unwrap());
+        let absorbed = absorb_recovered(
+            &mut table,
+            &cells,
+            &mut journal,
+            Some(&base_path),
+            fingerprint,
+        );
+        assert_eq!(absorbed.recovered, 1);
+        let base = journal.as_mut().unwrap();
+        let stats = base.stats();
+        assert_eq!(
+            (stats.records, stats.errors),
+            (1, 0),
+            "the winner is persisted"
+        );
+        assert!(stats.syncs >= 1, "and synced");
+        base.sync().unwrap();
+        assert_eq!(base.stats(), stats, "no line was left waiting for a sync");
+    }
+
+    #[test]
+    fn resuming_a_complete_journal_writes_and_syncs_nothing() {
+        let path = scratch("resume_complete.journal");
+        let profiles = vec![suite::by_name("fop").unwrap()];
+        let config = SweepConfig {
+            heap_factors: vec![2.0, 3.0],
+            ..one_cell_config()
+        };
+        let supervisor = || {
+            SuiteSupervisor::new(fast_policy())
+                .with_runner(Arc::new(FlakyRunner {
+                    failures_before_success: 0,
+                    panic_instead: false,
+                    calls: AtomicU32::new(0),
+                }))
+                .with_clock(VirtualClock::new(false))
+                .with_journal(&path)
+        };
+        let first = supervisor().run(&profiles, &config).unwrap();
+        assert_eq!(first.metrics.counter("supervisor.journal.records"), 2);
+        assert!(first.metrics.counter("supervisor.journal.syncs") >= 1);
+        let text = std::fs::read_to_string(&path).unwrap();
+
+        let resumed = supervisor().resume(true).run(&profiles, &config).unwrap();
+        assert_eq!(resumed.metrics.counter("supervisor.cells.resumed"), 2);
+        for counter in ["records", "syncs", "errors"] {
+            let name = format!("supervisor.journal.{counter}");
+            assert_eq!(resumed.metrics.counter(&name), 0, "{name}");
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+    }
+
+    /// A runner that replaces the journal file with a directory before
+    /// completing its cell, so every later append fails.
+    struct JournalThief(PathBuf);
+
+    impl CellRunner for JournalThief {
+        fn run_cell(
+            &self,
+            _profile: &WorkloadProfile,
+            cell: &Cell,
+            _config: &SweepConfig,
+        ) -> Result<CellOutcome, CellFailure> {
+            if self.0.is_file() {
+                std::fs::remove_file(&self.0).unwrap();
+                std::fs::create_dir(&self.0).unwrap();
+            }
+            Ok(canned(cell))
+        }
+    }
+
+    #[test]
+    fn failed_journal_appends_reach_the_report_metrics() {
+        let path = scratch("stolen.journal");
+        let _ = std::fs::remove_dir(&path);
+        let profiles = vec![suite::by_name("fop").unwrap()];
+        let report = SuiteSupervisor::new(fast_policy())
+            .with_runner(Arc::new(JournalThief(path.clone())))
+            .with_clock(VirtualClock::new(false))
+            .with_journal(&path)
+            .run(&profiles, &one_cell_config())
+            .unwrap();
+        assert!(report.is_clean(), "a journal failure costs no cell");
+        assert_eq!(report.results[0].samples.len(), 1);
+        let counter = |name: &str| {
+            report
+                .metrics
+                .counter(&format!("supervisor.journal.{name}"))
+        };
+        assert_eq!((counter("records"), counter("syncs")), (0, 0));
+        assert_eq!(counter("errors"), 1);
+        std::fs::remove_dir(&path).ok();
     }
 
     fn one_cell_config() -> SweepConfig {

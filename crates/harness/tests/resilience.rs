@@ -232,6 +232,49 @@ fn sigkilled_journalled_sweep_resumes_to_the_uninterrupted_csv() {
     let _ = std::fs::remove_file(format!("{journal}.tmp"));
 }
 
+/// With `--journal`, `runbms` reports what its journal appended and
+/// synced, on a line sweepbench's summary parser never mistakes for the
+/// cell summary; a resume of the complete journal appends and syncs
+/// nothing.
+#[test]
+fn a_journalled_runbms_reports_its_records_syncs_and_failures() {
+    use std::process::Command;
+
+    let journal_path = temp_journal("report");
+    let journal = journal_path.to_str().expect("utf-8 temp path");
+    let run = |resume: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_runbms"))
+            .args(["-b", "fop", "--quick", "--isolation", "thread"])
+            .args(["--journal", journal])
+            .args(resume)
+            .output()
+            .expect("runbms spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "runbms fails:\n{stderr}");
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with("runbms: journal: "))
+            .unwrap_or_else(|| panic!("no journal line in stderr:\n{stderr}"))
+            .to_string();
+        assert!(!line.contains(" cell(s), "), "{line}");
+        line
+    };
+    let fresh = run(&[]);
+    let (records, rest) = fresh["runbms: journal: ".len()..]
+        .split_once(" record(s), ")
+        .expect("a record count");
+    let (syncs, failed) = rest.split_once(" sync(s), ").expect("a sync count");
+    assert_eq!(records, "20", "{fresh}");
+    let syncs: u64 = syncs.parse().expect("a sync count");
+    assert!((1..=20).contains(&syncs), "{fresh}");
+    assert_eq!(failed, "0 failed", "{fresh}");
+    assert_eq!(
+        run(&["--resume"]),
+        "runbms: journal: 0 record(s), 0 sync(s), 0 failed"
+    );
+    let _ = std::fs::remove_file(&journal_path);
+}
+
 #[test]
 fn resume_refuses_a_journal_from_a_different_configuration() {
     let profiles = vec![suite::by_name("fop").expect("fop exists")];

@@ -44,7 +44,7 @@ pub mod protocol;
 pub mod worker;
 
 pub use parent::{ChildOutcome, ChildReport, SandboxPool, Session};
-pub use policy::{IsolationMode, SandboxPolicy, SandboxPolicyError};
+pub use policy::{IsolationMode, SandboxPolicy};
 
 /// Whether process isolation is available on this platform.
 ///

@@ -133,43 +133,7 @@ impl SandboxPolicy {
     pub fn heartbeat_timeout(&self) -> Duration {
         Duration::from_millis(self.heartbeat_timeout_ms())
     }
-
-    /// Validate field ranges. The check of the timeout against a plan's
-    /// deadline is the analyzer's job (R902); this rejects values that
-    /// make the sandbox itself nonsensical.
-    pub fn validate(&self) -> Result<(), SandboxPolicyError> {
-        if self.heartbeat_interval_ms == 0 {
-            return Err(SandboxPolicyError {
-                field: "heartbeat_interval_ms",
-                reason: "must be positive: a zero interval floods the pipe".to_string(),
-            });
-        }
-        if self.heartbeat_grace == 0 {
-            return Err(SandboxPolicyError {
-                field: "heartbeat_grace",
-                reason: "must be positive: zero grace kills every child instantly".to_string(),
-            });
-        }
-        Ok(())
-    }
 }
-
-/// A sandbox policy field with an out-of-range value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SandboxPolicyError {
-    /// Name of the offending field.
-    pub field: &'static str,
-    /// Why the value was rejected.
-    pub reason: String,
-}
-
-impl fmt::Display for SandboxPolicyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sandbox policy {}: {}", self.field, self.reason)
-    }
-}
-
-impl std::error::Error for SandboxPolicyError {}
 
 #[cfg(test)]
 mod tests {
@@ -181,34 +145,6 @@ mod tests {
             assert_eq!(mode.label().parse::<IsolationMode>(), Ok(mode));
         }
         assert!("container".parse::<IsolationMode>().is_err());
-    }
-
-    #[test]
-    fn default_policy_validates() {
-        assert!(SandboxPolicy::default().validate().is_ok());
-    }
-
-    #[test]
-    fn zero_fields_are_rejected() {
-        let cases = [
-            (
-                SandboxPolicy {
-                    heartbeat_interval_ms: 0,
-                    ..SandboxPolicy::default()
-                },
-                "heartbeat_interval_ms",
-            ),
-            (
-                SandboxPolicy {
-                    heartbeat_grace: 0,
-                    ..SandboxPolicy::default()
-                },
-                "heartbeat_grace",
-            ),
-        ];
-        for (p, field) in cases {
-            assert_eq!(p.validate().unwrap_err().field, field);
-        }
     }
 
     #[test]
