@@ -13,8 +13,11 @@
 # infeasible cell ({base,head}-lbo.txt), the hard-fault chaos summary
 # of `artifact chaos --isolation process --hard-faults kill`: cell counts,
 # retries, quarantines and crash-report count ({base,head}-chaos.txt),
-# and the sorted lines of the journal that `runbms -b all --isolation
-# thread --journal J` writes ({base,head}-journal.txt). It then runs
+# the sorted lines of the journal that `runbms -b all --isolation
+# thread --journal J` writes ({base,head}-journal.txt), and the
+# single-run outputs of `gclog -b h2 --collector shenandoah --heap-factor
+# 2`, `heaptrace -b fop` and `artifact kick-the-tires`
+# ({base,head}-gclog.txt, -heaptrace.txt, -kick.txt). It then runs
 # interleaved BASE/HEAD pairs of
 # `sweepbench/run.sh` over all five workloads, appends each run's result
 # line to results/compare/runs.jsonl and hands the runs to
@@ -74,7 +77,8 @@ for side in base head; do
         cd "$out/$side"
         export CARGO_TARGET_DIR="$out/$side/target"
         cargo build --release --quiet --offline -p chopin-harness --bin runbms --bin latency \
-            --bin characterize --bin suite --bin nominal --bin lbo --bin artifact
+            --bin characterize --bin suite --bin nominal --bin lbo --bin artifact --bin gclog \
+            --bin heaptrace
         cargo bench --no-run --quiet --offline --manifest-path sweepbench/Cargo.toml --bench sweep
     ) > "$out/logs/build-$side.log" 2>&1 || fail "cannot build $side; see $out/logs/build-$side.log"
 done
@@ -112,6 +116,9 @@ for side in base head; do
     simulate "$side" -table2.txt nominal --table2
     simulate "$side" -lbo.txt lbo
     simulate "$side" -chaos.txt artifact chaos --isolation process --hard-faults kill
+    simulate "$side" -gclog.txt gclog -b h2 --collector shenandoah --heap-factor 2
+    simulate "$side" -heaptrace.txt heaptrace -b fop
+    simulate "$side" -kick.txt artifact kick-the-tires
     journal "$side"
 done
 

@@ -28,10 +28,12 @@ figures and pause tables in DIR/{base,head}-latency.txt, the
 characterisation table, suite summary and Table 2 in
 DIR/{base,head}-characterize.txt, -suite.txt and -table2.txt, the
 LBO tables with each infeasible cell's reason in DIR/{base,head}-lbo.txt,
-the hard-fault chaos summary in DIR/{base,head}-chaos.txt, and the sorted
-lines of a journalled thread-mode run in DIR/{base,head}-journal.txt)
-the report also counts the lines that differ and shows up to ten as
-BASE -> HEAD;
+the hard-fault chaos summary in DIR/{base,head}-chaos.txt, the sorted
+lines of a journalled thread-mode run in DIR/{base,head}-journal.txt,
+and the single-run outputs of gclog, heaptrace and artifact
+kick-the-tires in DIR/{base,head}-gclog.txt, -heaptrace.txt and
+-kick.txt) the report also counts the lines that differ and shows up to
+ten as BASE -> HEAD;
 those sections never change the exit code. Exits 1 on any regressed row
 or any HEAD run that failed, 2 when the inputs cannot be read, and 0
 otherwise.
@@ -68,6 +70,14 @@ DRIFT_OUTPUTS = (
         "sorted journal",
         "sorted journal",
     ),
+    (
+        "-gclog.txt",
+        "gclog -b h2 --collector shenandoah --heap-factor 2",
+        "output",
+        "gclog output",
+    ),
+    ("-heaptrace.txt", "heaptrace -b fop", "output", "heaptrace output"),
+    ("-kick.txt", "artifact kick-the-tires", "output", "kick-the-tires output"),
 )
 # A `resume` `sweep_s` move below this share of BASE's median has come
 # from code layout alone: one added call that a resume never executes

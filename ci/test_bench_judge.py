@@ -59,6 +59,9 @@ OUTPUT_SUFFIXES = {
     "lbo": "-lbo.txt",
     "chaos": "-chaos.txt",
     "journal": "-journal.txt",
+    "gclog": "-gclog.txt",
+    "heaptrace": "-heaptrace.txt",
+    "kick": "-kick.txt",
 }
 
 
@@ -202,6 +205,25 @@ class Rules(unittest.TestCase):
         self.assertEqual(code, 1, "an identical journal does not forgive a regression")
         self.assertIn("0 of 3 sorted journal lines differ", report)
         self.assertIn("sorted journal is missing", judged(runs(STEADY, STEADY))[1])
+
+    def test_single_run_outputs_are_reported_but_never_fail_the_gate(self):
+        base = ["kick-the-tires: fop on G1 and ZGC at 2x and 6x heap",
+                "  fop G1 @ 2.0x: wall 637.608ms task 1.564s gcs 83"]
+        head = [base[0], "  fop G1 @ 2.0x: wall 637.609ms task 1.564s gcs 83"]
+        same = (base, base)
+        code, report = judged(runs(STEADY, STEADY), gclog=same, heaptrace=same, kick=(base, head))
+        self.assertEqual(code, 0)
+        for command in ("gclog -b h2 --collector shenandoah --heap-factor 2",
+                        "heaptrace -b fop", "artifact kick-the-tires"):
+            self.assertIn(f"## Simulated output of `{command}`", report)
+        self.assertEqual(report.count("0 of 2 output lines differ"), 2)
+        self.assertIn("1 of 2 output lines differ", report)
+        self.assertIn(f"- `{base[1]}` → `{head[1]}`", report)
+        code, report = judged(runs(STEADY, [v * 1.4 for v in STEADY]), kick=same)
+        self.assertEqual(code, 1, "an identical output does not forgive a regression")
+        missing = judged(runs(STEADY, STEADY))[1]
+        for output in ("gclog output", "heaptrace output", "kick-the-tires output"):
+            self.assertIn(f"{output} is missing", missing)
 
     def test_a_small_resume_move_that_is_no_gain_is_noted_as_possibly_layout(self):
         def report(head, workload="resume", base=STEADY):

@@ -7,8 +7,9 @@
 //!   more than the documented [`MAX_FLEET_WORKERS`] bound, or more
 //!   workers than cells in the sweep matrix (the surplus can never
 //!   receive a first lease; it is pure spawn cost).
-//! * **R1202** — a lease deadline below the R808-style cost lower bound
-//!   of the slowest feasible cell. Such a lease *must* expire while its
+//! * **R1202** — a lease deadline (twice `--cell-deadline`,
+//!   [`lease_deadline_ms`]) below the R808-style cost lower bound of the
+//!   slowest feasible cell. Such a lease *must* expire while its
 //!   worker is still legitimately computing, so the coordinator
 //!   reassigns live work forever — a reassignment storm by
 //!   configuration, not a safety net.
@@ -34,6 +35,7 @@
 
 use crate::analyses::cost::{cell_cost_bounds_s, SIM_RATE_CEILING};
 use crate::ir::PlanIR;
+use chopin_fleet::config::lease_deadline_ms;
 use chopin_fleet::MAX_FLEET_WORKERS;
 use chopin_lint::Diagnostic;
 
@@ -102,6 +104,7 @@ pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
         );
     }
 
+    let deadline_ms = lease_deadline_ms(&plan.policy);
     let bounds = cell_cost_bounds_s(plan);
     let worst = cells
         .iter()
@@ -109,7 +112,7 @@ pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
         .map(|c| (c, bounds[c.benchmark]))
         .max_by(|(_, a), (_, b)| a.total_cmp(b));
     if let Some((cell, cell_real_s)) = worst {
-        let deadline_s = fleet.deadline_ms() as f64 / 1e3;
+        let deadline_s = deadline_ms as f64 / 1e3;
         if cell_real_s > deadline_s {
             let b = &plan.benchmarks[cell.benchmark];
             diagnostics.push(
@@ -124,8 +127,8 @@ pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
                     ),
                 )
                 .with_hint(
-                    "raise --lease-deadline above the slowest cell's cost bound, or reduce \
-                     invocations/iterations"
+                    "raise --cell-deadline (the lease lasts twice as long) above the slowest \
+                     cell's cost bound, or reduce invocations/iterations"
                         .to_string(),
                 ),
             );
@@ -134,7 +137,6 @@ pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
 
     if let Some(net) = &plan.net_faults {
         let ceiling_ms = net.delay_ms.max(net.partition_ms);
-        let deadline_ms = fleet.deadline_ms();
         if ceiling_ms >= deadline_ms {
             let what = if net.delay_ms >= net.partition_ms {
                 "delay"
@@ -153,8 +155,8 @@ pub fn analyze(plan: &PlanIR) -> Vec<Diagnostic> {
                     ),
                 )
                 .with_hint(
-                    "raise --lease-deadline above the injected delay/partition ceiling, or \
-                     soften the --net-faults preset"
+                    "raise --cell-deadline (the lease lasts twice as long) above the injected \
+                     delay/partition ceiling, or soften the --net-faults preset"
                         .to_string(),
                 ),
             );
@@ -247,11 +249,10 @@ mod tests {
 
     #[test]
     fn r1202_fires_when_a_lease_must_expire_mid_cell() {
-        let mut fleet = FleetPlan::new(2);
-        fleet.lease_deadline_ms = Some(1); // 1ms lease over real cells
         let mut plan = base_plan();
+        plan.policy.cell_deadline_ms = Some(1); // a 2 ms lease over real cells
         plan.config.invocations = 1_000_000;
-        plan = plan.with_fleet(Some(fleet));
+        plan = plan.with_fleet(Some(FleetPlan::new(2)));
         assert_eq!(ids(&analyze(&plan)), vec!["R1202"]);
     }
 
@@ -272,23 +273,17 @@ mod tests {
 
     #[test]
     fn r1404_fires_when_the_injected_delay_reaches_the_lease_deadline() {
-        let mut net = chopin_faults::NetFaultPlan::preset("delay", 7).unwrap();
-        let mut fleet = FleetPlan::new(2);
-        // A sane fleet plan, but the shim's delay ceiling swallows the
-        // whole lease.
-        net.delay_ms = fleet.deadline_ms();
-        let plan = base_plan()
-            .with_fleet(Some(fleet))
+        // A sane fleet plan, but a small cell deadline leaves a lease
+        // (twice as long) that the shim's delay ceiling swallows whole.
+        let net = chopin_faults::NetFaultPlan::preset("delay", 7).unwrap();
+        let mut plan = base_plan()
+            .with_fleet(Some(FleetPlan::new(2)))
             .with_net_faults(Some(net));
+        plan.policy.cell_deadline_ms = Some(net.delay_ms / 2);
         assert_eq!(ids(&analyze(&plan)), vec!["R1404"]);
 
         // Headroom restored: silent.
-        let mut net = chopin_faults::NetFaultPlan::preset("delay", 7).unwrap();
-        fleet.lease_deadline_ms = Some(net.delay_ms * 100);
-        net.delay_ms = 50;
-        let plan = base_plan()
-            .with_fleet(Some(fleet))
-            .with_net_faults(Some(net));
+        plan.policy.cell_deadline_ms = Some(net.delay_ms * 100);
         assert!(analyze(&plan).is_empty());
     }
 

@@ -155,8 +155,10 @@ pub fn demo_plan(name: &str) -> Option<PlanIR> {
             SupervisorPolicy::default(),
         )
         .with_fleet(Some(chopin_fleet::FleetPlan::new(4))),
-        // A 1 ms lease over million-invocation cells: every lease must
-        // expire while its worker is still legitimately computing.
+        // A 1 ms cell deadline leaves a 2 ms lease over ten-million-
+        // invocation cells: every lease must expire while its worker is
+        // still legitimately computing. The lease derives from the cell
+        // deadline, so R808 fires beside R1202.
         "demo:lease-storm" => compile(
             name,
             Methodology::Sweep,
@@ -166,12 +168,12 @@ pub fn demo_plan(name: &str) -> Option<PlanIR> {
                 ..base_config()
             },
             None,
-            SupervisorPolicy::default(),
+            SupervisorPolicy {
+                cell_deadline_ms: Some(1),
+                ..SupervisorPolicy::default()
+            },
         )
-        .with_fleet(Some(chopin_fleet::FleetPlan {
-            workers: 1,
-            lease_deadline_ms: Some(1),
-        })),
+        .with_fleet(Some(chopin_fleet::FleetPlan::new(1))),
         // Per-cell SIGKILLs inside a fleet: one victim cell takes its
         // whole worker (and every lease it holds) down.
         "demo:fleet-hard" => compile(

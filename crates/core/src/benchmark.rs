@@ -290,8 +290,8 @@ impl BenchmarkRunner {
     }
 
     /// Inject a deterministic fault plan into every iteration of the run
-    /// (chaos experiments). The plan should already have passed
-    /// [`FaultPlan::validate`]; an empty plan is equivalent to no plan.
+    /// (chaos experiments). The plan should already pass lint rules
+    /// R701–R703; an empty plan is equivalent to no plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = if plan.is_empty() { None } else { Some(plan) };
         self

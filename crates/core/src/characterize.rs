@@ -237,21 +237,6 @@ pub fn characterize(
     })
 }
 
-/// Measure every workload in the suite (sequentially; use the harness's
-/// parallel runner for bulk work).
-///
-/// # Errors
-///
-/// Propagates the first failing measurement.
-pub fn characterize_suite(
-    config: &CharacterizeConfig,
-) -> Result<Vec<MeasuredStats>, BenchmarkError> {
-    chopin_workloads::suite::all()
-        .iter()
-        .map(|p| characterize(p, config))
-        .collect()
-}
-
 /// Spearman rank correlation between a measured column and its published
 /// counterpart, paired by position. Returns `None` when the correlation is
 /// undefined (fewer than two pairs or a constant column).

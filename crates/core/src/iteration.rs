@@ -12,7 +12,6 @@
 //! honouring the published statistic.
 
 use chopin_runtime::result::RunResult;
-use chopin_runtime::time::SimDuration;
 
 /// Extra relative cost of the first (cold) iteration: interpretation plus
 /// tier-1 code plus class loading. The decay is then solved per workload
@@ -109,22 +108,6 @@ impl IterationSet {
             Some(last) => last,
             None => unreachable!("InvocationResult holds at least one iteration"),
         }
-    }
-
-    /// Wall-clock time summed over all iterations (what a user of the
-    /// whole invocation experiences).
-    pub fn total_wall(&self) -> SimDuration {
-        self.iterations.iter().map(|r| r.wall_time()).sum()
-    }
-
-    /// Task clock summed over all iterations.
-    pub fn total_task_clock(&self) -> SimDuration {
-        self.iterations.iter().map(|r| r.task_clock()).sum()
-    }
-
-    /// Total collections across all iterations.
-    pub fn total_gc_count(&self) -> u64 {
-        self.iterations.iter().map(|r| r.telemetry().gc_count).sum()
     }
 
     /// The iteration index (0-based) after which wall time is within

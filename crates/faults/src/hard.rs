@@ -108,7 +108,8 @@ impl HardFaultPlan {
         }
     }
 
-    /// Validate field ranges, mirroring [`crate::FaultPlan::validate`].
+    /// Validate field ranges: the first violated constraint, as a
+    /// [`FaultPlanError`].
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         if self.seed == 0 {
             return Err(FaultPlanError {
@@ -234,7 +235,9 @@ mod tests {
         let mut plan = HardFaultPlan::new(HardFaultKind::Kill, DEFAULT_HARD_SEED);
         assert!(plan.validate().is_ok());
         plan.seed = 0;
-        assert_eq!(plan.validate().unwrap_err().field, "seed");
+        let err = plan.validate().unwrap_err();
+        assert_eq!(err.field, "seed");
+        assert!(err.to_string().contains("invalid fault plan"), "{err}");
         plan.seed = 1;
         plan.stride = 0;
         assert_eq!(plan.validate().unwrap_err().field, "stride");

@@ -1,11 +1,9 @@
 //! Fault plans: the validated, seeded schedule of injected faults.
 //!
-//! A plan is pure data — a seed plus a list of [`FaultWindow`]s — and is
-//! validated like a `MutatorSpec`: construction is unchecked, and
-//! [`FaultPlan::validate`] reports the first violated constraint as a
-//! typed [`FaultPlanError`] (`field` + `reason`). The lint crate mirrors
-//! the same constraints as rules R701–R703 so bad plans are rejected by
-//! `artifact lint` before a single slice executes.
+//! A plan is pure data — a seed plus a list of [`FaultWindow`]s — and
+//! construction is unchecked. The lint crate's rules R701–R703
+//! (`chopin_lint::lint_fault_plan`) hold its constraints, so bad plans
+//! are rejected by `artifact lint` before a single slice executes.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -117,8 +115,8 @@ impl FaultKind {
         1 << self.index()
     }
 
-    /// The magnitude constraint violated by this kind, if any — shared
-    /// between [`FaultPlan::validate`] and lint rule R702.
+    /// The magnitude constraint violated by this kind, if any (lint rule
+    /// R702).
     pub fn magnitude_error(&self) -> Option<String> {
         match *self {
             FaultKind::AllocSpike { factor } | FaultKind::GcSlowdown { factor } => {
@@ -195,7 +193,6 @@ impl std::error::Error for FaultPlanError {}
 /// let plan = FaultPlan::new(42)
 ///     .with_window(1_000_000, 5_000_000, FaultKind::AllocSpike { factor: 4.0 })
 ///     .with_storm(FaultKind::StallStorm { throttle: 0.0 }, 100_000_000, 8, 0.2);
-/// plan.validate(Some(100_000_000)).unwrap();
 /// assert_eq!(plan.windows.len(), 9);
 /// // Same seed, same plan — storms are deterministic.
 /// let again = FaultPlan::new(42)
@@ -345,76 +342,11 @@ impl FaultPlan {
         }
         covered
     }
-
-    /// Validate the plan: seeded (non-zero seed for non-empty plans),
-    /// finite in-range magnitudes, positive-duration windows that lie
-    /// within `horizon_ns` when one is given, and a bounded window count.
-    ///
-    /// # Errors
-    ///
-    /// The first violated constraint, as a [`FaultPlanError`].
-    pub fn validate(&self, horizon_ns: Option<u64>) -> Result<(), FaultPlanError> {
-        if !self.windows.is_empty() && self.seed == 0 {
-            return Err(FaultPlanError {
-                field: "seed".to_string(),
-                reason: "must be non-zero for a non-empty plan (R701)".to_string(),
-            });
-        }
-        if self.windows.len() > MAX_WINDOWS {
-            return Err(FaultPlanError {
-                field: "windows".to_string(),
-                reason: format!(
-                    "{} windows exceed the {MAX_WINDOWS}-window cap",
-                    self.windows.len()
-                ),
-            });
-        }
-        for (i, w) in self.windows.iter().enumerate() {
-            if let Some(reason) = w.kind.magnitude_error() {
-                return Err(FaultPlanError {
-                    field: format!("windows[{i}].kind"),
-                    reason,
-                });
-            }
-            if w.end_ns <= w.start_ns {
-                return Err(FaultPlanError {
-                    field: format!("windows[{i}]"),
-                    reason: format!(
-                        "window [{}, {}) has no positive duration",
-                        w.start_ns, w.end_ns
-                    ),
-                });
-            }
-            if let Some(h) = horizon_ns {
-                if w.end_ns > h {
-                    return Err(FaultPlanError {
-                        field: format!("windows[{i}].end_ns"),
-                        reason: format!("{} lies beyond the run horizon {h}", w.end_ns),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_plan_validates_with_any_seed() {
-        FaultPlan::new(0).validate(None).unwrap();
-        FaultPlan::new(7).validate(Some(100)).unwrap();
-    }
-
-    #[test]
-    fn zero_seed_rejected_for_non_empty_plan() {
-        let plan = FaultPlan::new(0).with_window(0, 10, FaultKind::ForceDegenerate);
-        let err = plan.validate(None).unwrap_err();
-        assert_eq!(err.field, "seed");
-        assert!(err.to_string().contains("invalid fault plan"), "{err}");
-    }
 
     #[test]
     fn magnitudes_are_range_checked() {
@@ -430,8 +362,10 @@ mod tests {
                 throttle: f64::INFINITY,
             },
         ] {
-            let plan = FaultPlan::new(1).with_window(0, 10, bad);
-            assert!(plan.validate(None).is_err(), "{bad:?} should be rejected");
+            assert!(
+                bad.magnitude_error().is_some(),
+                "{bad:?} should be rejected"
+            );
         }
         for good in [
             FaultKind::AllocSpike { factor: 4.0 },
@@ -440,20 +374,8 @@ mod tests {
             FaultKind::StallStorm { throttle: 0.0 },
             FaultKind::ForceDegenerate,
         ] {
-            let plan = FaultPlan::new(1).with_window(0, 10, good);
-            plan.validate(None).unwrap();
+            assert_eq!(good.magnitude_error(), None, "{good:?}");
         }
-    }
-
-    #[test]
-    fn windows_must_have_positive_duration_inside_horizon() {
-        let empty = FaultPlan::new(1).with_window(10, 10, FaultKind::ForceDegenerate);
-        assert!(empty.validate(None).is_err());
-        let inverted = FaultPlan::new(1).with_window(10, 5, FaultKind::ForceDegenerate);
-        assert!(inverted.validate(None).is_err());
-        let beyond = FaultPlan::new(1).with_window(0, 200, FaultKind::ForceDegenerate);
-        assert!(beyond.validate(Some(100)).is_err());
-        beyond.validate(None).unwrap();
     }
 
     #[test]
@@ -470,7 +392,6 @@ mod tests {
         let b = make();
         assert_eq!(a, b);
         assert_eq!(a.windows.len(), 16);
-        a.validate(Some(1_000_000)).unwrap();
         assert!(a.horizon().unwrap() <= 1_000_000);
         // Different seeds produce different storms.
         let c = FaultPlan::new(100).with_storm(
@@ -498,16 +419,6 @@ mod tests {
         assert_eq!(plan.coverage_ns_within(2_000), 300);
         assert_eq!(FaultPlan::new(1).first_start_ns(), None);
         assert_eq!(FaultPlan::new(1).coverage_ns_within(1_000), 0);
-    }
-
-    #[test]
-    fn window_cap_is_enforced() {
-        let mut plan = FaultPlan::new(1);
-        for i in 0..(MAX_WINDOWS as u64 + 1) {
-            plan = plan.with_window(i * 10, i * 10 + 5, FaultKind::ForceDegenerate);
-        }
-        let err = plan.validate(None).unwrap_err();
-        assert_eq!(err.field, "windows");
     }
 
     #[test]

@@ -20,8 +20,9 @@ pub const MAX_DEADLINE_MS: u64 = 86_400_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
     /// Wall-clock budget per cell attempt, in milliseconds; `None`
-    /// disables the watchdog (cells then run inline on the supervisor
-    /// thread).
+    /// disables the watchdog: each attempt still runs off the scheduler
+    /// thread (on an attempt thread or a sandboxed worker), with no time
+    /// limit. A fleet lease lasts twice this budget.
     pub cell_deadline_ms: Option<u64>,
     /// Retries after the first failed attempt (0 = fail fast to
     /// quarantine).

@@ -8,15 +8,26 @@
 
 use chopin_faults::hard::{parse_hard_flag, HardFaultKind, HardFaultPlan};
 use chopin_faults::net::NetFaultPlan;
-use chopin_faults::FaultPlanError;
+use chopin_faults::{FaultPlanError, SupervisorPolicy};
 
 /// Upper bound on the fleet size: past this, coordination overhead is a
 /// configuration error, not scale (rule R1201).
 pub const MAX_FLEET_WORKERS: u32 = 256;
 
-/// Default lease deadline: twice the default per-cell deadline, so one
-/// retried cell fits inside one lease.
+/// The lease deadline when the per-cell watchdog is off: twice the
+/// default per-cell deadline.
 pub const DEFAULT_LEASE_DEADLINE_MS: u64 = 120_000;
+
+/// The lease deadline a fleet serves under `policy`: twice the per-cell
+/// deadline, so one retried cell fits inside one lease, and
+/// [`DEFAULT_LEASE_DEADLINE_MS`] with the watchdog off. Rules R1202 and
+/// R1404 judge the same value.
+#[must_use]
+pub fn lease_deadline_ms(policy: &SupervisorPolicy) -> u64 {
+    policy
+        .cell_deadline_ms
+        .map_or(DEFAULT_LEASE_DEADLINE_MS, |ms| ms.saturating_mul(2))
+}
 
 /// Default number of crashes a worker slot survives before the
 /// coordinator quarantines the slot instead of respawning it.
@@ -32,29 +43,17 @@ pub const DEFAULT_STORM_KILL_AFTER_LEASES: u32 = 2;
 pub struct FleetPlan {
     /// Number of worker processes the coordinator spawns.
     pub workers: u32,
-    /// Lease deadline in milliseconds; `None` means
-    /// [`DEFAULT_LEASE_DEADLINE_MS`].
-    pub lease_deadline_ms: Option<u64>,
 }
 
 impl FleetPlan {
-    /// A plan with the default lease deadline.
+    /// A plan of `workers` worker processes.
     #[must_use]
     pub fn new(workers: u32) -> Self {
-        FleetPlan {
-            workers,
-            lease_deadline_ms: None,
-        }
+        FleetPlan { workers }
     }
 
-    /// The effective lease deadline.
-    #[must_use]
-    pub fn deadline_ms(&self) -> u64 {
-        self.lease_deadline_ms.unwrap_or(DEFAULT_LEASE_DEADLINE_MS)
-    }
-
-    /// Validate field ranges (the dynamic half of rule R1201/R1202: the
-    /// analyzer re-checks these statically against the cell matrix).
+    /// Validate the worker count (the dynamic half of rule R1201: the
+    /// analyzer re-checks it statically against the cell matrix).
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         if self.workers == 0 {
             return Err(FaultPlanError {
@@ -70,23 +69,6 @@ impl FleetPlan {
                     self.workers
                 ),
             });
-        }
-        if let Some(d) = self.lease_deadline_ms {
-            if d == 0 {
-                return Err(FaultPlanError {
-                    field: "lease_deadline_ms".to_string(),
-                    reason: "must be positive (omit --lease-deadline for the default)".to_string(),
-                });
-            }
-            if d > chopin_faults::policy::MAX_DEADLINE_MS {
-                return Err(FaultPlanError {
-                    field: "lease_deadline_ms".to_string(),
-                    reason: format!(
-                        "{d} exceeds the {}ms bound",
-                        chopin_faults::policy::MAX_DEADLINE_MS
-                    ),
-                });
-            }
         }
         Ok(())
     }
@@ -139,7 +121,7 @@ pub fn parse_storm_flag(flag: &str) -> Result<WorkerStormPlan, String> {
 /// The full runtime fleet configuration held by the supervisor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// The statically-analyzable shape (worker count, lease deadline).
+    /// The statically-analyzable shape (the worker count).
     pub plan: FleetPlan,
     /// Optional worker-kill storm (the `artifact chaos --workers` leg).
     pub storm: Option<WorkerStormPlan>,
@@ -243,12 +225,22 @@ mod tests {
                 .field,
             "workers"
         );
-        let mut plan = FleetPlan::new(4);
-        plan.lease_deadline_ms = Some(0);
-        assert_eq!(plan.validate().unwrap_err().field, "lease_deadline_ms");
-        plan.lease_deadline_ms = Some(DEFAULT_LEASE_DEADLINE_MS);
-        assert!(plan.validate().is_ok());
-        assert_eq!(plan.deadline_ms(), DEFAULT_LEASE_DEADLINE_MS);
+    }
+
+    #[test]
+    fn the_lease_deadline_is_twice_the_cell_deadline_and_120_s_without_a_watchdog() {
+        let policy = |cell_deadline_ms| SupervisorPolicy {
+            cell_deadline_ms,
+            ..SupervisorPolicy::default()
+        };
+        assert_eq!(lease_deadline_ms(&policy(Some(300_000))), 600_000);
+        assert_eq!(lease_deadline_ms(&policy(Some(1))), 2);
+        assert_eq!(lease_deadline_ms(&policy(None)), 120_000);
+        assert_eq!(
+            lease_deadline_ms(&SupervisorPolicy::default()),
+            DEFAULT_LEASE_DEADLINE_MS,
+            "the default policy keeps the 120 s lease"
+        );
     }
 
     #[test]

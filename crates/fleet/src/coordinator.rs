@@ -169,6 +169,11 @@ pub struct Incarnation {
     /// `None` for a primary, which spawns its pool at start. A successor
     /// spawns one only if no worker joins within this many milliseconds.
     pub rescue_after_ms: Option<u64>,
+    /// The worker ids of the journal shards (`<base>.w<id>`) a
+    /// successor's takeover absorbed. Its pools spawn above every one: a
+    /// fresh worker truncates its id's shard, and a predecessor's worker
+    /// that reconnects after the rescue window may still be writing one.
+    pub shards: Vec<u64>,
 }
 
 /// The counters the transport reports as `fleet.*`.
@@ -370,7 +375,7 @@ impl<P: Ord + Clone + fmt::Debug, L: Fn(usize) -> String> Coordinator<P, L> {
         use std::fmt::Write as _;
         let mut out = format!(
             "epoch {} nonce {:016x} drained={} failed={} rescue {:?} successor {:?} \
-             next-external {}\n{}\npeers {:?} standbys {:?}\n",
+             next-external {} shards {:?}\n{}\npeers {:?} standbys {:?}\n",
             self.me.epoch,
             self.me.nonce,
             self.drained,
@@ -378,6 +383,7 @@ impl<P: Ord + Clone + fmt::Debug, L: Fn(usize) -> String> Coordinator<P, L> {
             self.rescue_at.map(|at| at.saturating_sub(now)),
             self.successor,
             self.next_external,
+            self.me.shards,
             self.liveness.members(),
             self.peers,
             self.standbys,
@@ -660,15 +666,17 @@ impl<P: Ord + Clone + fmt::Debug, L: Fn(usize) -> String> Coordinator<P, L> {
     }
 
     /// The first generation whose ids no worker this incarnation has
-    /// seen used: a fresh worker truncates its id's shard, which must not
-    /// be one that may hold a completion not yet merged.
+    /// seen used and no absorbed shard names: a fresh worker truncates
+    /// its id's shard, which must not be one that may hold a completion
+    /// not yet merged.
     fn unused_generation(&self) -> u32 {
         let workers = u64::from(self.config.plan.workers);
-        let seen = self
+        let used = self
             .liveness
             .workers()
+            .chain(self.me.shards.iter().copied())
             .filter(|&w| w < EXTERNAL_WORKER_BASE);
-        let generation = seen.map(|w| w / workers + 1).max().unwrap_or(0);
+        let generation = used.map(|w| w / workers + 1).max().unwrap_or(0);
         u32::try_from(generation).unwrap_or(u32::MAX)
     }
 
@@ -724,7 +732,8 @@ impl<P: Ord + Clone + fmt::Debug, L: Fn(usize) -> String> Coordinator<P, L> {
                  pool of {}",
                 self.config.plan.workers
             )));
-            self.spawn_pool(0, out);
+            let generation = self.unused_generation();
+            self.spawn_pool(generation, out);
         }
         let workers_connected = self.peers.keys().any(|c| !self.standbys.contains(c));
         if self.rescue_at.is_none() && !workers_connected && !self.slots_alive() {
@@ -783,6 +792,7 @@ mod tests {
             fingerprint: FP,
             journal: Some("j".to_string()),
             rescue_after_ms,
+            shards: Vec::new(),
         }
     }
 
@@ -975,6 +985,30 @@ mod tests {
         assert_eq!(spawns.len(), 3, "{out:?}");
         assert_eq!(c.counters().spawned, 3);
         assert!(!out.iter().any(|o| matches!(o, Output::Failed(_))));
+    }
+
+    #[test]
+    fn the_rescue_pool_spawns_above_every_absorbed_shard() {
+        // The takeover absorbed shards w0..w3; a predecessor worker that
+        // reconnects after the window may still be writing one of them.
+        let me = Incarnation {
+            shards: vec![0, 1, 2, 3],
+            ..incarnation(2, Some(STANDBY_RESCUE_MS))
+        };
+        let table = LeaseTable::new(vec![7; 2], policy(), 1_000);
+        let (mut c, _) = Coordinator::start(&FleetConfig::new(2), me, table, codec(), 0);
+        let out = c.step(Input::Tick, STANDBY_RESCUE_MS);
+        let spawned: Vec<&Output> = out
+            .iter()
+            .filter(|o| matches!(o, Output::Spawn { .. }))
+            .collect();
+        assert_eq!(
+            spawned,
+            [
+                &Output::Spawn { slot: 0, worker: 4 },
+                &Output::Spawn { slot: 1, worker: 5 }
+            ]
+        );
     }
 
     #[test]

@@ -1059,7 +1059,7 @@ fn main() {
         "srclint" => &[&["check", "json", "rules"]],
         "trace" => &[&["b", "collector", "heap-factor", "check"], &OBS_FLAGS],
         "chaos" => &[
-            &["b", "check", "workers", "net", "faults", "isolation"],
+            &["b", "check", "workers", "net", "faults"],
             &SCHEDULER_FLAGS,
         ],
         "model" => &[&["check", "bounds", "trace", "demo", "out", "rules"]],

@@ -43,9 +43,9 @@ fn main() {
         .collector(collector)
         .heap_factor(factor)
         .iterations(2)
-        .run()
+        .run_timed()
     {
-        Ok(set) => print!("{}", render_gc_log(set.timed())),
+        Ok(timed) => print!("{}", render_gc_log(&timed)),
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);

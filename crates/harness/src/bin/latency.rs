@@ -16,13 +16,10 @@
 //! request stream is rejected statically (rule R803) with exit 2.
 //! `--no-preflight` bypasses the gate.
 //!
-//! `--isolation process` re-runs the whole measurement inside one
-//! sandboxed child process, so an engine crash surfaces as a structured
-//! crash report instead of taking the terminal session down with it.
-//!
 //! `latency` does not run on the sweep scheduler: the scheduler's flags
-//! (`--journal`, `--resume`, `--cell-deadline`, `--retries`, the fleet
-//! family, …) exit 2 and point at `runbms` and `lbo`.
+//! (`--journal`, `--resume`, `--cell-deadline`, `--retries`,
+//! `--isolation`, the fleet family, …) exit 2 and point at `runbms` and
+//! `lbo`.
 
 use chopin_analyzer::Methodology;
 use chopin_core::latency::SmoothingWindow;
@@ -46,39 +43,17 @@ fn exit_usage(e: impl std::fmt::Display) -> ! {
 }
 
 fn main() {
-    // Must run before anything else: under --isolation process this
-    // binary re-spawns itself as a sandboxed worker.
-    chopin_harness::worker_entry();
     let args = Args::from_env();
     if let Err(e) = check_flags(
         "latency",
         &args,
         &[
-            &[
-                "b",
-                "heaps",
-                "save-events",
-                "no-preflight",
-                "faults",
-                "isolation",
-            ],
+            &["b", "heaps", "save-events", "no-preflight", "faults"],
             &OBS_FLAGS,
         ],
     ) {
         eprintln!("error: {e}");
         std::process::exit(2);
-    }
-    match chopin_harness::sandbox::isolation_from_args(&args) {
-        // latency has no per-cell supervisor path: isolate the whole run
-        // in one sandboxed child instead of on per-cell workers.
-        Ok(chopin_harness::IsolationMode::Process) => {
-            std::process::exit(chopin_harness::sandbox::reexec_isolated());
-        }
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
     }
     let obs = obs_from_args(&args);
     if let Err(e) = validate_obs(&obs) {

@@ -63,7 +63,7 @@ fn main() {
             &GRID_FLAGS,
             &["out"],
             &OBS_FLAGS,
-            &["no-preflight", "faults", "isolation"],
+            &["no-preflight", "faults"],
             &SCHEDULER_FLAGS,
         ],
     ) {

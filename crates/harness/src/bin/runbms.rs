@@ -36,7 +36,8 @@
 //! JSONL record per hard child failure.
 //!
 //! `--fleet N` shards the sweep matrix across N worker processes under
-//! a lease-table coordinator (`--lease-deadline MS` bounds each grant;
+//! a lease-table coordinator (each grant expires after twice
+//! `--cell-deadline`, or 120 s with the watchdog off;
 //! `--fleet-storm kill|abort[:SEED[:STRIDE]]` SIGKILLs deterministic
 //! victim workers mid-lease). The transport is partition-tolerant and
 //! multi-host capable: `--fleet-bind HOST:PORT` pins the listener to a
@@ -205,7 +206,7 @@ fn main() {
         &[
             &GRID_FLAGS,
             &OBS_FLAGS,
-            &["no-preflight", "faults", "isolation"],
+            &["no-preflight", "faults"],
             &SCHEDULER_FLAGS,
         ],
     ) {

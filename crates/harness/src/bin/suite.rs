@@ -17,13 +17,10 @@
 //! statically broken configuration exits 2 before anything runs.
 //! `--no-preflight` bypasses the gate.
 //!
-//! `--isolation process` re-runs the selection inside one sandboxed
-//! child process, so an engine crash surfaces as a structured crash
-//! report instead of taking the terminal session down with it.
-//!
 //! `suite` does not run on the sweep scheduler: the scheduler's flags
-//! (`--journal`, `--resume`, `--cell-deadline`, `--retries`, the fleet
-//! family, …) exit 2 and point at `runbms` and `lbo`.
+//! (`--journal`, `--resume`, `--cell-deadline`, `--retries`,
+//! `--isolation`, the fleet family, …) exit 2 and point at `runbms` and
+//! `lbo`.
 
 use chopin_analyzer::Methodology;
 use chopin_core::sweep::SweepConfig;
@@ -40,29 +37,14 @@ use chopin_runtime::collector::CollectorKind;
 use chopin_workloads::suite as workloads;
 
 fn main() {
-    // Must run before anything else: under --isolation process this
-    // binary re-spawns itself as a sandboxed worker.
-    chopin_harness::worker_entry();
     let args = Args::from_env();
     if let Err(e) = check_flags(
         "suite",
         &args,
-        &[&["b", "no-preflight", "faults", "isolation"], &OBS_FLAGS],
+        &[&["b", "no-preflight", "faults"], &OBS_FLAGS],
     ) {
         eprintln!("error: {e}");
         std::process::exit(2);
-    }
-    match chopin_harness::sandbox::isolation_from_args(&args) {
-        // suite has no per-cell supervisor path: isolate the whole run
-        // in one sandboxed child instead of on per-cell workers.
-        Ok(chopin_harness::IsolationMode::Process) => {
-            std::process::exit(chopin_harness::sandbox::reexec_isolated());
-        }
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
     }
     let obs = obs_from_args(&args);
     if let Err(e) = validate_obs(&obs) {

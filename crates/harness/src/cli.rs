@@ -179,16 +179,8 @@ mod tests {
 
     #[test]
     fn check_flags_names_unknown_flags_and_points_scheduler_flags_at_the_scheduler() {
-        let accepted: &[&[&str]] = &[&GRID_FLAGS, &["faults", "isolation"]];
-        let ok = Args::parse([
-            "-b",
-            "fop",
-            "--quick",
-            "--faults",
-            "chaos",
-            "--isolation",
-            "thread",
-        ]);
+        let accepted: &[&[&str]] = &[&GRID_FLAGS, &["faults"]];
+        let ok = Args::parse(["-b", "fop", "--quick", "--faults", "chaos"]);
         assert_eq!(check_flags("suite", &ok, accepted), Ok(()));
 
         let typo = Args::parse(["-b", "fop", "--jounral", "J"]);

@@ -633,8 +633,7 @@ pub fn heap_trace(benchmark: &str) -> Result<String, ExperimentError> {
     let bench = suite
         .benchmark(benchmark)
         .ok_or_else(|| ExperimentError::UnknownBenchmark(benchmark.to_string()))?;
-    let set = bench.runner().heap_factor(2.0).iterations(2).run()?;
-    let timed = set.timed();
+    let timed = bench.runner().heap_factor(2.0).iterations(2).run_timed()?;
     let points: Vec<(f64, f64)> = timed
         .telemetry()
         .heap_trace

@@ -39,7 +39,7 @@ use crate::codec;
 use crate::journal::{
     worker_journal_path, CellKey, CellProvenance, Journal, JournalEntry, JournalError,
 };
-use crate::sandbox::{status_signal, CellRequest, CrashReport};
+use crate::sandbox::{CellRequest, CrashReport};
 use crate::supervisor::{
     absorb_recovered, cell_seed, lock, open_journal, settle, Cell, CellOutcome, CellTable, Drained,
     QuarantineReason, SuperviseError,
@@ -49,6 +49,7 @@ use chopin_faults::net::NetFaultPlan;
 use chopin_faults::{
     parse_net_flag, FaultPlan, FrameFate, HardFaultKind, SupervisorPolicy, NET_PRESET_NAMES,
 };
+use chopin_fleet::config::lease_deadline_ms;
 use chopin_fleet::coordinator::{
     HEARTBEAT_EVERY_MS, HEARTBEAT_TIMEOUT_MS, POLL_MS, STANDBY_RESCUE_MS,
 };
@@ -60,7 +61,7 @@ use chopin_fleet::{
 use chopin_obs::metrics::fleet_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_sandbox::clock::WallSpan;
-use chopin_sandbox::limits::{die_by_signal, SIGKILL};
+use chopin_sandbox::limits::{die_by_signal, status_signal, SIGKILL};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -113,14 +114,14 @@ const STANDBY_DRAIN_GRACE_MS: u64 = 5_000;
 // ---------------------------------------------------------------------
 
 /// Parse the fleet flag family into a [`FleetConfig`]: `--fleet N`
-/// (worker count), `--lease-deadline MS` (lease expiry), `--fleet-storm
-/// KIND[:SEED[:STRIDE]]` (the worker-kill storm), `--fleet-bind
-/// HOST:PORT` (routable listener address), `--fleet-token TOKEN`
-/// (per-run admission token), `--net-faults PRESET[:SEED]` (the seeded
-/// network-fault shim), `--fleet-standby ADDR` (run as the standby
-/// coordinator for the primary at `ADDR`) and `--fleet-await-standby`
-/// (the primary issues no leases until a standby has adopted — the
-/// armed-failover drill mode).
+/// (worker count), `--fleet-storm KIND[:SEED[:STRIDE]]` (the worker-kill
+/// storm), `--fleet-bind HOST:PORT` (routable listener address),
+/// `--fleet-token TOKEN` (per-run admission token), `--net-faults
+/// PRESET[:SEED]` (the seeded network-fault shim), `--fleet-standby ADDR`
+/// (run as the standby coordinator for the primary at `ADDR`) and
+/// `--fleet-await-standby` (the primary issues no leases until a standby
+/// has adopted — the armed-failover drill mode). No flag sets the lease
+/// deadline: [`lease_deadline_ms`] derives it from the supervisor policy.
 ///
 /// # Errors
 ///
@@ -130,7 +131,6 @@ const STANDBY_DRAIN_GRACE_MS: u64 = 5_000;
 pub fn fleet_config_from_args(args: &Args) -> Result<Option<FleetConfig>, String> {
     if !args.has("fleet") {
         for flag in [
-            "lease-deadline",
             "fleet-storm",
             "fleet-bind",
             "fleet-token",
@@ -150,12 +150,6 @@ pub fn fleet_config_from_args(args: &Args) -> Result<Option<FleetConfig>, String
         let missing = || format!("--{flag} needs {needs}");
         args.value(flag).map(str::to_string).ok_or_else(missing)
     };
-    if args.has("lease-deadline") {
-        let ms: u64 = args
-            .get_or("lease-deadline", 0u64)
-            .map_err(|e| e.to_string())?;
-        config.plan.lease_deadline_ms = Some(ms);
-    }
     if args.has("fleet-storm") {
         let flag = value("fleet-storm", "a preset (kill or abort)")?;
         config.storm = Some(parse_storm_flag(&flag)?);
@@ -315,6 +309,7 @@ pub(crate) fn coordinate(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
                 addr,
                 epoch: 1,
                 rescue_after_ms: None,
+                shards: Vec::new(),
             },
         )?;
     }
@@ -470,7 +465,7 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
 
     let seeds: Vec<u64> = cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
     let recovered = |mut journal: Option<Journal>| {
-        let mut table = CellTable::new(seeds.clone(), policy, config.plan.deadline_ms());
+        let mut table = CellTable::new(seeds.clone(), policy, lease_deadline_ms(&policy));
         let shards = Some(journal_path.as_path());
         let absorbed = absorb_recovered(&mut table, cells, &mut journal, shards, fingerprint);
         (table, journal, absorbed)
@@ -545,6 +540,7 @@ fn run_standby(run: FleetRun<'_>) -> Result<Drained, SuperviseError> {
                 addr: my_addr,
                 epoch: epoch + 1,
                 rescue_after_ms: Some(STANDBY_RESCUE_MS),
+                shards: absorbed.shards,
             },
         )?;
     }
@@ -819,12 +815,14 @@ impl Pump<'_> {
 /// The transport's bind/epoch parameters: the primary binds fresh and
 /// spawns its pool at epoch 1; a takeover inherits the standby's
 /// pre-bound listener, serves at the next epoch, and only spawns its own
-/// workers if none of the primary's reconnect within the rescue window.
+/// workers if none of the primary's reconnect within the rescue window,
+/// above the ids of the shards it absorbed.
 struct Transport {
     listener: TcpListener,
     addr: String,
     epoch: u32,
     rescue_after_ms: Option<u64>,
+    shards: Vec<u64>,
 }
 
 /// Pump the coordinator machine until the lease table drains (or the run
@@ -848,6 +846,7 @@ fn run_transport(
         addr,
         epoch,
         rescue_after_ms,
+        shards,
     } = transport;
     let exe = std::env::current_exe().map_err(|e| {
         SuperviseError::Isolation(format!("fleet cannot resolve the worker executable: {e}"))
@@ -923,6 +922,7 @@ fn run_transport(
         fingerprint,
         journal: journal_base.map(|p| p.to_string_lossy().into_owned()),
         rescue_after_ms,
+        shards,
     };
 
     let span = WallSpan::begin();
@@ -1440,11 +1440,6 @@ mod tests {
         let none = Args::parse(["--quick"]);
         assert_eq!(fleet_config_from_args(&none).unwrap(), None);
 
-        let orphan = Args::parse(["--lease-deadline", "500"]);
-        assert!(fleet_config_from_args(&orphan)
-            .unwrap_err()
-            .contains("--fleet"));
-
         for orphan_flag in [
             ["--fleet-bind", "127.0.0.1:7000"],
             ["--fleet-token", "s3cret"],
@@ -1464,8 +1459,6 @@ mod tests {
         let full = Args::parse([
             "--fleet",
             "4",
-            "--lease-deadline",
-            "750",
             "--fleet-storm",
             "kill:7",
             "--fleet-bind",
@@ -1477,7 +1470,6 @@ mod tests {
         ]);
         let config = fleet_config_from_args(&full).unwrap().unwrap();
         assert_eq!(config.plan.workers, 4);
-        assert_eq!(config.plan.deadline_ms(), 750);
         assert_eq!(config.bind.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(config.token.as_deref(), Some("s3cret"));
         let net = config.net.unwrap();

@@ -485,9 +485,9 @@ pub(crate) fn worker_journal_path(base: &Path, worker: u64) -> PathBuf {
 }
 
 /// Discover every sibling worker journal of `base` (`<base>.w<digits>`
-/// in the same directory), sorted by worker id so absorption order is
-/// deterministic regardless of directory iteration order.
-pub(crate) fn sibling_worker_journals(base: &Path) -> Vec<PathBuf> {
+/// in the same directory) with its worker id, sorted by id so absorption
+/// order is deterministic regardless of directory iteration order.
+pub(crate) fn sibling_worker_journals(base: &Path) -> Vec<(u64, PathBuf)> {
     let Some(name) = base.file_name().map(|n| n.to_string_lossy().into_owned()) else {
         return Vec::new();
     };
@@ -510,7 +510,7 @@ pub(crate) fn sibling_worker_journals(base: &Path) -> Vec<PathBuf> {
         }
     }
     found.sort_unstable();
-    found.into_iter().map(|(_, path)| path).collect()
+    found
 }
 
 #[cfg(test)]
@@ -750,11 +750,7 @@ mod tests {
         let found = sibling_worker_journals(&base);
         assert_eq!(
             found,
-            vec![
-                worker_journal_path(&base, 0),
-                worker_journal_path(&base, 2),
-                worker_journal_path(&base, 10),
-            ]
+            [0, 2, 10].map(|id| (id, worker_journal_path(&base, id)))
         );
     }
 

@@ -52,13 +52,11 @@ fn whole_suite() -> Vec<String> {
 /// `--cell-deadline`/`--retries`/`--backoff-ms` whenever the run goes
 /// through the scheduler (always for an LBO plan; for a sweep only when
 /// supervision is requested; no watchdog otherwise), journalling from
-/// `--journal`,
-/// the isolation backend from `--isolation` and hard faults from
-/// `--hard-faults`, the fleet shape from
-/// `--fleet`/`--lease-deadline`, the net-fault shim from `--net-faults`
-/// and the standby registration from `--fleet-standby` — so the R90x
-/// sandbox, R120x fleet and R140x partition-tolerance analyses see
-/// exactly what the run would do.
+/// `--journal`, the isolation backend from `--isolation` and hard faults
+/// from `--hard-faults`, the fleet shape from `--fleet`, the net-fault
+/// shim from `--net-faults` and the standby registration from
+/// `--fleet-standby` — so the R90x sandbox, R120x fleet and R140x
+/// partition-tolerance analyses see exactly what the run would do.
 ///
 /// # Errors
 ///

@@ -113,13 +113,12 @@ pub fn kick_the_tires() -> Result<String, ExperimentError> {
     let fop = suite.benchmark("fop").expect("fop is in the suite");
     for collector in [CollectorKind::G1, CollectorKind::Zgc] {
         for factor in KICK_THE_TIRES_HEAP_FACTORS {
-            let runs = fop
+            let timed = fop
                 .runner()
                 .collector(collector)
                 .heap_factor(factor)
                 .iterations(2)
-                .run()?;
-            let timed = runs.timed();
+                .run_timed()?;
             let _ = writeln!(
                 out,
                 "  fop {collector} @ {factor:.1}x: wall {} task {} gcs {}",

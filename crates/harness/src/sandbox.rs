@@ -6,7 +6,8 @@
 //! cell's independence comes from its seed, not from a fresh process.
 //! The pieces living here:
 //!
-//! * [`worker_entry`] — the worker half. Every binary calls it first
+//! * [`worker_entry`] — the worker half. Every binary that can spawn
+//!   itself as a worker (`runbms`, `lbo`, `artifact`) calls it first
 //!   thing in `main`; when the process was spawned as a sandbox worker
 //!   it serves cell requests from stdin until stdin closes: it decodes
 //!   each, runs the cell on the in-process [`SweepCellRunner`] itself,
@@ -29,10 +30,6 @@
 //!   land on the next cell.
 //! * [`CrashReport`] — one JSONL record per hard child failure
 //!   (`--crash-reports FILE`), the artifact CI uploads from chaos runs.
-//! * [`reexec_isolated`] — whole-run isolation for the binaries without a
-//!   per-cell supervisor path (`latency`, `suite`): re-execute the
-//!   current invocation under thread isolation inside a monitored child
-//!   and classify a hard death instead of inheriting it.
 //!
 //! Requests, responses and crash reports are rendered and parsed by the
 //! one cell-record codec (`codec.rs`), whose exact float and `u64`
@@ -127,9 +124,9 @@ pub fn configure_isolation(
 /// Run the sandbox worker protocol when this process was spawned as a
 /// cell worker, or the fleet worker loop when it was spawned (or
 /// environment-configured) as a fleet worker; return immediately
-/// otherwise. Every harness binary (and every `harness = false` test
-/// binary that exercises process isolation) must call this first thing
-/// in `main`.
+/// otherwise. Every binary that runs the sweep scheduler (and every
+/// `harness = false` test binary that exercises process isolation) must
+/// call this first thing in `main`.
 pub fn worker_entry() {
     crate::fleet::maybe_fleet_worker();
     chopin_sandbox::worker::maybe_worker(handle_request);
@@ -538,72 +535,6 @@ impl SandboxTally {
     }
 }
 
-// ---------------------------------------------------------------------
-// Whole-run isolation for binaries without a per-cell supervisor path.
-// ---------------------------------------------------------------------
-
-/// Rewrite an argument vector so the re-executed child runs under thread
-/// isolation (every `--isolation` value becomes `thread`).
-fn rewrite_isolation_args(mut argv: Vec<String>) -> Vec<String> {
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--isolation" || argv[i] == "-isolation" {
-            if i + 1 < argv.len() && !argv[i + 1].starts_with('-') {
-                argv[i + 1] = "thread".to_string();
-            } else {
-                argv.insert(i + 1, "thread".to_string());
-            }
-            i += 2;
-            continue;
-        }
-        i += 1;
-    }
-    argv
-}
-
-/// Whole-run process isolation for `latency` and `suite`: re-execute the
-/// current invocation under `--isolation thread` in a child process with
-/// inherited stdio, classify a hard death (signal) instead of dying with
-/// it, and return the exit code the parent should use (4 for a crashed
-/// child).
-#[must_use]
-pub fn reexec_isolated() -> i32 {
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("error: process isolation cannot resolve the current executable: {e}");
-            return 2;
-        }
-    };
-    let argv = rewrite_isolation_args(std::env::args().skip(1).collect());
-    match std::process::Command::new(exe).args(&argv).status() {
-        Err(e) => {
-            eprintln!("error: process isolation could not spawn the isolated run: {e}");
-            2
-        }
-        Ok(status) => {
-            if let Some(signal) = status_signal(&status) {
-                eprintln!(
-                    "error: the isolated run died to signal {signal} ({})",
-                    chopin_sandbox::limits::signal_name(signal)
-                );
-                return 4;
-            }
-            status.code().unwrap_or(4)
-        }
-    }
-}
-
-#[cfg(unix)]
-pub(crate) fn status_signal(status: &std::process::ExitStatus) -> Option<i32> {
-    std::os::unix::process::ExitStatusExt::signal(status)
-}
-
-#[cfg(not(unix))]
-pub(crate) fn status_signal(_status: &std::process::ExitStatus) -> Option<i32> {
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,24 +689,6 @@ mod tests {
         let supervisor = crate::supervisor::SuiteSupervisor::new(Default::default());
         let args = Args::parse(["--hard-faults", "segv"]);
         assert!(configure_isolation(supervisor, &args).is_err());
-    }
-
-    #[test]
-    fn reexec_rewrites_every_isolation_flag_to_thread() {
-        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            rewrite_isolation_args(argv(&["-b", "h2", "--isolation", "process", "--check"])),
-            argv(&["-b", "h2", "--isolation", "thread", "--check"])
-        );
-        // A bare flag (no value) gains an explicit thread value.
-        assert_eq!(
-            rewrite_isolation_args(argv(&["--isolation", "--check"])),
-            argv(&["--isolation", "thread", "--check"])
-        );
-        assert_eq!(
-            rewrite_isolation_args(argv(&["-b", "h2"])),
-            argv(&["-b", "h2"])
-        );
     }
 
     #[test]

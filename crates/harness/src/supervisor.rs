@@ -54,7 +54,7 @@ use crate::sandbox::{write_crash_reports, CellWorker, CrashReport, ProcessBacken
 use chopin_core::lbo::RunSample;
 use chopin_core::sweep::{SweepConfig, SweepFailure, SweepResult};
 use chopin_faults::{FaultPlan, HardFaultPlan, PolicyError, SupervisorPolicy};
-use chopin_fleet::config::DEFAULT_LEASE_DEADLINE_MS;
+use chopin_fleet::config::lease_deadline_ms;
 use chopin_fleet::lease::CellResolution;
 use chopin_fleet::{recover, Candidate, FleetConfig, Grant, LeaseTable};
 use chopin_obs::metrics::fleet_metrics;
@@ -396,19 +396,19 @@ impl From<JournalError> for SuperviseError {
 /// Flags only the sweep scheduler honours. `latency` and `suite` have no
 /// per-cell scheduler path, so [`crate::cli::check_flags`] refuses every
 /// one of them there, pointing at the binaries that take them;
-/// `--faults` and `--isolation`, which those two honour on their own
-/// terms, are not on the list.
+/// `--faults`, which those two honour on their own terms, is not on the
+/// list.
 pub const SCHEDULER_FLAGS: [&str; 16] = [
     "journal",
     "resume",
     "cell-deadline",
     "retries",
     "backoff-ms",
+    "isolation",
     "hard-faults",
     "crash-reports",
     "fleet",
     "fleet-connect",
-    "lease-deadline",
     "fleet-storm",
     "fleet-bind",
     "fleet-token",
@@ -420,7 +420,7 @@ pub const SCHEDULER_FLAGS: [&str; 16] = [
 /// Whether any supervisor flag is on the command line: `runbms` runs
 /// its sequential reference sweep only when none is.
 pub fn supervision_requested(args: &crate::cli::Args) -> bool {
-    args.has("faults") || args.has("isolation") || SCHEDULER_FLAGS.iter().any(|f| args.has(f))
+    args.has("faults") || SCHEDULER_FLAGS.iter().any(|f| args.has(f))
 }
 
 /// Build the supervisor a command line asks for: the policy
@@ -880,13 +880,7 @@ impl SuiteSupervisor {
         }
 
         let seeds = cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
-        // In-process modes never expire or steal a lease, so only the
-        // fleet's deadline is ever consulted.
-        let deadline_ms = self
-            .fleet
-            .as_ref()
-            .map_or(DEFAULT_LEASE_DEADLINE_MS, |f| f.plan.deadline_ms());
-        let mut table = CellTable::new(seeds, self.policy, deadline_ms);
+        let mut table = CellTable::new(seeds, self.policy, lease_deadline_ms(&self.policy));
         // Worker shards are read only when resuming; a standby reloads the
         // primary's journals itself, at takeover.
         let shard_base = self
@@ -1113,6 +1107,8 @@ pub(crate) struct AbsorbStats {
     pub(crate) conflicts: u64,
     /// Sibling shards rejected for carrying a foreign fingerprint.
     pub(crate) foreign_shards: u64,
+    /// The worker id of every sibling shard that loaded, foreign or not.
+    pub(crate) shards: Vec<u64>,
 }
 
 impl AbsorbStats {
@@ -1182,10 +1178,11 @@ pub(crate) fn absorb_recovered(
 ) -> AbsorbStats {
     let mut stats = AbsorbStats::default();
     let mut shards = Vec::new();
-    for worker_path in shard_base.map(sibling_worker_journals).unwrap_or_default() {
+    for (worker, worker_path) in shard_base.map(sibling_worker_journals).unwrap_or_default() {
         let Ok(worker_journal) = Journal::load(&worker_path) else {
             continue;
         };
+        stats.shards.push(worker);
         if worker_journal.fingerprint() != fingerprint {
             stats.foreign_shards += 1;
             eprintln!(
@@ -1459,6 +1456,11 @@ mod tests {
         assert_eq!(
             absorbed.foreign_shards, 1,
             "the stale shard is rejected, visibly"
+        );
+        assert_eq!(
+            absorbed.shards,
+            [1, 3, 5, 9],
+            "a rescue pool spawns above every id"
         );
         assert!(table.is_done());
 

@@ -177,15 +177,13 @@ pub fn run_scorecard() -> Vec<CheckResult> {
                 .collector(c)
                 .heap_factor(3.0)
                 .iterations(2)
-                .run()
+                .run_timed()
                 .expect("completes")
         };
         let g1 = run(CollectorKind::G1);
         let zgc = run(CollectorKind::Zgc);
-        let wall_ratio =
-            zgc.timed().wall_time().as_secs_f64() / g1.timed().wall_time().as_secs_f64();
-        let task_ratio =
-            zgc.timed().task_clock().as_secs_f64() / g1.timed().task_clock().as_secs_f64();
+        let wall_ratio = zgc.wall_time().as_secs_f64() / g1.wall_time().as_secs_f64();
+        let task_ratio = zgc.task_clock().as_secs_f64() / g1.task_clock().as_secs_f64();
         results.push(CheckResult {
             id: "fig5-cassandra",
             claim: "cassandra: concurrent collectors soak idle cores — task clock diverges from wall clock",
@@ -200,14 +198,13 @@ pub fn run_scorecard() -> Vec<CheckResult> {
                 .collector(c)
                 .heap_factor(2.0)
                 .iterations(2)
-                .run()
+                .run_timed()
                 .expect("completes")
         };
         let parallel = run(CollectorKind::Parallel);
         let shen = run(CollectorKind::Shenandoah);
-        let wall_ratio =
-            shen.timed().wall_time().as_secs_f64() / parallel.timed().wall_time().as_secs_f64();
-        let throttled = shen.timed().telemetry().throttled_wall.as_nanos() > 0;
+        let wall_ratio = shen.wall_time().as_secs_f64() / parallel.wall_time().as_secs_f64();
+        let throttled = shen.telemetry().throttled_wall.as_nanos() > 0;
         results.push(CheckResult {
             id: "fig5-lusearch",
             claim: "lusearch: Shenandoah's pacer throttles 32 allocating threads — wall clock off the chart",
@@ -226,14 +223,14 @@ pub fn run_scorecard() -> Vec<CheckResult> {
             .expect("default size")
             .expect("valid");
         let dist = |collector| {
-            let runs = bench
+            let timed = bench
                 .runner()
                 .collector(collector)
                 .heap_factor(2.0)
                 .iterations(2)
-                .run()
+                .run_timed()
                 .expect("completes");
-            let events = events_of(runs.timed(), spec.requests()).expect("events");
+            let events = events_of(&timed, spec.requests()).expect("events");
             (
                 LatencyDistribution::from_durations(simple_latencies(&events)).expect("events"),
                 LatencyDistribution::from_durations(metered_latencies(

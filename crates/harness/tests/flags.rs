@@ -2,11 +2,11 @@
 //! ignored: every binary refuses a flag it does not read before it
 //! prints or runs anything, `lbo` reports a malformed `--faults` even
 //! with the pre-flight gate bypassed, `latency` and `suite`, which have
-//! no sweep-scheduler path, refuse the scheduler's flags outright, a
-//! malformed heap factor, a zero or malformed count or an unknown
-//! benchmark is a usage error, the removed sandbox override flags are
-//! unknown, and `runbms` writes its trace and event stream on the
-//! scheduler path too.
+//! no sweep-scheduler path, refuse the scheduler's flags (`--isolation`
+//! among them) outright, a malformed heap factor, a zero or malformed
+//! count or an unknown benchmark is a usage error, the removed sandbox
+//! and lease overrides are unknown, and `runbms` writes its trace and
+//! event stream on the scheduler path too.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -70,13 +70,15 @@ fn runbms_refuses_a_misspelt_journal_flag() {
 
 #[test]
 fn runbms_and_lbo_refuse_the_removed_sandbox_override_flags() {
-    // Sandbox limits are derived per cell and the heartbeat is fixed;
-    // the flags that once overrode them are unknown now.
+    // Sandbox limits are derived per cell, the heartbeat is fixed and
+    // the lease deadline derives from the cell deadline; the flags that
+    // once overrode them are unknown now.
     for bin in ["runbms", "lbo"] {
         for (flag, value) in [
             ("rlimit-as-mb", "4096"),
             ("rlimit-cpu-s", "60"),
             ("heartbeat-ms", "50"),
+            ("lease-deadline", "5000"),
         ] {
             let args = ["-b", "fop", "--quick", "--isolation", "process"];
             let out = run(bin, &[&args[..], &[&format!("--{flag}"), value]].concat());
@@ -182,7 +184,7 @@ fn latency_and_suite_refuse_the_scheduler_flags() {
     let journal: PathBuf =
         std::env::temp_dir().join(format!("chopin-flags-{}.journal", std::process::id()));
     let journal_arg = journal.to_string_lossy().into_owned();
-    let cases: [(&str, Vec<&str>); 3] = [
+    let cases: [(&str, Vec<&str>); 5] = [
         (
             "latency",
             vec![
@@ -198,8 +200,13 @@ fn latency_and_suite_refuse_the_scheduler_flags() {
                 "1",
             ],
         ),
+        (
+            "latency",
+            vec!["-b", "h2", "--heaps", "2", "--isolation", "process"],
+        ),
         ("suite", vec!["-b", "fop", "--resume"]),
         ("suite", vec!["-b", "fop", "--fleet", "2"]),
+        ("suite", vec!["-b", "fop", "--isolation", "process"]),
     ];
     for (bin, args) in cases {
         let out = run(bin, &args);

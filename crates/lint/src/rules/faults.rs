@@ -5,10 +5,11 @@
 //! A malformed fault plan is worse than no fault plan: a zero seed makes
 //! the chaos campaign unreproducible, an infinite spike factor turns the
 //! run into nonsense, and a window past the run horizon silently never
-//! fires, so the experiment "passes" without testing anything. These rules
-//! mirror [`FaultPlan::validate`] and [`SupervisorPolicy::validate`] as
-//! static checks over every shipped preset and policy — but report *every*
-//! violation rather than the first, as a lint should.
+//! fires, so the experiment "passes" without testing anything. R701–R703
+//! are the one check of a [`FaultPlan`]; R704 mirrors
+//! [`SupervisorPolicy::validate`]. Both run as static checks over every
+//! shipped preset and policy, and report *every* violation rather than
+//! the first, as a lint should.
 
 use crate::diagnostic::Diagnostic;
 use chopin_faults::{FaultPlan, SupervisorPolicy, MAX_WINDOWS};

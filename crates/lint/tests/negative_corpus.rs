@@ -260,6 +260,8 @@ fn r701_unseeded_fault_plan() {
     let plan = FaultPlan::new(0).with_window(0, 1_000, FaultKind::ForceDegenerate);
     let diags = chopin_lint::lint_fault_plan("broken", &plan, None);
     assert_eq!(ids(&diags), vec!["R701"], "{diags:?}");
+    // A plan with no windows needs no seed.
+    assert!(chopin_lint::lint_fault_plan("empty", &FaultPlan::new(0), Some(100)).is_empty());
 }
 
 #[test]
@@ -287,6 +289,8 @@ fn r703_window_beyond_the_horizon() {
     let plan = FaultPlan::new(1).with_window(0, 2_000, FaultKind::ForceDegenerate);
     let diags = chopin_lint::lint_fault_plan("broken", &plan, Some(1_000));
     assert_eq!(ids(&diags), vec!["R703"], "{diags:?}");
+    // Without a horizon there is nothing to lie beyond.
+    assert!(chopin_lint::lint_fault_plan("open", &plan, None).is_empty());
 }
 
 #[test]
@@ -294,6 +298,20 @@ fn r703_inverted_window() {
     let plan = FaultPlan::new(1).with_window(500, 100, FaultKind::ForceDegenerate);
     let diags = chopin_lint::lint_fault_plan("broken", &plan, None);
     assert_eq!(ids(&diags), vec!["R703"], "{diags:?}");
+    let empty = FaultPlan::new(1).with_window(100, 100, FaultKind::ForceDegenerate);
+    let diags = chopin_lint::lint_fault_plan("broken", &empty, None);
+    assert_eq!(ids(&diags), vec!["R703"], "{diags:?}");
+}
+
+#[test]
+fn r703_window_cap() {
+    let mut plan = FaultPlan::new(1);
+    for i in 0..(chopin_faults::MAX_WINDOWS as u64 + 1) {
+        plan = plan.with_window(i * 10, i * 10 + 5, FaultKind::ForceDegenerate);
+    }
+    let diags = chopin_lint::lint_fault_plan("broken", &plan, None);
+    assert_eq!(ids(&diags), vec!["R703"], "{diags:?}");
+    assert_eq!(diags[0].location, "faults:broken:windows");
 }
 
 #[test]

@@ -446,8 +446,8 @@ impl ModelState {
     }
 
     /// Start a coordinator incarnation at the current epoch over `table`
-    /// (a successor waits out its rescue window instead of spawning) and
-    /// apply its spawns.
+    /// (a successor waits out its rescue window instead of spawning, and
+    /// is told every shard its takeover absorbed) and apply its spawns.
     fn start(&mut self, bounds: &Bounds, table: LeaseTable, successor: bool, bug: SeededBug) {
         let me = Incarnation {
             epoch: self.epoch,
@@ -455,6 +455,11 @@ impl ModelState {
             fingerprint: MODEL_FINGERPRINT,
             journal: None,
             rescue_after_ms: successor.then_some(STANDBY_RESCUE_MS),
+            shards: if successor {
+                self.shards.keys().copied().collect()
+            } else {
+                Vec::new()
+            },
         };
         let mut config = FleetConfig::new(bounds.workers as u32);
         config.token = bounds.token.then(|| MODEL_TOKEN.to_string());
@@ -1167,6 +1172,28 @@ mod tests {
         assert!(s.coordinator.as_ref().is_some_and(|c| c.slots_alive()));
         assert!(crate::invariants::check(&s, &bounds).is_none());
         assert!(!s.successors(&bounds, SeededBug::None).is_empty());
+    }
+
+    #[test]
+    fn a_rescue_pool_spawns_above_every_shard_the_takeover_absorbed() {
+        // The primary's only worker dies and so does the primary: no
+        // worker reconnects, so the successor's rescue window spawns a
+        // pool, whose fresh worker must not truncate w0's shard.
+        let bounds = Bounds {
+            workers: 1,
+            cells: 1,
+            crashes: 2,
+            failing_cells: 0,
+            ..Bounds::default()
+        };
+        let s = ModelState::init(&bounds, SeededBug::None);
+        let (_, s) = s.die(0);
+        let (_, s) = s.coordinator_dies(true);
+        let (label, s) = s.takeover(&bounds, SeededBug::None);
+        assert!(label.contains("1 fresh worker(s) spawned"), "{label}");
+        assert_eq!(s.slots[0], Slot::Idle { worker: 1 });
+        assert!(s.shards.contains_key(&0) && s.shards.contains_key(&1));
+        assert!(crate::invariants::check(&s, &bounds).is_none());
     }
 
     #[test]

@@ -341,11 +341,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Counter names in order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
     /// Render a human-readable table of everything in the registry.
     pub fn render_table(&self) -> String {
         let mut out = String::new();

@@ -24,13 +24,6 @@ pub enum CollectionKind {
     Degenerate,
 }
 
-impl CollectionKind {
-    /// Whether this collection stops the world for its whole duration.
-    pub fn is_stop_the_world(self) -> bool {
-        !matches!(self, CollectionKind::Concurrent)
-    }
-}
-
 /// Inputs to cycle planning: a snapshot of heap and workload state at
 /// trigger time. All byte quantities are *heap* bytes (already inflated if
 /// compressed pointers are disabled).

@@ -164,8 +164,8 @@ pub fn run_with_observer<O: Observer>(
 /// Fault-injected runs are exactly as deterministic as clean ones: the
 /// plan is pure data and the engine transitions windows at exact simulated
 /// times, so the same plan yields bit-identical results. The plan should
-/// already be validated ([`FaultPlan::validate`]); malformed windows are
-/// simply never active.
+/// already pass lint rules R701–R703 (`chopin_lint::lint_fault_plan`);
+/// malformed windows are simply never active.
 ///
 /// # Errors
 ///

@@ -40,7 +40,6 @@ fn faulted_runs_are_bit_identical_and_observer_neutral() {
             4,
             0.15,
         );
-    plan.validate(None).expect("plan is valid");
 
     let first = run_with_faults(&s, &config, &plan).map_err(|e| e.to_string());
     let second = run_with_faults(&s, &config, &plan).map_err(|e| e.to_string());

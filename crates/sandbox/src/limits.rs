@@ -31,6 +31,20 @@ pub fn signal_name(signal: i32) -> &'static str {
     }
 }
 
+/// The signal that ended a child, if one did.
+#[cfg(unix)]
+#[must_use]
+pub fn status_signal(status: &std::process::ExitStatus) -> Option<i32> {
+    std::os::unix::process::ExitStatusExt::signal(status)
+}
+
+/// The signal that ended a child: never known off Unix.
+#[cfg(not(unix))]
+#[must_use]
+pub fn status_signal(_status: &std::process::ExitStatus) -> Option<i32> {
+    None
+}
+
 /// The substring Rust's default allocation-error handler prints to stderr
 /// before aborting. Its presence alongside a SIGABRT death is how the
 /// parent distinguishes `OomKilled` from a plain abort.

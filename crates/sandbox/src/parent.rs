@@ -267,7 +267,7 @@ impl SandboxPool {
         let mut report = session.serve(request, limits);
         if let Some(status) = session.close() {
             report.exit_code = report.exit_code.or(status.code());
-            report.signal = report.signal.or(status_signal(&status));
+            report.signal = report.signal.or(limits::status_signal(&status));
         }
         report
     }
@@ -443,7 +443,7 @@ impl Session {
                     }
                 }
                 let exit_code = status.and_then(|s| s.code());
-                let signal = status.as_ref().and_then(status_signal);
+                let signal = status.as_ref().and_then(limits::status_signal);
                 (answer, exit_code, signal)
             }
         };
@@ -609,16 +609,6 @@ fn classify(
         )),
         None => ChildOutcome::Failed("worker vanished without an exit status".to_string()),
     }
-}
-
-#[cfg(unix)]
-fn status_signal(status: &std::process::ExitStatus) -> Option<i32> {
-    std::os::unix::process::ExitStatusExt::signal(status)
-}
-
-#[cfg(not(unix))]
-fn status_signal(_status: &std::process::ExitStatus) -> Option<i32> {
-    None
 }
 
 #[cfg(test)]
